@@ -13,6 +13,7 @@ from .errors import (
     DomainError,
     GeometryError,
     HypothesisError,
+    LinearSolveError,
     ModelError,
     RangeError,
     RegimeError,

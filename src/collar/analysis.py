@@ -209,7 +209,8 @@ def boundary_attainment(
     strongly imposed interface row (the row itself trivially equals the
     lifted data) over stored times in ``[tau, horizon]``.  The verdict is
     "attained" when the sups decay monotonically across levels and the
-    finest one is below the threshold.
+    finest one is below the threshold.  ``probe_offsets`` holds each level's
+    largest probe distance from the boundary.
     """
     if len(fields) < 4:
         raise ConfigError(f"need at least 4 collar levels, got {len(fields)}")
@@ -229,8 +230,11 @@ def boundary_attainment(
             rows = cls.interface
         else:
             rows = np.nonzero(grid.steps_from_boundary == 0)[0]
+        if rows.size == 0:
+            raise ShapeError(f"collar level {f.eps} has no interface rows to probe")
         tmask = f.times >= tau - 1e-12
         level_sup = 0.0
+        level_offset = 0.0
         for i in rows:
             inward = 1 if grid.distances[min(i + 1, grid.n - 1)] > grid.distances[i] else -1
             probe = i + inward
@@ -238,8 +242,9 @@ def boundary_attainment(
             target = np.asarray(phi.phi(b, f.times[tmask]))
             gap = np.abs(f.values[probe, tmask] - target)
             level_sup = max(level_sup, float(np.max(gap)))
+            level_offset = max(level_offset, float(grid.distances[probe]))
         sups.append(level_sup)
-        offsets.append(float(grid.distances[probe]))
+        offsets.append(level_offset)
 
     monotone = all(b <= a * (1.0 + 1e-9) for a, b in zip(sups[:-1], sups[1:]))
     attained = monotone and sups[-1] < threshold

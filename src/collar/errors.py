@@ -67,6 +67,14 @@ class StepError(CollarError):
         super().__init__(message)
 
 
+class LinearSolveError(StepError):
+    """A tridiagonal solve hit a zero pivot or a bad argument (LAPACK ``info``)."""
+
+    def __init__(self, message: str, info: int):
+        self.info = info
+        super().__init__(message)
+
+
 class SolveError(CollarError):
     """A full trajectory solve failed after exhausting time-step retries."""
 

@@ -6,6 +6,9 @@ carry the exact area, so summing ``L[u]_i V_i`` telescopes to the boundary
 face fluxes with no quadrature error.  For N = 1 this reduces to the classic
 three-point second difference.  The ball center is handled by the natural
 zero-flux inner face.
+
+Tridiagonal systems go straight to LAPACK: ``gtsv`` for a one-off solve, or
+``gttrf`` once and ``gttrs`` per right-hand side when the matrix is reused.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
+from .errors import LinearSolveError
 from .geometry import BALL, Grid
 
 
@@ -38,6 +42,14 @@ class DiffusionOperator:
         out[1:] += self.lo[1:] * values[:-1]
         out[:-1] += self.up[:-1] * values[1:]
         return out
+
+    def window(self, m0: int, m1: int) -> "DiffusionOperator":
+        """The stencil restricted to nodes ``m0..m1``; end rows keep their bands."""
+        w = slice(m0, m1 + 1)
+        return DiffusionOperator(
+            lo=self.lo[w], di=self.di[w], up=self.up[w],
+            volumes=self.volumes[w], face_areas=self.face_areas[m0:m1],
+        )
 
 
 def assemble_diffusion(grid: Grid) -> DiffusionOperator:
@@ -74,11 +86,30 @@ def assemble_diffusion(grid: Grid) -> DiffusionOperator:
     return DiffusionOperator(lo=lo, di=di, up=up, volumes=vol, face_areas=area)
 
 
+def _check(info: int, routine: str) -> None:
+    if info != 0:
+        raise LinearSolveError(f"LAPACK {routine} failed with info = {info}", info=info)
+
+
 def solve_tridiagonal(lo: np.ndarray, di: np.ndarray, up: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with the given bands (full-length arrays)."""
-    n = di.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = up[:-1]
-    ab[1, :] = di
-    ab[2, :-1] = lo[1:]
-    return solve_banded((1, 1), ab, rhs)
+    """Solve the tridiagonal system with the given bands (full-length arrays).
+
+    ``lo[0]`` and ``up[-1]`` lie outside the matrix and are ignored.
+    """
+    *_, x, info = dgtsv(lo[1:], di, up[:-1], rhs)
+    _check(info, "dgtsv")
+    return x
+
+
+def factor_tridiagonal(lo: np.ndarray, di: np.ndarray, up: np.ndarray) -> tuple:
+    """LU factors of the tridiagonal matrix, for repeated ``solve_factored`` calls."""
+    *factors, info = dgttrf(lo[1:], di, up[:-1])
+    _check(info, "dgttrf")
+    return tuple(factors)
+
+
+def solve_factored(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve with factors from ``factor_tridiagonal``; same pivots as ``solve_tridiagonal``."""
+    x, info = dgttrs(*factors, rhs)
+    _check(info, "dgttrs")
+    return x

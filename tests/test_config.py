@@ -205,6 +205,13 @@ class TestCli:
         code = cli_main(["solve", "--config", str(cfg)])
         assert code == 2
 
+    def test_non_finite_initial_data_exits_numerical_error(self, tmp_path):
+        cfg = self._write(tmp_path, MINIMAL_HEAT.replace("amplitude = 1.0", "amplitude = nan"))
+        code = cli_main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 3
+        report = json.loads((tmp_path / "out/report.json").read_text())
+        assert report["error"]["type"] == "SolveError"
+
 
 class TestMoreRunners:
     def test_family_experiment(self, tmp_path):

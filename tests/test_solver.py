@@ -2,10 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
-from collar.errors import ConfigError, StepError
+from collar.errors import ConfigError, LinearSolveError, SolveError, StepError
 from collar.geometry import Domain, build_grid
 from collar.models import BoundaryData, DensityModel, InitialData, Nonlinearity
+from collar.operators import factor_tridiagonal, solve_factored, solve_tridiagonal
 from collar.solver import (
     ApproxProblem,
     SolverScheme,
@@ -20,6 +24,11 @@ from collar.solver import (
 DOM = Domain.interval(0.0, 1.0)
 RHO1 = DensityModel.constant(1.0, DOM)
 LIN = Nonlinearity.linear(1.0)
+
+
+def generic(flux: Nonlinearity) -> Nonlinearity:
+    """The same flux under a kind that does not take the prefactored linear path."""
+    return Nonlinearity("generic", flux.g, flux.dg, flux.g_inv, flux.alpha0)
 
 
 def heat_problem(nodes=129, horizon=0.1, dt=1e-3, eps=0.0, eta=0.0, eta_cap=0.1):
@@ -242,3 +251,156 @@ class TestDecayRule:
         )
         assert not diag.converged
         assert diag.as_dict()["eps_converged"] is False
+
+
+def random_tridiagonal(rng, n, dominance):
+    lo = rng.uniform(-1.0, 1.0, n)
+    up = rng.uniform(-1.0, 1.0, n)
+    di = dominance * (2.0 + rng.uniform(0.0, 1.0, n)) * rng.choice([-1.0, 1.0], n)
+    return lo, di, up, rng.standard_normal(n)
+
+
+class TestTridiagonal:
+    @pytest.mark.parametrize("n", [2, 3, 17, 801])
+    def test_matches_solve_banded_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            lo, di, up, rhs = random_tridiagonal(rng, n, dominance=1.0)
+            ab = np.zeros((3, n))
+            ab[0, 1:], ab[1], ab[2, :-1] = up[:-1], di, lo[1:]
+            assert np.array_equal(solve_tridiagonal(lo, di, up, rhs), solve_banded((1, 1), ab, rhs))
+
+    @pytest.mark.parametrize("dominance", [1.0, 0.2])  # 0.2 forces row interchanges
+    def test_factored_solve_matches_direct_solve(self, dominance):
+        rng = np.random.default_rng(7)
+        lo, di, up, rhs = random_tridiagonal(rng, 64, dominance)
+        lu = factor_tridiagonal(lo, di, up)
+        for b in (rhs, 2.0 * rhs):
+            assert np.array_equal(solve_factored(lu, b), solve_tridiagonal(lo, di, up, b))
+
+    def test_inputs_left_untouched(self):
+        lo, di, up, rhs = random_tridiagonal(np.random.default_rng(3), 9, dominance=1.0)
+        before = [a.copy() for a in (lo, di, up, rhs)]
+        solve_tridiagonal(lo, di, up, rhs)
+        solve_factored(factor_tridiagonal(lo, di, up), rhs)
+        assert all(np.array_equal(a, b) for a, b in zip((lo, di, up, rhs), before))
+
+    def test_singular_system_raises_typed_error(self):
+        lo, di, up = np.ones(4), np.ones(4), np.array([1.0, 0.0, 1.0, 1.0])  # rows 0, 1 equal
+        with pytest.raises(LinearSolveError) as err:
+            solve_tridiagonal(lo, di, up, np.ones(4))
+        assert err.value.info > 0
+        assert isinstance(err.value, StepError)  # the stepper halves and retries on it
+        with pytest.raises(LinearSolveError):
+            factor_tridiagonal(lo, di, up)
+
+
+def radial_heat_problem(nodes=65, dt=2e-3, horizon=0.04):
+    dom = Domain.ball(1.0, dim=2)
+    return ApproxProblem(
+        grid=build_grid(dom, nodes), rho=DensityModel.power_law(0.5, dom), flux=LIN,
+        phi=BoundaryData.sine(0.2, 0.1, 2.0, horizon=1.0), initial=InitialData.constant(0.4),
+        eps=0.125, eta=0.025, eta_cap=0.1, horizon=horizon, dt=dt,
+    )
+
+
+class TestPrefactoredLinearPath:
+    @pytest.mark.parametrize("stepping", ["implicit-newton", "semi-implicit-lagged"])
+    @pytest.mark.parametrize("make", [heat_problem, radial_heat_problem])
+    def test_bit_identical_to_generic_path(self, make, stepping):
+        p = make()
+        scheme = SolverScheme(stepping=stepping)
+        fast = solve_eps_eta(p, scheme)
+        slow = solve_eps_eta(dataclasses.replace(p, flux=generic(p.flux)), scheme)
+        assert np.array_equal(fast.values, slow.values, equal_nan=True)
+        assert fast.meta["newton_iterations"] == slow.meta["newton_iterations"]
+
+    def test_linear_flux_skips_per_iteration_solves(self, monkeypatch):
+        import collar.solver as solver
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_tridiagonal(*args)
+
+        monkeypatch.setattr(solver, "solve_tridiagonal", counted)
+        solve_eps_eta(heat_problem(horizon=0.01))
+        assert calls == []
+        solve_eps_eta(dataclasses.replace(heat_problem(horizon=0.01), flux=generic(LIN)))
+        assert len(calls) == 10
+
+    def test_factor_cache_keyed_by_step_and_floor(self):
+        p = radial_heat_problem()
+        u = p.initial_window()
+        runs = [(p.dt, SolverScheme()), (p.dt / 2, SolverScheme()),
+                (p.dt / 2, SolverScheme(jacobian_floor=1.25)), (p.dt, SolverScheme())]
+        reused = [step_implicit(u, p, sch, t_new=dt, dt=dt)[0] for dt, sch in runs]
+        fresh = [step_implicit(u, dataclasses.replace(p), sch, t_new=dt, dt=dt)[0]
+                 for dt, sch in runs]
+        for a, b in zip(reused, fresh):
+            assert np.array_equal(a, b)
+        assert not np.array_equal(reused[0], reused[1])
+        assert not np.array_equal(reused[1], reused[2])
+
+
+class TestNonFinite:
+    def test_nan_initial_data_raises_before_stepping(self):
+        p = dataclasses.replace(heat_problem(), initial=InitialData.constant(float("nan")))
+        with pytest.raises(SolveError, match="not finite"):
+            solve_eps_eta(p)
+
+    def test_nan_state_raises_step_error(self):
+        p = heat_problem()
+        u = p.initial_window()
+        u[10] = np.nan
+        with pytest.raises(StepError, match="not finite"):
+            step_implicit(u, p, SolverScheme(), t_new=p.dt, dt=p.dt)
+
+    @pytest.mark.parametrize("stepping", ["implicit-newton", "semi-implicit-lagged"])
+    def test_nan_update_raises_step_error(self, stepping):
+        nan_slope = Nonlinearity(
+            "nan-slope", LIN.g, lambda u: np.full(np.shape(u), np.nan), LIN.g_inv, 0.0
+        )
+        p = dataclasses.replace(heat_problem(), flux=nan_slope)
+        u = p.initial_window()
+        with pytest.raises(StepError, match="update is not finite"):
+            step_implicit(u, p, SolverScheme(stepping=stepping), t_new=p.dt, dt=p.dt)
+
+    def test_nan_boundary_data_fails_the_solve(self):
+        nan_trace = BoundaryData.from_callable(
+            lambda x, t: np.where(np.asarray(t) > 0.005, np.nan, 0.0) + 0.0 * np.asarray(x),
+            horizon=1.0,
+        )
+        p = dataclasses.replace(heat_problem(horizon=0.01), phi=nan_trace)
+        with pytest.raises(SolveError):
+            solve_eps_eta(p)
+
+
+@st.composite
+def max_principle_problems(draw):
+    m = draw(st.one_of(st.just(None), st.floats(1.5, 3.0)))
+    rho = (DensityModel.constant(draw(st.floats(0.5, 2.0)), DOM) if draw(st.booleans())
+           else DensityModel.power_law(draw(st.floats(0.0, 3.0)), DOM))
+    phi = BoundaryData.sine(draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.3)),
+                            draw(st.floats(0.5, 3.0)), horizon=1.0)
+    initial = InitialData.sine(DOM, draw(st.floats(-1.0, 1.0)), draw(st.integers(1, 3)),
+                               offset=draw(st.floats(0.0, 0.5)))
+    nodes = draw(st.sampled_from([17, 25, 33]))
+    return ApproxProblem(
+        grid=build_grid(DOM, nodes), rho=rho,
+        flux=LIN if m is None else Nonlinearity.porous_medium(m), phi=phi, initial=initial,
+        eps=draw(st.sampled_from([0.0, 0.125, 0.25])), eta=draw(st.floats(0.0, 0.1)),
+        eta_cap=0.1, horizon=0.1, dt=draw(st.sampled_from([5e-3, 1e-2, 2e-2])),
+    )
+
+
+class TestProperties:
+    @given(max_principle_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_maximum_principle(self, p):
+        fld = solve_eps_eta(p)
+        assert fld.meta["max_principle_ok"], fld.meta
+        if p.flux.kind == "linear":
+            slow = solve_eps_eta(dataclasses.replace(p, flux=generic(p.flux)))
+            assert np.array_equal(fld.values, slow.values, equal_nan=True)
