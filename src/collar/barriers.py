@@ -21,7 +21,14 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError, ModelError, RegimeError
 from .geometry import Domain, Grid
-from .models import BoundaryData, InitialData, Nonlinearity, PowerMajorant, h4_integral
+from .models import (
+    BoundaryData,
+    InitialData,
+    Nonlinearity,
+    PowerMajorant,
+    _dyadic_pieces,
+    h4_integral,
+)
 from .operators import assemble_diffusion
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
@@ -30,15 +37,21 @@ CASES = ("potential-timed", "miller-timed", "potential-stationary", "miller-stat
 SIDES = ("lower", "upper")
 
 
-def _composite_integral(f, a: float, b: float, pieces: int = 48) -> float:
-    """Gauss quadrature over log-spaced subintervals of [a, b], a > 0."""
-    if b <= a:
-        return 0.0
-    edges = np.geomspace(a, b, pieces + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
-    return float(np.sum(half[:, None] * _GAUSS_W[None, :] * np.asarray(f(x))))
+#: Rows of the potential table integrated per batch; bounds the temporaries.
+_TABLE_BLOCK = 16
+
+
+def _composite_integral(f, a, b: float, pieces: int = 48) -> np.ndarray:
+    """Gauss quadrature over log-spaced subintervals of [a, b], per lower limit a > 0."""
+    a = np.asarray(a, dtype=float).reshape(-1)
+    out = np.zeros(a.shape)
+    inside = a < b
+    edges = np.geomspace(a[inside], b, pieces + 1, axis=-1)
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    x = mid[..., None] + half[..., None] * _GAUSS_X
+    out[inside] = np.sum(half[..., None] * _GAUSS_W * np.asarray(f(x)), axis=(1, 2))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -84,23 +97,6 @@ class BoundaryPotential:
         j = coef * safe ** (2.0 - alpha) / (2.0 - alpha)
         return np.where(d > 0.0, safe * w + j, 0.0)
 
-    def slope_at(self, d):
-        """One-sided derivative V'(d) = margin * W(d), zero beyond the cap."""
-        d = np.asarray(d, dtype=float)
-        if self.closed_form:
-            coef, alpha = self._power.coef, self._power.alpha
-            eh = self.eps_hat
-            safe = np.where(d > 0.0, d, eh)
-            if alpha == 1.0:
-                w = coef * np.log(eh / safe)
-            else:
-                w = coef * (eh ** (1.0 - alpha) - safe ** (1.0 - alpha)) / (1.0 - alpha)
-            out = self.margin * np.where(d < eh, w, 0.0)
-        else:
-            dd = 1e-7 * self.eps_hat
-            out = (self.at_distance(d + dd) - self.at_distance(np.maximum(d - dd, 0.0))) / (2 * dd)
-        return float(out) if np.ndim(out) == 0 else out
-
 
 def build_boundary_potential(majorant, eps_hat: float, curvature_margin: float = 2.0) -> BoundaryPotential:
     """Construct the distance potential from a majorant of the density.
@@ -125,22 +121,23 @@ def build_boundary_potential(majorant, eps_hat: float, curvature_margin: float =
             _table_v=None,
         )
 
-    # Tabulate d * W(d) + J(d) on a log grid; J by dyadic pieces with the
+    # Tabulate d * W(d) + J(d) on a log grid, a block of rows per pass: W by
+    # composite Gauss panels on [d, cap], J by dyadic pieces below d with the
     # same geometric-tail estimate the integral dichotomy uses.
-    from .models import _dyadic_pieces
-
     ds = np.concatenate(([0.0], np.geomspace(eps_hat * 1e-9, eps_hat, 1025)))
     vals = np.zeros_like(ds)
-    for i, d in enumerate(ds):
-        if d <= 0.0:
-            continue
+    for start in range(1, ds.size, _TABLE_BLOCK):
+        d = ds[start : start + _TABLE_BLOCK]
         w = _composite_integral(majorant, d, eps_hat)
-        pieces = _dyadic_pieces(majorant, d)
-        tail = 0.0
-        if pieces.size >= 2:
-            r = min(float(pieces[-1] / pieces[-2]), 0.999)
-            tail = pieces[-1] * r / (1.0 - r)
-        vals[i] = curvature_margin * (d * w + float(pieces.sum()) + tail)
+        pieces, counts = _dyadic_pieces(majorant, d)
+        rows = np.arange(d.size)
+        last = pieces[rows, counts - 1]
+        two = counts >= 2
+        ratio = np.divide(last, pieces[rows, np.maximum(counts - 2, 0)],
+                          out=np.zeros_like(last), where=two)
+        r = np.minimum(ratio, 0.999)
+        tail = np.where(two, last * r / (1.0 - r), 0.0)
+        vals[start : start + d.size] = curvature_margin * (d * w + pieces.sum(axis=1) + tail)
     return BoundaryPotential(
         eps_hat=eps_hat,
         margin=curvature_margin,
@@ -478,16 +475,9 @@ class Barrier:
         """Barrier value at nodes ``x`` and time ``t`` (ignored if stationary)."""
         return self.flux.g_inv(self.flux_argument(x, t))
 
-    def anchor_value(self) -> float:
-        return float(self.flux.g_inv(self.base_level + self.sign * self.sigma))
-
     def region_node_mask(self, grid: Grid) -> np.ndarray:
         near = np.abs(grid.nodes - self.anchor_x) <= self.delta * (1.0 + 1e-12)
         return near & (grid.steps_from_boundary > 0)
-
-    def contains_time(self, t: float) -> bool:
-        lo, hi = self.t_window
-        return lo < t < hi
 
 
 def build_barrier(

@@ -14,7 +14,14 @@ from pathlib import Path
 
 from .config import EXPERIMENT_KINDS, parse_config_file
 from .errors import CollarError, ConfigError, ConfigParseError
-from .experiments import EXIT_CONFIG_ERROR, EXIT_NUMERICAL_ERROR, run_experiment
+from .experiments import (
+    EXIT_CONFIG_ERROR,
+    EXIT_NUMERICAL_ERROR,
+    _hypotheses,
+    _models,
+    _write_json,
+    run_experiment,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,22 +53,8 @@ def main(argv=None) -> int:
     out_dir = args.out or cfg.get("experiment", "output_dir") or "out"
 
     if args.command == "validate":
-        from .config import (
-            build_boundary, build_density, build_domain, build_grid_from,
-            build_initial, build_nonlinearity,
-        )
-        from .models import check_hypotheses
-
         try:
-            domain = build_domain(cfg)
-            grid = build_grid_from(cfg, domain)
-            report = check_hypotheses(
-                build_density(cfg, domain),
-                build_nonlinearity(cfg),
-                build_boundary(cfg, domain),
-                build_initial(cfg, domain),
-                grid,
-            )
+            report = _hypotheses(_models(cfg))
         except (ConfigParseError, ConfigError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
@@ -71,7 +64,7 @@ def main(argv=None) -> int:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         payload = report.as_dict()
-        (out / "hypothesis.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(out / "hypothesis.json", payload)
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0 if report.core_ok else 1
 

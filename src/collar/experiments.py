@@ -40,7 +40,13 @@ from .config import (
 )
 from .errors import CollarError, ConfigError, ConfigParseError, RegimeError
 from .geometry import Domain, build_grid
-from .models import DensityModel, check_hypotheses, global_bound, h4_integral
+from .models import (
+    DensityModel,
+    HypothesisReport,
+    check_hypotheses,
+    global_bound,
+    h4_integral,
+)
 from .solver import ApproxProblem, extract_limit_solution, solve_eps_eta
 
 EXIT_PASS = 0
@@ -85,6 +91,10 @@ def _models(cfg: ExperimentConfig):
         "initial": build_initial(cfg, domain),
         "scheme": build_scheme(cfg),
     }
+
+
+def _hypotheses(m: dict) -> HypothesisReport:
+    return check_hypotheses(m["rho"], m["flux"], m["phi"], m["initial"], m["grid"])
 
 
 def _problem(cfg: ExperimentConfig, m: dict, **overrides) -> ApproxProblem:
@@ -348,7 +358,7 @@ def _run_dichotomy(cfg, m, out: Path, threads):
 
 
 def _run_hypothesis(cfg, m, out: Path, threads):
-    report = check_hypotheses(m["rho"], m["flux"], m["phi"], m["initial"], m["grid"])
+    report = m["hypotheses"]
     _write_json(out / "hypothesis.json", report.as_dict())
     return report.core_ok, {"hypothesis": report.as_dict()}
 
@@ -372,10 +382,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
     report: dict = {"experiment": cfg.kind, "config": cfg.resolved()}
     try:
         m = stage.run("build_models", lambda: _models(cfg))
-        hyp = stage.run(
-            "hypotheses",
-            lambda: check_hypotheses(m["rho"], m["flux"], m["phi"], m["initial"], m["grid"]),
-        )
+        hyp = m["hypotheses"] = stage.run("hypotheses", lambda: _hypotheses(m))
         report["hypothesis"] = hyp.as_dict()
         report["warnings"] = list(hyp.notes)
         runner = _RUNNERS[cfg.kind]

@@ -26,8 +26,6 @@ MIN_NODES = 16
 #: Node classification codes used in collar masks.
 EXTERIOR, COLLAR, INTERFACE, CORE = 0, 1, 2, 3
 
-LABEL_NAMES = {EXTERIOR: "exterior", COLLAR: "collar", INTERFACE: "interface", CORE: "core"}
-
 
 @dataclass(frozen=True)
 class Domain:

@@ -67,23 +67,29 @@ class H4Result:
         }
 
 
-def _dyadic_pieces(f, upper: float, n_pieces: int = 60):
-    """Integrals of ``eta * f(eta)`` over [upper 2^-k-1, upper 2^-k], k = 0.."""
-    pieces = []
-    hi = upper
-    for _ in range(n_pieces):
-        lo = 0.5 * hi
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        x = mid + half * _GAUSS_X
-        fx = np.asarray(f(x), dtype=float)
-        if np.any(~np.isfinite(fx)) or np.any(fx <= 0.0):
-            raise ModelError("majorant must be positive and finite on (0, cap]")
-        pieces.append(half * float(np.dot(_GAUSS_W, x * fx)))
-        hi = lo
-        if pieces[-1] < 1e-300:
-            break
-    return np.array(pieces)
+def _dyadic_pieces(f, upper, n_pieces: int = 60):
+    """Integrals of ``eta * f(eta)`` over [u 2^-k-1, u 2^-k], k = 0.., per upper limit u.
+
+    Returns ``(pieces, counts)`` with one row per entry of ``upper``.  Row r
+    uses ``pieces[r, :counts[r]]``: it stops at its first piece below 1e-300,
+    which is included, and is zero past it.  Only the used pieces must see a
+    positive, finite majorant.
+    """
+    upper = np.asarray(upper, dtype=float).reshape(-1)
+    hi = upper[:, None] * np.ldexp(1.0, -np.arange(n_pieces))
+    lo = 0.5 * hi
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = mid[..., None] + half[..., None] * _GAUSS_X
+    fx = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    pieces = half * ((x * fx) @ _GAUSS_W)
+    below = pieces < 1e-300
+    counts = np.where(below.any(axis=1), np.argmax(below, axis=1) + 1, n_pieces)
+    used = np.arange(n_pieces) < counts[:, None]
+    bad = np.any(~np.isfinite(fx) | (fx <= 0.0), axis=2)
+    if np.any(bad & used):
+        raise ModelError("majorant must be positive and finite on (0, cap]")
+    return np.where(used, pieces, 0.0), counts
 
 
 def h4_integral(majorant, eps_hat: float) -> H4Result:
@@ -105,7 +111,8 @@ def h4_integral(majorant, eps_hat: float) -> H4Result:
     if not callable(majorant):
         raise ModelError("majorant must be a PowerMajorant or a callable of distance")
 
-    pieces = _dyadic_pieces(majorant, eps_hat)
+    rows, counts = _dyadic_pieces(majorant, eps_hat)
+    pieces = rows[0, : counts[0]]
     if pieces.size < 8:
         return H4Result(True, float(pieces.sum()), "quadrature", "pieces vanished early")
     ratios = pieces[1:] / pieces[:-1]
@@ -210,28 +217,41 @@ class DensityModel:
 # ---------------------------------------------------------------------------
 
 
-def invert_monotone(f, df, y: float, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Safeguarded Newton/bisection inverse of a monotone increasing ``f``."""
-    flo, fhi = f(lo), f(hi)
-    if not (flo - tol <= y <= fhi + tol):
-        raise RangeError(f"value {y} outside [{flo}, {fhi}]", argument=y)
-    a, b = lo, hi
+def invert_monotone(f, df, y, lo: float, hi: float, tol: float = 1e-12) -> np.ndarray:
+    """Safeguarded Newton/bisection inverse of a monotone increasing ``f``.
+
+    Elementwise over ``y``: each element keeps its own bracket and iterate,
+    takes the same steps a scalar iteration would, and leaves the batch once
+    it has converged.  ``f`` and ``df`` are evaluated on arrays.
+    """
+    y = np.asarray(y, dtype=float)
+    flo, fhi = float(f(lo)), float(f(hi))
+    outside = ~((flo - tol <= y) & (y <= fhi + tol))
+    if np.any(outside):
+        bad = float(y[outside][0])
+        raise RangeError(f"value {bad} outside [{flo}, {fhi}]", argument=bad)
+    yv = y.ravel()
+    a = np.full(yv.shape, float(lo))
+    b = np.full(yv.shape, float(hi))
     x = 0.5 * (a + b)
+    live = np.arange(yv.size)
     for _ in range(200):
-        fx = f(x)
-        if abs(fx - y) <= tol * max(1.0, abs(y)):
-            return x
-        if fx > y:
-            b = x
-        else:
-            a = x
-        slope = df(x)
-        if slope > 0.0:
-            step = x - (fx - y) / slope
-            x = step if a < step < b else 0.5 * (a + b)
-        else:
-            x = 0.5 * (a + b)
-    return x
+        xl, yl = x[live], yv[live]
+        fx = np.asarray(f(xl), dtype=float)
+        going = np.abs(fx - yl) > tol * np.maximum(1.0, np.abs(yl))
+        live, xl, yl, fx = live[going], xl[going], yl[going], fx[going]
+        if live.size == 0:
+            break
+        above = fx > yl
+        al = np.where(above, a[live], xl)
+        bl = np.where(above, xl, b[live])
+        slope = np.asarray(df(xl), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = xl - (fx - yl) / slope
+        newton = (slope > 0.0) & (al < step) & (step < bl)
+        x[live] = np.where(newton, step, 0.5 * (al + bl))
+        a[live], b[live] = al, bl
+    return x.reshape(y.shape)
 
 
 class Nonlinearity:
@@ -394,18 +414,16 @@ def build_nondegenerate_surrogate(
 
     g_s = float(g(s))
 
-    def g_inv_scalar(y):
-        if y >= g_t:
-            return float(base.g_inv(y))
-        if y <= g_s:
-            return s + (y - g_s) / floor
-        return invert_monotone(splice_val, splice_slope, y, s, t)
-
     def g_inv(y):
         y = np.asarray(y, dtype=float)
-        if y.ndim == 0:
-            return g_inv_scalar(float(y))
-        return np.array([g_inv_scalar(v) for v in y.ravel()]).reshape(y.shape)
+        out = np.empty(y.shape)
+        upper = y >= g_t
+        linear = ~upper & (y <= g_s)
+        splice = ~upper & ~linear
+        out[upper] = base.g_inv(y[upper])
+        out[linear] = s + (y[linear] - g_s) / floor
+        out[splice] = invert_monotone(splice_val, splice_slope, y[splice], s, t)
+        return float(out) if out.ndim == 0 else out
 
     lo_range = -np.inf
     hi_range = base.g_range[1]

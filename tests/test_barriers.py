@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collar.barriers import (
     BarrierConstants,
@@ -14,7 +16,7 @@ from collar.barriers import (
     select_localization_radius,
     verify_barrier_residual,
 )
-from collar.errors import ConfigError, GeometryError, RegimeError
+from collar.errors import ConfigError, GeometryError, ModelError, RegimeError
 from collar.geometry import Domain, build_grid, collar_decomposition
 from collar.models import (
     BoundaryData,
@@ -22,8 +24,88 @@ from collar.models import (
     InitialData,
     Nonlinearity,
     PowerMajorant,
+    TabulatedMajorant,
+    h4_integral,
 )
 from collar.operators import assemble_diffusion
+
+_GX, _GW = np.polynomial.legendre.leggauss(16)
+
+
+# Reference for the potential table: the per-point integrations, one distance
+# at a time, that the blocked quadrature passes replace.
+def _loop_composite(f, a, b, pieces=48):
+    if b <= a:
+        return 0.0
+    edges = np.geomspace(a, b, pieces + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    x = mid[:, None] + half[:, None] * _GX[None, :]
+    return float(np.sum(half[:, None] * _GW[None, :] * np.asarray(f(x))))
+
+
+def _loop_dyadic(f, upper, n_pieces=60):
+    pieces = []
+    hi = upper
+    for _ in range(n_pieces):
+        lo = 0.5 * hi
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        x = mid + half * _GX
+        fx = np.asarray(f(x), dtype=float)
+        if np.any(~np.isfinite(fx)) or np.any(fx <= 0.0):
+            raise ModelError("majorant must be positive and finite on (0, cap]")
+        pieces.append(half * float(np.dot(_GW, x * fx)))
+        hi = lo
+        if pieces[-1] < 1e-300:
+            break
+    return np.array(pieces)
+
+
+def _loop_value(f, d, eps_hat, margin):
+    if d <= 0.0:
+        return 0.0
+    w = _loop_composite(f, d, eps_hat)
+    pieces = _loop_dyadic(f, d)
+    tail = 0.0
+    if pieces.size >= 2:
+        r = min(float(pieces[-1] / pieces[-2]), 0.999)
+        tail = pieces[-1] * r / (1.0 - r)
+    return margin * (d * w + float(pieces.sum()) + tail)
+
+
+def _loop_h4_value(f, eps_hat):
+    pieces = _loop_dyadic(f, eps_hat)
+    if pieces.size < 8:
+        return float(pieces.sum())
+    r = float(np.max(pieces[1:][-8:] / pieces[:-1][-8:]))
+    return float(pieces.sum() + pieces[-1] * r / (1.0 - r))
+
+
+def _assert_table_matches_loop(majorant, eps_hat, margin=2.0, stride=1):
+    pot = build_boundary_potential(majorant, eps_hat, curvature_margin=margin)
+    # An odd stride visits every position within the table's row blocks.
+    rows = np.unique(np.r_[np.arange(0, pot._table_d.size, stride), pot._table_d.size - 1])
+    expected = [_loop_value(majorant, pot._table_d[i], eps_hat, margin) for i in rows]
+    np.testing.assert_allclose(pot._table_v[rows], expected, rtol=1e-13, atol=0.0)
+
+
+def _certify_table_majorant():
+    # The density table the certify-table benchmark workload draws, on its domain.
+    dom = Domain.interval(0.0, 2.0, collar_cap=0.6)
+    xs = np.linspace(0.0, 2.0, 81)
+    rho = 1.0 + 0.2 * np.sin(0.5 * np.pi * xs) + 0.05 * np.cos(np.pi * xs)
+    return DensityModel.from_table(xs, rho, dom).majorant
+
+
+@st.composite
+def piecewise_linear_majorants(draw):
+    n = draw(st.integers(2, 10))
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n - 1, max_size=n - 1))
+    values = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    knots = np.concatenate(([0.0], np.cumsum(gaps)))
+    span = draw(st.floats(0.1, 2.0))
+    return TabulatedMajorant(knots=span * knots / knots[-1], values=np.array(values))
 
 
 class TestBoundaryPotential:
@@ -68,6 +150,45 @@ class TestBoundaryPotential:
         rel = np.abs(pot_num.at_distance(ds) - pot_cf.at_distance(ds)) / pot_cf.at_distance(ds)
         # Table interpolation limits the numeric path, not the quadrature.
         assert np.max(rel) <= 1e-4
+
+    def test_table_matches_loop_on_certify_density(self):
+        _assert_table_matches_loop(_certify_table_majorant(), 0.6)
+
+    # At alpha = 1.9 the dyadic pieces decay slowly, so the geometric tail
+    # carries a visible share of J(d).
+    @pytest.mark.parametrize("alpha", [1.2, 1.9])
+    def test_table_matches_loop_on_power_callable(self, alpha):
+        _assert_table_matches_loop(lambda e: e**-alpha, 0.5, margin=1.0, stride=7)
+
+    @given(piecewise_linear_majorants(), st.floats(0.05, 1.0))
+    @settings(max_examples=15, deadline=None)
+    def test_table_matches_loop_on_piecewise_linear(self, majorant, eps_hat):
+        _assert_table_matches_loop(majorant, eps_hat, stride=31)
+
+    def test_underflowing_pieces_stop_early(self):
+        # Pieces drop below 1e-300 after a few halvings; past that point the
+        # majorant is zero, which must not count against it.
+        f = lambda e: np.where(e > 1e-25, 1e-280 * e**2, 0.0)  # noqa: E731
+        _assert_table_matches_loop(f, 0.6, stride=7)
+        verdict = h4_integral(f, 0.6)
+        assert verdict.finite
+        assert verdict.value == pytest.approx(_loop_h4_value(f, 0.6), rel=1e-13)
+        first = lambda e: np.full(np.shape(e), 1e-299)  # noqa: E731
+        verdict = h4_integral(first, 0.6)
+        assert verdict.detail == "pieces vanished early"
+        assert verdict.value == pytest.approx(_loop_h4_value(first, 0.6), rel=1e-13)
+
+    def test_non_positive_majorant_in_used_range_rejected(self):
+        # Zero only below 1e-20: the integral check on [0, cap] never looks
+        # there, but the table's smallest distances do.
+        f = lambda e: np.where(e > 1e-20, 1.0, 0.0)  # noqa: E731
+        assert h4_integral(f, 0.6).finite
+        with pytest.raises(ModelError):
+            _loop_dyadic(f, 0.6e-9)
+        with pytest.raises(ModelError):
+            build_boundary_potential(f, 0.6)
+        with pytest.raises(ModelError):
+            h4_integral(lambda e: np.where(e > 1e-3, 1.0, -1.0), 0.6)
 
     @pytest.mark.parametrize(
         "domain",

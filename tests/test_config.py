@@ -172,6 +172,17 @@ class TestRunExperiment:
         payload = json.loads((tmp_path / "hypothesis.json").read_text())
         assert payload["h1_density_positive"] and payload["h2_flux_monotone"]
 
+    def test_hypothesis_report_checks_once(self, tmp_path, monkeypatch):
+        import collar.experiments as experiments
+
+        calls = []
+        check = experiments.check_hypotheses
+        monkeypatch.setattr(experiments, "check_hypotheses",
+                            lambda *a, **k: calls.append(1) or check(*a, **k))
+        cfg = parse_config(MINIMAL_HEAT.replace("kind = solve", "kind = hypothesis-report"))
+        assert run_experiment(cfg, tmp_path) == 0
+        assert len(calls) == 1
+
 
 class TestCli:
     def _write(self, tmp_path, text):
@@ -190,6 +201,16 @@ class TestCli:
         code = cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 0
         assert (tmp_path / "out/hypothesis.json").exists()
+
+    def test_validate_matches_hypothesis_report(self, tmp_path):
+        cfg = self._write(tmp_path, MINIMAL_HEAT.replace("kind = solve", "kind = hypothesis-report"))
+        assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+        assert cli_main(["hypothesis-report", "--config", str(cfg),
+                         "--out", str(tmp_path / "h")]) == 0
+        validated = (tmp_path / "v/hypothesis.json").read_bytes()
+        assert validated == (tmp_path / "h/hypothesis.json").read_bytes()
+        report = json.loads((tmp_path / "h/report.json").read_text())
+        assert report["hypothesis"] == json.loads(validated)
 
     def test_subcommand_must_match_config_kind(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL_HEAT)

@@ -181,6 +181,51 @@ class TestSurrogate:
         ys = np.linspace(gs[0], gs[-1], 257)
         assert np.max(np.abs(G1.g(G1.g_inv(ys)) - ys)) <= 1e-9
 
+    def test_vectorised_inverse_equals_scalar_path(self):
+        base = Nonlinearity.porous_medium(2.0)
+        G1 = build_nondegenerate_surrogate(base, 0.5, 0.5)
+        s, t = 0.25, 0.5
+        g_s, g_t = float(G1.g(s)), float(base.g(t))
+        # The flux is evaluated on one-element arrays so that both sides use
+        # the same elementwise power kernel.
+        f = lambda u: G1.g(np.array([u]))[0]  # noqa: E731
+        df = lambda u: G1.dg(np.array([u]))[0]  # noqa: E731
+
+        def scalar_inverse(y):
+            if y >= g_t:
+                return float(base.g_inv(np.array([y]))[0])
+            if y <= g_s:
+                return s + (y - g_s) / 0.5
+            a, b = s, t
+            x = 0.5 * (a + b)
+            for _ in range(200):
+                fx = f(x)
+                if abs(fx - y) <= 1e-12 * max(1.0, abs(y)):
+                    return x
+                if fx > y:
+                    b = x
+                else:
+                    a = x
+                slope = df(x)
+                if slope > 0.0:
+                    step = x - (fx - y) / slope
+                    x = step if a < step < b else 0.5 * (a + b)
+                else:
+                    x = 0.5 * (a + b)
+            return x
+
+        ys = np.concatenate((np.linspace(G1.g(-1.0), G1.g(2.0), 1501),
+                             np.linspace(g_s, g_t, 501), [g_s, g_t]))
+        expected = np.array([scalar_inverse(float(y)) for y in ys])
+        got = G1.g_inv(ys)
+        assert np.sum(ys < g_s) > 100 and np.sum(ys > g_t) > 100
+        assert np.sum((ys > g_s) & (ys < g_t)) > 500
+        assert np.array_equal(got, expected)
+        assert np.array_equal(G1.g_inv(ys.reshape(-1, 4)), expected.reshape(-1, 4))
+        assert G1.g_inv(float(ys[700])) == expected[700]
+        with pytest.raises(RangeError):
+            G1.g_inv(np.array([g_s, np.nan]))
+
     def test_no_modification_when_already_nondegenerate(self):
         G = Nonlinearity.linear(1.0)
         assert build_nondegenerate_surrogate(G, 0.7, 0.5) is G
