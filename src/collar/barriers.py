@@ -40,6 +40,17 @@ SIDES = ("lower", "upper")
 #: Rows of the potential table integrated per batch; bounds the temporaries.
 _TABLE_BLOCK = 16
 
+#: Most sample times at which a timed barrier's residual is checked.
+_TIME_SAMPLES = 96
+
+#: Samples of the data per trial radius in the localization bisection.
+_RADIUS_SAMPLES = 2048
+
+#: Exterior bump: amplitude margin over the smallest admissible one, and the
+#: reach of its validity region in exterior-sphere radii.
+_MILLER_SAFETY = 1.05
+_MILLER_REGION_FACTOR = 2.0
+
 
 def _composite_integral(f, a, b: float, pieces: int = 48) -> np.ndarray:
     """Gauss quadrature over log-spaced subintervals of [a, b], per lower limit a > 0."""
@@ -195,15 +206,13 @@ def build_miller_barrier(
     radius: float,
     *,
     steepness: float | None = None,
-    safety: float = 1.05,
-    region_factor: float = 2.0,
 ) -> MillerBarrier:
     """Exterior bump at boundary point ``x0`` with exterior sphere radius R.
 
     The steepness must exceed ``N / (2 R^2)`` for the Laplacian to be
     negative outside the sphere; the default is twice that bound.  The
     amplitude is raised until the Laplacian is below -1 over distances up to
-    ``region_factor * R`` from the exterior center.
+    ``_MILLER_REGION_FACTOR * R`` from the exterior center.
     """
     pts = domain.boundary_points()
     tol = 1e-9 * domain.width
@@ -225,7 +234,7 @@ def build_miller_barrier(
     inward = 1.0 if at_lo else -1.0
     center = x0 - inward * radius
 
-    s = np.linspace(radius, region_factor * radius, 4097)
+    s = np.linspace(radius, _MILLER_REGION_FACTOR * radius, 4097)
     bracket = (4.0 * a * a * s * s - 2.0 * a * n) * np.exp(-a * s * s)
     gmin = float(np.min(bracket))
     if gmin <= 0.0:
@@ -236,9 +245,9 @@ def build_miller_barrier(
         center=float(center),
         radius=float(radius),
         steepness=a,
-        amplitude=safety / gmin,
+        amplitude=_MILLER_SAFETY / gmin,
         inward_sign=inward,
-        region_reach=region_factor * radius,
+        region_reach=_MILLER_REGION_FACTOR * radius,
     )
 
 
@@ -376,7 +385,6 @@ def select_localization_radius(
     *,
     initial: InitialData | None = None,
     domain: Domain | None = None,
-    n_samples: int = 2048,
 ) -> float:
     """Largest localization radius keeping the data oscillation below sigma.
 
@@ -396,7 +404,7 @@ def select_localization_radius(
         target = float(flux.g(phi.phi(x0, t0) + eta))
 
         def deviation(delta: float) -> float:
-            ts = np.linspace(max(0.0, t0 - delta), min(phi.horizon, t0 + delta), n_samples)
+            ts = np.linspace(max(0.0, t0 - delta), min(phi.horizon, t0 + delta), _RADIUS_SAMPLES)
             vals = np.asarray(flux.g(phi.phi(x0, ts) + eta))
             return float(np.max(np.abs(vals - target)))
 
@@ -407,7 +415,7 @@ def select_localization_radius(
         inward = 1.0 if abs(x0 - domain.lo) < abs(x0 - domain.hi) else -1.0
 
         def deviation(delta: float) -> float:
-            xs = x0 + inward * np.linspace(0.0, delta, n_samples)
+            xs = x0 + inward * np.linspace(0.0, delta, _RADIUS_SAMPLES)
             vals = np.asarray(flux.g(initial.u0(xs) + eta))
             return float(np.max(np.abs(vals - target)))
 
@@ -577,8 +585,6 @@ def verify_barrier_residual(
     rho,
     flux: Nonlinearity,
     dt: float,
-    *,
-    time_samples: int = 96,
 ) -> ResidualReport:
     """Evaluate the discrete evolution residual of a barrier over its region.
 
@@ -588,8 +594,11 @@ def verify_barrier_residual(
     proportionality constant is estimated from the barrier's own higher
     differences so the check accepts discretization error on the safe side
     only.  Failures are verdicts, not errors.
+
+    The barrier is evaluated once, on the region nodes and two nodes either
+    side, at every sample time and its ``±dt`` and ``±2 dt`` neighbours.  The
+    worst point is the first extreme residual, earliest time first.
     """
-    op = assemble_diffusion(grid)
     mask = barrier.region_node_mask(grid)
     idx = np.nonzero(mask)[0]
     idx = idx[(idx >= 1) & (idx <= grid.n - 2)]
@@ -597,6 +606,10 @@ def verify_barrier_residual(
         raise ConfigError(
             f"validity region covers only {idx.size} grid nodes; need at least 10"
         )
+    a, b = max(int(idx[0]) - 2, 0), min(int(idx[-1]) + 2, grid.n - 1)
+    op = assemble_diffusion(grid).window(a, b)
+    xs = grid.nodes[a : b + 1]
+    j = idx - a
 
     timed = barrier.anchor_t is not None
     if timed:
@@ -604,56 +617,35 @@ def verify_barrier_residual(
         lo, hi = t_lo + 2 * dt, t_hi - 2 * dt
         if hi <= lo:
             raise ConfigError("time window too narrow for the requested time step")
-        n_t = min(time_samples, max(10, int((hi - lo) / dt)))
+        n_t = min(_TIME_SAMPLES, max(10, int((hi - lo) / dt)))
         ts = np.linspace(lo, hi, n_t)
+        times = np.stack((ts - 2 * dt, ts - dt, ts, ts + dt, ts + 2 * dt))
+        w = np.asarray(barrier.evaluate(xs, times[..., None]))
+        w_now = w[2]
+        wj = w[..., j]
+        dwdt = (wj[3] - wj[1]) / (2.0 * dt)
+        d3t = (wj[4] - 2 * wj[3] + 2 * wj[1] - wj[0]) / (2.0 * dt**3)
+        d3t_scale = float(np.max(np.abs(d3t)))
     else:
         ts = np.array([0.0])
+        w_now = np.asarray(barrier.evaluate(xs))[None, :]
+        dwdt = 0.0
+        d3t_scale = 0.0
 
     rho_vals = np.asarray(rho.rho(grid.nodes[idx]), dtype=float)
-    x = grid.nodes
+    gw = np.asarray(flux.g(w_now))
+    res = rho_vals * dwdt - op.apply(gw)[:, j]
 
-    max_res = -np.inf
-    min_res = np.inf
-    worst_x = float(grid.nodes[idx[0]])
-    worst_t: float | None = None
+    k = j[(idx >= 2) & (idx <= grid.n - 3)]
     d4_scale = 0.0
-    d3t_scale = 0.0
+    if k.size:
+        d4 = (gw[:, k - 2] - 4 * gw[:, k - 1] + 6 * gw[:, k]
+              - 4 * gw[:, k + 1] + gw[:, k + 2]) / grid.h**4
+        d4_scale = float(np.max(np.abs(d4)))
 
-    for t in ts:
-        t_arg = float(t) if timed else None
-        w_now = np.asarray(barrier.evaluate(x, t_arg))
-        gw = np.asarray(flux.g(w_now))
-        lap = op.apply(gw)
-        if timed:
-            w_plus = np.asarray(barrier.evaluate(x, t + dt))
-            w_minus = np.asarray(barrier.evaluate(x, t - dt))
-            dwdt = (w_plus[idx] - w_minus[idx]) / (2.0 * dt)
-            w_pp = np.asarray(barrier.evaluate(x, t + 2 * dt))
-            w_mm = np.asarray(barrier.evaluate(x, t - 2 * dt))
-            d3t = (w_pp[idx] - 2 * w_plus[idx] + 2 * w_minus[idx] - w_mm[idx]) / (2.0 * dt**3)
-            d3t_scale = max(d3t_scale, float(np.max(np.abs(d3t))))
-        else:
-            dwdt = 0.0
-        res = rho_vals * dwdt - lap[idx]
-
-        inner = idx[(idx >= 2) & (idx <= grid.n - 3)]
-        if inner.size:
-            d4 = (gw[inner - 2] - 4 * gw[inner - 1] + 6 * gw[inner]
-                  - 4 * gw[inner + 1] + gw[inner + 2]) / grid.h**4
-            d4_scale = max(d4_scale, float(np.max(np.abs(d4))))
-
-        i_hi = int(np.argmax(res))
-        if res[i_hi] > max_res:
-            max_res = float(res[i_hi])
-            if barrier.side == "lower":
-                worst_x = float(grid.nodes[idx[i_hi]])
-                worst_t = float(t) if timed else None
-        i_lo = int(np.argmin(res))
-        if res[i_lo] < min_res:
-            min_res = float(res[i_lo])
-            if barrier.side == "upper":
-                worst_x = float(grid.nodes[idx[i_lo]])
-                worst_t = float(t) if timed else None
+    i_hi, i_lo = np.argmax(res), np.argmin(res)
+    max_res, min_res = float(res.flat[i_hi]), float(res.flat[i_lo])
+    t_w, n_w = np.unravel_index(i_hi if barrier.side == "lower" else i_lo, res.shape)
 
     est_space = grid.h**2 * d4_scale / 12.0
     est_time = float(np.max(rho_vals)) * dt**2 * d3t_scale / 6.0
@@ -672,6 +664,6 @@ def verify_barrier_residual(
         dt=dt,
         n_nodes=int(idx.size),
         n_times=int(ts.size),
-        worst_x=worst_x,
-        worst_t=worst_t,
+        worst_x=float(grid.nodes[idx[n_w]]),
+        worst_t=float(ts[t_w]) if timed else None,
     )

@@ -35,7 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            else "parse the config and report hypotheses only")
         p.add_argument("--config", required=True, help="path to the experiment config")
         p.add_argument("--out", default=None, help="output directory (default ./out)")
-        p.add_argument("--threads", type=int, default=1, help="parallel family members")
     return parser
 
 
@@ -76,7 +75,7 @@ def main(argv=None) -> int:
         )
         return EXIT_CONFIG_ERROR
 
-    code = run_experiment(cfg, out_dir, threads=args.threads)
+    code = run_experiment(cfg, out_dir)
     report_path = Path(out_dir) / "report.json"
     if report_path.exists():
         print(report_path)

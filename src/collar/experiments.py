@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +40,7 @@ from .config import (
 from .errors import CollarError, ConfigError, ConfigParseError, RegimeError
 from .geometry import Domain, build_grid
 from .models import (
+    BoundaryData,
     DensityModel,
     HypothesisReport,
     check_hypotheses,
@@ -53,13 +53,6 @@ EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
-
-
-def _pmap(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_json(path: Path, payload: dict):
@@ -121,7 +114,7 @@ def _problem(cfg: ExperimentConfig, m: dict, **overrides) -> ApproxProblem:
 # ---------------------------------------------------------------------------
 
 
-def _run_solve(cfg, m, out: Path, threads):
+def _run_solve(cfg, m, out: Path):
     num = cfg.sections["numerics"]
     problem = _problem(cfg, m)
     fieldobj = solve_eps_eta(problem, m["scheme"], store_stride=num.get("store_stride", 1))
@@ -130,7 +123,7 @@ def _run_solve(cfg, m, out: Path, threads):
     return bool(fieldobj.meta["max_principle_ok"]), {"meta": fieldobj.meta}
 
 
-def _run_family(cfg, m, out: Path, threads):
+def _run_family(cfg, m, out: Path):
     exp = cfg.sections["experiment"]
     num = cfg.sections["numerics"]
     problem = _problem(cfg, m)
@@ -197,7 +190,7 @@ def _barrier_ingredients(cfg, m):
     return case, (x0, t0), sigma, eta, potential, params
 
 
-def _run_barrier_certify(cfg, m, out: Path, threads):
+def _run_barrier_certify(cfg, m, out: Path):
     exp = cfg.sections["experiment"]
     num = cfg.sections["numerics"]
     case, anchor, sigma, eta, potential, params = _barrier_ingredients(cfg, m)
@@ -230,7 +223,7 @@ def _run_barrier_certify(cfg, m, out: Path, threads):
     return all_pass, {"certificates": certificates}
 
 
-def _run_duality(cfg, m, out: Path, threads):
+def _run_duality(cfg, m, out: Path):
     exp = cfg.sections["experiment"]
     grid = m["grid"]
     eps_values = exp.get("eps_list") or [exp.get("eps") or 4.0 * grid.h]
@@ -263,25 +256,21 @@ def _attainment_grid(cfg, m, eps: float):
     return build_grid(domain, max(n, 16))
 
 
-def _solve_levels(cfg, m, eps_list, phi, threads):
-    num = cfg.sections["numerics"]
-    exp = cfg.sections["experiment"]
-
-    def one(eps):
-        grid = _attainment_grid(cfg, m, eps)
-        problem = ApproxProblem(
-            grid=grid, rho=m["rho"], flux=m["flux"], phi=phi, initial=m["initial"],
-            eps=float(eps), eta=exp.get("eta", 0.0), eta_cap=cfg.eta_cap,
-            horizon=cfg.t_final, dt=num["dt"],
+def _solve_levels(cfg, m, eps_list, phi):
+    stride = cfg.sections["numerics"].get("store_stride", 1)
+    return [
+        solve_eps_eta(
+            _problem(cfg, m, grid=_attainment_grid(cfg, m, eps), phi=phi, eps=float(eps)),
+            m["scheme"],
+            store_stride=stride,
         )
-        return solve_eps_eta(problem, m["scheme"], store_stride=num.get("store_stride", 1))
+        for eps in eps_list
+    ]
 
-    return _pmap(one, list(eps_list), threads)
 
-
-def _run_attainment(cfg, m, out: Path, threads):
+def _run_attainment(cfg, m, out: Path):
     exp = cfg.sections["experiment"]
-    fields = _solve_levels(cfg, m, exp["eps_list"], m["phi"], threads)
+    fields = _solve_levels(cfg, m, exp["eps_list"], m["phi"])
     report = boundary_attainment(
         fields, m["phi"], cfg.tau, threshold=exp.get("threshold", 0.05)
     )
@@ -302,7 +291,7 @@ def _probe_diffs(fields_a, fields_b, coords, tau):
     return diffs
 
 
-def _run_dichotomy(cfg, m, out: Path, threads):
+def _run_dichotomy(cfg, m, out: Path):
     exp = cfg.sections["experiment"]
     offset = exp.get("conflict_offset", 0.5)
     eps_list = exp["eps_list"]
@@ -314,8 +303,6 @@ def _run_dichotomy(cfg, m, out: Path, threads):
     coords = coarse.nodes[coarse.steps_from_boundary >= margin]
     if coords.size > 33:
         coords = coords[:: int(np.ceil(coords.size / 33))]
-
-    from .models import BoundaryData
 
     rows = []
     for alpha in exp["alpha_list"]:
@@ -329,8 +316,8 @@ def _run_dichotomy(cfg, m, out: Path, threads):
             horizon=phi_a.horizon,
             time_dependent=phi_a.time_dependent,
         )
-        fields_a = _solve_levels(cfg, m_alpha, eps_list, phi_a, threads)
-        fields_b = _solve_levels(cfg, m_alpha, eps_list, phi_b, threads)
+        fields_a = _solve_levels(cfg, m_alpha, eps_list, phi_a)
+        fields_b = _solve_levels(cfg, m_alpha, eps_list, phi_b)
         rep_a = boundary_attainment(fields_a, phi_a, cfg.tau, threshold=threshold)
         rep_b = boundary_attainment(fields_b, phi_b, cfg.tau, threshold=threshold)
         diffs = _probe_diffs(fields_a, fields_b, coords, cfg.tau)
@@ -357,7 +344,7 @@ def _run_dichotomy(cfg, m, out: Path, threads):
     return True, {"rows": rows}
 
 
-def _run_hypothesis(cfg, m, out: Path, threads):
+def _run_hypothesis(cfg, m, out: Path):
     report = m["hypotheses"]
     _write_json(out / "hypothesis.json", report.as_dict())
     return report.core_ok, {"hypothesis": report.as_dict()}
@@ -374,7 +361,7 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
+def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     """Execute one experiment, write its artifacts, and return the exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -386,7 +373,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
         report["hypothesis"] = hyp.as_dict()
         report["warnings"] = list(hyp.notes)
         runner = _RUNNERS[cfg.kind]
-        ok, payload = stage.run(cfg.kind, lambda: runner(cfg, m, out, threads))
+        ok, payload = stage.run(cfg.kind, lambda: runner(cfg, m, out))
         report["verdict"] = "pass" if ok else "fail"
         report["payload"] = payload
         code = EXIT_PASS if ok else EXIT_VERDICT_FAIL

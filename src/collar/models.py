@@ -20,6 +20,15 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 #: Pieces with ratio above this are treated as failing to decay geometrically.
 _DECAY_CUTOFF = 0.999
 
+#: Time samples per boundary point for the sup and min of a boundary trace.
+_TRACE_SAMPLES = 512
+
+#: Hypothesis checks: sample count, flux arguments sampled for monotonicity,
+#: and the largest initial/boundary gap at t = 0 still called compatible.
+_HYPOTHESIS_SAMPLES = 1024
+_WORKING_RANGE = (-4.0, 4.0)
+_COMPAT_BAND = 0.05
+
 
 # ---------------------------------------------------------------------------
 # Majorants and the integral dichotomy
@@ -261,14 +270,13 @@ class Nonlinearity:
     stays above it everywhere (the nondegenerate regime), zero otherwise.
     """
 
-    def __init__(self, kind, g, dg, g_inv, alpha0, g_range=(-np.inf, np.inf), params=None):
+    def __init__(self, kind, g, dg, g_inv, alpha0, g_range=(-np.inf, np.inf)):
         self.kind = kind
         self._g = g
         self._dg = dg
         self._g_inv = g_inv
         self.alpha0 = float(alpha0)
         self.g_range = g_range
-        self.params = dict(params or {})
 
     @classmethod
     def linear(cls, slope: float = 1.0) -> "Nonlinearity":
@@ -281,7 +289,6 @@ class Nonlinearity:
             lambda u: np.full(np.shape(np.asarray(u)), slope) if np.ndim(u) else slope,
             lambda y: np.asarray(y, dtype=float) / slope,
             alpha0=slope,
-            params={"slope": slope},
         )
 
     @classmethod
@@ -301,7 +308,7 @@ class Nonlinearity:
             y = np.asarray(y, dtype=float)
             return np.sign(y) * np.abs(y) ** (1.0 / m)
 
-        return cls("porous-medium", g, dg, g_inv, alpha0=0.0, params={"m": m})
+        return cls("porous-medium", g, dg, g_inv, alpha0=0.0)
 
     @classmethod
     def from_table(cls, u_knots, g_values) -> "Nonlinearity":
@@ -327,7 +334,6 @@ class Nonlinearity:
             lambda y: np.interp(np.asarray(y, dtype=float), v, u),
             alpha0=alpha0 if alpha0 > 0 else 0.0,
             g_range=(float(v[0]), float(v[-1])),
-            params={"knots": u.size},
         )
 
     def g(self, u):
@@ -336,19 +342,17 @@ class Nonlinearity:
     def dg(self, u):
         return self._dg(u)
 
-    def g_inv(self, y, node=None):
+    def g_inv(self, y):
         y_arr = np.asarray(y, dtype=float)
         lo, hi = self.g_range
         tol = 1e-12 * max(1.0, float(np.max(np.abs(y_arr))) if y_arr.size else 1.0)
-        if np.any(y_arr < lo - tol) or np.any(y_arr > hi + tol):
-            bad = y_arr[(y_arr < lo - tol) | (y_arr > hi + tol)]
-            where = None
-            if node is None and y_arr.ndim >= 1:
-                where = int(np.argmax((y_arr < lo - tol) | (y_arr > hi + tol)))
+        outside = (y_arr < lo - tol) | (y_arr > hi + tol)
+        if np.any(outside):
+            bad = float(y_arr[outside].flat[0])
             raise RangeError(
-                f"inverse flux argument {bad.flat[0]} outside range [{lo}, {hi}]",
-                node=node if node is not None else where,
-                argument=float(bad.flat[0]),
+                f"inverse flux argument {bad} outside range [{lo}, {hi}]",
+                node=int(np.argmax(outside)) if y_arr.ndim >= 1 else None,
+                argument=bad,
             )
         return self._g_inv(y)
 
@@ -434,7 +438,6 @@ def build_nondegenerate_surrogate(
         g_inv,
         alpha0=floor,
         g_range=(lo_range, hi_range),
-        params={"base": base.kind, "threshold": threshold, "floor": floor},
     )
 
 
@@ -447,13 +450,12 @@ class BoundaryData:
     """Dirichlet trace ``phi(x0, t)`` on boundary points over [0, horizon]."""
 
     def __init__(self, func, *, horizon=1.0, time_dependent=True, positivity_floor=0.0,
-                 kind="custom", params=None):
+                 kind="custom"):
         self._func = func
         self.horizon = float(horizon)
         self.time_dependent = bool(time_dependent)
         self.positivity_floor = float(positivity_floor)
         self.kind = kind
-        self.params = dict(params or {})
 
     @classmethod
     def constant(cls, value: float, horizon: float = 1.0, positivity_floor: float = 0.0):
@@ -464,7 +466,6 @@ class BoundaryData:
             time_dependent=False,
             positivity_floor=positivity_floor,
             kind="constant",
-            params={"value": value},
         )
 
     @classmethod
@@ -475,7 +476,6 @@ class BoundaryData:
             time_dependent=(rate != 0.0),
             positivity_floor=positivity_floor,
             kind="ramp",
-            params={"value0": value0, "rate": rate},
         )
 
     @classmethod
@@ -486,8 +486,7 @@ class BoundaryData:
                     + amplitude * np.sin(2.0 * np.pi * frequency * np.asarray(t, float)))
 
         return cls(f, horizon=horizon, time_dependent=(amplitude != 0.0),
-                   positivity_floor=positivity_floor, kind="sine",
-                   params={"offset": offset, "amplitude": amplitude, "frequency": frequency})
+                   positivity_floor=positivity_floor, kind="sine")
 
     @classmethod
     def sided(cls, left: float, right: float, domain: Domain, horizon: float = 1.0,
@@ -500,8 +499,7 @@ class BoundaryData:
             return out
 
         return cls(f, horizon=horizon, time_dependent=False,
-                   positivity_floor=positivity_floor, kind="sided",
-                   params={"left": left, "right": right})
+                   positivity_floor=positivity_floor, kind="sided")
 
     @classmethod
     def from_callable(cls, func, horizon: float = 1.0, time_dependent: bool = True,
@@ -513,26 +511,25 @@ class BoundaryData:
         out = np.asarray(self._func(x, t), dtype=float)
         return float(out) if out.ndim == 0 else out
 
-    def sup_norm(self, domain: Domain, nt: int = 512) -> float:
-        ts = np.linspace(0.0, self.horizon, nt)
+    def sup_norm(self, domain: Domain) -> float:
+        ts = np.linspace(0.0, self.horizon, _TRACE_SAMPLES)
         return float(max(np.max(np.abs(self.phi(b, ts))) for b in domain.boundary_points()))
 
-    def min_value(self, domain: Domain, nt: int = 512) -> float:
-        ts = np.linspace(0.0, self.horizon, nt)
+    def min_value(self, domain: Domain) -> float:
+        ts = np.linspace(0.0, self.horizon, _TRACE_SAMPLES)
         return float(min(np.min(self.phi(b, ts)) for b in domain.boundary_points()))
 
 
 class InitialData:
     """Bounded continuous initial state ``u0(x)`` on the open domain."""
 
-    def __init__(self, func, kind="custom", params=None):
+    def __init__(self, func, kind="custom"):
         self._func = func
         self.kind = kind
-        self.params = dict(params or {})
 
     @classmethod
     def constant(cls, value: float):
-        return cls(lambda x: np.asarray(x, float) * 0.0 + value, "constant", {"value": value})
+        return cls(lambda x: np.asarray(x, float) * 0.0 + value, "constant")
 
     @classmethod
     def sine(cls, domain: Domain, amplitude: float = 1.0, mode: int = 1, offset: float = 0.0):
@@ -542,7 +539,7 @@ class InitialData:
             x = np.asarray(x, float)
             return offset + amplitude * np.sin(mode * np.pi * (x - domain.lo) / w)
 
-        return cls(f, "sine", {"amplitude": amplitude, "mode": mode, "offset": offset})
+        return cls(f, "sine")
 
     @classmethod
     def from_callable(cls, func):
@@ -616,10 +613,6 @@ def check_hypotheses(
     phi: BoundaryData,
     initial: InitialData,
     grid: Grid,
-    *,
-    n_samples: int = 1024,
-    working_range: tuple[float, float] = (-4.0, 4.0),
-    compat_band: float = 0.05,
 ) -> HypothesisReport:
     """Certify the model hypotheses on dense samples plus closed forms.
 
@@ -632,14 +625,14 @@ def check_hypotheses(
     notes: list[str] = []
 
     pad = 1e-6 * w
-    xs = np.linspace(dom.lo + pad, dom.hi - pad, n_samples)
+    xs = np.linspace(dom.lo + pad, dom.hi - pad, _HYPOTHESIS_SAMPLES)
 
     rho_vals = rho.rho(xs)
     h1 = bool(np.all(rho_vals > 0.0))
     evidence["h1"] = {"method": "sampled", "n": int(xs.size),
                       "min_rho": float(np.min(rho_vals))}
 
-    us = np.linspace(working_range[0], working_range[1], n_samples)
+    us = np.linspace(*_WORKING_RANGE, _HYPOTHESIS_SAMPLES)
     g_vals = np.asarray(flux.g(us))
     g_zero = float(np.abs(np.asarray(flux.g(0.0))))
     monotone = bool(np.all(np.diff(g_vals) > 0.0))
@@ -648,7 +641,7 @@ def check_hypotheses(
     evidence["h2"] = {"method": "sampled", "n": int(us.size), "g_at_zero": g_zero,
                       "strictly_increasing": monotone}
 
-    u0_coarse = initial.u0(np.linspace(dom.lo + pad, dom.hi - pad, n_samples // 2))
+    u0_coarse = initial.u0(np.linspace(dom.lo + pad, dom.hi - pad, _HYPOTHESIS_SAMPLES // 2))
     u0_fine = initial.u0(xs)
     u0_sup = float(np.max(np.abs(u0_fine)))
     h3 = bool(np.all(np.isfinite(u0_fine))) and _continuity_score(
@@ -685,9 +678,9 @@ def check_hypotheses(
         target = phi.phi(b, 0.0)
         gap = float(np.max(np.abs(np.asarray(vals)[-2:] - target)))
         worst = max(worst, gap)
-        if gap > compat_band:
+        if gap > _COMPAT_BAND:
             compat = False
-    evidence["compatibility"] = {"method": "sampled", "band": compat_band, "worst_gap": worst}
+    evidence["compatibility"] = {"method": "sampled", "band": _COMPAT_BAND, "worst_gap": worst}
     compat_e301 = compat and not phi.time_dependent
 
     phi_min = phi.min_value(dom)

@@ -38,9 +38,10 @@ class DiffusionOperator:
     face_areas: np.ndarray
 
     def apply(self, values: np.ndarray) -> np.ndarray:
+        """Stencil along the last axis of ``values``."""
         out = self.di * values
-        out[1:] += self.lo[1:] * values[:-1]
-        out[:-1] += self.up[:-1] * values[1:]
+        out[..., 1:] += self.lo[1:] * values[..., :-1]
+        out[..., :-1] += self.up[:-1] * values[..., 1:]
         return out
 
     def window(self, m0: int, m1: int) -> "DiffusionOperator":

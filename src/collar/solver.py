@@ -51,21 +51,17 @@ def blend_initial_data(
     phi: BoundaryData,
     eps: float,
     grid: Grid,
-    blend_width: float | None = None,
 ) -> np.ndarray:
     """Initial nodal state: interior data in the core, boundary trace at the collar.
 
     The boundary trace is extended inward by its value at the nearest
-    boundary point; the cutoff rises smoothly across one blend width so the
-    state is untouched on the doubled core.
+    boundary point; the cutoff rises smoothly across a blend width of ``eps``
+    so the state is untouched on the doubled core.
     """
     x = grid.nodes
     if eps <= 0.0:
         return np.asarray(initial.u0(x), dtype=float)
-    w = eps if blend_width is None else blend_width
-    if not (0.0 < w <= eps * (1.0 + 1e-12)):
-        raise ConfigError(f"blend width {w} must lie in (0, eps = {eps}]")
-    zeta = collar_cutoff(grid.distances, eps, w)
+    zeta = collar_cutoff(grid.distances, eps, eps)
     trace = phi.phi(grid.domain.nearest_boundary_point(x), 0.0)
     return zeta * np.asarray(initial.u0(x), dtype=float) + (1.0 - zeta) * np.asarray(trace)
 
@@ -115,7 +111,6 @@ class ApproxProblem:
     eta_cap: float
     horizon: float
     dt: float
-    blend_width: float | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.eta <= self.eta_cap + 1e-15):
@@ -194,7 +189,7 @@ class ApproxProblem:
         return np.asarray(self.phi.phi(self._layout.dir_points, t), dtype=float) + self.eta
 
     def initial_window(self) -> np.ndarray:
-        full = blend_initial_data(self.initial, self.phi, self.eps, self.grid, self.blend_width)
+        full = blend_initial_data(self.initial, self.phi, self.eps, self.grid)
         return full[self._layout.m0 : self._layout.m1 + 1] + self.eta
 
 
@@ -476,6 +471,10 @@ class LimitDiagnostics:
         }
 
 
+#: Most probe nodes on which family members are compared.
+_MAX_PROBES = 64
+
+
 def _halving(levels, label: str, minimum: int):
     arr = np.asarray(levels, dtype=float)
     if arr.size < minimum:
@@ -503,7 +502,6 @@ def extract_limit_solution(
     scheme: SolverScheme | None = None,
     *,
     store_stride: int = 1,
-    max_probes: int = 64,
 ) -> tuple[SpaceTimeField, LimitDiagnostics]:
     """Solve a halving family in collar width and lift, with Cauchy diagnostics.
 
@@ -520,8 +518,8 @@ def extract_limit_solution(
     probe_idx = np.nonzero(grid.steps_from_boundary >= steps_needed)[0]
     if probe_idx.size < 5:
         raise ConfigError("fewer than 5 probe nodes clear of the widest collar")
-    if probe_idx.size > max_probes:
-        probe_idx = probe_idx[:: int(np.ceil(probe_idx.size / max_probes))]
+    if probe_idx.size > _MAX_PROBES:
+        probe_idx = probe_idx[:: int(np.ceil(probe_idx.size / _MAX_PROBES))]
 
     def run(e, h):
         return solve_eps_eta(

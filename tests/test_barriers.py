@@ -16,7 +16,7 @@ from collar.barriers import (
     select_localization_radius,
     verify_barrier_residual,
 )
-from collar.errors import ConfigError, GeometryError, ModelError, RegimeError
+from collar.errors import ConfigError, GeometryError, ModelError, RangeError, RegimeError
 from collar.geometry import Domain, build_grid, collar_decomposition
 from collar.models import (
     BoundaryData,
@@ -25,6 +25,7 @@ from collar.models import (
     Nonlinearity,
     PowerMajorant,
     TabulatedMajorant,
+    build_nondegenerate_surrogate,
     h4_integral,
 )
 from collar.operators import assemble_diffusion
@@ -429,6 +430,81 @@ class TestLocalizationRadius:
         assert d == pytest.approx(math.asin(0.1) / math.pi, rel=1e-3)
 
 
+# Reference for the residual check: one sample time at a time, the barrier
+# evaluated on every grid node, with a running worst point.
+def _loop_residual(barrier, grid, rho, flux, dt, time_samples=96):
+    op = assemble_diffusion(grid)
+    idx = np.nonzero(barrier.region_node_mask(grid))[0]
+    idx = idx[(idx >= 1) & (idx <= grid.n - 2)]
+    timed = barrier.anchor_t is not None
+    if timed:
+        t_lo, t_hi = barrier.t_window
+        lo, hi = t_lo + 2 * dt, t_hi - 2 * dt
+        n_t = min(time_samples, max(10, int((hi - lo) / dt)))
+        ts = np.linspace(lo, hi, n_t)
+    else:
+        ts = np.array([0.0])
+    rho_vals = np.asarray(rho.rho(grid.nodes[idx]), dtype=float)
+    x = grid.nodes
+    max_res, min_res = -np.inf, np.inf
+    worst_x, worst_t = float(grid.nodes[idx[0]]), None
+    d4_scale = d3t_scale = 0.0
+    for t in ts:
+        w_now = np.asarray(barrier.evaluate(x, float(t) if timed else None))
+        gw = np.asarray(flux.g(w_now))
+        lap = op.apply(gw)
+        if timed:
+            w_plus = np.asarray(barrier.evaluate(x, t + dt))
+            w_minus = np.asarray(barrier.evaluate(x, t - dt))
+            dwdt = (w_plus[idx] - w_minus[idx]) / (2.0 * dt)
+            w_pp = np.asarray(barrier.evaluate(x, t + 2 * dt))
+            w_mm = np.asarray(barrier.evaluate(x, t - 2 * dt))
+            d3t = (w_pp[idx] - 2 * w_plus[idx] + 2 * w_minus[idx] - w_mm[idx]) / (2.0 * dt**3)
+            d3t_scale = max(d3t_scale, float(np.max(np.abs(d3t))))
+        else:
+            dwdt = 0.0
+        res = rho_vals * dwdt - lap[idx]
+        inner = idx[(idx >= 2) & (idx <= grid.n - 3)]
+        if inner.size:
+            d4 = (gw[inner - 2] - 4 * gw[inner - 1] + 6 * gw[inner]
+                  - 4 * gw[inner + 1] + gw[inner + 2]) / grid.h**4
+            d4_scale = max(d4_scale, float(np.max(np.abs(d4))))
+        i_hi = int(np.argmax(res))
+        if res[i_hi] > max_res:
+            max_res = float(res[i_hi])
+            if barrier.side == "lower":
+                worst_x, worst_t = float(grid.nodes[idx[i_hi]]), float(t) if timed else None
+        i_lo = int(np.argmin(res))
+        if res[i_lo] < min_res:
+            min_res = float(res[i_lo])
+            if barrier.side == "upper":
+                worst_x, worst_t = float(grid.nodes[idx[i_lo]]), float(t) if timed else None
+    est_space = grid.h**2 * d4_scale / 12.0
+    est_time = float(np.max(rho_vals)) * dt**2 * d3t_scale / 6.0
+    c_res = 1.0 + (est_space + est_time) / (grid.h + dt)
+    tol = c_res * (grid.h + dt)
+    verdict = max_res <= tol if barrier.side == "lower" else min_res >= -tol
+    return {
+        "side": barrier.side, "case": barrier.case,
+        "verdict": "pass" if verdict else "fail",
+        "max_residual": max_res, "min_residual": min_res, "tolerance": tol,
+        "c_res": c_res, "h": grid.h, "dt": dt, "n_nodes": int(idx.size),
+        "n_times": int(ts.size), "worst_x": worst_x, "worst_t": worst_t,
+    }
+
+
+def _assert_residual_matches_loop(barrier, grid, rho, flux, dt=1e-3):
+    rep = verify_barrier_residual(barrier, grid, rho, flux, dt).as_dict()
+    assert rep == _loop_residual(barrier, grid, rho, flux, dt)
+    return rep
+
+
+def _timed_barrier(dom, G, phi, pot, params, side, x0=0.0, constants=None):
+    c = constants or select_barrier_constants("potential-timed", side, G, params)
+    return build_barrier("potential-timed", side, dom, (x0, 0.5), 0.1, 0.0, c,
+                         pot, G, phi, delta=0.5, bound_K=params.bound_K)
+
+
 class TestResidualVerification:
     def test_worked_configuration_passes(self, worked_setup):
         dom, grid, rho, G, phi, u0, pot, params = worked_setup
@@ -487,3 +563,107 @@ class TestResidualVerification:
         d = rep.as_dict()
         assert d["verdict"] == "pass"
         assert {"max_residual", "tolerance", "h", "dt"} <= set(d)
+
+
+class TestResidualMatchesLoop:
+    """The one-pass residual check reproduces the per-sample loop exactly."""
+
+    def test_worked_potential_timed(self, worked_setup):
+        dom, grid, rho, G, phi, u0, pot, params = worked_setup
+        for side in ("lower", "upper"):
+            rep = _assert_residual_matches_loop(
+                _timed_barrier(dom, G, phi, pot, params, side), grid, rho, G)
+            assert rep["verdict"] == "pass"
+
+    def test_underscaled_worst_point(self, worked_setup):
+        dom, grid, rho, G, phi, u0, pot, params = worked_setup
+        c = select_barrier_constants("potential-timed", "lower", G, params)
+        weak = dataclasses.replace(c, M=c.M / 100.0)
+        rep = _assert_residual_matches_loop(
+            _timed_barrier(dom, G, phi, pot, params, "lower", constants=weak), grid, rho, G)
+        assert rep["verdict"] == "fail"
+        # The first sample time, at the node where the weakened penalty bites.
+        assert (rep["worst_x"], rep["worst_t"]) == (0.39, 0.002)
+
+    def test_constant_stationary(self, worked_setup):
+        dom, grid, rho, G, phi, u0, pot, params = worked_setup
+        c = BarrierConstants("potential-stationary", "lower", M=0.0, lam=None,
+                             beta=None, safety=1.0)
+        b = build_barrier("potential-stationary", "lower", dom, (0.0, None), 0.1, 0.0,
+                          c, pot, G, phi, delta=0.5)
+        rep = _assert_residual_matches_loop(b, grid, rho, G)
+        assert rep["worst_t"] is None
+
+    def test_miller_stationary(self):
+        dom = Domain.interval(0.0, 2.0, collar_cap=0.6)
+        grid = build_grid(dom, 201)
+        rho = DensityModel.constant(1.0, dom)
+        G = Nonlinearity.linear(1.0)
+        phi = BoundaryData.constant(1.0, horizon=1.0)
+        mb = build_miller_barrier(dom, 0.0, radius=0.6)
+        params = BarrierParams(
+            inf_rho=1.0, sup_rho=1.0, alpha0=1.0, delta=0.5, phi_scale=1.0,
+            eta_cap=0.1, bound_K=1.1, dim=1, pot_edge=float(mb.at_offset(0.5)),
+        )
+        for side in ("lower", "upper"):
+            c = select_barrier_constants("miller-stationary", side, G, params)
+            b = build_barrier("miller-stationary", side, dom, (0.0, None), 0.1, 0.0,
+                              c, mb, G, phi, delta=0.5)
+            _assert_residual_matches_loop(b, grid, rho, G)
+
+    def test_radial_ball(self):
+        dom = Domain.ball(1.0, dim=2, collar_cap=0.4)
+        grid = build_grid(dom, 161)
+        rho = DensityModel.power_law(0.5, dom)
+        G = Nonlinearity.linear(1.0)
+        phi = BoundaryData.sine(1.0, 0.2, 1.0, horizon=1.0)
+        pot = build_boundary_potential(rho.majorant, dom.collar_cap)
+        params = BarrierParams(
+            inf_rho=rho.inf_on(grid), sup_rho=np.inf, alpha0=1.0, delta=0.35,
+            phi_scale=1.2, eta_cap=0.1, bound_K=1.3, dim=2,
+            pot_edge=float(pot.at_distance(0.35)),
+        )
+        for side in ("lower", "upper"):
+            c = select_barrier_constants("potential-timed", side, G, params)
+            b = build_barrier("potential-timed", side, dom, (1.0, 0.5), 0.1, 0.0, c,
+                              pot, G, phi, delta=0.35, bound_K=1.3)
+            _assert_residual_matches_loop(b, grid, rho, G)
+
+    def test_surrogate_flux_inverts_on_the_splice(self, worked_setup):
+        dom, _, rho, _, _, u0, pot, _ = worked_setup
+        grid = build_grid(dom, 801)
+        G = build_nondegenerate_surrogate(Nonlinearity.porous_medium(2.0), 0.5, 0.2)
+        phi = BoundaryData.constant(0.6, horizon=1.0)
+        params = BarrierParams(
+            inf_rho=1.0, sup_rho=1.0, alpha0=G.alpha0, delta=0.5, phi_scale=0.6,
+            eta_cap=0.1, bound_K=0.7, dim=1, pot_edge=float(pot.at_distance(0.5)),
+        )
+        for side in ("lower", "upper"):
+            b = _timed_barrier(dom, G, phi, pot, params, side)
+            _assert_residual_matches_loop(b, grid, rho, G)
+        # Near the anchor the lower barrier crosses the splice [0.25, 0.5],
+        # where g_inv goes through invert_monotone.
+        b = _timed_barrier(dom, G, phi, pot, params, "lower")
+        w = b.evaluate(grid.nodes[b.region_node_mask(grid)], np.linspace(0.0, 1.0, 96)[:, None])
+        assert np.any((w > 0.25) & (w < 0.5))
+
+    def test_slab_clipped_at_either_end(self, worked_setup):
+        dom, grid, rho, G, phi, u0, pot, params = worked_setup
+        for x0, end in ((0.0, 1), (2.0, grid.n - 2)):
+            b = _timed_barrier(dom, G, phi, pot, params, "lower", x0=x0)
+            idx = np.nonzero(b.region_node_mask(grid))[0]
+            assert end in idx
+            _assert_residual_matches_loop(b, grid, rho, G)
+
+
+def test_residual_reads_only_the_region_slab(worked_setup):
+    # The wide identity table covers the region's flux arguments but not
+    # those far from the anchor, where the quadratic penalty grows; the
+    # check must not evaluate the barrier there.
+    dom, grid, rho, _, phi, u0, pot, params = worked_setup
+    G = Nonlinearity.from_table([-14.0, 14.0], [-14.0, 14.0])
+    b = _timed_barrier(dom, G, phi, pot, params, "lower")
+    with pytest.raises(RangeError):
+        b.evaluate(grid.nodes, 0.5)
+    rep = verify_barrier_residual(b, grid, rho, G, 1e-3)
+    assert rep.verdict, rep.as_dict()
