@@ -69,6 +69,7 @@ from .solver import (
     extract_limit_solution,
     flux_balance_defect,
     solve_eps_eta,
+    solve_members,
     step_implicit,
 )
 from .analysis import (

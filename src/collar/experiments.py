@@ -47,7 +47,7 @@ from .models import (
     global_bound,
     h4_integral,
 )
-from .solver import ApproxProblem, extract_limit_solution, solve_eps_eta
+from .solver import ApproxProblem, extract_limit_solution, solve_eps_eta, solve_members
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
@@ -256,21 +256,21 @@ def _attainment_grid(cfg, m, eps: float):
     return build_grid(domain, max(n, 16))
 
 
-def _solve_levels(cfg, m, eps_list, phi):
-    stride = cfg.sections["numerics"].get("store_stride", 1)
+def _level_problems(cfg, m, eps_list, phi) -> list[ApproxProblem]:
     return [
-        solve_eps_eta(
-            _problem(cfg, m, grid=_attainment_grid(cfg, m, eps), phi=phi, eps=float(eps)),
-            m["scheme"],
-            store_stride=stride,
-        )
+        _problem(cfg, m, grid=_attainment_grid(cfg, m, eps), phi=phi, eps=float(eps))
         for eps in eps_list
     ]
 
 
+def _solve(cfg, m, problems):
+    stride = cfg.sections["numerics"].get("store_stride", 1)
+    return solve_members(problems, m["scheme"], store_stride=stride)
+
+
 def _run_attainment(cfg, m, out: Path):
     exp = cfg.sections["experiment"]
-    fields = _solve_levels(cfg, m, exp["eps_list"], m["phi"])
+    fields = _solve(cfg, m, _level_problems(cfg, m, exp["eps_list"], m["phi"]))
     report = boundary_attainment(
         fields, m["phi"], cfg.tau, threshold=exp.get("threshold", 0.05)
     )
@@ -304,7 +304,9 @@ def _run_dichotomy(cfg, m, out: Path):
     if coords.size > 33:
         coords = coords[:: int(np.ceil(coords.size / 33))]
 
-    rows = []
+    # Every level of every alpha and boundary trace is one member of one solve.
+    cases, problems = [], []
+    n = len(eps_list)
     for alpha in exp["alpha_list"]:
         rho = DensityModel.power_law(float(alpha), domain)
         verdict = h4_integral(rho.majorant, domain.collar_cap)
@@ -316,8 +318,15 @@ def _run_dichotomy(cfg, m, out: Path):
             horizon=phi_a.horizon,
             time_dependent=phi_a.time_dependent,
         )
-        fields_a = _solve_levels(cfg, m_alpha, eps_list, phi_a)
-        fields_b = _solve_levels(cfg, m_alpha, eps_list, phi_b)
+        cases.append((alpha, verdict, phi_a, phi_b))
+        problems += _level_problems(cfg, m_alpha, eps_list, phi_a)
+        problems += _level_problems(cfg, m_alpha, eps_list, phi_b)
+    fields = _solve(cfg, m, problems)
+
+    rows = []
+    for j, (alpha, verdict, phi_a, phi_b) in enumerate(cases):
+        fields_a = fields[2 * j * n : (2 * j + 1) * n]
+        fields_b = fields[(2 * j + 1) * n : (2 * j + 2) * n]
         rep_a = boundary_attainment(fields_a, phi_a, cfg.tau, threshold=threshold)
         rep_b = boundary_attainment(fields_b, phi_b, cfg.tau, threshold=threshold)
         diffs = _probe_diffs(fields_a, fields_b, coords, cfg.tau)

@@ -53,6 +53,22 @@ class DiffusionOperator:
         )
 
 
+def stack_operators(ops) -> DiffusionOperator:
+    """Block-diagonal stencil: the operators laid end to end, uncoupled.
+
+    The band entries that would link the last node of one block to the first
+    node of the next are zero, and so is the area of the face between them.
+    """
+    sizes = np.array([op.di.size for op in ops])
+    starts = np.cumsum(sizes) - sizes
+    lo, di, up, volumes = (np.concatenate([getattr(op, b) for op in ops])
+                           for b in ("lo", "di", "up", "volumes"))
+    lo[starts] = 0.0
+    up[starts + sizes - 1] = 0.0
+    faces = np.concatenate([a for op in ops for a in (op.face_areas, [0.0])][:-1])
+    return DiffusionOperator(lo=lo, di=di, up=up, volumes=volumes, face_areas=faces)
+
+
 def assemble_diffusion(grid: Grid) -> DiffusionOperator:
     dom = grid.domain
     n = grid.n

@@ -9,12 +9,17 @@ floors the flux derivative so the linear solve stays regular where the flux
 degenerates, while the residual (and therefore the converged answer) is the
 unregularized scheme.
 
-For a linear flux the Jacobian depends only on the step size and the floor,
-so each problem factors it once per ``(dt, floor)`` and reuses the LU factors
-(LAPACK ``gttrs``); every other flux assembles its Jacobian bands each
-iteration and solves them with ``gtsv``.  Both paths pivot alike, so a linear
-flux gives bit-identical trajectories either way.  A non-finite residual or
-Newton update raises instead of freezing the state.
+Members of a family or sweep that share the time lattice step together: their
+windows are laid end to end as one block-diagonal tridiagonal system whose
+coupling bands are zero, so every LAPACK call returns each block's own
+solution and every member's trajectory is bit-identical to solving it alone.
+Convergence, line search and failure are per member.  For a linear flux the
+Jacobian depends only on the step size and the floor, so a batch factors it
+once per ``(dt, floor)`` and reuses the LU factors (LAPACK ``gttrs``); every
+other flux assembles its Jacobian bands each iteration and solves them with
+``gtsv``.  Both paths pivot alike, so a linear flux gives bit-identical
+trajectories either way.  A non-finite residual or Newton update fails its
+member instead of freezing the state.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, SolveError, StepError
+from .errors import ConfigError, LinearSolveError, ShapeError, SolveError, StepError
 from .geometry import Grid, collar_decomposition
 from .models import BoundaryData, DensityModel, InitialData, Nonlinearity, global_bound
 from .operators import (
@@ -34,15 +39,27 @@ from .operators import (
     factor_tridiagonal,
     solve_factored,
     solve_tridiagonal,
+    stack_operators,
 )
 
+#: Linear-flux LU factorizations one batch keeps, one per ``(dt, floor)``; the
+#: least recently used is dropped first.  Rounding gives one lattice a few
+#: distinct ``dt`` values, but most steps share one, which two entries keep.
+_LU_CACHE = 2
+#: Batches one solve keeps, one per set of members stepping together.
+_BATCH_CACHE = 8
+#: Halvings of one outer step before a member's solve fails.
+_MAX_DEPTH = 10
+#: Clean outer steps after which a halved member relaxes one depth.
+_RELAX_STEPS = 20
 
-def collar_cutoff(distance, eps: float, blend_width: float):
-    """Smoothstep cutoff: 0 where d <= eps, 1 where d >= eps + blend width."""
+
+def collar_cutoff(distance, eps: float):
+    """Smoothstep cutoff: 0 where d <= eps, 1 where d >= 2 eps."""
     d = np.asarray(distance, dtype=float)
     if eps <= 0.0:
         return np.ones_like(d)
-    s = np.clip((d - eps) / blend_width, 0.0, 1.0)
+    s = np.clip((d - eps) / eps, 0.0, 1.0)
     return s * s * (3.0 - 2.0 * s)
 
 
@@ -61,7 +78,7 @@ def blend_initial_data(
     x = grid.nodes
     if eps <= 0.0:
         return np.asarray(initial.u0(x), dtype=float)
-    zeta = collar_cutoff(grid.distances, eps, eps)
+    zeta = collar_cutoff(grid.distances, eps)
     trace = phi.phi(grid.domain.nearest_boundary_point(x), 0.0)
     return zeta * np.asarray(initial.u0(x), dtype=float) + (1.0 - zeta) * np.asarray(trace)
 
@@ -127,10 +144,7 @@ class ApproxProblem:
         free = self._layout.free_local
         self._rho_w = np.ones(self._layout.size)
         self._rho_w[free] = self.rho.rho(self.grid.nodes[self._layout.m0 + free])
-        self._linear_lu = {}  # (dt, floor) -> LU factors of a linear flux's Newton matrix
-        self._static_bc = None
-        if not self.phi.time_dependent:
-            self._static_bc = self.dirichlet_values(0.0)
+        self._solo = None  # one-member batch of step_implicit, built on first use
 
     def _build_layout(self) -> _Layout:
         grid = self.grid
@@ -164,29 +178,6 @@ class ApproxProblem:
         return global_bound(
             self.initial.sup_norm(self.grid), self.phi.sup_norm(self.grid.domain), self.eta_cap
         )
-
-    def linear_jacobian_factors(self, dt: float, floor: float) -> tuple:
-        """LU factors of a linear flux's Newton matrix, factored once per ``(dt, floor)``.
-
-        Rounding gives the steps of one lattice a few distinct ``dt`` values
-        (8 to 17 for 400 to 30000 steps); the cache is emptied when it holds
-        32, so step halving cannot grow it without bound.
-        """
-        key = (dt, floor)
-        lu = self._linear_lu.get(key)
-        if lu is None:
-            if len(self._linear_lu) >= 32:
-                self._linear_lu.clear()
-            gp = np.full(self._rho_w.size, max(float(self.flux.dg(0.0)), floor))
-            bands = _newton_bands(self._window_op, dt / self._rho_w, gp, self._layout.dir_local)
-            lu = self._linear_lu[key] = factor_tridiagonal(*bands)
-        return lu
-
-    def dirichlet_values(self, t: float) -> np.ndarray:
-        """Lifted trace at the interface nodes; evaluated once when it does not vary in time."""
-        if self._static_bc is not None:
-            return self._static_bc
-        return np.asarray(self.phi.phi(self._layout.dir_points, t), dtype=float) + self.eta
 
     def initial_window(self) -> np.ndarray:
         full = blend_initial_data(self.initial, self.phi, self.eps, self.grid)
@@ -225,17 +216,244 @@ class SpaceTimeField:
         np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
-def _newton_bands(op: DiffusionOperator, scale, gp, dir_local):
-    """Bands of ``I - diag(scale) L diag(gp)`` with identity rows at imposed nodes."""
-    j_lo = np.zeros_like(gp)
-    j_up = np.zeros_like(gp)
-    j_lo[1:] = -scale[1:] * op.lo[1:] * gp[:-1]
-    j_up[:-1] = -scale[:-1] * op.up[:-1] * gp[1:]
-    j_di = 1.0 - scale * op.di * gp
-    j_lo[dir_local] = 0.0
-    j_up[dir_local] = 0.0
-    j_di[dir_local] = 1.0
-    return j_lo, j_di, j_up
+def _identity_rows(bands, rhs, rows) -> None:
+    """Turns ``rows`` into identity rows with a zero right-hand side, which solve to 0."""
+    j_lo, j_di, j_up = bands
+    j_lo[rows] = j_up[rows] = rhs[rows] = 0.0
+    j_di[rows] = 1.0
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """No inf or NaN entry; a sum that overflows also reads False, so callers recheck."""
+    return math.isfinite(np.add.reduce(values))
+
+
+def _stacked_flux(runs, name: str):
+    """Evaluator of flux method ``name`` over runs of rows, each run with its own flux."""
+    return lambda v: np.concatenate([getattr(f, name)(v[rows]) for f, rows in runs])
+
+
+def _cached(cache: dict, key, make, limit: int):
+    """``cache[key]``, or ``make(key)`` on a miss; beyond ``limit`` the least recently used goes."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = make(key)
+        if len(cache) >= limit:
+            del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
+class _Batch:
+    """Members stepped together as one block-diagonal tridiagonal system.
+
+    Member ``k`` owns rows ``starts[k] .. starts[k] + sizes[k] - 1`` of every
+    concatenated vector.  The flux is evaluated once per run of neighbouring
+    members that share it, and a time-dependent trace once per distinct
+    ``BoundaryData``, on all its interface points.
+    """
+
+    def __init__(self, problems):
+        self.problems = problems
+        self.sizes = np.array([p.layout.size for p in problems])
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.op = stack_operators([p._window_op for p in problems])
+        self.rho = np.concatenate([p._rho_w for p in problems])
+        self.dir = np.concatenate([p.layout.dir_local + s for p, s in zip(problems, self.starts)])
+        # A band is zero at an imposed row and wherever it would couple two blocks.
+        self._lo_zero = np.union1d(self.dir, self.starts)
+        self._up_zero = np.union1d(self.dir, self.starts + self.sizes - 1)
+        self.linear = all(p.flux.kind == "linear" for p in problems)
+        self._runs = []  # (flux, rows) per run of neighbours sharing one flux
+        for p, s, n in zip(problems, self.starts, self.sizes):
+            if self._runs and self._runs[-1][0] is p.flux:
+                self._runs[-1][1] = slice(self._runs[-1][1].start, s + n)
+            else:
+                self._runs.append([p.flux, slice(s, s + n)])
+        if len(self._runs) == 1:
+            self.g, self.dg = self._runs[0][0].g, self._runs[0][0].dg
+        else:
+            self.g, self.dg = (_stacked_flux(self._runs, name) for name in ("g", "dg"))
+        traces = {}  # id(phi) -> (phi, rows of self.dir, interface points, lifts)
+        row = 0
+        for p in problems:
+            k = p.layout.dir_local.size
+            entry = traces.setdefault(id(p.phi), (p.phi, [], [], []))
+            entry[1].append(np.arange(row, row + k))
+            entry[2].append(p.layout.dir_points)
+            entry[3].append(np.full(k, p.eta))
+            row += k
+        self._bc_static = np.empty(row)
+        self._bc_dynamic = []
+        for phi, *parts in traces.values():
+            rows, points, lifts = map(np.concatenate, parts)
+            if phi.time_dependent:
+                self._bc_dynamic.append((phi, rows, points, lifts))
+            else:
+                self._bc_static[rows] = np.asarray(phi.phi(points, 0.0), dtype=float) + lifts
+        self._lu = {}
+
+    def dirichlet(self, t: float) -> np.ndarray:
+        """Lifted traces at every member's interface nodes, concatenated."""
+        if not self._bc_dynamic:
+            return self._bc_static
+        bc = self._bc_static.copy()
+        for phi, rows, points, lifts in self._bc_dynamic:
+            bc[rows] = np.asarray(phi.phi(points, t), dtype=float) + lifts
+        return bc
+
+    def rows(self, members) -> np.ndarray:
+        """Row mask of a member mask."""
+        return np.repeat(members, self.sizes)
+
+    def solve(self, bands, rhs, live: list, errors: dict) -> np.ndarray:
+        """The shared solve; a member whose block has a zero pivot fails alone."""
+        while True:
+            try:
+                return solve_tridiagonal(*bands, rhs)
+            except LinearSolveError as err:
+                if err.info <= 0:
+                    raise
+                # LAPACK's info is the 1-based row of the zero pivot.
+                k = int(np.searchsorted(self.starts, err.info - 1, side="right")) - 1
+                errors[k] = err
+                live[k] = False
+                _identity_rows(bands, rhs, slice(self.starts[k], self.starts[k] + self.sizes[k]))
+
+    def bands(self, scale, gp):
+        """Bands of ``I - diag(scale) L diag(gp)`` with identity rows at imposed nodes."""
+        op = self.op
+        j_lo = np.zeros(gp.size)
+        j_up = np.zeros(gp.size)
+        j_lo[1:] = -scale[1:] * op.lo[1:] * gp[:-1]
+        j_up[:-1] = -scale[:-1] * op.up[:-1] * gp[1:]
+        j_di = 1.0 - scale * op.di * gp
+        j_lo[self._lo_zero] = 0.0
+        j_up[self._up_zero] = 0.0
+        j_di[self.dir] = 1.0
+        return j_lo, j_di, j_up
+
+    def linear_factors(self, dt: float, floor: float) -> tuple:
+        """LU factors of the linear-flux Newton matrix, cached per ``(dt, floor)``."""
+        return _cached(self._lu, (dt, floor), self._factor, _LU_CACHE)
+
+    def _factor(self, key) -> tuple:
+        dt, floor = key
+        slopes = [max(float(p.flux.dg(0.0)), floor) for p in self.problems]
+        return factor_tridiagonal(*self.bands(dt / self.rho, np.repeat(slopes, self.sizes)))
+
+
+def _newton(batch: _Batch, state, scheme: SolverScheme, t_new: float, dt: float):
+    """One implicit Euler step of every member of the batch.
+
+    Returns ``(state, iterations, residuals, errors)``: per member, the Newton
+    iterations and the final scaled residual, and ``errors[k]``, the StepError
+    member ``k`` would raise stepping alone, for each member that failed.
+    Members iterate in lockstep, each with its own convergence test and line
+    search.  A member leaves the iteration once it converges or fails; from
+    then on its right-hand side is zero, so its block solves to zero, and a
+    block holding a non-finite Jacobian entry becomes identity rows first.
+    """
+    op, dir_rows, starts = batch.op, batch.dir, batch.starts
+    bc = batch.dirichlet(t_new)
+    u_old = state
+    u = state.copy()
+    u[dir_rows] = bc
+    scale = dt / batch.rho
+    tol = scheme.newton_tol
+
+    def residual(v):
+        gv = np.asarray(batch.g(v))
+        res = (v - u_old) - scale * op.apply(gv)
+        res[dir_rows] = v[dir_rows] - bc
+        norms = np.maximum.reduceat(np.abs(res), starts).tolist()
+        if not all(map(math.isfinite, norms)):
+            # A zero coupling times a non-finite flux value is NaN in the next
+            # block: keep each non-finite value to its own member's rows.
+            bad = ~np.isfinite(gv)
+            res = (v - u_old) - scale * op.apply(np.where(bad, 0.0, gv))
+            res[dir_rows] = v[dir_rows] - bc
+            res[bad] = np.nan
+            norms = np.maximum.reduceat(np.abs(res), starts).tolist()
+        return res, norms
+
+    def fail_non_finite(values):
+        """Fails each live member with a non-finite entry in ``values``."""
+        for k, ok in enumerate(np.logical_and.reduceat(np.isfinite(values), starts).tolist()):
+            if live[k] and not ok:
+                errors[k] = StepError(
+                    f"Newton update is not finite at iteration {iters[k]}", residual=norms[k]
+                )
+                live[k] = False
+
+    res, norms = residual(u)
+    errors = {}
+    iters = [0] * len(norms)
+    live = [r > tol for r in norms]  # a NaN residual compares False and fails below
+    lagged = scheme.stepping == "semi-implicit-lagged"
+    for _ in range(1 if lagged else scheme.max_iterations):
+        if not any(live):
+            break
+        rhs = -res
+        if not all(live):
+            rhs[batch.rows(np.logical_not(live))] = 0.0
+        if batch.linear:
+            delta = solve_factored(batch.linear_factors(dt, scheme.jacobian_floor), rhs)
+        else:
+            gp = np.maximum(np.asarray(batch.dg(u_old if lagged else u), dtype=float),
+                            scheme.jacobian_floor)
+            bands = batch.bands(scale, gp)
+            delta = batch.solve(bands, rhs, live, errors)
+            if not _all_finite(delta) and not np.isfinite(gp).all():
+                # A non-finite Jacobian gives its member a non-finite update, and
+                # the elimination carries it into the next block: solve again
+                # without the members it belongs to.
+                fail_non_finite(gp)
+                _identity_rows(bands, rhs, batch.rows(np.logical_not(live)))
+                delta = batch.solve(bands, rhs, live, errors)
+        if not _all_finite(delta):
+            fail_non_finite(delta)
+        if not any(live):
+            break
+        searching = live
+        frac = 1.0
+        for _ in range(9):
+            trial = u + delta if frac == 1.0 else u + frac * delta  # 1.0 * delta is delta
+            trial_res, trial_norms = residual(trial)
+            ok = [s and (tn < r * (1.0 - 1e-4) or tn <= tol)
+                  for s, tn, r in zip(searching, trial_norms, norms)]
+            if all(ok):
+                u, res, norms = trial, trial_res, trial_norms
+                break
+            if any(ok):
+                rows = batch.rows(ok)
+                u = np.where(rows, trial, u)
+                res = np.where(rows, trial_res, res)
+                norms = [tn if a else r for a, tn, r in zip(ok, trial_norms, norms)]
+                searching = [s and not a for s, a in zip(searching, ok)]
+                if not any(searching):
+                    break
+            frac *= 0.5
+        else:
+            rows = batch.rows(searching)
+            u = np.where(rows, u + 0.1 * delta, u)
+            damped_res, damped_norms = residual(u)
+            res = np.where(rows, damped_res, res)
+            norms = [dn if s else r for s, dn, r in zip(searching, damped_norms, norms)]
+        for k, was_live in enumerate(live):
+            if was_live:
+                iters[k] += 1
+                live[k] = norms[k] > tol
+
+    for k, r in enumerate(norms):
+        if k in errors or (math.isfinite(r) and (lagged or r <= tol)):
+            continue
+        if not math.isfinite(r):
+            message = f"scaled residual is not finite after {iters[k]} iterations"
+        else:
+            message = f"Newton stalled at scaled residual {r:.3e} after {iters[k]} iterations"
+        errors[k] = StepError(message, residual=r)
+    return u, iters, norms, errors
 
 
 def step_implicit(
@@ -253,61 +471,165 @@ def step_implicit(
     StepError when Newton fails, its update or residual is not finite, or a
     linear solve breaks down; callers shorten the step and retry.
     """
-    dir_local = problem.layout.dir_local
-    op = problem._window_op
-    flux = problem.flux
-    bc = problem.dirichlet_values(t_new)
+    if problem._solo is None:
+        problem._solo = _Batch([problem])
+    u, iters, norms, errors = _newton(problem._solo, state, scheme, t_new, dt)
+    if errors:
+        raise errors[0]
+    return u, iters[0], norms[0]
 
-    u_old = state
-    u = state.copy()
-    u[dir_local] = bc
-    scale = dt / problem._rho_w
 
-    def residual(v) -> np.ndarray:
-        res = (v - u_old) - scale * op.apply(np.asarray(flux.g(v)))
-        res[dir_local] = v[dir_local] - bc
-        return res
+def _member(ids, k: int, problem: ApproxProblem, t: float) -> str:
+    return f"member {ids[k]} (eps = {problem.eps:.6g}, eta = {problem.eta:.6g}) at t = {t:.6g}"
 
-    res = residual(u)
-    res_norm = float(np.abs(res).max())
-    iters = 0
-    lagged = scheme.stepping == "semi-implicit-lagged"
-    max_iter = 1 if lagged else scheme.max_iterations
-    while res_norm > scheme.newton_tol and iters < max_iter:
-        if flux.kind == "linear":
-            lu = problem.linear_jacobian_factors(dt, scheme.jacobian_floor)
-            delta = solve_factored(lu, -res)
-        else:
-            base = u_old if lagged else u
-            gp = np.maximum(np.asarray(flux.dg(base), dtype=float), scheme.jacobian_floor)
-            delta = solve_tridiagonal(*_newton_bands(op, scale, gp, dir_local), -res)
-        if not np.isfinite(delta).all():
-            raise StepError(f"Newton update is not finite at iteration {iters}", residual=res_norm)
-        step_frac = 1.0
-        for _ in range(9):
-            trial = u + step_frac * delta
-            trial_res = residual(trial)
-            trial_norm = float(np.abs(trial_res).max())
-            if trial_norm < res_norm * (1.0 - 1e-4) or trial_norm <= scheme.newton_tol:
-                u, res, res_norm = trial, trial_res, trial_norm
-                break
-            step_frac *= 0.5
-        else:
-            u = u + 0.1 * delta
-            res = residual(u)
-            res_norm = float(np.abs(res).max())
-        iters += 1
 
-    if not math.isfinite(res_norm):
-        raise StepError(
-            f"scaled residual is not finite after {iters} iterations", residual=res_norm
+def _advance(problems, ids, scheme: SolverScheme, store_stride: int) -> list[SpaceTimeField]:
+    """Advance members sharing ``dt`` and ``horizon`` in lockstep; ``ids`` name them in errors."""
+    p0 = problems[0]
+    n_outer = int(round(p0.horizon / p0.dt))
+    if n_outer < 1 or abs(n_outer * p0.dt - p0.horizon) > 1e-8 * p0.horizon:
+        n_outer = max(1, int(np.ceil(p0.horizon / p0.dt - 1e-12)))
+    times = np.empty(1 + n_outer // store_stride + (n_outer % store_stride != 0))
+    times[0] = 0.0
+    states, values = [], []
+    for k, p in enumerate(problems):
+        lay = p.layout
+        u = p.initial_window()
+        if not np.isfinite(u).all():
+            bad = p.grid.nodes[lay.m0 + np.flatnonzero(~np.isfinite(u))]
+            raise SolveError(
+                f"{_member(ids, k, p, 0.0)}: initial state is not finite at x = {bad[:5].tolist()}"
+            )
+        vals = np.full((p.grid.n, times.size), np.nan)
+        vals[lay.m0 : lay.m1 + 1, 0] = u
+        states.append(u)
+        values.append(vals)
+
+    everyone = list(range(len(problems)))
+    depth = [0] * len(problems)
+    clean = [0] * len(problems)
+    halvings = [0] * len(problems)
+    total_iters = [0] * len(problems)
+    worst_res = [0.0] * len(problems)
+    batches = {}
+
+    def make_batch(members):
+        return _Batch([problems[k] for k in members])
+
+    def substeps(members, level, t, t_next):
+        """Steps ``members`` over [t, t_next] in ``2**level`` sub-steps; returns the failures."""
+        nsub = 2**level
+        failed = {}
+        v = np.concatenate([states[k] for k in members])
+        for j in range(nsub):
+            batch = _cached(batches, tuple(members), make_batch, _BATCH_CACHE)
+            a = t + (t_next - t) * j / nsub
+            b = t + (t_next - t) * (j + 1) / nsub
+            v, iters, res, errors = _newton(batch, v, scheme, b, b - a)
+            for i, k in enumerate(members):
+                if i not in errors:
+                    total_iters[k] += iters[i]
+                    worst_res[k] = max(worst_res[k], res[i])
+            if errors:
+                failed.update({members[i]: err for i, err in errors.items()})
+                keep = [i not in errors for i in range(len(members))]
+                v = v[batch.rows(keep)]
+                members = [k for k, kept in zip(members, keep) if kept]
+                if not members:
+                    break
+        offsets = np.cumsum([0] + [states[k].size for k in members]).tolist()
+        for k, a, b in zip(members, offsets[:-1], offsets[1:]):
+            states[k] = v[a:b]
+        return failed
+
+    t = 0.0
+    col = 0
+    for step in range(n_outer):
+        t_next = p0.horizon if step == n_outer - 1 else (step + 1) * p0.dt
+        by_depth = {}
+        for k in everyone:
+            by_depth.setdefault(depth[k], []).append(k)
+        while by_depth:
+            level = min(by_depth)
+            for k, err in substeps(sorted(by_depth.pop(level)), level, t, t_next).items():
+                depth[k] += 1
+                clean[k] = 0
+                halvings[k] += 1
+                if depth[k] > _MAX_DEPTH:
+                    raise SolveError(
+                        f"{_member(ids, k, problems[k], t)}: time step exhausted after "
+                        f"{halvings[k]} halvings; last step error: {err}"
+                    )
+                by_depth.setdefault(depth[k], []).append(k)
+        t = t_next
+        for k in everyone:
+            clean[k] += 1
+            if depth[k] > 0 and clean[k] >= _RELAX_STEPS:
+                depth[k] -= 1
+                clean[k] = 0
+        if (step + 1) % store_stride == 0 or step == n_outer - 1:
+            col += 1
+            times[col] = t
+            for p, u, vals in zip(problems, states, values):
+                vals[p.layout.m0 : p.layout.m1 + 1, col] = u
+
+    fields = []
+    for k, (p, vals) in enumerate(zip(problems, values)):
+        lay = p.layout
+        K = p.bound_K
+        window_vals = vals[lay.m0 : lay.m1 + 1, :]
+        lo_data = min(
+            float(np.min(p.initial.u0(p.grid.nodes[lay.m0 : lay.m1 + 1]))),
+            p.phi.min_value(p.grid.domain),
         )
-    if not lagged and res_norm > scheme.newton_tol:
-        raise StepError(
-            f"Newton stalled at scaled residual {res_norm:.3e} after {iters} iterations",
-            residual=res_norm,
+        max_ok = bool(
+            np.nanmax(window_vals) <= K + 1e-6
+            and np.nanmin(window_vals) >= lo_data - p.eta_cap - 1e-6
         )
-    return u, iters, res_norm
+        meta = {
+            "eps": p.eps,
+            "eta": p.eta,
+            "dt": p.dt,
+            "bound_K": K,
+            "newton_iterations": total_iters[k],
+            "max_scaled_residual": worst_res[k],
+            "step_halvings": halvings[k],
+            "max_principle_ok": max_ok,
+            "store_stride": store_stride,
+        }
+        mask = np.zeros(p.grid.n, dtype=bool)
+        mask[lay.m0 : lay.m1 + 1] = True
+        fields.append(SpaceTimeField(grid=p.grid, eps=p.eps, eta=p.eta, times=times.copy(),
+                                     values=vals, mask=mask, meta=meta))
+    return fields
+
+
+def solve_members(
+    problems,
+    scheme: SolverScheme | None = None,
+    *,
+    store_stride: int = 1,
+) -> list[SpaceTimeField]:
+    """Advance lifted collar problems over [0, horizon]; one field per problem, in order.
+
+    Problems that share ``dt`` and ``horizon`` step in lockstep on one
+    block-diagonal Newton system, and each field is bit-identical to solving
+    its problem alone.  Stored time stamps sit on the uniform lattice
+    ``k * dt`` regardless of internal sub-stepping: a member whose step fails
+    retries it on a halved lattice (up to 10 halvings), together with the
+    other members at that depth, and its depth relaxes after 20 clean steps.
+    A SolveError names the failing member's index, ``eps``, ``eta`` and time.
+    """
+    scheme = scheme or SolverScheme()
+    groups = {}
+    for i, p in enumerate(problems):
+        groups.setdefault((p.dt, p.horizon), []).append(i)
+    fields = [None] * len(problems)
+    for ids in groups.values():
+        group = _advance([problems[i] for i in ids], ids, scheme, store_stride)
+        for i, f in zip(ids, group):
+            fields[i] = f
+    return fields
 
 
 def solve_eps_eta(
@@ -316,100 +638,8 @@ def solve_eps_eta(
     *,
     store_stride: int = 1,
 ) -> SpaceTimeField:
-    """Advance one lifted collar problem over [0, horizon].
-
-    Stored time stamps sit on the uniform lattice ``k * dt`` regardless of
-    internal sub-stepping: a failed step is retried on a halved lattice (up
-    to 10 halvings) and the working depth relaxes after 20 clean steps.
-    """
-    scheme = scheme or SolverScheme()
-    lay = problem.layout
-    n_outer = int(round(problem.horizon / problem.dt))
-    if n_outer < 1 or abs(n_outer * problem.dt - problem.horizon) > 1e-8 * problem.horizon:
-        n_outer = max(1, int(np.ceil(problem.horizon / problem.dt - 1e-12)))
-
-    u = problem.initial_window()
-    if not np.isfinite(u).all():
-        bad = problem.grid.nodes[lay.m0 + np.flatnonzero(~np.isfinite(u))]
-        raise SolveError(f"initial state is not finite at x = {bad[:5].tolist()}")
-    stored_t = [0.0]
-    stored_u = [u.copy()]
-    depth = 0
-    clean = 0
-    total_iters = 0
-    worst_res = 0.0
-    halvings = 0
-
-    t = 0.0
-    for k in range(n_outer):
-        t_next = problem.horizon if k == n_outer - 1 else (k + 1) * problem.dt
-        while True:
-            try:
-                v = u
-                nsub = 2**depth
-                for j in range(nsub):
-                    a = t + (t_next - t) * j / nsub
-                    b = t + (t_next - t) * (j + 1) / nsub
-                    v, it, res = step_implicit(v, problem, scheme, t_new=b, dt=b - a)
-                    total_iters += it
-                    worst_res = max(worst_res, res)
-                break
-            except StepError:
-                depth += 1
-                clean = 0
-                halvings += 1
-                if depth > 10:
-                    raise SolveError(
-                        f"time step exhausted after {halvings} halvings at t = {t:.6g}"
-                    )
-        u = v
-        t = t_next
-        clean += 1
-        if depth > 0 and clean >= 20:
-            depth -= 1
-            clean = 0
-        if (k + 1) % store_stride == 0 or k == n_outer - 1:
-            stored_t.append(t)
-            stored_u.append(u.copy())
-
-    n = problem.grid.n
-    times = np.array(stored_t)
-    values = np.full((n, times.size), np.nan)
-    mask = np.zeros(n, dtype=bool)
-    mask[lay.m0 : lay.m1 + 1] = True
-    for j, row in enumerate(stored_u):
-        values[lay.m0 : lay.m1 + 1, j] = row
-
-    K = problem.bound_K
-    window_vals = values[lay.m0 : lay.m1 + 1, :]
-    lo_data = min(
-        float(np.min(problem.initial.u0(problem.grid.nodes[lay.m0 : lay.m1 + 1]))),
-        problem.phi.min_value(problem.grid.domain),
-    )
-    max_ok = bool(
-        np.nanmax(window_vals) <= K + 1e-6
-        and np.nanmin(window_vals) >= lo_data - problem.eta_cap - 1e-6
-    )
-    meta = {
-        "eps": problem.eps,
-        "eta": problem.eta,
-        "dt": problem.dt,
-        "bound_K": K,
-        "newton_iterations": total_iters,
-        "max_scaled_residual": worst_res,
-        "step_halvings": halvings,
-        "max_principle_ok": max_ok,
-        "store_stride": store_stride,
-    }
-    return SpaceTimeField(
-        grid=problem.grid,
-        eps=problem.eps,
-        eta=problem.eta,
-        times=times,
-        values=values,
-        mask=mask,
-        meta=meta,
-    )
+    """Advance one lifted collar problem over [0, horizon]; see ``solve_members``."""
+    return solve_members([problem], scheme, store_stride=store_stride)[0]
 
 
 def flux_balance_defect(fieldobj: SpaceTimeField, problem: ApproxProblem) -> float:
@@ -521,17 +751,16 @@ def extract_limit_solution(
     if probe_idx.size > _MAX_PROBES:
         probe_idx = probe_idx[:: int(np.ceil(probe_idx.size / _MAX_PROBES))]
 
-    def run(e, h):
-        return solve_eps_eta(
-            dataclasses.replace(problem, eps=float(e), eta=float(h)),
-            scheme,
-            store_stride=store_stride,
-        )
-
     eta_min = float(eta_arr[-1])
-    eps_fields = [run(e, eta_min) for e in eps_arr]
+    members = [(e, eta_min) for e in eps_arr] + [(eps_arr[-1], h) for h in eta_arr[:-1]]
+    fields = solve_members(
+        [dataclasses.replace(problem, eps=float(e), eta=float(h)) for e, h in members],
+        scheme,
+        store_stride=store_stride,
+    )
+    eps_fields = fields[: eps_arr.size]
     finest = eps_fields[-1]
-    eta_fields = [run(eps_arr[-1], h) for h in eta_arr[:-1]] + [finest]
+    eta_fields = fields[eps_arr.size :] + [finest]
 
     def sup_diff(a: SpaceTimeField, b: SpaceTimeField) -> float:
         if not a.times_match(b):

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+from collar import experiments, solver
+from collar.config import parse_config
 from collar.errors import ConfigError, LinearSolveError, SolveError, StepError
+from collar.experiments import run_experiment
 from collar.geometry import Domain, build_grid
 from collar.models import BoundaryData, DensityModel, InitialData, Nonlinearity
 from collar.operators import factor_tridiagonal, solve_factored, solve_tridiagonal
@@ -18,6 +23,7 @@ from collar.solver import (
     extract_limit_solution,
     flux_balance_defect,
     solve_eps_eta,
+    solve_members,
     step_implicit,
 )
 
@@ -73,7 +79,7 @@ class TestBlend:
 
     def test_cutoff_profile_bounds(self):
         d = np.linspace(0.0, 1.0, 101)
-        z = collar_cutoff(d, 0.2, 0.2)
+        z = collar_cutoff(d, 0.2)
         assert np.all((0.0 <= z) & (z <= 1.0))
         assert np.all(z[d <= 0.2] == 0.0)
         assert np.all(z[d >= 0.4] == 1.0)
@@ -404,3 +410,386 @@ class TestProperties:
         if p.flux.kind == "linear":
             slow = solve_eps_eta(dataclasses.replace(p, flux=generic(p.flux)))
             assert np.array_equal(fld.values, slow.values, equal_nan=True)
+
+
+def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 1):
+    """One problem stepped alone, as the solver did before members were batched.
+
+    Returns ``(times, values, meta)``, with the Newton iterations, the largest
+    accepted scaled residual and the halvings in ``meta``.
+    """
+    lay, op, tol = p.layout, p._window_op, scheme.newton_tol
+    lagged = scheme.stepping == "semi-implicit-lagged"
+
+    def step(state, t_new, dt):
+        t_bc = t_new if p.phi.time_dependent else 0.0
+        bc = np.asarray(p.phi.phi(lay.dir_points, t_bc), dtype=float) + p.eta
+        u = state.copy()
+        u[lay.dir_local] = bc
+        scale = dt / p._rho_w
+
+        def residual(v):
+            res = (v - state) - scale * op.apply(np.asarray(p.flux.g(v)))
+            res[lay.dir_local] = v[lay.dir_local] - bc
+            return res, float(np.abs(res).max())
+
+        res, norm = residual(u)
+        iters = 0
+        while norm > tol and iters < (1 if lagged else scheme.max_iterations):
+            gp = np.maximum(np.asarray(p.flux.dg(state if lagged else u), dtype=float),
+                            scheme.jacobian_floor)
+            lo, up = np.zeros_like(gp), np.zeros_like(gp)
+            lo[1:] = -scale[1:] * op.lo[1:] * gp[:-1]
+            up[:-1] = -scale[:-1] * op.up[:-1] * gp[1:]
+            di = 1.0 - scale * op.di * gp
+            lo[lay.dir_local] = up[lay.dir_local] = 0.0
+            di[lay.dir_local] = 1.0
+            delta = solve_tridiagonal(lo, di, up, -res)
+            if not np.isfinite(delta).all():
+                raise StepError("Newton update is not finite")
+            frac = 1.0
+            for _ in range(9):
+                trial_res, trial_norm = residual(u + frac * delta)
+                if trial_norm < norm * (1.0 - 1e-4) or trial_norm <= tol:
+                    u, res, norm = u + frac * delta, trial_res, trial_norm
+                    break
+                frac *= 0.5
+            else:
+                u = u + 0.1 * delta
+                res, norm = residual(u)
+            iters += 1
+        if not math.isfinite(norm) or (not lagged and norm > tol):
+            raise StepError("Newton did not converge")
+        return u, iters, norm
+
+    n_outer = int(round(p.horizon / p.dt))
+    if n_outer < 1 or abs(n_outer * p.dt - p.horizon) > 1e-8 * p.horizon:
+        n_outer = max(1, int(np.ceil(p.horizon / p.dt - 1e-12)))
+    u = p.initial_window()
+    times, stored = [0.0], [u]
+    depth = clean = total_iters = halvings = 0
+    worst = 0.0
+    t = 0.0
+    for k in range(n_outer):
+        t_next = p.horizon if k == n_outer - 1 else (k + 1) * p.dt
+        while True:
+            try:
+                v = u
+                nsub = 2**depth
+                for j in range(nsub):
+                    a = t + (t_next - t) * j / nsub
+                    b = t + (t_next - t) * (j + 1) / nsub
+                    v, it, res = step(v, b, b - a)
+                    total_iters += it
+                    worst = max(worst, res)
+                break
+            except StepError:
+                depth, clean, halvings = depth + 1, 0, halvings + 1
+                if depth > 10:
+                    raise SolveError("time step exhausted") from None
+        u, t = v, t_next
+        clean += 1
+        if depth > 0 and clean >= 20:
+            depth, clean = depth - 1, 0
+        if (k + 1) % store_stride == 0 or k == n_outer - 1:
+            times.append(t)
+            stored.append(u)
+    values = np.full((p.grid.n, len(times)), np.nan)
+    values[lay.m0 : lay.m1 + 1] = np.column_stack(stored)
+    meta = {"newton_iterations": total_iters, "max_scaled_residual": worst,
+            "step_halvings": halvings}
+    return np.array(times), values, meta
+
+
+def assert_members_match_alone(make, scheme=None, store_stride=1):
+    """``solve_members(make())`` equals each member solved alone and the reference.
+
+    ``make`` builds fresh problems for every solve, so a flux that counts its
+    calls starts afresh each time.
+    """
+    scheme = scheme or SolverScheme()
+    batch = solve_members(make(), scheme, store_stride=store_stride)
+    for k, fld in enumerate(batch):
+        alone = solve_eps_eta(make()[k], scheme, store_stride=store_stride)
+        times, values, meta = reference_solve(make()[k], scheme, store_stride)
+        assert np.array_equal(fld.values, alone.values, equal_nan=True), k
+        assert np.array_equal(fld.times, alone.times)
+        assert fld.meta == alone.meta
+        assert np.array_equal(fld.values, values, equal_nan=True), k
+        assert np.array_equal(fld.times, times)
+        assert {key: fld.meta[key] for key in meta} == meta
+    return batch
+
+
+BALL = Domain.ball(1.0, dim=2)
+
+
+def pme_problem(nodes, m=3.0, dom=DOM, eps=0.0, dt=0.5, horizon=2.0, flux=None, **kw):
+    args = dict(
+        grid=build_grid(dom, nodes), rho=DensityModel.constant(1.0, dom),
+        flux=flux or Nonlinearity.porous_medium(m),
+        phi=BoundaryData.constant(1.0, horizon=max(horizon, 1.0)),
+        initial=InitialData.constant(0.0), eps=eps, eta=0.0, eta_cap=0.1,
+        horizon=horizon, dt=dt,
+    )
+    args.update(kw)
+    return ApproxProblem(**args)
+
+
+def nan_above(flux: Nonlinearity, cap: float) -> Nonlinearity:
+    """``flux`` with a NaN value above ``cap``, as if it overflowed there."""
+
+    def g(u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u > cap, np.nan, flux.g(u))
+
+    return Nonlinearity("nan-above", g, flux.dg, flux.g_inv, flux.alpha0)
+
+
+def nan_jacobian_first(flux: Nonlinearity, calls: int) -> Nonlinearity:
+    """``flux`` whose derivative is NaN on its first ``calls`` evaluations."""
+    seen = []
+
+    def dg(u):
+        seen.append(None)
+        out = np.asarray(flux.dg(u), dtype=float)
+        return out * np.nan if len(seen) <= calls else out
+
+    return Nonlinearity("nan-jacobian-first", flux.g, dg, flux.g_inv, flux.alpha0)
+
+
+class TestBatchedMembers:
+    def test_only_one_member_halves(self):
+        # Porous-medium m = 3 at dt = 0.5 from u0 = 0 to a trace of 1: the
+        # 65-node member needs five halvings, the coarser ones none.
+        fields = assert_members_match_alone(lambda: [pme_problem(n) for n in (17, 33, 65)])
+        assert [f.meta["step_halvings"] for f in fields] == [0, 0, 5]
+
+    def test_member_backtracking_through_nan_flux_values(self):
+        # The middle member's Newton trials overshoot into NaN flux values and
+        # its line search backs off while its neighbours accept full steps.
+        def make():
+            flux = nan_above(Nonlinearity.porous_medium(3.0), 1.05)
+            return [pme_problem(33), pme_problem(65, flux=flux), pme_problem(17)]
+
+        assert_members_match_alone(make)
+
+    def test_non_finite_jacobian_fails_its_member_alone(self):
+        def make():
+            flux = nan_jacobian_first(Nonlinearity.porous_medium(2.0), 1)
+            return [pme_problem(33, m=2.0, dt=0.05, horizon=0.2),
+                    pme_problem(17, flux=flux, dt=0.05, horizon=0.2),
+                    pme_problem(25, m=2.0, dt=0.05, horizon=0.2)]
+
+        fields = assert_members_match_alone(make)
+        assert [f.meta["step_halvings"] for f in fields] == [0, 1, 0]
+
+    @pytest.mark.parametrize("owner, offset", [(0, -1), (1, 0)])  # either side of a block edge
+    def test_zero_pivot_maps_to_the_member_owning_its_row(self, monkeypatch, owner, offset):
+        def make():
+            return [pme_problem(n, m=2.0, dt=0.05, horizon=0.2) for n in (17, 33, 25)]
+
+        alone = [solve_eps_eta(p) for p in make()]
+        row = make()[0].layout.size + offset
+        calls = []
+
+        def singular_once(lo, di, up, rhs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise LinearSolveError("zero pivot", info=row + 1)  # LAPACK counts from 1
+            return solve_tridiagonal(lo, di, up, rhs)
+
+        monkeypatch.setattr(solver, "solve_tridiagonal", singular_once)
+        fields = solve_members(make())
+        assert [f.meta["step_halvings"] for f in fields] == [int(k == owner) for k in range(3)]
+        for k in {0, 1, 2} - {owner}:
+            assert np.array_equal(fields[k].values, alone[k].values, equal_nan=True)
+            assert fields[k].meta == alone[k].meta
+
+    @pytest.mark.parametrize("m", [None, 2.0])  # prefactored and assembled Jacobians
+    def test_non_finite_residual_fails_its_member_alone(self, m):
+        # The middle member's trace is NaN on its third evaluation, so its
+        # residual is NaN from the start of that step while the others iterate;
+        # the next block is a ball whose free centre row meets the NaN trace.
+        def make():
+            calls = []
+
+            def trace(x, t):
+                calls.append(None)
+                return np.asarray(x, float) * 0.0 + (np.nan if len(calls) == 3 else 0.2)
+
+            flux = LIN if m is None else Nonlinearity.porous_medium(m)
+            nan_once = BoundaryData.from_callable(trace, horizon=1.0)
+            return [pme_problem(n, dom=dom, flux=flux, dt=1e-3, horizon=0.01, phi=phi)
+                    for n, dom, phi in ((33, DOM, BoundaryData.sine(0.2, 0.1, 2.0)),
+                                        (17, DOM, nan_once),
+                                        (21, BALL, BoundaryData.sine(0.2, 0.1, 2.0)))]
+
+        fields = assert_members_match_alone(make)
+        assert [f.meta["step_halvings"] for f in fields] == [0, 1, 0]
+
+    def test_free_ball_centre_row_starts_a_block(self):
+        def make():
+            ball = dict(dom=BALL, m=2.0, dt=5e-3, horizon=0.05,
+                        rho=DensityModel.power_law(0.5, BALL),
+                        phi=BoundaryData.sine(0.3, 0.1, 1.0, horizon=1.0))
+            return [pme_problem(17, m=2.0, dt=5e-3, horizon=0.05), pme_problem(33, **ball),
+                    pme_problem(25, eps=0.125, **ball), pme_problem(21, **ball)]
+
+        assert 0 not in make()[1].layout.dir_local
+        assert_members_match_alone(make)
+        assert_members_match_alone(make, SolverScheme(stepping="semi-implicit-lagged"))
+
+    def test_linear_members_share_one_factored_system(self):
+        def make():
+            return [heat_problem(nodes=65, horizon=0.02), radial_heat_problem(horizon=0.02),
+                    heat_problem(nodes=33, horizon=0.02, eps=0.125, eta=0.05)]
+
+        assert_members_match_alone(make, store_stride=3)
+
+    def test_members_on_different_lattices_step_apart(self):
+        def make():
+            return [heat_problem(nodes=33, horizon=0.02, dt=2e-3), heat_problem(nodes=65, horizon=0.02),
+                    pme_problem(25, m=2.0, dt=5e-3, horizon=0.02)]
+
+        assert_members_match_alone(make, store_stride=2)
+
+    def test_factor_cache_stays_bounded(self):
+        batch = solver._Batch([heat_problem(), radial_heat_problem()])
+        for k in range(10):
+            batch.linear_factors(1e-3 * (1 + k), 1e-8)
+        assert len(batch._lu) == solver._LU_CACHE
+
+    def test_solve_error_names_the_failing_member(self):
+        nan_trace = BoundaryData.from_callable(
+            lambda x, t: np.where(np.asarray(t) > 0.005, np.nan, 0.0) + 0.0 * np.asarray(x),
+            horizon=1.0,
+        )
+        good = heat_problem(horizon=0.01)
+        bad = dataclasses.replace(good, phi=nan_trace, eps=0.125, eta=0.05)
+        with pytest.raises(SolveError, match=r"member 2 \(eps = 0.125, eta = 0.05\) at t = 0.005"):
+            solve_members([good, good, bad])
+
+
+@st.composite
+def member_sets(draw):
+    fluxes = [LIN if m is None else Nonlinearity.porous_medium(m)
+              for m in draw(st.lists(st.one_of(st.none(), st.floats(1.5, 3.0)),
+                                     min_size=1, max_size=2))]
+    traces = [BoundaryData.sine(draw(st.floats(0.0, 0.5)), draw(st.sampled_from([0.0, 0.2])),
+                                draw(st.floats(0.5, 3.0)), horizon=1.0)
+              for _ in range(draw(st.integers(1, 2)))]
+    dts = draw(st.lists(st.sampled_from([5e-3, 1e-2]), min_size=1, max_size=2))
+    members = []
+    for _ in range(draw(st.integers(1, 5))):
+        dom = draw(st.sampled_from([DOM, BALL]))
+        rho = (DensityModel.constant(draw(st.floats(0.5, 2.0)), dom) if draw(st.booleans())
+               else DensityModel.power_law(draw(st.floats(0.0, 2.0)), dom))
+        members.append(dict(
+            grid=build_grid(dom, draw(st.sampled_from([17, 25, 33]))), rho=rho,
+            flux=draw(st.sampled_from(fluxes)), phi=draw(st.sampled_from(traces)),
+            initial=InitialData.sine(dom, draw(st.floats(-1.0, 1.0)), draw(st.integers(1, 3)),
+                                     offset=draw(st.floats(0.0, 0.5))),
+            eps=draw(st.sampled_from([0.0, 0.125, 0.25])), eta=draw(st.floats(0.0, 0.1)),
+            eta_cap=0.1, horizon=0.05, dt=draw(st.sampled_from(dts)),
+        ))
+    stepping = draw(st.sampled_from(["implicit-newton", "semi-implicit-lagged"]))
+    return members, SolverScheme(stepping=stepping), draw(st.integers(1, 3))
+
+
+class TestMemberProperties:
+    @given(member_sets())
+    @settings(max_examples=30, deadline=None)
+    def test_batch_equals_each_member_alone(self, drawn):
+        members, scheme, stride = drawn
+
+        def make():
+            return [ApproxProblem(**kw) for kw in members]
+
+        try:
+            [solve_eps_eta(p, scheme) for p in make()]
+        except SolveError:
+            with pytest.raises(SolveError):
+                solve_members(make(), scheme)
+            return
+        assert_members_match_alone(make, scheme, stride)
+
+
+SWEEP_CFG = """
+[domain]
+kind = interval
+a = 0.0
+b = 1.0
+
+[density]
+kind = power
+alpha = 1.0
+
+[nonlinearity]
+kind = porous-medium
+m = 2.0
+
+[boundary]
+kind = sine
+offset = 0.6
+amplitude = 0.15
+frequency = 0.5
+
+[initial]
+kind = constant
+value = 0.3
+
+[numerics]
+nodes = 41
+dt = 0.01
+t_final = 0.1
+store_stride = 2
+
+[experiment]
+kind = dichotomy-sweep
+eps_list = 0.2, 0.1, 0.05, 0.025
+alpha_list = 1.0, 3.0
+conflict_offset = 0.3
+tau = 0.05
+threshold = 0.05
+"""
+
+
+class TestOneSolvePerSweep:
+    @staticmethod
+    def count_members(monkeypatch, module):
+        sizes = []
+        real = module.solve_members
+
+        def counted(problems, *args, **kwargs):
+            sizes.append(len(problems))
+            return real(problems, *args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_members", counted)
+        return sizes
+
+    def test_dichotomy_solves_all_members_at_once(self, tmp_path, monkeypatch):
+        sizes = self.count_members(monkeypatch, experiments)
+        assert run_experiment(parse_config(SWEEP_CFG), tmp_path) in (0, 1)
+        assert sizes == [2 * 2 * 4]
+
+    def test_attainment_solves_all_levels_at_once(self, tmp_path, monkeypatch):
+        sizes = self.count_members(monkeypatch, experiments)
+        doc = SWEEP_CFG.replace("kind = dichotomy-sweep", "kind = attainment").replace(
+            "alpha_list = 1.0, 3.0\nconflict_offset = 0.3\n", "")
+        assert run_experiment(parse_config(doc), tmp_path) in (0, 1)
+        assert sizes == [4]
+
+    def test_family_solves_all_members_at_once(self, monkeypatch):
+        sizes = self.count_members(monkeypatch, solver)
+        extract_limit_solution(heat_problem(nodes=81, horizon=0.01),
+                               [0.2, 0.1, 0.05, 0.025], [0.1, 0.05, 0.025])
+        assert sizes == [6]
+
+    def test_failed_sweep_names_the_member_in_its_report(self, tmp_path):
+        doc = SWEEP_CFG.replace("value = 0.3", "value = nan")
+        assert run_experiment(parse_config(doc), tmp_path) == 3
+        error = json.loads((tmp_path / "report.json").read_text())["error"]
+        assert error["type"] == "SolveError"
+        assert error["message"].startswith(
+            "member 0 (eps = 0.2, eta = 0) at t = 0: initial state is not finite")
