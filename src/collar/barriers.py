@@ -26,12 +26,12 @@ from .models import (
     InitialData,
     Nonlinearity,
     PowerMajorant,
+    _GAUSS_W,
+    _GAUSS_X,
     _dyadic_pieces,
     h4_integral,
 )
 from .operators import assemble_diffusion
-
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 
 CASES = ("potential-timed", "miller-timed", "potential-stationary", "miller-stationary")
 SIDES = ("lower", "upper")

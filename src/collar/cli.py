@@ -38,8 +38,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once at import: construction looks up gettext translations, which
+# imports ``locale``, so a first call would otherwise pay for it.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = parse_config_file(args.config)
     except FileNotFoundError:

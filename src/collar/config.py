@@ -265,7 +265,12 @@ def build_grid_from(cfg: ExperimentConfig, domain: Domain) -> Grid:
 
 
 def _load_table(path: str):
-    data = np.loadtxt(path)
+    try:
+        data = np.loadtxt(path)
+    except OSError as exc:
+        _fail(f"table file {path!r} cannot be read: {exc}")
+    except ValueError as exc:
+        _fail(f"table file {path!r} is not a numeric table: {exc}")
     if data.ndim != 2 or data.shape[1] != 2:
         _fail(f"table file {path!r} must have two numeric columns")
     return data[:, 0], data[:, 1]

@@ -9,17 +9,66 @@ zero-flux inner face.
 
 Tridiagonal systems go straight to LAPACK: ``gtsv`` for a one-off solve, or
 ``gttrf`` once and ``gttrs`` per right-hand side when the matrix is reused.
+
+The three routines come from scipy's compiled LAPACK wrapper,
+``scipy.linalg._flapack``, loaded straight from its file.  Importing it
+through ``scipy.linalg.lapack`` would run the package inits of ``scipy`` and
+``scipy.linalg``, which pull in ``scipy._lib._array_api``, ``numpy.testing``
+and ``numpy.f2py`` and roughly double the import time of ``collar``.  The
+extension needs numpy alone.  It is registered in ``sys.modules`` under its
+own name, so a later ``import scipy.linalg`` reuses the same module and the
+same routine objects; if scipy imported it first, that module is reused here.
+``_flapack`` is private to scipy: when its file is not where this loader
+looks, the public ``scipy.linalg.lapack`` is imported instead.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import LinearSolveError
 from .geometry import BALL, Grid
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_path():
+    """File of scipy's compiled LAPACK wrapper, found without importing scipy; None if absent."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(root, "linalg", "_flapack" + suffix)
+            if path.is_file():
+                return path
+    return None
+
+
+def _load_lapack():
+    """The module holding scipy's ``d*`` LAPACK routines, without scipy's package inits."""
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    path = _flapack_path()
+    if path is None:
+        from scipy.linalg import lapack
+
+        return lapack
+    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_FLAPACK] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_lapack = _load_lapack()
+dgtsv, dgttrf, dgttrs = _lapack.dgtsv, _lapack.dgttrf, _lapack.dgttrs
 
 
 @dataclass(frozen=True)

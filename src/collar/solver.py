@@ -159,7 +159,7 @@ class ApproxProblem:
         if comp.size != m1 - m0 + 1:
             raise ConfigError("computational window is not contiguous")
         dir_local = dir_global - m0
-        free_local = np.setdiff1d(np.arange(m1 - m0 + 1), dir_local)
+        free_local = np.flatnonzero(~_index_mask(m1 - m0 + 1, dir_local))
         if free_local.size < 3:
             raise ConfigError("fewer than 3 interior unknowns at this collar level")
         points = grid.domain.nearest_boundary_point(grid.nodes[dir_global])
@@ -216,6 +216,19 @@ class SpaceTimeField:
         np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
+def _index_mask(size: int, *indices) -> np.ndarray:
+    """Boolean mask of ``range(size)`` marking every index in ``indices``.
+
+    Set operations on index arrays go through it, not ``np.setdiff1d`` or
+    ``np.union1d``: those sort via ``np.unique``, whose first call imports
+    ``numpy.ma``.
+    """
+    mask = np.zeros(size, dtype=bool)
+    for idx in indices:
+        mask[idx] = True
+    return mask
+
+
 def _identity_rows(bands, rhs, rows) -> None:
     """Turns ``rows`` into identity rows with a zero right-hand side, which solve to 0."""
     j_lo, j_di, j_up = bands
@@ -261,8 +274,9 @@ class _Batch:
         self.rho = np.concatenate([p._rho_w for p in problems])
         self.dir = np.concatenate([p.layout.dir_local + s for p, s in zip(problems, self.starts)])
         # A band is zero at an imposed row and wherever it would couple two blocks.
-        self._lo_zero = np.union1d(self.dir, self.starts)
-        self._up_zero = np.union1d(self.dir, self.starts + self.sizes - 1)
+        total = int(self.sizes.sum())
+        self._lo_zero = np.flatnonzero(_index_mask(total, self.dir, self.starts))
+        self._up_zero = np.flatnonzero(_index_mask(total, self.dir, self.starts + self.sizes - 1))
         self.linear = all(p.flux.kind == "linear" for p in problems)
         self._runs = []  # (flux, rows) per run of neighbours sharing one flux
         for p, s, n in zip(problems, self.starts, self.sizes):

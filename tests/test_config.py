@@ -226,6 +226,22 @@ class TestCli:
         code = cli_main(["solve", "--config", str(cfg)])
         assert code == 2
 
+    @pytest.mark.parametrize("model", ["kind = constant\nc = 1.0", "kind = linear"],
+                             ids=["density", "nonlinearity"])
+    @pytest.mark.parametrize("content", [None, "0.0 1.0\n0.5 abc\n"], ids=["missing", "malformed"])
+    def test_unreadable_table_is_a_config_error(self, tmp_path, capsys, model, content):
+        table = tmp_path / "table.txt"
+        if content is not None:
+            table.write_text(content)
+        cfg = self._write(tmp_path, MINIMAL_HEAT.replace(model, f"kind = table\nfile = {table}"))
+        assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+        assert f"config error: table file {str(table)!r}" in capsys.readouterr().err
+        assert cli_main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        report = json.loads((tmp_path / "s/report.json").read_text())
+        assert report["verdict"] == "error"
+        assert report["error"]["type"] == "ConfigParseError"
+        assert str(table) in report["error"]["message"]
+
     def test_non_finite_initial_data_exits_numerical_error(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL_HEAT.replace("amplitude = 1.0", "amplitude = nan"))
         code = cli_main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])

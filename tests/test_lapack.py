@@ -1,0 +1,227 @@
+"""The LAPACK boundary: how ``collar.operators`` loads its three routines.
+
+``collar.operators`` loads scipy's private ``_flapack`` extension from its
+file, skipping the package inits of ``scipy`` and ``scipy.linalg``.  These
+tests pin that the routines are scipy's own (bit for bit, in either import
+order), that the public import takes over when the file is missing, and that
+neither importing ``collar.cli`` nor a first experiment call pulls scipy's
+package inits, ``numpy.testing``, ``numpy.f2py`` or ``numpy.ma`` back in.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import scipy.linalg.lapack
+
+from collar import operators
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(code: str, cwd=None) -> str:
+    """Runs ``code`` in a fresh interpreter with ``collar`` importable; returns its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def within(module: str, *packages: str) -> bool:
+    """Whether ``module`` is one of ``packages`` or inside one."""
+    return any(module == p or module.startswith(p + ".") for p in packages)
+
+
+BIT_IDENTITY = """
+import numpy as np
+{first}
+{second}
+ops, lapack = collar.operators, scipy.linalg.lapack
+assert ops.dgtsv is lapack.dgtsv and ops.dgttrf is lapack.dgttrf and ops.dgttrs is lapack.dgttrs
+rng = np.random.default_rng(11)
+pivoted = 0
+for n in (5, 6, 17, 64, 201, 400, 801):
+    for dominance in (1.0, 0.2):  # 0.2 forces row interchanges
+        lo, up = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+        di = dominance * (2.0 + rng.uniform(0.0, 1.0, n)) * rng.choice([-1.0, 1.0], n)
+        rhs = rng.standard_normal(n)
+        *_, x, info = lapack.dgtsv(lo[1:], di, up[:-1], rhs)
+        assert info == 0 and np.array_equal(ops.solve_tridiagonal(lo, di, up, rhs), x)
+        *factors, info = lapack.dgttrf(lo[1:], di, up[:-1])
+        assert info == 0
+        mine = ops.factor_tridiagonal(lo, di, up)
+        assert all(np.array_equal(a, b) for a, b in zip(mine, factors))
+        pivoted += bool(np.any(factors[-1] != np.arange(1, n + 1)))
+        for b in (rhs, rng.standard_normal(n)):
+            x, info = lapack.dgttrs(*factors, b)
+            assert info == 0 and np.array_equal(ops.solve_factored(mine, b), x)
+assert pivoted >= 7, pivoted
+print("ok")
+"""
+
+
+def test_routines_are_scipys_bit_for_bit_with_collar_imported_first():
+    code = BIT_IDENTITY.format(first="import collar.operators", second="import scipy.linalg.lapack")
+    assert run_python(code).strip() == "ok"
+
+
+def test_routines_are_scipys_bit_for_bit_with_scipy_imported_first():
+    code = BIT_IDENTITY.format(first="import scipy.linalg.lapack", second="import collar.operators")
+    assert run_python(code).strip() == "ok"
+
+
+def test_public_import_when_the_extension_file_is_missing(monkeypatch):
+    monkeypatch.setattr(operators, "_flapack_path", lambda: None)
+    monkeypatch.delitem(sys.modules, operators._FLAPACK)
+    module = operators._load_lapack()
+    assert module is scipy.linalg.lapack
+    lo, di, up = np.full(9, -1.0), np.full(9, 2.5), np.full(9, -1.0)
+    rhs = np.linspace(0.0, 1.0, 9)
+    *_, x, info = module.dgtsv(lo[1:], di, up[:-1], rhs)
+    assert info == 0 and np.array_equal(x, operators.solve_tridiagonal(lo, di, up, rhs))
+
+
+def test_import_leaves_scipy_package_inits_out():
+    out = run_python("""
+        import json, sys
+        import collar.cli
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    modules = json.loads(out)
+    assert [m for m in modules if within(m, "scipy")] == ["scipy.linalg._flapack"]
+    assert [m for m in modules if within(m, "numpy.testing", "numpy.f2py", "numpy.ma")] == []
+
+
+FAMILY = """
+[domain]
+kind = interval
+a = 0.0
+b = 1.0
+
+[density]
+kind = constant
+c = 1.0
+
+[nonlinearity]
+kind = linear
+
+[boundary]
+kind = constant
+value = 0.0
+
+[initial]
+kind = sine
+amplitude = 1.0
+
+[numerics]
+nodes = 81
+dt = 0.001
+t_final = 0.05
+
+[experiment]
+kind = family
+eps_list = 0.2, 0.1, 0.05, 0.025
+eta_list = 0.1, 0.05, 0.025
+"""
+
+SWEEP = """
+[domain]
+kind = interval
+a = 0.0
+b = 1.0
+
+[density]
+kind = power
+alpha = 1.0
+
+[nonlinearity]
+kind = porous-medium
+m = 2.0
+
+[boundary]
+kind = sine
+offset = 0.6
+amplitude = 0.15
+frequency = 0.5
+
+[initial]
+kind = constant
+value = 0.3
+
+[numerics]
+nodes = 41
+dt = 0.01
+t_final = 0.2
+
+[experiment]
+kind = dichotomy-sweep
+eps_list = 0.2, 0.15, 0.1, 0.05
+alpha_list = 1.0, 3.0
+tau = 0.1
+"""
+
+CERTIFY = """
+[domain]
+kind = interval
+a = 0.0
+b = 2.0
+collar_cap = 0.6
+
+[density]
+kind = table
+file = density.txt
+
+[nonlinearity]
+kind = linear
+
+[boundary]
+kind = constant
+value = 1.0
+
+[initial]
+kind = constant
+value = 1.0
+
+[numerics]
+nodes = 201
+dt = 0.001
+t_final = 1.0
+
+[experiment]
+kind = barrier-certify
+barrier_case = potential-timed
+barrier_side = both
+sigma = 0.1
+t0 = 0.5
+"""
+
+
+def test_first_calls_leave_numpy_ma_scipy_linalg_and_locale_unloaded(tmp_path):
+    xs = np.linspace(0.0, 2.0, 41)
+    np.savetxt(tmp_path / "density.txt", np.column_stack([xs, 1.0 + 0.2 * np.sin(xs)]))
+    kinds = {"family": FAMILY, "dichotomy-sweep": SWEEP, "barrier-certify": CERTIFY}
+    for kind, text in kinds.items():
+        (tmp_path / f"{kind}.cfg").write_text(text)
+    out = run_python("""
+        import contextlib, io, json, sys
+        from collar import cli
+        calls = {}
+        for kind in ("family", "dichotomy-sweep", "barrier-certify"):
+            before = set(sys.modules)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([kind, "--config", kind + ".cfg", "--out", kind])
+            calls[kind] = [code, sorted(set(sys.modules) - before)]
+        print(json.dumps(calls))
+    """, cwd=tmp_path)
+    calls = json.loads(out)
+    assert set(calls) == set(kinds)
+    for kind, (code, new) in calls.items():
+        assert code == 0, (kind, code)
+        unwanted = [m for m in new if within(m, "scipy", "numpy.ma", "locale")]
+        assert unwanted == [], (kind, unwanted)

@@ -660,6 +660,20 @@ class TestBatchedMembers:
             batch.linear_factors(1e-3 * (1 + k), 1e-8)
         assert len(batch._lu) == solver._LU_CACHE
 
+    def test_index_sets_equal_numpy_set_operations(self):
+        problems = [pme_problem(17), pme_problem(33, eps=0.125), pme_problem(21, dom=BALL),
+                    pme_problem(25, dom=BALL, eps=0.25)]
+        for p in problems:
+            old = np.setdiff1d(np.arange(p.layout.size), p.layout.dir_local)
+            assert np.array_equal(p.layout.free_local, old)
+            assert p.layout.free_local.dtype == old.dtype
+        for members in (problems[:1], problems[2:3], problems, problems[::-1]):
+            batch = solver._Batch(members)
+            ends = batch.starts + batch.sizes - 1
+            for new, old in ((batch._lo_zero, np.union1d(batch.dir, batch.starts)),
+                             (batch._up_zero, np.union1d(batch.dir, ends))):
+                assert np.array_equal(new, old) and new.dtype == old.dtype
+
     def test_solve_error_names_the_failing_member(self):
         nan_trace = BoundaryData.from_callable(
             lambda x, t: np.where(np.asarray(t) > 0.005, np.nan, 0.0) + 0.0 * np.asarray(x),
