@@ -32,9 +32,7 @@ class DualityPotential:
 
     grid: Grid
     eps: float
-    source: np.ndarray
     psi: np.ndarray
-    interface_idx: np.ndarray
     normal_derivatives: np.ndarray
     flux_sum: float
     source_integral: float
@@ -108,9 +106,7 @@ def solve_duality_potential(grid: Grid, eps: float, source: np.ndarray) -> Duali
     return DualityPotential(
         grid=grid,
         eps=eps,
-        source=f,
         psi=psi,
-        interface_idx=cls.interface,
         normal_derivatives=np.array(normal_derivs),
         flux_sum=float(flux_sum),
         source_integral=source_integral,

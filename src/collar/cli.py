@@ -47,8 +47,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = parse_config_file(args.config)
-    except FileNotFoundError:
-        print(f"config file not found: {args.config}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (ConfigParseError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -449,13 +449,11 @@ def build_nondegenerate_surrogate(
 class BoundaryData:
     """Dirichlet trace ``phi(x0, t)`` on boundary points over [0, horizon]."""
 
-    def __init__(self, func, *, horizon=1.0, time_dependent=True, positivity_floor=0.0,
-                 kind="custom"):
+    def __init__(self, func, *, horizon=1.0, time_dependent=True, positivity_floor=0.0):
         self._func = func
         self.horizon = float(horizon)
         self.time_dependent = bool(time_dependent)
         self.positivity_floor = float(positivity_floor)
-        self.kind = kind
 
     @classmethod
     def constant(cls, value: float, horizon: float = 1.0, positivity_floor: float = 0.0):
@@ -465,7 +463,6 @@ class BoundaryData:
             horizon=horizon,
             time_dependent=False,
             positivity_floor=positivity_floor,
-            kind="constant",
         )
 
     @classmethod
@@ -475,7 +472,6 @@ class BoundaryData:
             horizon=horizon,
             time_dependent=(rate != 0.0),
             positivity_floor=positivity_floor,
-            kind="ramp",
         )
 
     @classmethod
@@ -486,7 +482,7 @@ class BoundaryData:
                     + amplitude * np.sin(2.0 * np.pi * frequency * np.asarray(t, float)))
 
         return cls(f, horizon=horizon, time_dependent=(amplitude != 0.0),
-                   positivity_floor=positivity_floor, kind="sine")
+                   positivity_floor=positivity_floor)
 
     @classmethod
     def sided(cls, left: float, right: float, domain: Domain, horizon: float = 1.0,
@@ -499,13 +495,13 @@ class BoundaryData:
             return out
 
         return cls(f, horizon=horizon, time_dependent=False,
-                   positivity_floor=positivity_floor, kind="sided")
+                   positivity_floor=positivity_floor)
 
     @classmethod
     def from_callable(cls, func, horizon: float = 1.0, time_dependent: bool = True,
                       positivity_floor: float = 0.0):
         return cls(func, horizon=horizon, time_dependent=time_dependent,
-                   positivity_floor=positivity_floor, kind="custom")
+                   positivity_floor=positivity_floor)
 
     def phi(self, x, t):
         out = np.asarray(self._func(x, t), dtype=float)
@@ -523,13 +519,12 @@ class BoundaryData:
 class InitialData:
     """Bounded continuous initial state ``u0(x)`` on the open domain."""
 
-    def __init__(self, func, kind="custom"):
+    def __init__(self, func):
         self._func = func
-        self.kind = kind
 
     @classmethod
     def constant(cls, value: float):
-        return cls(lambda x: np.asarray(x, float) * 0.0 + value, "constant")
+        return cls(lambda x: np.asarray(x, float) * 0.0 + value)
 
     @classmethod
     def sine(cls, domain: Domain, amplitude: float = 1.0, mode: int = 1, offset: float = 0.0):
@@ -539,7 +534,7 @@ class InitialData:
             x = np.asarray(x, float)
             return offset + amplitude * np.sin(mode * np.pi * (x - domain.lo) / w)
 
-        return cls(f, "sine")
+        return cls(f)
 
     @classmethod
     def from_callable(cls, func):

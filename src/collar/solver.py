@@ -7,13 +7,15 @@ data and the boundary trace across the collar.  Time stepping is implicit
 Euler with a damped Newton iteration on the tridiagonal system; the Jacobian
 floors the flux derivative so the linear solve stays regular where the flux
 degenerates, while the residual (and therefore the converged answer) is the
-unregularized scheme.
+unregularized scheme.  There is no other scheme: a step is accepted only at
+the Newton tolerance, and a step that does not reach it is halved.
 
 Members of a family or sweep that share the time lattice step together: their
 windows are laid end to end as one block-diagonal tridiagonal system whose
 coupling bands are zero, so every LAPACK call returns each block's own
 solution and every member's trajectory is bit-identical to solving it alone.
-Convergence, line search and failure are per member.  For a linear flux the
+Convergence, line search, failure and step halving are per member, and each
+member keeps its state and counters in one record.  For a linear flux the
 Jacobian depends only on the step size and the floor, so a batch factors it
 once per ``(dt, floor)`` and reuses the LU factors (LAPACK ``gttrs``); every
 other flux assembles its Jacobian bands each iteration and solves them with
@@ -85,16 +87,17 @@ def blend_initial_data(
 
 @dataclass(frozen=True)
 class SolverScheme:
-    """Numerical knobs of the implicit stepper."""
+    """Numerical knobs of the implicit Euler step and its damped Newton iteration.
 
-    stepping: str = "implicit-newton"  # or "semi-implicit-lagged"
+    A step is accepted only once every member's scaled residual is at most
+    ``newton_tol``; otherwise it fails within ``max_iterations`` and is halved.
+    """
+
     newton_tol: float = 1e-10
     max_iterations: int = 30
     jacobian_floor: float = 1e-8
 
     def __post_init__(self):
-        if self.stepping not in ("implicit-newton", "semi-implicit-lagged"):
-            raise ConfigError(f"unknown stepping kind {self.stepping!r}")
         if self.jacobian_floor < 0.0:
             raise ConfigError("jacobian floor must be nonnegative")
 
@@ -132,8 +135,8 @@ class ApproxProblem:
     def __post_init__(self):
         if not (0.0 <= self.eta <= self.eta_cap + 1e-15):
             raise ConfigError(f"lift {self.eta} must lie in [0, {self.eta_cap}]")
-        if self.dt <= 0.0 or self.horizon <= 0.0:
-            raise ConfigError("time step and horizon must be positive")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.horizon < math.inf):
+            raise ConfigError("time step and horizon must be positive and finite")
         if self.phi.horizon < self.horizon * (1.0 - 1e-12):
             raise ConfigError("boundary data horizon shorter than the solve horizon")
         self._layout = self._build_layout()
@@ -404,8 +407,7 @@ def _newton(batch: _Batch, state, scheme: SolverScheme, t_new: float, dt: float)
     errors = {}
     iters = [0] * len(norms)
     live = [r > tol for r in norms]  # a NaN residual compares False and fails below
-    lagged = scheme.stepping == "semi-implicit-lagged"
-    for _ in range(1 if lagged else scheme.max_iterations):
+    for _ in range(scheme.max_iterations):
         if not any(live):
             break
         rhs = -res
@@ -414,8 +416,7 @@ def _newton(batch: _Batch, state, scheme: SolverScheme, t_new: float, dt: float)
         if batch.linear:
             delta = solve_factored(batch.linear_factors(dt, scheme.jacobian_floor), rhs)
         else:
-            gp = np.maximum(np.asarray(batch.dg(u_old if lagged else u), dtype=float),
-                            scheme.jacobian_floor)
+            gp = np.maximum(np.asarray(batch.dg(u), dtype=float), scheme.jacobian_floor)
             bands = batch.bands(scale, gp)
             delta = batch.solve(bands, rhs, live, errors)
             if not _all_finite(delta) and not np.isfinite(gp).all():
@@ -460,7 +461,7 @@ def _newton(batch: _Batch, state, scheme: SolverScheme, t_new: float, dt: float)
                 live[k] = norms[k] > tol
 
     for k, r in enumerate(norms):
-        if k in errors or (math.isfinite(r) and (lagged or r <= tol)):
+        if k in errors or r <= tol:  # a NaN residual compares False
             continue
         if not math.isfinite(r):
             message = f"scaled residual is not finite after {iters[k]} iterations"
@@ -493,8 +494,59 @@ def step_implicit(
     return u, iters[0], norms[0]
 
 
-def _member(ids, k: int, problem: ApproxProblem, t: float) -> str:
-    return f"member {ids[k]} (eps = {problem.eps:.6g}, eta = {problem.eta:.6g}) at t = {t:.6g}"
+class _Member:
+    """One problem's progress through ``_advance``: window state, stored values, counters.
+
+    ``depth`` is the sub-step level of its outer steps (``2**depth`` sub-steps
+    each); ``clean`` counts its outer steps since that level last changed.
+    """
+
+    def __init__(self, index: int, problem: ApproxProblem, n_stored: int):
+        self.index = index  # position in the caller's list, named in errors
+        self.problem = problem
+        lay = problem.layout
+        self.state = problem.initial_window()
+        if not np.isfinite(self.state).all():
+            bad = problem.grid.nodes[lay.m0 + np.flatnonzero(~np.isfinite(self.state))]
+            raise SolveError(
+                f"{self.label(0.0)}: initial state is not finite at x = {bad[:5].tolist()}"
+            )
+        self.values = np.full((problem.grid.n, n_stored), np.nan)
+        self.window = self.values[lay.m0 : lay.m1 + 1]  # a view: rows of the window
+        self.window[:, 0] = self.state
+        self.depth = self.clean = self.halvings = self.iterations = 0
+        self.worst_residual = 0.0
+
+    def label(self, t: float) -> str:
+        p = self.problem
+        return f"member {self.index} (eps = {p.eps:.6g}, eta = {p.eta:.6g}) at t = {t:.6g}"
+
+    def field(self, times: np.ndarray, store_stride: int) -> SpaceTimeField:
+        p, lay = self.problem, self.problem.layout
+        K = p.bound_K
+        lo_data = min(
+            float(np.min(p.initial.u0(p.grid.nodes[lay.m0 : lay.m1 + 1]))),
+            p.phi.min_value(p.grid.domain),
+        )
+        max_ok = bool(
+            np.nanmax(self.window) <= K + 1e-6
+            and np.nanmin(self.window) >= lo_data - p.eta_cap - 1e-6
+        )
+        meta = {
+            "eps": p.eps,
+            "eta": p.eta,
+            "dt": p.dt,
+            "bound_K": K,
+            "newton_iterations": self.iterations,
+            "max_scaled_residual": self.worst_residual,
+            "step_halvings": self.halvings,
+            "max_principle_ok": max_ok,
+            "store_stride": store_stride,
+        }
+        mask = np.zeros(p.grid.n, dtype=bool)
+        mask[lay.m0 : lay.m1 + 1] = True
+        return SpaceTimeField(grid=p.grid, eps=p.eps, eta=p.eta, times=times.copy(),
+                              values=self.values, mask=mask, meta=meta)
 
 
 def _advance(problems, ids, scheme: SolverScheme, store_stride: int) -> list[SpaceTimeField]:
@@ -505,117 +557,73 @@ def _advance(problems, ids, scheme: SolverScheme, store_stride: int) -> list[Spa
         n_outer = max(1, int(np.ceil(p0.horizon / p0.dt - 1e-12)))
     times = np.empty(1 + n_outer // store_stride + (n_outer % store_stride != 0))
     times[0] = 0.0
-    states, values = [], []
-    for k, p in enumerate(problems):
-        lay = p.layout
-        u = p.initial_window()
-        if not np.isfinite(u).all():
-            bad = p.grid.nodes[lay.m0 + np.flatnonzero(~np.isfinite(u))]
-            raise SolveError(
-                f"{_member(ids, k, p, 0.0)}: initial state is not finite at x = {bad[:5].tolist()}"
-            )
-        vals = np.full((p.grid.n, times.size), np.nan)
-        vals[lay.m0 : lay.m1 + 1, 0] = u
-        states.append(u)
-        values.append(vals)
-
-    everyone = list(range(len(problems)))
-    depth = [0] * len(problems)
-    clean = [0] * len(problems)
-    halvings = [0] * len(problems)
-    total_iters = [0] * len(problems)
-    worst_res = [0.0] * len(problems)
+    members = [_Member(i, p, times.size) for i, p in zip(ids, problems)]
     batches = {}
 
-    def make_batch(members):
-        return _Batch([problems[k] for k in members])
+    def batch_of(group):
+        return _cached(batches, tuple(m.index for m in group),
+                       lambda _: _Batch([m.problem for m in group]), _BATCH_CACHE)
 
-    def substeps(members, level, t, t_next):
-        """Steps ``members`` over [t, t_next] in ``2**level`` sub-steps; returns the failures."""
+    def substeps(group, level, t, t_next):
+        """Steps ``group`` over [t, t_next] in ``2**level`` sub-steps; returns the failures."""
         nsub = 2**level
-        failed = {}
-        v = np.concatenate([states[k] for k in members])
+        failed = []
+        batch = batch_of(group)
+        v = np.concatenate([m.state for m in group])
         for j in range(nsub):
-            batch = _cached(batches, tuple(members), make_batch, _BATCH_CACHE)
             a = t + (t_next - t) * j / nsub
             b = t + (t_next - t) * (j + 1) / nsub
             v, iters, res, errors = _newton(batch, v, scheme, b, b - a)
-            for i, k in enumerate(members):
+            for i, m in enumerate(group):
                 if i not in errors:
-                    total_iters[k] += iters[i]
-                    worst_res[k] = max(worst_res[k], res[i])
+                    m.iterations += iters[i]
+                    m.worst_residual = max(m.worst_residual, res[i])
             if errors:
-                failed.update({members[i]: err for i, err in errors.items()})
-                keep = [i not in errors for i in range(len(members))]
+                failed.extend((group[i], err) for i, err in errors.items())
+                keep = [i not in errors for i in range(len(group))]
                 v = v[batch.rows(keep)]
-                members = [k for k, kept in zip(members, keep) if kept]
-                if not members:
+                group = [m for m, kept in zip(group, keep) if kept]
+                if not group:
                     break
-        offsets = np.cumsum([0] + [states[k].size for k in members]).tolist()
-        for k, a, b in zip(members, offsets[:-1], offsets[1:]):
-            states[k] = v[a:b]
+                if j + 1 < nsub:
+                    batch = batch_of(group)
+        offsets = np.cumsum([0] + [m.state.size for m in group]).tolist()
+        for m, a, b in zip(group, offsets[:-1], offsets[1:]):
+            m.state = v[a:b]
         return failed
 
     t = 0.0
     col = 0
     for step in range(n_outer):
         t_next = p0.horizon if step == n_outer - 1 else (step + 1) * p0.dt
-        by_depth = {}
-        for k in everyone:
-            by_depth.setdefault(depth[k], []).append(k)
-        while by_depth:
-            level = min(by_depth)
-            for k, err in substeps(sorted(by_depth.pop(level)), level, t, t_next).items():
-                depth[k] += 1
-                clean[k] = 0
-                halvings[k] += 1
-                if depth[k] > _MAX_DEPTH:
+        # Levels ascend: a member that fails at one level retries at the next.
+        pending, level = members, 0
+        while pending:
+            group = [m for m in pending if m.depth == level]
+            for m, err in substeps(group, level, t, t_next) if group else ():
+                m.depth += 1
+                m.clean = 0
+                m.halvings += 1
+                if m.depth > _MAX_DEPTH:
                     raise SolveError(
-                        f"{_member(ids, k, problems[k], t)}: time step exhausted after "
-                        f"{halvings[k]} halvings; last step error: {err}"
+                        f"{m.label(t)}: time step exhausted after {m.halvings} halvings; "
+                        f"last step error: {err}"
                     )
-                by_depth.setdefault(depth[k], []).append(k)
+            pending = [m for m in pending if m.depth > level]
+            level += 1
         t = t_next
-        for k in everyone:
-            clean[k] += 1
-            if depth[k] > 0 and clean[k] >= _RELAX_STEPS:
-                depth[k] -= 1
-                clean[k] = 0
+        for m in members:
+            m.clean += 1
+            if m.depth > 0 and m.clean >= _RELAX_STEPS:
+                m.depth -= 1
+                m.clean = 0
         if (step + 1) % store_stride == 0 or step == n_outer - 1:
             col += 1
             times[col] = t
-            for p, u, vals in zip(problems, states, values):
-                vals[p.layout.m0 : p.layout.m1 + 1, col] = u
+            for m in members:
+                m.window[:, col] = m.state
 
-    fields = []
-    for k, (p, vals) in enumerate(zip(problems, values)):
-        lay = p.layout
-        K = p.bound_K
-        window_vals = vals[lay.m0 : lay.m1 + 1, :]
-        lo_data = min(
-            float(np.min(p.initial.u0(p.grid.nodes[lay.m0 : lay.m1 + 1]))),
-            p.phi.min_value(p.grid.domain),
-        )
-        max_ok = bool(
-            np.nanmax(window_vals) <= K + 1e-6
-            and np.nanmin(window_vals) >= lo_data - p.eta_cap - 1e-6
-        )
-        meta = {
-            "eps": p.eps,
-            "eta": p.eta,
-            "dt": p.dt,
-            "bound_K": K,
-            "newton_iterations": total_iters[k],
-            "max_scaled_residual": worst_res[k],
-            "step_halvings": halvings[k],
-            "max_principle_ok": max_ok,
-            "store_stride": store_stride,
-        }
-        mask = np.zeros(p.grid.n, dtype=bool)
-        mask[lay.m0 : lay.m1 + 1] = True
-        fields.append(SpaceTimeField(grid=p.grid, eps=p.eps, eta=p.eta, times=times.copy(),
-                                     values=vals, mask=mask, meta=meta))
-    return fields
+    return [m.field(times, store_stride) for m in members]
 
 
 def solve_members(

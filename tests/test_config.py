@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -217,9 +218,42 @@ class TestCli:
         code = cli_main(["duality", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
 
-    def test_missing_config_file(self, tmp_path):
-        code = cli_main(["solve", "--config", str(tmp_path / "nope.cfg")])
+    def test_missing_config_file(self, tmp_path, capsys):
+        for command in ("validate", "solve"):
+            code = cli_main([command, "--config", str(tmp_path / "nope.cfg")])
+            assert code == 2
+            assert "config error: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_file(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "exp.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe" + MINIMAL_HEAT.encode())
+        code = cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
+        assert "config error: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["semi-implicit-lagged", "explicit"])
+    def test_only_scheme_is_implicit_newton(self, tmp_path, capsys, scheme):
+        doc = MINIMAL_HEAT.replace("t_final = 0.05", f"t_final = 0.05\nscheme = {scheme}")
+        code = cli_main(["solve", "--config", str(self._write(tmp_path, doc)),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "implicit-newton" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("nodes", "inf"), ("nodes", "1e400"),
+                                            ("dt", "nan"), ("dt", "inf"), ("t_final", "inf")])
+    def test_non_finite_numerics_are_config_errors(self, tmp_path, key, value):
+        doc = re.sub(rf"^{key} = .*$", f"{key} = {value}", MINIMAL_HEAT, flags=re.M)
+        cfg = self._write(tmp_path, doc)
+        assert cli_main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        with pytest.raises(ConfigParseError) as err:
+            parse_config(doc)
+        if key == "nodes":
+            assert err.value.line is not None
 
     def test_parse_error_exit_code(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL_HEAT.replace("nodes = 65", "nodes = 8"))

@@ -230,18 +230,6 @@ class TestLimitExtraction:
             extract_limit_solution(p, [0.2, 0.1, 0.05, 0.025], [0.1, 0.03])
 
 
-class TestScheme:
-    def test_lagged_scheme_close_to_newton_for_mild_step(self):
-        p = heat_problem(nodes=65, horizon=0.01, dt=1e-3)
-        a = solve_eps_eta(p, SolverScheme(), store_stride=10)
-        b = solve_eps_eta(p, SolverScheme(stepping="semi-implicit-lagged"), store_stride=10)
-        assert np.nanmax(np.abs(a.values - b.values)) <= 1e-9  # linear flux: identical
-
-    def test_unknown_stepping_rejected(self):
-        with pytest.raises(ConfigError):
-            SolverScheme(stepping="explicit")
-
-
 class TestDecayRule:
     def test_divergence_reported_not_raised(self):
         from collar.solver import LimitDiagnostics, _decays
@@ -311,13 +299,11 @@ def radial_heat_problem(nodes=65, dt=2e-3, horizon=0.04):
 
 
 class TestPrefactoredLinearPath:
-    @pytest.mark.parametrize("stepping", ["implicit-newton", "semi-implicit-lagged"])
     @pytest.mark.parametrize("make", [heat_problem, radial_heat_problem])
-    def test_bit_identical_to_generic_path(self, make, stepping):
+    def test_bit_identical_to_generic_path(self, make):
         p = make()
-        scheme = SolverScheme(stepping=stepping)
-        fast = solve_eps_eta(p, scheme)
-        slow = solve_eps_eta(dataclasses.replace(p, flux=generic(p.flux)), scheme)
+        fast = solve_eps_eta(p)
+        slow = solve_eps_eta(dataclasses.replace(p, flux=generic(p.flux)))
         assert np.array_equal(fast.values, slow.values, equal_nan=True)
         assert fast.meta["newton_iterations"] == slow.meta["newton_iterations"]
 
@@ -356,6 +342,12 @@ class TestNonFinite:
         with pytest.raises(SolveError, match="not finite"):
             solve_eps_eta(p)
 
+    @pytest.mark.parametrize("field, value", [("dt", math.inf), ("dt", math.nan),
+                                              ("dt", 0.0), ("horizon", math.inf)])
+    def test_time_step_and_horizon_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            dataclasses.replace(heat_problem(), **{field: value})
+
     def test_nan_state_raises_step_error(self):
         p = heat_problem()
         u = p.initial_window()
@@ -363,15 +355,14 @@ class TestNonFinite:
         with pytest.raises(StepError, match="not finite"):
             step_implicit(u, p, SolverScheme(), t_new=p.dt, dt=p.dt)
 
-    @pytest.mark.parametrize("stepping", ["implicit-newton", "semi-implicit-lagged"])
-    def test_nan_update_raises_step_error(self, stepping):
+    def test_nan_update_raises_step_error(self):
         nan_slope = Nonlinearity(
             "nan-slope", LIN.g, lambda u: np.full(np.shape(u), np.nan), LIN.g_inv, 0.0
         )
         p = dataclasses.replace(heat_problem(), flux=nan_slope)
         u = p.initial_window()
         with pytest.raises(StepError, match="update is not finite"):
-            step_implicit(u, p, SolverScheme(stepping=stepping), t_new=p.dt, dt=p.dt)
+            step_implicit(u, p, SolverScheme(), t_new=p.dt, dt=p.dt)
 
     def test_nan_boundary_data_fails_the_solve(self):
         nan_trace = BoundaryData.from_callable(
@@ -411,6 +402,14 @@ class TestProperties:
             slow = solve_eps_eta(dataclasses.replace(p, flux=generic(p.flux)))
             assert np.array_equal(fld.values, slow.values, equal_nan=True)
 
+    @given(max_principle_problems(), st.floats(0.0, 0.1), st.floats(0.0, 0.1))
+    @settings(max_examples=40, deadline=None)
+    def test_lift_monotonicity(self, p, eta_a, eta_b):
+        lo, hi = solve_members([dataclasses.replace(p, eta=min(eta_a, eta_b)),
+                                dataclasses.replace(p, eta=max(eta_a, eta_b))])
+        finite = np.isfinite(lo.values) & np.isfinite(hi.values)
+        assert np.all(lo.values[finite] <= hi.values[finite] + 1e-8)
+
 
 def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 1):
     """One problem stepped alone, as the solver did before members were batched.
@@ -419,7 +418,6 @@ def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 
     accepted scaled residual and the halvings in ``meta``.
     """
     lay, op, tol = p.layout, p._window_op, scheme.newton_tol
-    lagged = scheme.stepping == "semi-implicit-lagged"
 
     def step(state, t_new, dt):
         t_bc = t_new if p.phi.time_dependent else 0.0
@@ -435,9 +433,8 @@ def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 
 
         res, norm = residual(u)
         iters = 0
-        while norm > tol and iters < (1 if lagged else scheme.max_iterations):
-            gp = np.maximum(np.asarray(p.flux.dg(state if lagged else u), dtype=float),
-                            scheme.jacobian_floor)
+        while norm > tol and iters < scheme.max_iterations:
+            gp = np.maximum(np.asarray(p.flux.dg(u), dtype=float), scheme.jacobian_floor)
             lo, up = np.zeros_like(gp), np.zeros_like(gp)
             lo[1:] = -scale[1:] * op.lo[1:] * gp[:-1]
             up[:-1] = -scale[:-1] * op.up[:-1] * gp[1:]
@@ -458,7 +455,7 @@ def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 
                 u = u + 0.1 * delta
                 res, norm = residual(u)
             iters += 1
-        if not math.isfinite(norm) or (not lagged and norm > tol):
+        if not math.isfinite(norm) or norm > tol:
             raise StepError("Newton did not converge")
         return u, iters, norm
 
@@ -638,7 +635,6 @@ class TestBatchedMembers:
 
         assert 0 not in make()[1].layout.dir_local
         assert_members_match_alone(make)
-        assert_members_match_alone(make, SolverScheme(stepping="semi-implicit-lagged"))
 
     def test_linear_members_share_one_factored_system(self):
         def make():
@@ -707,8 +703,7 @@ def member_sets(draw):
             eps=draw(st.sampled_from([0.0, 0.125, 0.25])), eta=draw(st.floats(0.0, 0.1)),
             eta_cap=0.1, horizon=0.05, dt=draw(st.sampled_from(dts)),
         ))
-    stepping = draw(st.sampled_from(["implicit-newton", "semi-implicit-lagged"]))
-    return members, SolverScheme(stepping=stepping), draw(st.integers(1, 3))
+    return members, SolverScheme(), draw(st.integers(1, 3))
 
 
 class TestMemberProperties:
