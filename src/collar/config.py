@@ -223,6 +223,12 @@ def _validate(cfg: ExperimentConfig):
         _fail(f"unknown scheme {num['scheme']!r}; the only scheme is implicit-newton")
     if num.get("store_stride", 1) < 1:
         _fail("store_stride must be >= 1")
+    if not 0.0 < num.get("newton_tol", 1e-10) < np.inf:
+        _fail("newton_tol must be positive and finite")
+    if num.get("max_iterations", 30) < 1:
+        _fail("max_iterations must be >= 1")
+    if not 0.0 <= num.get("jacobian_floor", 1e-8) < np.inf:
+        _fail("jacobian_floor must be nonnegative and finite")
 
     exp = s["experiment"]
     if exp["kind"] not in EXPERIMENT_KINDS:

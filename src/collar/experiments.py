@@ -268,6 +268,12 @@ def _solve(cfg, m, problems):
     return solve_members(problems, m["scheme"], store_stride=stride)
 
 
+def _member_totals(fields) -> list[dict]:
+    """Solver totals of each member, in member order, for ``report.json``."""
+    keys = ("eps", "eta", "newton_iterations", "step_halvings", "max_scaled_residual")
+    return [{key: f.meta[key] for key in keys} for f in fields]
+
+
 def _run_attainment(cfg, m, out: Path):
     exp = cfg.sections["experiment"]
     fields = _solve(cfg, m, _level_problems(cfg, m, exp["eps_list"], m["phi"]))
@@ -278,7 +284,7 @@ def _run_attainment(cfg, m, out: Path):
     rows = np.array(report.csv_rows())
     np.savetxt(out / "attainment.csv", rows, delimiter=",", header="eps,sup_gap",
                comments="", fmt="%.17g")
-    return report.attained, {"report": report.as_dict()}
+    return report.attained, {"report": report.as_dict(), "members": _member_totals(fields)}
 
 
 def _probe_diffs(fields_a, fields_b, coords, tau):
@@ -304,6 +310,14 @@ def _run_dichotomy(cfg, m, out: Path):
     if coords.size > 33:
         coords = coords[:: int(np.ceil(coords.size / 33))]
 
+    # The conflicting run shifts the whole boundary trace by a constant.  One
+    # trace object for every alpha lets a batch evaluate it once per sub-step.
+    phi_a = m["phi"]
+    phi_b = BoundaryData.from_callable(
+        lambda x, t: np.asarray(phi_a.phi(x, t)) + offset,
+        horizon=phi_a.horizon,
+        time_dependent=phi_a.time_dependent,
+    )
     # Every level of every alpha and boundary trace is one member of one solve.
     cases, problems = [], []
     n = len(eps_list)
@@ -311,20 +325,13 @@ def _run_dichotomy(cfg, m, out: Path):
         rho = DensityModel.power_law(float(alpha), domain)
         verdict = h4_integral(rho.majorant, domain.collar_cap)
         m_alpha = dict(m, rho=rho)
-        phi_a = m["phi"]
-        # The conflicting run shifts the whole boundary trace by a constant.
-        phi_b = BoundaryData.from_callable(
-            lambda x, t, _p=phi_a: np.asarray(_p.phi(x, t)) + offset,
-            horizon=phi_a.horizon,
-            time_dependent=phi_a.time_dependent,
-        )
-        cases.append((alpha, verdict, phi_a, phi_b))
+        cases.append((alpha, verdict))
         problems += _level_problems(cfg, m_alpha, eps_list, phi_a)
         problems += _level_problems(cfg, m_alpha, eps_list, phi_b)
     fields = _solve(cfg, m, problems)
 
     rows = []
-    for j, (alpha, verdict, phi_a, phi_b) in enumerate(cases):
+    for j, (alpha, verdict) in enumerate(cases):
         fields_a = fields[2 * j * n : (2 * j + 1) * n]
         fields_b = fields[(2 * j + 1) * n : (2 * j + 2) * n]
         rep_a = boundary_attainment(fields_a, phi_a, cfg.tau, threshold=threshold)
@@ -350,7 +357,7 @@ def _run_dichotomy(cfg, m, out: Path):
             csv_rows.append((r["alpha"], eps, d))
     np.savetxt(out / "dichotomy.csv", np.array(csv_rows), delimiter=",",
                header="alpha,eps,probe_diff", comments="", fmt="%.17g")
-    return True, {"rows": rows}
+    return True, {"rows": rows, "members": _member_totals(fields)}
 
 
 def _run_hypothesis(cfg, m, out: Path):

@@ -8,14 +8,19 @@ Euler with a damped Newton iteration on the tridiagonal system; the Jacobian
 floors the flux derivative so the linear solve stays regular where the flux
 degenerates, while the residual (and therefore the converged answer) is the
 unregularized scheme.  There is no other scheme: a step is accepted only at
-the Newton tolerance, and a step that does not reach it is halved.
+the Newton tolerance, and a step that does not reach it is halved.  Newton
+starts each outer step at the extrapolation ``2 u_n - u_(n-1)`` or
+``3 (u_n - u_(n-1)) + u_(n-2)`` of the last outer states, and the sub-steps
+of a halved step at their current state.
 
 Members of a family or sweep that share the time lattice step together: their
 windows are laid end to end as one block-diagonal tridiagonal system whose
 coupling bands are zero, so every LAPACK call returns each block's own
 solution and every member's trajectory is bit-identical to solving it alone.
+One solve keeps all members' window states in one concatenated array, and the
+extrapolation is elementwise, so each row depends on its own history only.
 Convergence, line search, failure and step halving are per member, and each
-member keeps its state and counters in one record.  For a linear flux the
+member keeps its rows and counters in one record.  For a linear flux the
 Jacobian depends only on the step size and the floor, so a batch factors it
 once per ``(dt, floor)`` and reuses the LU factors (LAPACK ``gttrs``); every
 other flux assembles its Jacobian bands each iteration and solves them with
@@ -98,8 +103,12 @@ class SolverScheme:
     jacobian_floor: float = 1e-8
 
     def __post_init__(self):
-        if self.jacobian_floor < 0.0:
-            raise ConfigError("jacobian floor must be nonnegative")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ConfigError("newton_tol must be positive and finite")
+        if self.max_iterations < 1:
+            raise ConfigError("max_iterations must be >= 1")
+        if not 0.0 <= self.jacobian_floor < math.inf:
+            raise ConfigError("jacobian_floor must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -360,12 +369,13 @@ class _Batch:
         return factor_tridiagonal(*self.bands(dt / self.rho, np.repeat(slopes, self.sizes)))
 
 
-def _newton(batch: _Batch, state, scheme: SolverScheme, t_new: float, dt: float):
-    """One implicit Euler step of every member of the batch.
+def _newton(batch: _Batch, state, start, scheme: SolverScheme, t_new: float, dt: float):
+    """One implicit Euler step of every member of the batch from ``state``.
 
-    Returns ``(state, iterations, residuals, errors)``: per member, the Newton
-    iterations and the final scaled residual, and ``errors[k]``, the StepError
-    member ``k`` would raise stepping alone, for each member that failed.
+    Newton starts at ``start``, which it overwrites.  Returns ``(state,
+    iterations, residuals, errors)``: per member, the Newton iterations and
+    the final scaled residual, and ``errors[k]``, the StepError member ``k``
+    would raise stepping alone, for each member that failed.
     Members iterate in lockstep, each with its own convergence test and line
     search.  A member leaves the iteration once it converges or fails; from
     then on its right-hand side is zero, so its block solves to zero, and a
@@ -374,7 +384,7 @@ def _newton(batch: _Batch, state, scheme: SolverScheme, t_new: float, dt: float)
     op, dir_rows, starts = batch.op, batch.dir, batch.starts
     bc = batch.dirichlet(t_new)
     u_old = state
-    u = state.copy()
+    u = start
     u[dir_rows] = bc
     scale = dt / batch.rho
     tol = scheme.newton_tol
@@ -488,32 +498,34 @@ def step_implicit(
     """
     if problem._solo is None:
         problem._solo = _Batch([problem])
-    u, iters, norms, errors = _newton(problem._solo, state, scheme, t_new, dt)
+    u, iters, norms, errors = _newton(problem._solo, state, state.copy(), scheme, t_new, dt)
     if errors:
         raise errors[0]
     return u, iters[0], norms[0]
 
 
 class _Member:
-    """One problem's progress through ``_advance``: window state, stored values, counters.
+    """One problem's progress through ``_advance``: its state rows, stored values, counters.
 
-    ``depth`` is the sub-step level of its outer steps (``2**depth`` sub-steps
-    each); ``clean`` counts its outer steps since that level last changed.
+    ``rows`` is its slice of the solve's concatenated window state; ``depth``
+    is the sub-step level of its outer steps (``2**depth`` sub-steps each);
+    ``clean`` counts its outer steps since that level last changed.
     """
 
-    def __init__(self, index: int, problem: ApproxProblem, n_stored: int):
+    def __init__(self, index: int, problem: ApproxProblem, n_stored: int, first: int):
         self.index = index  # position in the caller's list, named in errors
         self.problem = problem
         lay = problem.layout
-        self.state = problem.initial_window()
-        if not np.isfinite(self.state).all():
-            bad = problem.grid.nodes[lay.m0 + np.flatnonzero(~np.isfinite(self.state))]
+        self.rows = slice(first, first + lay.size)
+        state = problem.initial_window()
+        if not np.isfinite(state).all():
+            bad = problem.grid.nodes[lay.m0 + np.flatnonzero(~np.isfinite(state))]
             raise SolveError(
                 f"{self.label(0.0)}: initial state is not finite at x = {bad[:5].tolist()}"
             )
         self.values = np.full((problem.grid.n, n_stored), np.nan)
         self.window = self.values[lay.m0 : lay.m1 + 1]  # a view: rows of the window
-        self.window[:, 0] = self.state
+        self.window[:, 0] = state
         self.depth = self.clean = self.halvings = self.iterations = 0
         self.worst_residual = 0.0
 
@@ -549,6 +561,19 @@ class _Member:
                               values=self.values, mask=mask, meta=meta)
 
 
+def _extrapolate(state, history):
+    """``u_n``, ``2 u_n - u_(n-1)`` or ``3 (u_n - u_(n-1)) + u_(n-2)``, on one fresh array."""
+    if not history:
+        return state.copy()
+    guess = state - history[0]
+    if len(history) == 1:
+        guess += state
+    else:
+        guess *= 3.0
+        guess += history[1]
+    return guess
+
+
 def _advance(problems, ids, scheme: SolverScheme, store_stride: int) -> list[SpaceTimeField]:
     """Advance members sharing ``dt`` and ``horizon`` in lockstep; ``ids`` name them in errors."""
     p0 = problems[0]
@@ -557,50 +582,62 @@ def _advance(problems, ids, scheme: SolverScheme, store_stride: int) -> list[Spa
         n_outer = max(1, int(np.ceil(p0.horizon / p0.dt - 1e-12)))
     times = np.empty(1 + n_outer // store_stride + (n_outer % store_stride != 0))
     times[0] = 0.0
-    members = [_Member(i, p, times.size) for i, p in zip(ids, problems)]
+    firsts = np.cumsum([0] + [p.layout.size for p in problems]).tolist()
+    members = [_Member(i, p, times.size, r) for i, p, r in zip(ids, problems, firsts)]
+    state = np.concatenate([m.window[:, 0] for m in members])
+    history = []  # the outer states before ``state``, newest first, at most two
     batches = {}
 
     def batch_of(group):
-        return _cached(batches, tuple(m.index for m in group),
-                       lambda _: _Batch([m.problem for m in group]), _BATCH_CACHE)
+        """The batch of ``group`` and its rows of the state: a slice of all for everyone."""
+        def make(_):
+            everyone = len(group) == len(members)
+            rows = slice(None) if everyone else np.r_[tuple(m.rows for m in group)]
+            return _Batch([m.problem for m in group]), rows
 
-    def substeps(group, level, t, t_next):
-        """Steps ``group`` over [t, t_next] in ``2**level`` sub-steps; returns the failures."""
+        return _cached(batches, tuple(m.index for m in group), make, _BATCH_CACHE)
+
+    def substeps(group, level, t, t_next, guess, new):
+        """Steps ``group`` over [t, t_next] in ``2**level`` sub-steps into ``new``.
+
+        Level 0 starts Newton at ``guess``, deeper levels at the current state.
+        Returns the failures.
+        """
         nsub = 2**level
         failed = []
-        batch = batch_of(group)
-        v = np.concatenate([m.state for m in group])
+        batch, rows = batch_of(group)
+        v = state[rows]
         for j in range(nsub):
             a = t + (t_next - t) * j / nsub
             b = t + (t_next - t) * (j + 1) / nsub
-            v, iters, res, errors = _newton(batch, v, scheme, b, b - a)
+            start = guess[rows] if level == 0 else v.copy()
+            v, iters, res, errors = _newton(batch, v, start, scheme, b, b - a)
             for i, m in enumerate(group):
                 if i not in errors:
                     m.iterations += iters[i]
                     m.worst_residual = max(m.worst_residual, res[i])
             if errors:
                 failed.extend((group[i], err) for i, err in errors.items())
-                keep = [i not in errors for i in range(len(group))]
-                v = v[batch.rows(keep)]
-                group = [m for m, kept in zip(group, keep) if kept]
+                keep = batch.rows([i not in errors for i in range(len(group))])
+                v, rows = v[keep], np.arange(state.size)[rows][keep]
+                group = [m for i, m in enumerate(group) if i not in errors]
                 if not group:
                     break
                 if j + 1 < nsub:
-                    batch = batch_of(group)
-        offsets = np.cumsum([0] + [m.state.size for m in group]).tolist()
-        for m, a, b in zip(group, offsets[:-1], offsets[1:]):
-            m.state = v[a:b]
+                    batch = batch_of(group)[0]
+        new[rows] = v
         return failed
 
     t = 0.0
     col = 0
     for step in range(n_outer):
         t_next = p0.horizon if step == n_outer - 1 else (step + 1) * p0.dt
+        guess, new = _extrapolate(state, history), np.empty_like(state)
         # Levels ascend: a member that fails at one level retries at the next.
         pending, level = members, 0
         while pending:
             group = [m for m in pending if m.depth == level]
-            for m, err in substeps(group, level, t, t_next) if group else ():
+            for m, err in substeps(group, level, t, t_next, guess, new) if group else ():
                 m.depth += 1
                 m.clean = 0
                 m.halvings += 1
@@ -611,6 +648,8 @@ def _advance(problems, ids, scheme: SolverScheme, store_stride: int) -> list[Spa
                     )
             pending = [m for m in pending if m.depth > level]
             level += 1
+        history = [state] + history[:1]
+        state = new
         t = t_next
         for m in members:
             m.clean += 1
@@ -621,7 +660,7 @@ def _advance(problems, ids, scheme: SolverScheme, store_stride: int) -> list[Spa
             col += 1
             times[col] = t
             for m in members:
-                m.window[:, col] = m.state
+                m.window[:, col] = state[m.rows]
 
     return [m.field(times, store_stride) for m in members]
 

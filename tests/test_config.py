@@ -255,6 +255,21 @@ class TestCli:
         if key == "nodes":
             assert err.value.line is not None
 
+    @pytest.mark.parametrize("key, value", [
+        ("newton_tol", "inf"), ("newton_tol", "nan"), ("newton_tol", "0.0"),
+        ("newton_tol", "-1e-10"),
+        ("max_iterations", "0"), ("max_iterations", "-3"),
+        ("jacobian_floor", "nan"), ("jacobian_floor", "inf"), ("jacobian_floor", "-1e-8"),
+    ])
+    def test_solver_settings_out_of_range_are_config_errors(self, tmp_path, capsys, key, value):
+        # newton_tol = inf used to pass unsolved and max_iterations = 0 to exit 3.
+        doc = MINIMAL_HEAT.replace("t_final = 0.05", f"t_final = 0.05\n{key} = {value}")
+        cfg = self._write(tmp_path, doc)
+        assert cli_main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+        with pytest.raises(ConfigParseError, match=key):
+            parse_config(doc)
+
     def test_parse_error_exit_code(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL_HEAT.replace("nodes = 65", "nodes = 8"))
         code = cli_main(["solve", "--config", str(cfg)])

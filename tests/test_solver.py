@@ -348,6 +348,15 @@ class TestNonFinite:
         with pytest.raises(ConfigError, match="positive and finite"):
             dataclasses.replace(heat_problem(), **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("newton_tol", math.inf), ("newton_tol", math.nan), ("newton_tol", 0.0),
+        ("max_iterations", 0), ("jacobian_floor", math.nan), ("jacobian_floor", math.inf),
+        ("jacobian_floor", -1e-8),
+    ])
+    def test_scheme_settings_out_of_range_raise(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SolverScheme(**{field: value})
+
     def test_nan_state_raises_step_error(self):
         p = heat_problem()
         u = p.initial_window()
@@ -411,18 +420,33 @@ class TestProperties:
         assert np.all(lo.values[finite] <= hi.values[finite] + 1e-8)
 
 
-def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 1):
+def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 1,
+                    predict: bool = True):
     """One problem stepped alone, as the solver did before members were batched.
 
-    Returns ``(times, values, meta)``, with the Newton iterations, the largest
-    accepted scaled residual and the halvings in ``meta``.
+    With ``predict``, each unhalved outer step starts Newton at the
+    extrapolation of the last outer states, in the solver's operation order;
+    without it, at the current state.  Returns ``(times, values, meta)``, with
+    the Newton iterations, the largest accepted scaled residual and the
+    halvings in ``meta``.
     """
     lay, op, tol = p.layout, p._window_op, scheme.newton_tol
 
-    def step(state, t_new, dt):
+    def extrapolate(state, history):
+        if not (predict and history):
+            return state.copy()
+        guess = state - history[0]
+        if len(history) == 1:
+            guess += state
+        else:
+            guess *= 3.0
+            guess += history[1]
+        return guess
+
+    def step(state, start, t_new, dt):
         t_bc = t_new if p.phi.time_dependent else 0.0
         bc = np.asarray(p.phi.phi(lay.dir_points, t_bc), dtype=float) + p.eta
-        u = state.copy()
+        u = start
         u[lay.dir_local] = bc
         scale = dt / p._rho_w
 
@@ -466,6 +490,7 @@ def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 
     times, stored = [0.0], [u]
     depth = clean = total_iters = halvings = 0
     worst = 0.0
+    history = []  # the outer states before ``u``, newest first
     t = 0.0
     for k in range(n_outer):
         t_next = p.horizon if k == n_outer - 1 else (k + 1) * p.dt
@@ -476,7 +501,8 @@ def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 
                 for j in range(nsub):
                     a = t + (t_next - t) * j / nsub
                     b = t + (t_next - t) * (j + 1) / nsub
-                    v, it, res = step(v, b, b - a)
+                    start = extrapolate(u, history) if nsub == 1 else v.copy()
+                    v, it, res = step(v, start, b, b - a)
                     total_iters += it
                     worst = max(worst, res)
                 break
@@ -484,6 +510,7 @@ def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 
                 depth, clean, halvings = depth + 1, 0, halvings + 1
                 if depth > 10:
                     raise SolveError("time step exhausted") from None
+        history = [u] + history[:1]
         u, t = v, t_next
         clean += 1
         if depth > 0 and clean >= 20:
@@ -724,6 +751,35 @@ class TestMemberProperties:
         assert_members_match_alone(make, scheme, stride)
 
 
+class TestPredictor:
+    @given(max_principle_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_start_moves_answers_within_newton_tolerance(self, p):
+        scheme = SolverScheme()
+        fld = solve_members([p], scheme)[0]
+        _, values, _ = reference_solve(p, scheme, predict=False)
+        n_outer = fld.n_times - 1
+        finite = np.isfinite(fld.values) & np.isfinite(values)
+        assert np.all(np.abs(fld.values - values)[finite] <= n_outer * scheme.newton_tol)
+
+    def test_extrapolated_start_saves_newton_iterations(self):
+        # A sweep-like porous-medium batch: the start must cut the summed
+        # iterations by a quarter over a long run (a single short draw may not).
+        def make():
+            rho = DensityModel.power_law(1.0, DOM)
+            phi = BoundaryData.sine(0.58, 0.19, 0.5, horizon=1.0)
+            return [pme_problem(n, m=2.0, eps=eps, dt=5e-3, horizon=1.0, rho=rho, phi=phi,
+                                initial=InitialData.constant(0.27))
+                    for n, eps in ((21, 0.2), (41, 0.1), (81, 0.05), (161, 0.025))]
+
+        scheme = SolverScheme()
+        fields = solve_members(make(), scheme)
+        predicted = sum(f.meta["newton_iterations"] for f in fields)
+        plain = sum(reference_solve(p, scheme, predict=False)[2]["newton_iterations"]
+                    for p in make())
+        assert predicted <= 0.75 * plain, (predicted, plain)
+
+
 SWEEP_CFG = """
 [domain]
 kind = interval
@@ -794,6 +850,20 @@ class TestOneSolvePerSweep:
         extract_limit_solution(heat_problem(nodes=81, horizon=0.01),
                                [0.2, 0.1, 0.05, 0.025], [0.1, 0.05, 0.025])
         assert sizes == [6]
+
+    @pytest.mark.parametrize("kind, n_members", [("dichotomy-sweep", 16), ("attainment", 4)])
+    def test_report_lists_member_solver_totals(self, tmp_path, kind, n_members):
+        doc = SWEEP_CFG.replace("kind = dichotomy-sweep", f"kind = {kind}")
+        assert run_experiment(parse_config(doc), tmp_path) in (0, 1)
+        members = json.loads((tmp_path / "report.json").read_text())["payload"]["members"]
+        assert len(members) == n_members
+        for m in members:
+            assert set(m) == {"eps", "eta", "newton_iterations", "step_halvings",
+                              "max_scaled_residual"}
+            assert m["newton_iterations"] > 0 and 0.0 <= m["max_scaled_residual"] <= 1e-10
+        assert [m["eps"] for m in members[:4]] == [0.2, 0.1, 0.05, 0.025]
+        data = json.loads((tmp_path / f"{kind.split('-')[0]}.json").read_text())
+        assert "members" not in data
 
     def test_failed_sweep_names_the_member_in_its_report(self, tmp_path):
         doc = SWEEP_CFG.replace("value = 0.3", "value = nan")
