@@ -13,8 +13,9 @@ import sys
 from pathlib import Path
 
 from .config import EXPERIMENT_KINDS, parse_config_file
-from .errors import CollarError, ConfigError, ConfigParseError
+from .errors import CollarError, ConfigError
 from .experiments import (
+    CONFIG_ERRORS,
     EXIT_CONFIG_ERROR,
     EXIT_NUMERICAL_ERROR,
     _hypotheses,
@@ -50,16 +51,16 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (ConfigParseError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    out_dir = args.out or cfg.get("experiment", "output_dir") or "out"
+    out_dir = args.out or cfg.sections["experiment"].get("output_dir") or "out"
 
     if args.command == "validate":
         try:
             report = _hypotheses(_models(cfg))
-        except (ConfigParseError, ConfigError) as exc:
+        except CONFIG_ERRORS as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
         except CollarError as exc:

@@ -3,72 +3,86 @@
 The format is a plain key-value document with bracketed sections.  Parsing
 is strict: unknown sections or keys, type mismatches, and out-of-range
 values fail with the offending line, because a silently misconfigured
-numerical experiment is worse than a loud one.
+numerical experiment is worse than a loud one.  Every default is filled in
+at parse time, so the parsed sections are the whole config a run uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigParseError
-from .geometry import Domain, Grid, MIN_NODES, build_grid
+from .errors import ConfigError, ConfigParseError
+from .geometry import Domain, Grid, MIN_NODES, build_grid, collar_decomposition
 from .models import BoundaryData, DensityModel, InitialData, Nonlinearity
 from .solver import SolverScheme
 
-EXPERIMENT_KINDS = (
-    "solve",
-    "family",
-    "barrier-certify",
-    "duality",
-    "attainment",
-    "dichotomy-sweep",
-    "hypothesis-report",
-)
-
-# type tags: f float, i int, s string, l list of floats, b bool
-_SCHEMA: dict[str, dict[str, str]] = {
+# Each key maps to its type tag (f float, i int, s string, l nonempty list of
+# floats, b bool) and its default: ``...`` for a key every config must set,
+# None for one that stays absent unless set, a callable for a default derived
+# from the sections filled before it.
+_SCHEMA: dict[str, dict[str, tuple]] = {
     "domain": {
-        "kind": "s", "a": "f", "b": "f", "r_in": "f", "r_out": "f",
-        "dim": "i", "collar_cap": "f",
+        "kind": ("s", ...), "a": ("f", None), "b": ("f", None), "r_in": ("f", None),
+        "r_out": ("f", None), "dim": ("i", None), "collar_cap": ("f", None),
     },
-    "density": {"kind": "s", "c": "f", "alpha": "f", "coef": "f", "file": "s"},
-    "nonlinearity": {"kind": "s", "slope": "f", "m": "f", "file": "s"},
+    "density": {
+        "kind": ("s", ...), "c": ("f", 1.0), "alpha": ("f", None), "coef": ("f", 1.0),
+        "file": ("s", None),
+    },
+    "nonlinearity": {
+        "kind": ("s", ...), "slope": ("f", 1.0), "m": ("f", None), "file": ("s", None),
+    },
     "boundary": {
-        "kind": "s", "value": "f", "rate": "f", "offset": "f", "amplitude": "f",
-        "frequency": "f", "left": "f", "right": "f", "positivity_floor": "f",
+        "kind": ("s", ...), "value": ("f", 0.0), "rate": ("f", 0.0), "offset": ("f", 0.0),
+        "amplitude": ("f", 0.0), "frequency": ("f", 1.0), "left": ("f", 0.0),
+        "right": ("f", 0.0), "positivity_floor": ("f", 0.0),
     },
-    "initial": {"kind": "s", "value": "f", "amplitude": "f", "mode": "i", "offset": "f"},
+    "initial": {
+        "kind": ("s", ...), "value": ("f", 0.0), "amplitude": ("f", 1.0), "mode": ("i", 1),
+        "offset": ("f", 0.0),
+    },
     "numerics": {
-        "nodes": "i", "dt": "f", "t_final": "f", "newton_tol": "f",
-        "max_iterations": "i", "jacobian_floor": "f", "scheme": "s", "store_stride": "i",
+        "nodes": ("i", ...), "dt": ("f", ...), "t_final": ("f", 1.0), "newton_tol": ("f", 1e-10),
+        "max_iterations": ("i", 30), "jacobian_floor": ("f", 1e-8),
+        "scheme": ("s", "implicit-newton"), "store_stride": ("i", 1),
     },
     "experiment": {
-        "kind": "s", "eps": "f", "eta": "f", "eta_cap": "f",
-        "eps_list": "l", "eta_list": "l", "alpha_list": "l",
-        "tau": "f", "threshold": "f", "sigma": "f", "t0": "f",
-        "anchor": "s", "barrier_case": "s", "barrier_side": "s",
-        "conflict_offset": "f", "curvature_margin": "f", "safety": "f",
-        "source_center": "f", "source_width": "f",
-        "assert_convergence": "b", "scale_nodes_with_eps": "b",
-        "output_dir": "s",
+        "kind": ("s", ...), "eps": ("f", 0.0), "eta": ("f", 0.0), "eta_cap": ("f", 0.1),
+        "eps_list": ("l", None), "eta_list": ("l", None), "alpha_list": ("l", None),
+        "tau": ("f", lambda s: s["numerics"]["t_final"] / 10.0), "threshold": ("f", 0.05),
+        "sigma": ("f", 0.1), "t0": ("f", lambda s: s["numerics"]["t_final"] / 2.0),
+        "anchor": ("s", "left"), "barrier_case": ("s", "potential-timed"),
+        "barrier_side": ("s", "both"), "conflict_offset": ("f", 0.5),
+        "curvature_margin": ("f", 2.0), "safety": ("f", 1.05),
+        "source_center": ("f", None), "source_width": ("f", None),
+        "assert_convergence": ("b", True), "scale_nodes_with_eps": ("b", True),
+        "output_dir": ("s", None),
     },
 }
 
-_REQUIRED = {
-    "domain": ("kind",),
-    "density": ("kind",),
-    "nonlinearity": ("kind",),
-    "boundary": ("kind",),
-    "initial": ("kind",),
-    "numerics": ("nodes", "dt"),
-    "experiment": ("kind",),
+# Each section's kinds and the keys each kind requires.
+_KINDS: dict[str, dict[str, tuple[str, ...]]] = {
+    "domain": {
+        "interval": ("a", "b"), "ball": ("r_out", "dim"), "annulus": ("r_in", "r_out", "dim"),
+    },
+    "density": {"constant": (), "power": ("alpha",), "table": ("file",)},
+    "nonlinearity": {"linear": (), "porous-medium": ("m",), "table": ("file",)},
+    "boundary": {"constant": (), "ramp": (), "sine": (), "sided": ()},
+    "initial": {"constant": (), "sine": ()},
+    "experiment": {
+        "solve": (), "family": ("eps_list", "eta_list"), "barrier-certify": (), "duality": (),
+        "attainment": ("eps_list",), "dichotomy-sweep": ("eps_list", "alpha_list"),
+        "hypothesis-report": (),
+    },
 }
 
+EXPERIMENT_KINDS = tuple(_KINDS["experiment"])
 
-def _convert(raw: str, tag: str, line: int):
+
+def _convert(key: str, raw: str, tag: str, line: int):
     try:
         if tag == "f":
             return float(raw)
@@ -78,7 +92,10 @@ def _convert(raw: str, tag: str, line: int):
                 raise ValueError
             return int(v)
         if tag == "l":
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
+            values = [float(tok) for tok in raw.split(",") if tok.strip()]
+            if not values:
+                raise ValueError
+            return values
         if tag == "b":
             low = raw.lower()
             if low in ("true", "yes", "1"):
@@ -88,44 +105,22 @@ def _convert(raw: str, tag: str, line: int):
             raise ValueError
         return raw
     except (ValueError, OverflowError):  # int(inf) overflows
-        raise ConfigParseError(f"cannot parse {raw!r} as {tag}", line) from None
+        raise ConfigParseError(f"cannot parse {key} = {raw!r} as {tag}", line) from None
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description with defaults resolved."""
+    """Validated experiment description; ``sections`` holds every default, resolved."""
 
-    sections: dict = dataclass_field(default_factory=dict)
-
-    def get(self, section: str, key: str, default=None):
-        return self.sections.get(section, {}).get(key, default)
+    sections: dict
 
     @property
     def kind(self) -> str:
         return self.sections["experiment"]["kind"]
 
-    @property
-    def t_final(self) -> float:
-        return self.sections["numerics"].get("t_final", 1.0)
-
-    @property
-    def tau(self) -> float:
-        return self.sections["experiment"].get("tau", self.t_final / 10.0)
-
-    @property
-    def eta_cap(self) -> float:
-        return self.sections["experiment"].get("eta_cap", 0.1)
-
-    def resolved(self) -> dict:
-        out = {sec: dict(vals) for sec, vals in self.sections.items()}
-        out["experiment"].setdefault("tau", self.tau)
-        out["experiment"].setdefault("eta_cap", self.eta_cap)
-        out["numerics"].setdefault("t_final", self.t_final)
-        return out
-
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config document, strictly."""
+    """Parse and validate a config document, strictly, and fill in every default."""
     sections: dict[str, dict] = {}
     current: str | None = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -152,16 +147,20 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigParseError(f"unknown key {key!r} in [{current}]", lineno)
         if key in sections[current]:
             raise ConfigParseError(f"duplicate key {key!r}", lineno)
-        sections[current][key] = _convert(raw, _SCHEMA[current][key], lineno)
+        sections[current][key] = _convert(key, raw, _SCHEMA[current][key][0], lineno)
 
-    for sec, required in _REQUIRED.items():
+    for sec, keys in _SCHEMA.items():
         if sec not in sections:
             raise ConfigParseError(f"missing section [{sec}]")
-        for key in required:
-            if key not in sections[sec]:
+        values = sections[sec]
+        for key, (_, default) in keys.items():
+            if key in values or default is None:
+                continue
+            if default is ...:
                 raise ConfigParseError(f"missing key {key!r} in [{sec}]")
+            values[key] = default(sections) if callable(default) else default
 
-    cfg = ExperimentConfig(sections=sections)
+    cfg = ExperimentConfig(sections)
     _validate(cfg)
     return cfg
 
@@ -176,79 +175,42 @@ def _fail(msg: str):
 
 def _validate(cfg: ExperimentConfig):
     s = cfg.sections
-    dom = s["domain"]
-    if dom["kind"] not in ("interval", "ball", "annulus"):
-        _fail(f"domain kind {dom['kind']!r} not one of interval/ball/annulus")
-    if dom["kind"] == "interval" and not ("a" in dom and "b" in dom):
-        _fail("interval domain needs keys a and b")
-    if dom["kind"] == "ball" and "r_out" not in dom:
-        _fail("ball domain needs key r_out")
-    if dom["kind"] == "annulus" and not ("r_in" in dom and "r_out" in dom):
-        _fail("annulus domain needs keys r_in and r_out")
-    if dom["kind"] != "interval" and dom.get("dim", 0) < 2:
+    for sec, kinds in _KINDS.items():
+        kind = s[sec]["kind"]
+        if kind not in kinds:
+            _fail(f"{sec} kind {kind!r} not one of {'/'.join(kinds)}")
+        for key in kinds[kind]:
+            if key not in s[sec]:
+                _fail(f"{kind} {sec} needs key {key!r}")
+
+    if s["domain"]["kind"] != "interval" and s["domain"]["dim"] < 2:
         _fail("radial domains need dim >= 2")
-
-    den = s["density"]
-    if den["kind"] not in ("constant", "power", "table"):
-        _fail(f"density kind {den['kind']!r} not one of constant/power/table")
-    if den["kind"] == "power" and "alpha" not in den:
-        _fail("power density needs key alpha")
-    if den["kind"] == "table" and "file" not in den:
-        _fail("table density needs key file")
-
-    non = s["nonlinearity"]
-    if non["kind"] not in ("linear", "porous-medium", "table"):
-        _fail(f"nonlinearity kind {non['kind']!r} not one of linear/porous-medium/table")
-    if non["kind"] == "porous-medium" and "m" not in non:
-        _fail("porous-medium nonlinearity needs key m")
-    if non["kind"] == "table" and "file" not in non:
-        _fail("table nonlinearity needs key file")
-
-    bnd = s["boundary"]
-    if bnd["kind"] not in ("constant", "ramp", "sine", "sided"):
-        _fail(f"boundary kind {bnd['kind']!r} not one of constant/ramp/sine/sided")
-
-    ini = s["initial"]
-    if ini["kind"] not in ("constant", "sine"):
-        _fail(f"initial kind {ini['kind']!r} not one of constant/sine")
 
     num = s["numerics"]
     if num["nodes"] < MIN_NODES:
         _fail(f"nodes = {num['nodes']} below minimum {MIN_NODES}")
     if not 0.0 < num["dt"] < np.inf:
         _fail("dt must be positive and finite")
-    if not 0.0 < num.get("t_final", 1.0) < np.inf:
+    if not 0.0 < num["t_final"] < np.inf:
         _fail("t_final must be positive and finite")
-    if num.get("scheme", "implicit-newton") != "implicit-newton":
+    if num["scheme"] != "implicit-newton":
         _fail(f"unknown scheme {num['scheme']!r}; the only scheme is implicit-newton")
-    if num.get("store_stride", 1) < 1:
+    if num["store_stride"] < 1:
         _fail("store_stride must be >= 1")
-    if not 0.0 < num.get("newton_tol", 1e-10) < np.inf:
-        _fail("newton_tol must be positive and finite")
-    if num.get("max_iterations", 30) < 1:
-        _fail("max_iterations must be >= 1")
-    if not 0.0 <= num.get("jacobian_floor", 1e-8) < np.inf:
-        _fail("jacobian_floor must be nonnegative and finite")
+    try:
+        build_scheme(cfg)
+    except ConfigError as exc:
+        raise ConfigParseError(str(exc)) from None
 
     exp = s["experiment"]
-    if exp["kind"] not in EXPERIMENT_KINDS:
-        _fail(f"experiment kind {exp['kind']!r} not one of {EXPERIMENT_KINDS}")
-    t_final = num.get("t_final", 1.0)
-    if not (0.0 < exp.get("tau", t_final / 10.0) < t_final):
+    if not 0.0 < exp["tau"] < num["t_final"]:
         _fail("tau must lie in (0, t_final)")
-    if exp.get("eta", 0.0) < 0.0:
+    if exp["eta"] < 0.0:
         _fail("eta must be nonnegative")
-    if exp.get("barrier_side", "both") not in ("lower", "upper", "both"):
+    if exp["barrier_side"] not in ("lower", "upper", "both"):
         _fail("barrier_side must be lower, upper, or both")
-    if exp.get("anchor", "left") not in ("left", "right"):
+    if exp["anchor"] not in ("left", "right"):
         _fail("anchor must be left or right")
-    kind = exp["kind"]
-    if kind == "family" and not (exp.get("eps_list") and exp.get("eta_list")):
-        _fail("family experiments need eps_list and eta_list")
-    if kind in ("attainment", "dichotomy-sweep") and not exp.get("eps_list"):
-        _fail(f"{kind} experiments need eps_list")
-    if kind == "dichotomy-sweep" and not exp.get("alpha_list"):
-        _fail("dichotomy-sweep experiments need alpha_list")
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +229,11 @@ def build_domain(cfg: ExperimentConfig) -> Domain:
 
 
 def build_grid_from(cfg: ExperimentConfig, domain: Domain) -> Grid:
-    return build_grid(domain, cfg.sections["numerics"]["nodes"])
+    """The config's grid, on which a positive ``eps`` must resolve a collar level."""
+    grid = build_grid(domain, cfg.sections["numerics"]["nodes"])
+    if cfg.sections["experiment"]["eps"] > 0.0:
+        collar_decomposition(grid, cfg.sections["experiment"]["eps"])
+    return grid
 
 
 def _load_table(path: str):
@@ -285,9 +251,9 @@ def _load_table(path: str):
 def build_density(cfg: ExperimentConfig, domain: Domain) -> DensityModel:
     d = cfg.sections["density"]
     if d["kind"] == "constant":
-        return DensityModel.constant(d.get("c", 1.0), domain)
+        return DensityModel.constant(d["c"], domain)
     if d["kind"] == "power":
-        return DensityModel.power_law(d["alpha"], domain, coef=d.get("coef", 1.0))
+        return DensityModel.power_law(d["alpha"], domain, coef=d["coef"])
     coords, values = _load_table(d["file"])
     return DensityModel.from_table(coords, values, domain)
 
@@ -295,7 +261,7 @@ def build_density(cfg: ExperimentConfig, domain: Domain) -> DensityModel:
 def build_nonlinearity(cfg: ExperimentConfig) -> Nonlinearity:
     n = cfg.sections["nonlinearity"]
     if n["kind"] == "linear":
-        return Nonlinearity.linear(n.get("slope", 1.0))
+        return Nonlinearity.linear(n["slope"])
     if n["kind"] == "porous-medium":
         return Nonlinearity.porous_medium(n["m"])
     knots, values = _load_table(n["file"])
@@ -304,34 +270,28 @@ def build_nonlinearity(cfg: ExperimentConfig) -> Nonlinearity:
 
 def build_boundary(cfg: ExperimentConfig, domain: Domain) -> BoundaryData:
     b = cfg.sections["boundary"]
-    horizon = cfg.t_final
-    floor = b.get("positivity_floor", 0.0)
+    horizon = cfg.sections["numerics"]["t_final"]
+    floor = b["positivity_floor"]
     if b["kind"] == "constant":
-        return BoundaryData.constant(b.get("value", 0.0), horizon, floor)
+        return BoundaryData.constant(b["value"], horizon, floor)
     if b["kind"] == "ramp":
-        return BoundaryData.ramp(b.get("value", 0.0), b.get("rate", 0.0), horizon, floor)
+        return BoundaryData.ramp(b["value"], b["rate"], horizon, floor)
     if b["kind"] == "sine":
-        return BoundaryData.sine(
-            b.get("offset", 0.0), b.get("amplitude", 0.0), b.get("frequency", 1.0),
-            horizon, floor,
-        )
-    return BoundaryData.sided(b.get("left", 0.0), b.get("right", 0.0), domain, horizon, floor)
+        return BoundaryData.sine(b["offset"], b["amplitude"], b["frequency"], horizon, floor)
+    return BoundaryData.sided(b["left"], b["right"], domain, horizon, floor)
 
 
 def build_initial(cfg: ExperimentConfig, domain: Domain) -> InitialData:
     i = cfg.sections["initial"]
     if i["kind"] == "constant":
-        return InitialData.constant(i.get("value", 0.0))
-    return InitialData.sine(
-        domain, amplitude=i.get("amplitude", 1.0), mode=i.get("mode", 1),
-        offset=i.get("offset", 0.0),
-    )
+        return InitialData.constant(i["value"])
+    return InitialData.sine(domain, amplitude=i["amplitude"], mode=i["mode"], offset=i["offset"])
 
 
 def build_scheme(cfg: ExperimentConfig) -> SolverScheme:
     n = cfg.sections["numerics"]
     return SolverScheme(
-        newton_tol=n.get("newton_tol", 1e-10),
-        max_iterations=n.get("max_iterations", 30),
-        jacobian_floor=n.get("jacobian_floor", 1e-8),
+        newton_tol=n["newton_tol"],
+        max_iterations=n["max_iterations"],
+        jacobian_floor=n["jacobian_floor"],
     )

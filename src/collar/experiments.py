@@ -37,7 +37,7 @@ from .config import (
     build_nonlinearity,
     build_scheme,
 )
-from .errors import CollarError, ConfigError, ConfigParseError, RegimeError
+from .errors import CollarError, ConfigError, DomainError, RegimeError, ResolutionError
 from .geometry import Domain, build_grid
 from .models import (
     BoundaryData,
@@ -53,6 +53,11 @@ EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
+
+#: Errors that a config mistake raises, reported as exit 2 rather than 3: a
+#: malformed domain or a collar level the grid cannot resolve is the config's
+#: fault, not the solver's.
+CONFIG_ERRORS = (ConfigError, DomainError, ResolutionError, RegimeError)
 
 
 def _write_json(path: Path, payload: dict):
@@ -99,10 +104,10 @@ def _problem(cfg: ExperimentConfig, m: dict, **overrides) -> ApproxProblem:
         flux=m["flux"],
         phi=m["phi"],
         initial=m["initial"],
-        eps=exp.get("eps", 0.0),
-        eta=exp.get("eta", 0.0),
-        eta_cap=cfg.eta_cap,
-        horizon=cfg.t_final,
+        eps=exp["eps"],
+        eta=exp["eta"],
+        eta_cap=exp["eta_cap"],
+        horizon=num["t_final"],
         dt=num["dt"],
     )
     base.update(overrides)
@@ -117,7 +122,7 @@ def _problem(cfg: ExperimentConfig, m: dict, **overrides) -> ApproxProblem:
 def _run_solve(cfg, m, out: Path):
     num = cfg.sections["numerics"]
     problem = _problem(cfg, m)
-    fieldobj = solve_eps_eta(problem, m["scheme"], store_stride=num.get("store_stride", 1))
+    fieldobj = solve_eps_eta(problem, m["scheme"], store_stride=num["store_stride"])
     fieldobj.to_csv(out / "trajectory.csv")
     _write_json(out / "trajectory_meta.json", fieldobj.meta)
     return bool(fieldobj.meta["max_principle_ok"]), {"meta": fieldobj.meta}
@@ -129,11 +134,11 @@ def _run_family(cfg, m, out: Path):
     problem = _problem(cfg, m)
     finest, diag = extract_limit_solution(
         problem, exp["eps_list"], exp["eta_list"], m["scheme"],
-        store_stride=num.get("store_stride", 1),
+        store_stride=num["store_stride"],
     )
     finest.to_csv(out / "limit_candidate.csv")
     _write_json(out / "family_diagnostics.json", diag.as_dict())
-    ok = diag.converged or not exp.get("assert_convergence", True)
+    ok = diag.converged or not exp["assert_convergence"]
     return ok, {"diagnostics": diag.as_dict()}
 
 
@@ -144,18 +149,18 @@ def _barrier_ingredients(cfg, m):
     flux = m["flux"]
     rho: DensityModel = m["rho"]
     phi = m["phi"]
-    case = exp.get("barrier_case", "potential-timed")
-    x0 = domain.lo if exp.get("anchor", "left") == "left" else domain.hi
+    case = exp["barrier_case"]
+    x0 = domain.lo if exp["anchor"] == "left" else domain.hi
     if domain.kind == "radial-ball":
         x0 = domain.hi
     timed = case.endswith("timed")
-    t0 = exp.get("t0", cfg.t_final / 2.0) if timed else None
-    sigma = exp.get("sigma", 0.1)
-    eta = exp.get("eta", 0.0)
+    t0 = exp["t0"] if timed else None
+    sigma = exp["sigma"]
+    eta = exp["eta"]
 
     if case.startswith("potential"):
         potential = build_boundary_potential(
-            rho.majorant, domain.collar_cap, exp.get("curvature_margin", 2.0)
+            rho.majorant, domain.collar_cap, exp["curvature_margin"]
         )
         cap_space = domain.collar_cap
     else:
@@ -174,7 +179,7 @@ def _barrier_ingredients(cfg, m):
     else:
         pot_edge = float(potential.at_offset(delta))
 
-    K = global_bound(m["initial"].sup_norm(grid), phi.sup_norm(domain), cfg.eta_cap)
+    K = global_bound(m["initial"].sup_norm(grid), phi.sup_norm(domain), exp["eta_cap"])
     phi_scale = phi.sup_norm(domain) if timed else abs(float(phi.phi(x0, 0.0)))
     params = BarrierParams(
         inf_rho=rho.inf_on(grid),
@@ -182,7 +187,7 @@ def _barrier_ingredients(cfg, m):
         alpha0=flux.alpha0,
         delta=delta,
         phi_scale=phi_scale,
-        eta_cap=cfg.eta_cap,
+        eta_cap=exp["eta_cap"],
         bound_K=K,
         dim=domain.dim,
         pot_edge=pot_edge,
@@ -194,10 +199,8 @@ def _run_barrier_certify(cfg, m, out: Path):
     exp = cfg.sections["experiment"]
     num = cfg.sections["numerics"]
     case, anchor, sigma, eta, potential, params = _barrier_ingredients(cfg, m)
-    sides = ["lower", "upper"] if exp.get("barrier_side", "both") == "both" else [
-        exp["barrier_side"]
-    ]
-    safety = exp.get("safety", 1.05)
+    sides = ["lower", "upper"] if exp["barrier_side"] == "both" else [exp["barrier_side"]]
+    safety = exp["safety"]
     certificates = []
     all_pass = True
     for side in sides:
@@ -226,7 +229,7 @@ def _run_barrier_certify(cfg, m, out: Path):
 def _run_duality(cfg, m, out: Path):
     exp = cfg.sections["experiment"]
     grid = m["grid"]
-    eps_values = exp.get("eps_list") or [exp.get("eps") or 4.0 * grid.h]
+    eps_values = exp.get("eps_list") or [exp["eps"] or 4.0 * grid.h]
     source = unit_bump_source(grid, exp.get("source_center"), exp.get("source_width"))
     rows = []
     ok = True
@@ -248,7 +251,7 @@ def _run_duality(cfg, m, out: Path):
 def _attainment_grid(cfg, m, eps: float):
     exp = cfg.sections["experiment"]
     domain: Domain = m["domain"]
-    if not exp.get("scale_nodes_with_eps", True):
+    if not exp["scale_nodes_with_eps"]:
         return m["grid"]
     # Resolve each level with four cells across its collar so the probe
     # distance tracks the collar width.
@@ -264,7 +267,7 @@ def _level_problems(cfg, m, eps_list, phi) -> list[ApproxProblem]:
 
 
 def _solve(cfg, m, problems):
-    stride = cfg.sections["numerics"].get("store_stride", 1)
+    stride = cfg.sections["numerics"]["store_stride"]
     return solve_members(problems, m["scheme"], store_stride=stride)
 
 
@@ -277,9 +280,7 @@ def _member_totals(fields) -> list[dict]:
 def _run_attainment(cfg, m, out: Path):
     exp = cfg.sections["experiment"]
     fields = _solve(cfg, m, _level_problems(cfg, m, exp["eps_list"], m["phi"]))
-    report = boundary_attainment(
-        fields, m["phi"], cfg.tau, threshold=exp.get("threshold", 0.05)
-    )
+    report = boundary_attainment(fields, m["phi"], exp["tau"], threshold=exp["threshold"])
     _write_json(out / "attainment.json", report.as_dict())
     rows = np.array(report.csv_rows())
     np.savetxt(out / "attainment.csv", rows, delimiter=",", header="eps,sup_gap",
@@ -299,10 +300,10 @@ def _probe_diffs(fields_a, fields_b, coords, tau):
 
 def _run_dichotomy(cfg, m, out: Path):
     exp = cfg.sections["experiment"]
-    offset = exp.get("conflict_offset", 0.5)
+    offset = exp["conflict_offset"]
     eps_list = exp["eps_list"]
     domain: Domain = m["domain"]
-    threshold = exp.get("threshold", 0.05)
+    tau, threshold = exp["tau"], exp["threshold"]
 
     coarse = _attainment_grid(cfg, m, eps_list[0])
     margin = int(round(eps_list[0] / coarse.h)) + 2
@@ -334,9 +335,9 @@ def _run_dichotomy(cfg, m, out: Path):
     for j, (alpha, verdict) in enumerate(cases):
         fields_a = fields[2 * j * n : (2 * j + 1) * n]
         fields_b = fields[(2 * j + 1) * n : (2 * j + 2) * n]
-        rep_a = boundary_attainment(fields_a, phi_a, cfg.tau, threshold=threshold)
-        rep_b = boundary_attainment(fields_b, phi_b, cfg.tau, threshold=threshold)
-        diffs = _probe_diffs(fields_a, fields_b, coords, cfg.tau)
+        rep_a = boundary_attainment(fields_a, phi_a, tau, threshold=threshold)
+        rep_b = boundary_attainment(fields_b, phi_b, tau, threshold=threshold)
+        diffs = _probe_diffs(fields_a, fields_b, coords, tau)
         decreasing = all(b < a for a, b in zip(diffs[:-1], diffs[1:]))
         rows.append(
             {
@@ -382,7 +383,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stage = _Stage()
-    report: dict = {"experiment": cfg.kind, "config": cfg.resolved()}
+    report: dict = {"experiment": cfg.kind, "config": cfg.sections}
     try:
         m = stage.run("build_models", lambda: _models(cfg))
         hyp = m["hypotheses"] = stage.run("hypotheses", lambda: _hypotheses(m))
@@ -393,7 +394,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
         report["verdict"] = "pass" if ok else "fail"
         report["payload"] = payload
         code = EXIT_PASS if ok else EXIT_VERDICT_FAIL
-    except (ConfigParseError, ConfigError, RegimeError) as exc:
+    except CONFIG_ERRORS as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         report["verdict"] = "error"
         code = EXIT_CONFIG_ERROR

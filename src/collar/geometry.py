@@ -168,12 +168,7 @@ class NodeClassification:
     """
 
     eps: float
-    eps_snapped: float
     labels: np.ndarray
-
-    @property
-    def exterior(self) -> np.ndarray:
-        return np.nonzero(self.labels == EXTERIOR)[0]
 
     @property
     def collar(self) -> np.ndarray:
@@ -212,4 +207,4 @@ def collar_decomposition(grid: Grid, eps: float) -> NodeClassification:
     labels[steps == 0] = EXTERIOR
     labels[(steps > 0) & (steps < m)] = COLLAR
     labels[steps == m] = INTERFACE
-    return NodeClassification(eps=float(eps), eps_snapped=m * h, labels=labels)
+    return NodeClassification(eps=float(eps), labels=labels)

@@ -184,7 +184,7 @@ class TestBoundaryAttainment:
         # factor 4: the interface row sits 4 spacings in, its probe one further
         assert rep.probe_offsets == pytest.approx([1.25 * e for e in (0.2, 0.1, 0.05, 0.025)])
 
-        all_core = NodeClassification(0.2, 0.2, np.full(fields[0].grid.n, CORE))
+        all_core = NodeClassification(0.2, np.full(fields[0].grid.n, CORE))
         monkeypatch.setattr(analysis, "collar_decomposition", lambda grid, eps: all_core)
         with pytest.raises(ShapeError, match="no interface rows"):
             boundary_attainment(fields, phi, tau=0.05)

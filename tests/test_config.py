@@ -6,6 +6,7 @@ import pytest
 
 from collar.cli import main as cli_main
 from collar.config import (
+    _SCHEMA,
     build_boundary,
     build_density,
     build_domain,
@@ -51,10 +52,8 @@ class TestParsing:
     def test_minimal_document_with_defaults(self):
         cfg = parse_config(MINIMAL_HEAT)
         assert cfg.kind == "solve"
-        assert cfg.tau == pytest.approx(0.005)  # t_final / 10
-        assert cfg.eta_cap == pytest.approx(0.1)
-        resolved = cfg.resolved()
-        assert resolved["experiment"]["tau"] == pytest.approx(0.005)
+        assert cfg.sections["experiment"]["tau"] == pytest.approx(0.005)  # t_final / 10
+        assert cfg.sections["experiment"]["eta_cap"] == pytest.approx(0.1)
 
     def test_unknown_key_reports_line(self):
         bad = MINIMAL_HEAT.replace("value = 0.0", "value = 0.0\nwavelength = 3")
@@ -99,7 +98,14 @@ class TestParsing:
             "kind = family\neps_list = 0.2, 0.1, 0.05, 0.025\neta_list = 0.1, 0.05, 0.025",
         )
         cfg = parse_config(doc)
-        assert cfg.get("experiment", "eps_list") == [0.2, 0.1, 0.05, 0.025]
+        assert cfg.sections["experiment"]["eps_list"] == [0.2, 0.1, 0.05, 0.025]
+
+    @pytest.mark.parametrize("value", [",", " , ,", ""])
+    def test_empty_list_reports_line(self, value):
+        doc = MINIMAL_HEAT.replace("kind = solve", f"kind = solve\neps_list = {value}")
+        with pytest.raises(ConfigParseError, match="eps_list") as err:
+            parse_config(doc)
+        assert err.value.line == doc.splitlines().index(f"eps_list = {value}") + 1
 
 
 class TestMaterialization:
@@ -137,6 +143,19 @@ class TestRunExperiment:
         assert report["verdict"] == "pass"
         assert report["config"]["numerics"]["nodes"] == 65
         assert (tmp_path / "trajectory.csv").exists()
+
+    def test_report_embeds_every_default(self, tmp_path):
+        assert run_experiment(parse_config(MINIMAL_HEAT), tmp_path) == 0
+        config = json.loads((tmp_path / "report.json").read_text())["config"]
+        for sec, keys in _SCHEMA.items():
+            assert {key for key, (_, default) in keys.items() if default is not None} <= set(
+                config[sec]), sec
+        assert "collar_cap" not in config["domain"]
+        assert config["numerics"]["newton_tol"] == 1e-10
+        assert config["numerics"]["store_stride"] == 1
+        assert config["experiment"]["threshold"] == 0.05
+        assert config["experiment"]["tau"] == pytest.approx(0.005)  # t_final / 10
+        assert config["experiment"]["t0"] == pytest.approx(0.025)  # t_final / 2
 
     def test_identical_configs_write_identical_csv(self, tmp_path):
         cfg = parse_config(MINIMAL_HEAT)
@@ -269,6 +288,24 @@ class TestCli:
         assert key in capsys.readouterr().err
         with pytest.raises(ConfigParseError, match=key):
             parse_config(doc)
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("old, new, message", [
+        ("b = 1.0", "b = -1.0", "need lo < hi"),
+        ("b = 1.0", "b = 1.0\ncollar_cap = 0.9", "collar cap 0.9 must lie in (0, 0.5)"),
+        ("kind = solve", "kind = solve\neps = 0.01", "eps 0.01 below 2h"),
+    ], ids=["endpoints", "collar-cap", "eps-below-2h"])
+    def test_geometry_mistakes_are_config_errors(self, tmp_path, capsys, command, old, new,
+                                                 message):
+        # These used to exit 3 (validate: "model error", or 0 for eps).
+        cfg = self._write(tmp_path, MINIMAL_HEAT.replace(old, new))
+        assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        if command == "validate":
+            assert f"config error: {message}" in capsys.readouterr().err
+        else:
+            report = json.loads((tmp_path / "out/report.json").read_text())
+            assert report["verdict"] == "error"
+            assert message in report["error"]["message"]
 
     def test_parse_error_exit_code(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL_HEAT.replace("nodes = 65", "nodes = 8"))

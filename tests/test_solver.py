@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from collar import experiments, solver
+from collar.analysis import comparison_check
 from collar.config import parse_config
 from collar.errors import ConfigError, LinearSolveError, SolveError, StepError
 from collar.experiments import run_experiment
@@ -50,6 +51,32 @@ def heat_problem(nodes=129, horizon=0.1, dt=1e-3, eps=0.0, eta=0.0, eta_cap=0.1)
         horizon=horizon,
         dt=dt,
     )
+
+
+def loop_flux_balance_defect(fieldobj, problem: ApproxProblem) -> float:
+    """Oracle for ``flux_balance_defect``: the same defect, one stored time at a time."""
+    lay = problem.layout
+    op = problem.operator
+    m0, m1 = lay.m0, lay.m1
+    free = lay.free_local + m0
+    vol = op.volumes
+    rho_vals = np.asarray(problem.rho.rho(problem.grid.nodes[free]))
+    h = problem.grid.h
+    worst = 0.0
+    for j in range(fieldobj.n_times - 1):
+        dt = fieldobj.times[j + 1] - fieldobj.times[j]
+        u_new = fieldobj.values[:, j + 1]
+        u_old = fieldobj.values[:, j]
+        mass_change = float(np.sum(rho_vals * (u_new[free] - u_old[free]) * vol[free]))
+        g = np.asarray(problem.flux.g(u_new))
+        f0, f1 = free[0], free[-1]
+        flux_in = 0.0
+        if f1 + 1 <= m1 and (f1 + 1 - m0) in lay.dir_local:
+            flux_in += op.face_areas[f1] * (g[f1 + 1] - g[f1]) / h
+        if f0 - 1 >= m0 and (f0 - 1 - m0) in lay.dir_local:
+            flux_in -= op.face_areas[f0 - 1] * (g[f0] - g[f0 - 1]) / h
+        worst = max(worst, abs(mass_change - dt * flux_in))
+    return worst
 
 
 class TestBlend:
@@ -169,6 +196,7 @@ class TestSolve:
         p = heat_problem(nodes=65, horizon=0.02, dt=1e-3)
         fld = solve_eps_eta(p, store_stride=1)
         assert flux_balance_defect(fld, p) <= 1e-12
+        assert flux_balance_defect(fld, p) == loop_flux_balance_defect(fld, p)
 
     def test_flux_balance_radial_collar(self):
         dom = Domain.ball(1.0, dim=2)
@@ -181,6 +209,13 @@ class TestSolve:
         )
         fld = solve_eps_eta(p, store_stride=1)
         assert flux_balance_defect(fld, p) <= 1e-10
+        assert flux_balance_defect(fld, p) == loop_flux_balance_defect(fld, p)
+
+    def test_flux_balance_non_finite_defect_is_nan(self):
+        p = heat_problem(nodes=65, horizon=0.02, dt=1e-3)
+        fld = solve_eps_eta(p, store_stride=1)
+        fld.values[p.grid.index_of(0.5), 7] = np.nan
+        assert math.isnan(flux_balance_defect(fld, p))
 
     def test_time_stamps_on_lattice(self):
         fld = solve_eps_eta(heat_problem(nodes=65, horizon=0.01, dt=1e-3), store_stride=2)
@@ -384,10 +419,10 @@ class TestNonFinite:
 
 
 @st.composite
-def max_principle_problems(draw):
+def max_principle_problems(draw, alphas=st.floats(0.0, 3.0)):
     m = draw(st.one_of(st.just(None), st.floats(1.5, 3.0)))
     rho = (DensityModel.constant(draw(st.floats(0.5, 2.0)), DOM) if draw(st.booleans())
-           else DensityModel.power_law(draw(st.floats(0.0, 3.0)), DOM))
+           else DensityModel.power_law(draw(alphas), DOM))
     phi = BoundaryData.sine(draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.3)),
                             draw(st.floats(0.5, 3.0)), horizon=1.0)
     initial = InitialData.sine(DOM, draw(st.floats(-1.0, 1.0)), draw(st.integers(1, 3)),
@@ -399,6 +434,10 @@ def max_principle_problems(draw):
         eps=draw(st.sampled_from([0.0, 0.125, 0.25])), eta=draw(st.floats(0.0, 0.1)),
         eta_cap=0.1, horizon=0.1, dt=draw(st.sampled_from([5e-3, 1e-2, 2e-2])),
     )
+
+
+#: Power-law exponents whose collar integral is finite (alpha < 2) or divergent.
+ALPHA_REGIMES = {"finite": st.floats(0.0, 1.9), "divergent": st.floats(2.0, 3.0)}
 
 
 class TestProperties:
@@ -418,6 +457,34 @@ class TestProperties:
                                 dataclasses.replace(p, eta=max(eta_a, eta_b))])
         finite = np.isfinite(lo.values) & np.isfinite(hi.values)
         assert np.all(lo.values[finite] <= hi.values[finite] + 1e-8)
+
+    @pytest.mark.parametrize("regime", ALPHA_REGIMES)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_flux_balance_within_newton_budget(self, regime, data):
+        # Weighted by rho * volume and summed over the free rows, the Newton
+        # residual telescopes to the defect of the step.  The defect uses the
+        # flux at the end of a stored step, so a halved step is left out.
+        p = data.draw(max_principle_problems(ALPHA_REGIMES[regime]))
+        scheme = SolverScheme()
+        fld = solve_eps_eta(p, scheme)
+        assume(fld.meta["step_halvings"] == 0)
+        free = p.layout.free_local + p.layout.m0
+        weights = p.rho.rho(p.grid.nodes[free]) * p.operator.volumes[free]
+        defect = flux_balance_defect(fld, p)
+        assert defect <= scheme.newton_tol * np.sum(weights)
+        assert defect == loop_flux_balance_defect(fld, p)
+
+    @pytest.mark.parametrize("regime", ALPHA_REGIMES)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_ordered_lifts_pass_comparison(self, regime, data):
+        p = data.draw(max_principle_problems(ALPHA_REGIMES[regime]))
+        etas = sorted(data.draw(st.lists(st.floats(0.0, 0.1), min_size=2, max_size=2)))
+        low, high = solve_members([dataclasses.replace(p, eta=eta) for eta in etas])
+        levels = [e for e in (0.125, 0.25) if e >= p.eps]
+        verdict = comparison_check(low, high, tau=p.horizon / 2, eps_range=levels)
+        assert verdict.passed, verdict.as_dict()
 
 
 def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 1,
