@@ -30,7 +30,6 @@ from .geometry import (
     NodeClassification,
     build_grid,
     collar_decomposition,
-    distance_to_boundary,
 )
 from .models import (
     BoundaryData,

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, HypothesisError, ShapeError, SourceError
-from .geometry import Grid, collar_decomposition
+from .geometry import CORE, Grid, collar_decomposition
 from .models import BoundaryData, Nonlinearity
 from .operators import assemble_diffusion, solve_tridiagonal
-from .solver import SpaceTimeField
+from .solver import SpaceTimeField, _identity_rows
 
 
 # ---------------------------------------------------------------------------
@@ -67,40 +67,27 @@ def solve_duality_potential(grid: Grid, eps: float, source: np.ndarray) -> Duali
         raise SourceError("source must not vanish identically")
 
     cls = collar_decomposition(grid, eps)
-    comp = cls.computational
-    m0, m1 = int(comp.min()), int(comp.max())
-    dir_local = cls.interface - m0
-    support = np.nonzero(f > 0.0)[0]
-    margin = int(round(eps / grid.h)) + 1
-    if np.any(grid.steps_from_boundary[support] <= margin):
+    m0, m1 = cls.window
+    inside = np.zeros(grid.n, dtype=bool)
+    inside[cls.probes()] = True
+    if not np.all(inside[f > 0.0]):
         raise SourceError(
             "source support must lie strictly inside the core at this collar level"
         )
 
     op = assemble_diffusion(grid)
-    lo = op.lo[m0 : m1 + 1].copy()
-    di = op.di[m0 : m1 + 1].copy()
-    up = op.up[m0 : m1 + 1].copy()
-    rhs = -f[m0 : m1 + 1].copy()
-    lo[dir_local] = 0.0
-    up[dir_local] = 0.0
-    di[dir_local] = 1.0
-    rhs[dir_local] = 0.0
-    psi_w = solve_tridiagonal(lo, di, up, rhs)
-
+    bands = tuple(band[m0 : m1 + 1].copy() for band in (op.lo, op.di, op.up))
+    rhs = -f[m0 : m1 + 1]
+    _identity_rows(bands, rhs, cls.interface - m0)
     psi = np.full(grid.n, np.nan)
-    psi[m0 : m1 + 1] = psi_w
+    psi[m0 : m1 + 1] = solve_tridiagonal(*bands, rhs)
 
     h = grid.h
     normal_derivs = []
     flux_sum = 0.0
-    for i in cls.interface:
-        # Inward neighbor: the one farther from the boundary.
-        inward = 1 if grid.distances[i + 1] > grid.distances[i] else -1
-        neighbor = i + inward
+    for i, neighbor in zip(cls.interface, cls.inner_neighbours):
         normal_derivs.append(-(psi[neighbor] - psi[i]) / h)
-        face = i if inward == 1 else i - 1
-        flux_sum += op.face_areas[face] * abs(psi[neighbor] - psi[i]) / h
+        flux_sum += op.face_areas[min(i, neighbor)] * abs(psi[neighbor] - psi[i]) / h
 
     source_integral = float(np.sum(f * op.volumes))
     return DualityPotential(
@@ -221,19 +208,14 @@ def boundary_attainment(
     offsets = []
     for f in fields:
         grid = f.grid
-        if f.eps > 0.0:
-            cls = collar_decomposition(grid, f.eps)
-            rows = cls.interface
-        else:
-            rows = np.nonzero(grid.steps_from_boundary == 0)[0]
+        cls = collar_decomposition(grid, f.eps)
+        rows = cls.interface
         if rows.size == 0:
             raise ShapeError(f"collar level {f.eps} has no interface rows to probe")
         tmask = f.times >= tau - 1e-12
         level_sup = 0.0
         level_offset = 0.0
-        for i in rows:
-            inward = 1 if grid.distances[min(i + 1, grid.n - 1)] > grid.distances[i] else -1
-            probe = i + inward
+        for i, probe in zip(rows, cls.inner_neighbours):
             b = grid.domain.nearest_boundary_point(grid.nodes[i])
             target = np.asarray(phi.phi(b, f.times[tmask]))
             gap = np.abs(f.values[probe, tmask] - target)
@@ -305,8 +287,7 @@ def comparison_check(
                 f"interface ordering fails at collar level {e}: gap {np.nanmax(gap):.3e}"
             )
 
-    eps_max = max(eps_range)
-    core = grid.steps_from_boundary > int(round(eps_max / grid.h))
+    core = collar_decomposition(grid, max(eps_range)).labels == CORE
     both = core & u_low.mask & u_high.mask
     gap = u_low.values[both, :] - u_high.values[both, :]
     worst = float(np.nanmax(gap))

@@ -451,13 +451,11 @@ class Barrier:
     anchor_t: float | None
     delta: float
     sigma: float
-    eta: float
     constants: BarrierConstants
     potential: BoundaryPotential | MillerBarrier
     flux: Nonlinearity
     base_level: float
     t_window: tuple[float, float]
-    bound_K: float | None = None
 
     @property
     def sign(self) -> float:
@@ -500,7 +498,6 @@ def build_barrier(
     flux: Nonlinearity,
     phi: BoundaryData,
     delta: float,
-    bound_K: float | None = None,
 ) -> Barrier:
     """Assemble the barrier evaluator for one case, side, and anchor."""
     _validate_case_side(case, side)
@@ -533,13 +530,11 @@ def build_barrier(
         anchor_t=t0,
         delta=float(delta),
         sigma=float(sigma),
-        eta=float(eta),
         constants=constants,
         potential=potential,
         flux=flux,
         base_level=base,
         t_window=window,
-        bound_K=bound_K,
     )
 
 

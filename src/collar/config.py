@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .barriers import CASES
 from .errors import ConfigError, ConfigParseError
 from .geometry import Domain, Grid, MIN_NODES, build_grid, collar_decomposition
 from .models import BoundaryData, DensityModel, InitialData, Nonlinearity
@@ -63,15 +64,20 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
-# Each section's kinds and the keys each kind requires.
+# Each section's kinds and the keys each kind takes, required if they have no
+# default.  Outside [experiment], a key that some kind lists is rejected under
+# the others, and a key no kind lists (``collar_cap``) applies to every kind.
 _KINDS: dict[str, dict[str, tuple[str, ...]]] = {
     "domain": {
         "interval": ("a", "b"), "ball": ("r_out", "dim"), "annulus": ("r_in", "r_out", "dim"),
     },
-    "density": {"constant": (), "power": ("alpha",), "table": ("file",)},
-    "nonlinearity": {"linear": (), "porous-medium": ("m",), "table": ("file",)},
-    "boundary": {"constant": (), "ramp": (), "sine": (), "sided": ()},
-    "initial": {"constant": (), "sine": ()},
+    "density": {"constant": ("c",), "power": ("alpha", "coef"), "table": ("file",)},
+    "nonlinearity": {"linear": ("slope",), "porous-medium": ("m",), "table": ("file",)},
+    "boundary": {
+        "constant": ("value",), "ramp": ("value", "rate"),
+        "sine": ("offset", "amplitude", "frequency"), "sided": ("left", "right"),
+    },
+    "initial": {"constant": ("value",), "sine": ("amplitude", "mode", "offset")},
     "experiment": {
         "solve": (), "family": ("eps_list", "eta_list"), "barrier-certify": (), "duality": (),
         "attainment": ("eps_list",), "dichotomy-sweep": ("eps_list", "alpha_list"),
@@ -122,6 +128,7 @@ class ExperimentConfig:
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document, strictly, and fill in every default."""
     sections: dict[str, dict] = {}
+    lines: dict[tuple[str, str], int] = {}
     current: str | None = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -148,11 +155,18 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in sections[current]:
             raise ConfigParseError(f"duplicate key {key!r}", lineno)
         sections[current][key] = _convert(key, raw, _SCHEMA[current][key][0], lineno)
+        lines[current, key] = lineno
 
     for sec, keys in _SCHEMA.items():
         if sec not in sections:
             raise ConfigParseError(f"missing section [{sec}]")
         values = sections[sec]
+        kinds = {} if sec == "experiment" else _KINDS.get(sec, {})
+        own = kinds.get(values.get("kind"), values)  # an unknown kind fails in _validate
+        for key in values:
+            if key not in own and any(key in taken for taken in kinds.values()):
+                msg = f"key {key!r} does not apply to {sec} kind {values['kind']!r}"
+                raise ConfigParseError(msg, lines[sec, key])
         for key, (_, default) in keys.items():
             if key in values or default is None:
                 continue
@@ -205,8 +219,14 @@ def _validate(cfg: ExperimentConfig):
     exp = s["experiment"]
     if not 0.0 < exp["tau"] < num["t_final"]:
         _fail("tau must lie in (0, t_final)")
-    if exp["eta"] < 0.0:
-        _fail("eta must be nonnegative")
+    if not all(0.0 < e < np.inf for e in exp.get("eps_list") or ()):
+        _fail("eps_list entries must be positive and finite")
+    if not 0.0 <= exp["eta"] < np.inf:
+        _fail("eta must be nonnegative and finite")
+    if not 0.0 < exp["eta_cap"] < np.inf:
+        _fail("eta_cap must be positive and finite")
+    if exp["barrier_case"] not in CASES:
+        _fail(f"unknown barrier case {exp['barrier_case']!r}; choose from {CASES}")
     if exp["barrier_side"] not in ("lower", "upper", "both"):
         _fail("barrier_side must be lower, upper, or both")
     if exp["anchor"] not in ("left", "right"):
@@ -229,10 +249,9 @@ def build_domain(cfg: ExperimentConfig) -> Domain:
 
 
 def build_grid_from(cfg: ExperimentConfig, domain: Domain) -> Grid:
-    """The config's grid, on which a positive ``eps`` must resolve a collar level."""
+    """The config's grid, on which ``eps`` must be a collar level."""
     grid = build_grid(domain, cfg.sections["numerics"]["nodes"])
-    if cfg.sections["experiment"]["eps"] > 0.0:
-        collar_decomposition(grid, cfg.sections["experiment"]["eps"])
+    collar_decomposition(grid, cfg.sections["experiment"]["eps"])
     return grid
 
 

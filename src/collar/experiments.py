@@ -38,7 +38,7 @@ from .config import (
     build_scheme,
 )
 from .errors import CollarError, ConfigError, DomainError, RegimeError, ResolutionError
-from .geometry import Domain, build_grid
+from .geometry import Domain, build_grid, collar_decomposition
 from .models import (
     BoundaryData,
     DensityModel,
@@ -207,7 +207,7 @@ def _run_barrier_certify(cfg, m, out: Path):
         constants = select_barrier_constants(case, side, m["flux"], params, safety)
         barrier = build_barrier(
             case, side, m["domain"], anchor, sigma, eta, constants,
-            potential, m["flux"], m["phi"], delta=params.delta, bound_K=params.bound_K,
+            potential, m["flux"], m["phi"], delta=params.delta,
         )
         report = verify_barrier_residual(barrier, m["grid"], m["rho"], m["flux"], num["dt"])
         all_pass &= report.verdict
@@ -235,8 +235,7 @@ def _run_duality(cfg, m, out: Path):
     ok = True
     for eps in eps_values:
         pot = solve_duality_potential(grid, float(eps), source)
-        interior = grid.steps_from_boundary > int(round(eps / grid.h))
-        psi_pos = bool(np.all(pot.psi[interior] > 0.0))
+        psi_pos = bool(np.all(pot.psi[collar_decomposition(grid, float(eps)).core] > 0.0))
         derivs_neg = bool(np.all(pot.normal_derivatives < 0.0))
         defect_ok = abs(pot.flux_sum - pot.source_integral) <= 1e-6 * pot.source_integral
         ok &= psi_pos and derivs_neg and defect_ok
@@ -306,10 +305,7 @@ def _run_dichotomy(cfg, m, out: Path):
     tau, threshold = exp["tau"], exp["threshold"]
 
     coarse = _attainment_grid(cfg, m, eps_list[0])
-    margin = int(round(eps_list[0] / coarse.h)) + 2
-    coords = coarse.nodes[coarse.steps_from_boundary >= margin]
-    if coords.size > 33:
-        coords = coords[:: int(np.ceil(coords.size / 33))]
+    coords = coarse.nodes[collar_decomposition(coarse, eps_list[0]).probes(33)]
 
     # The conflicting run shifts the whole boundary trace by a constant.  One
     # trace object for every alpha lets a batch evaluate it once per sub-step.

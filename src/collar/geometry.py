@@ -119,11 +119,6 @@ class Domain:
         return float(out) if out.ndim == 0 else out
 
 
-def distance_to_boundary(domain: Domain, x):
-    """Distance from a point to the boundary; zero exactly on the boundary."""
-    return domain.distance(x)
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on the closed reduced coordinate, boundary nodes included."""
@@ -164,7 +159,7 @@ class NodeClassification:
 
     ``labels[i]`` is one of the module-level codes; the index arrays are the
     sorted node indices per class.  The interface is snapped to the grid node
-    nearest to distance ``eps`` from the boundary.
+    nearest to distance ``eps`` from the boundary: the boundary nodes at ``eps = 0``.
     """
 
     eps: float
@@ -187,17 +182,40 @@ class NodeClassification:
         """Interface plus core nodes, the unknowns of a collar-level solve."""
         return np.nonzero(self.labels >= INTERFACE)[0]
 
+    @property
+    def window(self) -> tuple[int, int]:
+        """First and last computational node; every node between them is one."""
+        comp = self.computational
+        return int(comp[0]), int(comp[-1])
+
+    @property
+    def inner_neighbours(self) -> np.ndarray:
+        """The node one step into the core from each interface node, which ends the window."""
+        iface = self.interface
+        return np.where(iface == self.window[0], iface + 1, iface - 1)
+
+    def probes(self, limit: int | None = None) -> np.ndarray:
+        """Nodes two or more steps inside the interface, thinned to at most ``limit``."""
+        deep = self.labels == CORE
+        deep[self.inner_neighbours] = False
+        idx = np.flatnonzero(deep)
+        if limit is not None and idx.size > limit:
+            idx = idx[:: -(-idx.size // limit)]
+        return idx
+
 
 def collar_decomposition(grid: Grid, eps: float) -> NodeClassification:
     """Classify nodes into collar (d < eps), interface (d ~ eps), core (d > eps).
 
-    Requires ``2h <= eps <= collar_cap``.  ``eps`` is snapped to the nearest
-    integer multiple of the spacing, so levels chosen as such multiples are
-    classified without interpolation ambiguity.
+    Requires ``eps = 0`` (no collar; the boundary nodes are the interface) or
+    ``2h <= eps <= collar_cap``.  ``eps`` snaps to the nearest multiple of the
+    spacing, so levels chosen as such multiples classify without ambiguity.
     """
     h = grid.h
     cap = grid.domain.collar_cap
-    if eps < 2.0 * h * (1.0 - 1e-12):
+    if not eps >= 0.0:
+        raise ConfigError(f"collar width {eps} must be >= 0")
+    if 0.0 < eps < 2.0 * h * (1.0 - 1e-12):
         raise ResolutionError(f"eps {eps} below 2h = {2 * h}: collar unresolved")
     if eps > cap * (1.0 + 1e-12):
         raise ConfigError(f"eps {eps} exceeds the collar cap {cap}")

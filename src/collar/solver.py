@@ -160,16 +160,9 @@ class ApproxProblem:
 
     def _build_layout(self) -> _Layout:
         grid = self.grid
-        if self.eps <= 0.0:
-            comp = np.arange(grid.n)
-            dir_global = np.nonzero(grid.steps_from_boundary == 0)[0]
-        else:
-            cls = collar_decomposition(grid, self.eps)
-            comp = cls.computational
-            dir_global = cls.interface
-        m0, m1 = int(comp.min()), int(comp.max())
-        if comp.size != m1 - m0 + 1:
-            raise ConfigError("computational window is not contiguous")
+        cls = collar_decomposition(grid, self.eps)
+        m0, m1 = cls.window
+        dir_global = cls.interface
         dir_local = dir_global - m0
         free_local = np.flatnonzero(~_index_mask(m1 - m0 + 1, dir_local))
         if free_local.size < 3:
@@ -723,10 +716,10 @@ def flux_balance_defect(fieldobj: SpaceTimeField, problem: ApproxProblem) -> flo
     du = np.ascontiguousarray((u[free, 1:] - u[free, :-1]).T)
     mass_change = np.sum(rho_vals * du * op.volumes[free], axis=1)
     flux_in = np.zeros(fieldobj.n_times - 1)
-    if f1 + 1 <= m1 and (f1 + 1 - m0) in lay.dir_local:
+    if f1 < m1:
         g = np.asarray(problem.flux.g(u[f1 : f1 + 2, 1:]))
         flux_in += op.face_areas[f1] * (g[1] - g[0]) / h
-    if f0 - 1 >= m0 and (f0 - 1 - m0) in lay.dir_local:
+    if f0 > m0:  # a ball's window starts at its centre, not at an interface row
         g = np.asarray(problem.flux.g(u[f0 - 1 : f0 + 1, 1:]))
         flux_in -= op.face_areas[f0 - 1] * (g[1] - g[0]) / h
     return float(np.max(np.abs(mass_change - np.diff(fieldobj.times) * flux_in), initial=0.0))
@@ -806,12 +799,9 @@ def extract_limit_solution(
     eps_arr = _halving(eps_levels, "collar", 4)
     eta_arr = _halving(eta_levels, "lift", 3)
     grid = problem.grid
-    steps_needed = int(round(eps_arr[0] / grid.h)) + 2
-    probe_idx = np.nonzero(grid.steps_from_boundary >= steps_needed)[0]
+    probe_idx = collar_decomposition(grid, float(eps_arr[0])).probes(_MAX_PROBES)
     if probe_idx.size < 5:
         raise ConfigError("fewer than 5 probe nodes clear of the widest collar")
-    if probe_idx.size > _MAX_PROBES:
-        probe_idx = probe_idx[:: int(np.ceil(probe_idx.size / _MAX_PROBES))]
 
     eta_min = float(eta_arr[-1])
     members = [(e, eta_min) for e in eps_arr] + [(eps_arr[-1], h) for h in eta_arr[:-1]]

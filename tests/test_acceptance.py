@@ -159,7 +159,7 @@ def test_criterion_04_barrier_certification():
         for side in ("lower", "upper"):
             c = select_barrier_constants("potential-timed", side, flux, params)
             b = build_barrier("potential-timed", side, dom, (0.0, 0.5), 0.1, 0.0, c,
-                              pot, flux, phi, delta=0.5, bound_K=params.bound_K)
+                              pot, flux, phi, delta=0.5)
             rep = verify_barrier_residual(b, grid, rho, flux, 1e-3)
             ok &= rep.verdict
             detail.append(f"h={grid.h:.3g}/{side}:{'ok' if rep.verdict else 'BAD'}")
@@ -167,7 +167,7 @@ def test_criterion_04_barrier_certification():
     c = select_barrier_constants("potential-timed", "lower", flux, params)
     weak = dataclasses.replace(c, M=c.M / 100.0)
     b = build_barrier("potential-timed", "lower", dom, (0.0, 0.5), 0.1, 0.0, weak,
-                      pot, flux, phi, delta=0.5, bound_K=params.bound_K)
+                      pot, flux, phi, delta=0.5)
     rep = verify_barrier_residual(b, grid, rho, flux, 1e-3)
     ok &= not rep.verdict
     detail.append(f"M/100:{'detected' if not rep.verdict else 'MISSED'}")
@@ -201,7 +201,7 @@ def test_criterion_05_barrier_sandwich():
     for side in ("lower", "upper"):
         c = select_barrier_constants("potential-timed", side, flux, params)
         barriers[side] = build_barrier("potential-timed", side, dom, anchor, sigma, eta,
-                                       c, pot, flux, phi, delta=delta, bound_K=K)
+                                       c, pot, flux, phi, delta=delta)
 
     lo, hi = barriers["lower"], barriers["upper"]
     region = lo.region_node_mask(grid) & fld.mask

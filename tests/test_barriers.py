@@ -363,7 +363,7 @@ class TestBuildBarrier:
             c = select_barrier_constants("potential-timed", side, G, params)
             b = build_barrier(
                 "potential-timed", side, dom, (0.0, 0.5), 0.1, 0.0, c, pot, G, phi,
-                delta=0.5, bound_K=1.1,
+                delta=0.5,
             )
             # All penalty terms vanish at the anchor.
             assert b.evaluate(0.0, 0.5) == pytest.approx(1.0 + sign * 0.1, rel=1e-12)
@@ -373,7 +373,7 @@ class TestBuildBarrier:
         c = select_barrier_constants("potential-timed", "lower", G, params)
         b = build_barrier(
             "potential-timed", "lower", dom, (0.0, 0.5), 0.1, 0.0, c, pot, G, phi,
-            delta=0.5, bound_K=1.1,
+            delta=0.5,
         )
         for t in (0.1, 0.5, 0.9):
             assert b.evaluate(0.5, t) <= -1.1 + 1e-9
@@ -502,7 +502,7 @@ def _assert_residual_matches_loop(barrier, grid, rho, flux, dt=1e-3):
 def _timed_barrier(dom, G, phi, pot, params, side, x0=0.0, constants=None):
     c = constants or select_barrier_constants("potential-timed", side, G, params)
     return build_barrier("potential-timed", side, dom, (x0, 0.5), 0.1, 0.0, c,
-                         pot, G, phi, delta=0.5, bound_K=params.bound_K)
+                         pot, G, phi, delta=0.5)
 
 
 class TestResidualVerification:
@@ -511,7 +511,7 @@ class TestResidualVerification:
         for side in ("lower", "upper"):
             c = select_barrier_constants("potential-timed", side, G, params)
             b = build_barrier("potential-timed", side, dom, (0.0, 0.5), 0.1, 0.0, c,
-                              pot, G, phi, delta=0.5, bound_K=1.1)
+                              pot, G, phi, delta=0.5)
             rep = verify_barrier_residual(b, grid, rho, G, 1e-3)
             assert rep.verdict, rep.as_dict()
 
@@ -520,7 +520,7 @@ class TestResidualVerification:
         c = select_barrier_constants("potential-timed", "lower", G, params)
         weak = dataclasses.replace(c, M=c.M / 100.0)
         b = build_barrier("potential-timed", "lower", dom, (0.0, 0.5), 0.1, 0.0, weak,
-                          pot, G, phi, delta=0.5, bound_K=1.1)
+                          pot, G, phi, delta=0.5)
         rep = verify_barrier_residual(b, grid, rho, G, 1e-3)
         assert not rep.verdict
         assert rep.max_residual > rep.tolerance
@@ -626,7 +626,7 @@ class TestResidualMatchesLoop:
         for side in ("lower", "upper"):
             c = select_barrier_constants("potential-timed", side, G, params)
             b = build_barrier("potential-timed", side, dom, (1.0, 0.5), 0.1, 0.0, c,
-                              pot, G, phi, delta=0.35, bound_K=1.3)
+                              pot, G, phi, delta=0.35)
             _assert_residual_matches_loop(b, grid, rho, G)
 
     def test_surrogate_flux_inverts_on_the_splice(self, worked_setup):

@@ -47,6 +47,11 @@ t_final = 0.05
 kind = solve
 """
 
+RADIAL_DOMAINS = {
+    "ball": "kind = ball\nr_out = 1.0\ndim = 3",
+    "annulus": "kind = annulus\nr_in = 1.0\nr_out = 2.0\ndim = 2",
+}
+
 
 class TestParsing:
     def test_minimal_document_with_defaults(self):
@@ -99,6 +104,28 @@ class TestParsing:
         )
         cfg = parse_config(doc)
         assert cfg.sections["experiment"]["eps_list"] == [0.2, 0.1, 0.05, 0.025]
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("c = 1.0", "c = 1.0\nalpha = 2.0", "alpha"),
+        ("c = 1.0", "c = 1.0\nfile = nope.txt", "file"),
+        ("b = 1.0", "b = 1.0\nr_out = 5.0", "r_out"),
+        ("b = 1.0", "b = 1.0\ndim = 3", "dim"),
+        ("kind = linear", "kind = linear\nm = 2.0", "m"),
+        ("value = 0.0", "value = 0.0\nfrequency = 2.0", "frequency"),
+        ("amplitude = 1.0", "amplitude = 1.0\nvalue = 0.3", "value"),
+    ])
+    def test_keys_of_other_kinds_rejected(self, old, new, key):
+        # These used to be accepted and ignored.
+        doc = MINIMAL_HEAT.replace(old, new)
+        with pytest.raises(ConfigParseError, match=f"key '{key}' does not apply") as err:
+            parse_config(doc)
+        assert err.value.line == doc.splitlines().index(new.splitlines()[1]) + 1
+
+    def test_keys_of_every_kind_accepted(self):
+        doc = MINIMAL_HEAT.replace("b = 1.0", "b = 1.0\ncollar_cap = 0.2").replace(
+            "value = 0.0", "value = 0.0\npositivity_floor = 0.0")
+        cfg = parse_config(doc)
+        assert cfg.sections["domain"]["collar_cap"] == 0.2
 
     @pytest.mark.parametrize("value", [",", " , ,", ""])
     def test_empty_list_reports_line(self, value):
@@ -306,6 +333,44 @@ class TestCli:
             report = json.loads((tmp_path / "out/report.json").read_text())
             assert report["verdict"] == "error"
             assert message in report["error"]["message"]
+
+    @pytest.mark.parametrize("command, experiment, message", [
+        ("attainment", "kind = attainment\neps_list = 0.2, 0.1, 0.05, 0.0", "eps_list"),
+        ("attainment", "kind = attainment\neps_list = 0.2, 0.1, 0.05, -0.1", "eps_list"),
+        ("solve", "kind = solve\neps = -0.2", "collar width -0.2 must be >= 0"),
+        ("solve", "kind = solve\neps = nan", "collar width nan must be >= 0"),
+        ("solve", "kind = solve\neta = inf\neta_cap = inf", "eta"),
+    ], ids=["zero-level", "negative-level", "negative-eps", "nan-eps", "infinite-lift"])
+    def test_bad_collar_widths_and_lifts_are_config_errors(self, tmp_path, capsys, command,
+                                                           experiment, message):
+        # These used to raise ZeroDivisionError, fail the verdict, pass as if
+        # eps were 0 (validate too), raise ValueError, and exit 3.
+        cfg = self._write(tmp_path, MINIMAL_HEAT.replace("kind = solve", experiment))
+        assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_unknown_barrier_case_is_a_config_error(self, tmp_path, capsys):
+        # validate used to exit 0 while barrier-certify exited 2.
+        doc = MINIMAL_HEAT.replace("kind = solve", "kind = barrier-certify\nbarrier_case = foo")
+        cfg = self._write(tmp_path, doc)
+        assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+        assert "config error: unknown barrier case 'foo'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain", RADIAL_DOMAINS)
+    @pytest.mark.parametrize("command, experiment", [
+        ("solve", "kind = solve"),
+        ("solve", "kind = solve\neps = 0.125"),
+        ("attainment", "kind = attainment\neps_list = 0.2, 0.1, 0.05, 0.025"),
+        ("duality", "kind = duality\neps = 0.125"),
+    ], ids=["solve-eps0", "solve-eps", "attainment", "duality"])
+    def test_radial_domains_run(self, tmp_path, domain, command, experiment):
+        doc = MINIMAL_HEAT.replace("kind = interval\na = 0.0\nb = 1.0", RADIAL_DOMAINS[domain])
+        cfg = self._write(tmp_path, doc.replace("kind = solve", experiment))
+        assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out/report.json").read_text())
+        assert report["verdict"] == "pass"
+        assert report["config"]["domain"]["dim"] in (2, 3)
 
     def test_parse_error_exit_code(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL_HEAT.replace("nodes = 65", "nodes = 8"))

@@ -10,32 +10,31 @@ from collar.geometry import (
     Domain,
     build_grid,
     collar_decomposition,
-    distance_to_boundary,
 )
 
 
 class TestDistance:
     def test_interval_interior_point(self):
         dom = Domain.interval(0.0, 1.0)
-        assert distance_to_boundary(dom, 0.3) == pytest.approx(0.3)
+        assert dom.distance(0.3) == pytest.approx(0.3)
 
     def test_interval_boundary_point_is_zero(self):
         dom = Domain.interval(0.0, 1.0)
-        assert distance_to_boundary(dom, 1.0) == 0.0
+        assert dom.distance(1.0) == 0.0
 
     def test_annulus_radial_point(self):
         dom = Domain.annulus(1.0, 2.0, dim=2)
-        assert distance_to_boundary(dom, 1.75) == pytest.approx(0.25)
+        assert dom.distance(1.75) == pytest.approx(0.25)
 
     def test_ball_distance_from_outer_boundary(self):
         dom = Domain.ball(1.0, dim=2)
-        assert distance_to_boundary(dom, 0.9) == pytest.approx(0.1)
-        assert distance_to_boundary(dom, 0.0) == pytest.approx(1.0)
+        assert dom.distance(0.9) == pytest.approx(0.1)
+        assert dom.distance(0.0) == pytest.approx(1.0)
 
     def test_outside_raises(self):
         dom = Domain.interval(0.0, 1.0)
         with pytest.raises(DomainError):
-            distance_to_boundary(dom, 1.5)
+            dom.distance(1.5)
 
     def test_lipschitz_along_grid(self):
         grid = build_grid(Domain.interval(-1.0, 2.0), 97)
@@ -132,3 +131,49 @@ class TestCollarDecomposition:
         grid = build_grid(Domain.interval(0.0, 1.0), 81)
         with pytest.raises(ConfigError):
             collar_decomposition(grid, 0.3)
+
+
+DOMAINS = {
+    "interval": Domain.interval(0.0, 1.0),
+    "ball": Domain.ball(1.0, dim=3),
+    "annulus": Domain.annulus(1.0, 2.0, dim=2),
+}
+
+
+class TestCollarLevels:
+    @pytest.mark.parametrize("kind", DOMAINS)
+    def test_eps_zero_interface_is_the_boundary(self, kind):
+        grid = build_grid(DOMAINS[kind], 41)
+        cls = collar_decomposition(grid, 0.0)
+        assert np.array_equal(cls.interface, np.flatnonzero(grid.distances == 0.0))
+        assert cls.collar.size == 0
+        assert cls.window == (0, grid.n - 1)
+
+    @pytest.mark.parametrize("kind", DOMAINS)
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_window_and_inner_neighbours(self, kind, eps):
+        grid = build_grid(DOMAINS[kind], 41)  # h = 0.025
+        cls = collar_decomposition(grid, eps)
+        lo, hi = cls.window
+        assert np.array_equal(cls.computational, np.arange(lo, hi + 1))
+        inner = cls.inner_neighbours
+        assert inner.size == cls.interface.size == len(DOMAINS[kind].boundary_points())
+        assert np.all(np.abs(inner - cls.interface) == 1)
+        assert np.all(cls.labels[inner] == CORE)
+        assert np.all(grid.distances[inner] > grid.distances[cls.interface])
+
+    @pytest.mark.parametrize("kind", DOMAINS)
+    def test_probes_lie_two_steps_inside(self, kind):
+        grid = build_grid(DOMAINS[kind], 81)  # h = 0.0125
+        cls = collar_decomposition(grid, 0.1)
+        deep = np.flatnonzero(grid.steps_from_boundary >= 10)
+        assert np.array_equal(cls.probes(), deep)
+        thinned = cls.probes(7)
+        assert thinned.size <= 7
+        assert thinned[0] == deep[0] and set(thinned) <= set(deep)
+
+    @pytest.mark.parametrize("eps", [-0.1, np.nan])
+    def test_negative_or_nan_eps_rejected(self, eps):
+        grid = build_grid(Domain.interval(0.0, 1.0), 41)
+        with pytest.raises(ConfigError, match="collar width"):
+            collar_decomposition(grid, eps)
