@@ -314,7 +314,8 @@ def select_barrier_constants(
     """Smallest constants satisfying the chosen case's inequalities, with margin.
 
     Time-localized cases bound the time derivative through the derivative
-    floor of the flux, so they demand a nondegenerate (or surrogate) flux.
+    floor of the flux, so they demand a nondegenerate flux; a degenerate flux
+    takes a stationary case (``potential-stationary`` or ``miller-stationary``).
     """
     _validate_case_side(case, side)
     timed = case.endswith("timed")
@@ -322,7 +323,8 @@ def select_barrier_constants(
     if timed and params.alpha0 <= 0.0:
         raise RegimeError(
             "time-localized barriers divide by the flux derivative floor; "
-            "use the nondegenerate surrogate for a degenerate flux"
+            "with a degenerate flux use barrier_case = potential-stationary or "
+            "miller-stationary, or a nondegenerate flux"
         )
     if potential_case and not (params.inf_rho > 0.0):
         raise RegimeError("distance-potential barriers require a density bounded below")

@@ -221,6 +221,10 @@ def _validate(cfg: ExperimentConfig):
         _fail("tau must lie in (0, t_final)")
     if not all(0.0 < e < np.inf for e in exp.get("eps_list") or ()):
         _fail("eps_list entries must be positive and finite")
+    if not all(np.isfinite(exp.get("alpha_list") or ())):
+        _fail("alpha_list entries must be finite")
+    if not 0.0 < exp["threshold"] < np.inf:
+        _fail("threshold must be positive and finite")
     if not 0.0 <= exp["eta"] < np.inf:
         _fail("eta must be nonnegative and finite")
     if not 0.0 < exp["eta_cap"] < np.inf:

@@ -42,10 +42,6 @@ class ModelError(CollarError):
     """A density/nonlinearity/data evaluator violates its hypotheses."""
 
 
-class SpliceError(CollarError):
-    """The nondegenerate surrogate cannot keep the requested derivative floor."""
-
-
 class RegimeError(CollarError):
     """A construction was requested outside its validity regime."""
 

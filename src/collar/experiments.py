@@ -37,7 +37,7 @@ from .config import (
     build_nonlinearity,
     build_scheme,
 )
-from .errors import CollarError, ConfigError, DomainError, RegimeError, ResolutionError
+from .errors import CollarError, ConfigError, DomainError, RegimeError, ResolutionError, SourceError
 from .geometry import Domain, build_grid, collar_decomposition
 from .models import (
     BoundaryData,
@@ -55,9 +55,10 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
 #: Errors that a config mistake raises, reported as exit 2 rather than 3: a
-#: malformed domain or a collar level the grid cannot resolve is the config's
-#: fault, not the solver's.
-CONFIG_ERRORS = (ConfigError, DomainError, ResolutionError, RegimeError)
+#: malformed domain, a collar level the grid cannot resolve, or a duality
+#: source (built from config alone) that does not fit the collar is the
+#: config's fault, not the solver's.
+CONFIG_ERRORS = (ConfigError, DomainError, ResolutionError, RegimeError, SourceError)
 
 
 def _write_json(path: Path, payload: dict):

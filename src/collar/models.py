@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelError, RangeError, SpliceError
+from .errors import ModelError, RangeError
 from .geometry import Domain, Grid
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
@@ -226,43 +226,6 @@ class DensityModel:
 # ---------------------------------------------------------------------------
 
 
-def invert_monotone(f, df, y, lo: float, hi: float, tol: float = 1e-12) -> np.ndarray:
-    """Safeguarded Newton/bisection inverse of a monotone increasing ``f``.
-
-    Elementwise over ``y``: each element keeps its own bracket and iterate,
-    takes the same steps a scalar iteration would, and leaves the batch once
-    it has converged.  ``f`` and ``df`` are evaluated on arrays.
-    """
-    y = np.asarray(y, dtype=float)
-    flo, fhi = float(f(lo)), float(f(hi))
-    outside = ~((flo - tol <= y) & (y <= fhi + tol))
-    if np.any(outside):
-        bad = float(y[outside][0])
-        raise RangeError(f"value {bad} outside [{flo}, {fhi}]", argument=bad)
-    yv = y.ravel()
-    a = np.full(yv.shape, float(lo))
-    b = np.full(yv.shape, float(hi))
-    x = 0.5 * (a + b)
-    live = np.arange(yv.size)
-    for _ in range(200):
-        xl, yl = x[live], yv[live]
-        fx = np.asarray(f(xl), dtype=float)
-        going = np.abs(fx - yl) > tol * np.maximum(1.0, np.abs(yl))
-        live, xl, yl, fx = live[going], xl[going], yl[going], fx[going]
-        if live.size == 0:
-            break
-        above = fx > yl
-        al = np.where(above, a[live], xl)
-        bl = np.where(above, xl, b[live])
-        slope = np.asarray(df(xl), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = xl - (fx - yl) / slope
-        newton = (slope > 0.0) & (al < step) & (step < bl)
-        x[live] = np.where(newton, step, 0.5 * (al + bl))
-        a[live], b[live] = al, bl
-    return x.reshape(y.shape)
-
-
 class Nonlinearity:
     """Monotone flux with evaluators for value, derivative, and inverse.
 
@@ -355,90 +318,6 @@ class Nonlinearity:
                 argument=bad,
             )
         return self._g_inv(y)
-
-
-def build_nondegenerate_surrogate(
-    base: Nonlinearity, threshold: float, floor: float, working_hi: float | None = None
-) -> Nonlinearity:
-    """Replace a degenerate flux below ``threshold`` by a uniformly sloped one.
-
-    The surrogate equals the original flux on [threshold, inf), is linear
-    with slope ``floor`` below threshold/2, and joins the two by a cubic
-    Hermite piece whose derivative rises monotonically from ``floor`` to the
-    original derivative at the threshold (so the floor holds everywhere).
-    """
-    if threshold <= 0.0:
-        raise SpliceError(f"splice threshold must be positive, got {threshold}")
-    if floor <= 0.0:
-        raise SpliceError(f"derivative floor must be positive, got {floor}")
-    if base.alpha0 >= floor:
-        return base
-
-    s = 0.5 * threshold
-    t = threshold
-    hi = max(working_hi if working_hi is not None else 4.0 * threshold, 2.0 * t)
-    sample = np.concatenate((np.linspace(s, t, 2049), np.linspace(t, hi, 2049)))
-    dmin = float(np.min(base.dg(sample)))
-    if dmin < floor * (1.0 - 1e-12):
-        raise SpliceError(
-            f"floor {floor} exceeds the flux derivative minimum {dmin:.6g} "
-            f"on the splice range [{s:.6g}, {hi:.6g}]"
-        )
-
-    g_t = float(base.g(t))
-    dg_t = float(base.dg(t))
-    cubic = (dg_t - floor) / (t - s) ** 2
-    # Value at the inner splice point fixed by matching the flux at threshold.
-    h_s = g_t - floor * (t - s) - (dg_t - floor) * (t - s) / 3.0
-
-    def splice_val(u):
-        du = u - s
-        return h_s + floor * du + cubic * du**3 / 3.0
-
-    def splice_slope(u):
-        return floor + cubic * (u - s) ** 2
-
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        out = np.where(
-            u >= t,
-            base.g(np.maximum(u, t)),
-            np.where(u >= s, splice_val(np.clip(u, s, t)), h_s + floor * (u - s)),
-        )
-        return float(out) if out.ndim == 0 else out
-
-    def dg(u):
-        u = np.asarray(u, dtype=float)
-        out = np.where(
-            u >= t,
-            base.dg(np.maximum(u, t)),
-            np.where(u >= s, splice_slope(np.clip(u, s, t)), floor),
-        )
-        return float(out) if out.ndim == 0 else out
-
-    g_s = float(g(s))
-
-    def g_inv(y):
-        y = np.asarray(y, dtype=float)
-        out = np.empty(y.shape)
-        upper = y >= g_t
-        linear = ~upper & (y <= g_s)
-        splice = ~upper & ~linear
-        out[upper] = base.g_inv(y[upper])
-        out[linear] = s + (y[linear] - g_s) / floor
-        out[splice] = invert_monotone(splice_val, splice_slope, y[splice], s, t)
-        return float(out) if out.ndim == 0 else out
-
-    lo_range = -np.inf
-    hi_range = base.g_range[1]
-    return Nonlinearity(
-        "surrogate",
-        g,
-        dg,
-        g_inv,
-        alpha0=floor,
-        g_range=(lo_range, hi_range),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +539,8 @@ def check_hypotheses(
         )
 
     h5 = flux.alpha0 > 0.0
-    evidence["h5"] = {"method": "closed-form" if flux.kind in ("linear", "surrogate")
-                      else "sampled", "alpha0": flux.alpha0}
+    evidence["h5"] = {"method": "closed-form" if flux.kind == "linear" else "sampled",
+                      "alpha0": flux.alpha0}
 
     # Compatibility of the initial trace with the boundary data at t = 0.
     compat = True
@@ -690,7 +569,8 @@ def check_hypotheses(
     if not h5 and not positivity and phi.time_dependent:
         notes.append(
             "time-dependent data with a degenerate flux and no positivity floor: "
-            "route through the nondegenerate surrogate"
+            "set [boundary] positivity_floor above zero, with the data and the "
+            "initial trace staying above it"
         )
 
     return HypothesisReport(

@@ -702,8 +702,13 @@ def flux_balance_defect(fieldobj: SpaceTimeField, problem: ApproxProblem) -> flo
     The conservative stencil telescopes exactly, so the defect measures only
     the Newton tolerance, far below the ``C (h + dt)`` budget.  Every pair of
     consecutive stored times is checked in one pass; a non-finite defect is
-    returned as NaN, not skipped.
+    returned as NaN, not skipped.  The field must store every step: with a
+    store stride above 1, a stored pair spans several steps while the flux is
+    read at one of them, so a strided field raises ``ShapeError``.
     """
+    stride = fieldobj.meta.get("store_stride")
+    if stride != 1:
+        raise ShapeError(f"flux balance needs every step stored, got store_stride = {stride}")
     lay = problem.layout
     op = problem.operator
     m0, m1 = lay.m0, lay.m1

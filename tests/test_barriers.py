@@ -25,7 +25,6 @@ from collar.models import (
     Nonlinearity,
     PowerMajorant,
     TabulatedMajorant,
-    build_nondegenerate_surrogate,
     h4_integral,
 )
 from collar.operators import assemble_diffusion
@@ -310,7 +309,7 @@ class TestConstantSelection:
 
     def test_degenerate_timed_rejected(self):
         G = Nonlinearity.porous_medium(2.0)
-        with pytest.raises(RegimeError):
+        with pytest.raises(RegimeError, match="barrier_case = potential-stationary"):
             select_barrier_constants("miller-timed", "lower", G, _timed_params(alpha0=0.0))
 
     def test_potential_case_needs_positive_infimum(self):
@@ -628,24 +627,6 @@ class TestResidualMatchesLoop:
             b = build_barrier("potential-timed", side, dom, (1.0, 0.5), 0.1, 0.0, c,
                               pot, G, phi, delta=0.35)
             _assert_residual_matches_loop(b, grid, rho, G)
-
-    def test_surrogate_flux_inverts_on_the_splice(self, worked_setup):
-        dom, _, rho, _, _, u0, pot, _ = worked_setup
-        grid = build_grid(dom, 801)
-        G = build_nondegenerate_surrogate(Nonlinearity.porous_medium(2.0), 0.5, 0.2)
-        phi = BoundaryData.constant(0.6, horizon=1.0)
-        params = BarrierParams(
-            inf_rho=1.0, sup_rho=1.0, alpha0=G.alpha0, delta=0.5, phi_scale=0.6,
-            eta_cap=0.1, bound_K=0.7, dim=1, pot_edge=float(pot.at_distance(0.5)),
-        )
-        for side in ("lower", "upper"):
-            b = _timed_barrier(dom, G, phi, pot, params, side)
-            _assert_residual_matches_loop(b, grid, rho, G)
-        # Near the anchor the lower barrier crosses the splice [0.25, 0.5],
-        # where g_inv goes through invert_monotone.
-        b = _timed_barrier(dom, G, phi, pot, params, "lower")
-        w = b.evaluate(grid.nodes[b.region_node_mask(grid)], np.linspace(0.0, 1.0, 96)[:, None])
-        assert np.any((w > 0.25) & (w < 0.5))
 
     def test_slab_clipped_at_either_end(self, worked_setup):
         dom, grid, rho, G, phi, u0, pot, params = worked_setup

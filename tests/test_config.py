@@ -350,6 +350,38 @@ class TestCli:
         assert f"config error: {message}" in capsys.readouterr().err
         assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("command, experiment, message", [
+        ("dichotomy-sweep", "kind = dichotomy-sweep\neps_list = 0.2, 0.1, 0.05, 0.025\n"
+         "alpha_list = nan", "alpha_list entries must be finite"),
+        ("dichotomy-sweep", "kind = dichotomy-sweep\neps_list = 0.2, 0.1, 0.05, 0.025\n"
+         "alpha_list = 1.0, inf", "alpha_list entries must be finite"),
+        ("attainment", "kind = attainment\neps_list = 0.2, 0.1, 0.05, 0.025\nthreshold = nan",
+         "threshold must be positive and finite"),
+        ("attainment", "kind = attainment\neps_list = 0.2, 0.1, 0.05, 0.025\nthreshold = -1",
+         "threshold must be positive and finite"),
+    ], ids=["nan-alpha", "infinite-alpha", "nan-threshold", "negative-threshold"])
+    def test_bad_alphas_and_thresholds_are_config_errors(self, tmp_path, capsys, command,
+                                                         experiment, message):
+        # alpha_list = nan used to exit 3 after 11 halvings; threshold = nan
+        # or -1 used to exit 1 with verdict fail.
+        cfg = self._write(tmp_path, MINIMAL_HEAT.replace("kind = solve", experiment))
+        assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", [
+        "eps = 0.25", "eps = 0.125\nsource_width = -0.1", "eps = 0.125\nsource_center = nan",
+    ], ids=["bump-in-collar", "negative-width", "nan-center"])
+    def test_duality_sources_that_do_not_fit_are_config_errors(self, tmp_path, experiment):
+        # The source is built from the config alone; these used to exit 3.
+        doc = MINIMAL_HEAT.replace("kind = solve", f"kind = duality\n{experiment}")
+        cfg = self._write(tmp_path, doc)
+        assert cli_main(["duality", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        report = json.loads((tmp_path / "out/report.json").read_text())
+        assert report["verdict"] == "error"
+        assert report["error"]["type"] == "SourceError"
+
     def test_unknown_barrier_case_is_a_config_error(self, tmp_path, capsys):
         # validate used to exit 0 while barrier-certify exited 2.
         doc = MINIMAL_HEAT.replace("kind = solve", "kind = barrier-certify\nbarrier_case = foo")

@@ -6,6 +6,7 @@ tests pin that the routines are scipy's own (bit for bit, in either import
 order), that the public import takes over when the file is missing, and that
 neither importing ``collar.cli`` nor a first experiment call pulls scipy's
 package inits, ``numpy.testing``, ``numpy.f2py`` or ``numpy.ma`` back in.
+``import collar`` alone loads no submodule and no numpy.
 """
 
 import json
@@ -96,6 +97,15 @@ def test_import_leaves_scipy_package_inits_out():
     modules = json.loads(out)
     assert [m for m in modules if within(m, "scipy")] == ["scipy.linalg._flapack"]
     assert [m for m in modules if within(m, "numpy.testing", "numpy.f2py", "numpy.ma")] == []
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    out = run_python("""
+        import json, sys
+        import collar
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    assert [m for m in json.loads(out) if within(m, "numpy") or m.startswith("collar.")] == []
 
 
 FAMILY = """

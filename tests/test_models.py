@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collar.errors import ModelError, RangeError, SpliceError
+from collar.errors import ModelError, RangeError
 from collar.geometry import Domain, build_grid
 from collar.models import (
     BoundaryData,
@@ -11,7 +11,6 @@ from collar.models import (
     InitialData,
     Nonlinearity,
     PowerMajorant,
-    build_nondegenerate_surrogate,
     check_hypotheses,
     global_bound,
     h4_integral,
@@ -148,95 +147,6 @@ class TestNonlinearity:
             G.g_inv(G.g_range[1] + 1.0)
 
 
-class TestSurrogate:
-    def test_matches_above_threshold(self):
-        G = Nonlinearity.porous_medium(2.0)
-        G1 = build_nondegenerate_surrogate(G, 0.5, 0.5)
-        us = np.linspace(0.5, 3.0, 101)
-        assert np.max(np.abs(G1.g(us) - G.g(us))) == 0.0
-
-    def test_floor_holds_everywhere(self):
-        G = Nonlinearity.porous_medium(2.0)
-        G1 = build_nondegenerate_surrogate(G, 0.5, 0.5)
-        us = np.linspace(-3.0, 3.0, 4001)
-        assert np.min(G1.dg(us)) >= 0.5 - 1e-12
-        assert G1.alpha0 == pytest.approx(0.5)
-
-    def test_continuously_differentiable_at_splice(self):
-        G = Nonlinearity.porous_medium(2.0)
-        G1 = build_nondegenerate_surrogate(G, 0.5, 0.5)
-        for point in (0.25, 0.5):
-            dd = 1e-7
-            left = (G1.g(point) - G1.g(point - dd)) / dd
-            right = (G1.g(point + dd) - G1.g(point)) / dd
-            assert left == pytest.approx(right, abs=1e-5)
-            assert abs(G1.g(point + dd) - G1.g(point - dd)) <= 3.0 * dd  # continuity
-
-    def test_monotone_and_invertible(self):
-        G = Nonlinearity.porous_medium(2.0)
-        G1 = build_nondegenerate_surrogate(G, 0.5, 0.5)
-        us = np.linspace(-2.0, 2.0, 801)
-        gs = np.asarray(G1.g(us))
-        assert np.all(np.diff(gs) > 0.0)
-        ys = np.linspace(gs[0], gs[-1], 257)
-        assert np.max(np.abs(G1.g(G1.g_inv(ys)) - ys)) <= 1e-9
-
-    def test_vectorised_inverse_equals_scalar_path(self):
-        base = Nonlinearity.porous_medium(2.0)
-        G1 = build_nondegenerate_surrogate(base, 0.5, 0.5)
-        s, t = 0.25, 0.5
-        g_s, g_t = float(G1.g(s)), float(base.g(t))
-        # The flux is evaluated on one-element arrays so that both sides use
-        # the same elementwise power kernel.
-        f = lambda u: G1.g(np.array([u]))[0]  # noqa: E731
-        df = lambda u: G1.dg(np.array([u]))[0]  # noqa: E731
-
-        def scalar_inverse(y):
-            if y >= g_t:
-                return float(base.g_inv(np.array([y]))[0])
-            if y <= g_s:
-                return s + (y - g_s) / 0.5
-            a, b = s, t
-            x = 0.5 * (a + b)
-            for _ in range(200):
-                fx = f(x)
-                if abs(fx - y) <= 1e-12 * max(1.0, abs(y)):
-                    return x
-                if fx > y:
-                    b = x
-                else:
-                    a = x
-                slope = df(x)
-                if slope > 0.0:
-                    step = x - (fx - y) / slope
-                    x = step if a < step < b else 0.5 * (a + b)
-                else:
-                    x = 0.5 * (a + b)
-            return x
-
-        ys = np.concatenate((np.linspace(G1.g(-1.0), G1.g(2.0), 1501),
-                             np.linspace(g_s, g_t, 501), [g_s, g_t]))
-        expected = np.array([scalar_inverse(float(y)) for y in ys])
-        got = G1.g_inv(ys)
-        assert np.sum(ys < g_s) > 100 and np.sum(ys > g_t) > 100
-        assert np.sum((ys > g_s) & (ys < g_t)) > 500
-        assert np.array_equal(got, expected)
-        assert np.array_equal(G1.g_inv(ys.reshape(-1, 4)), expected.reshape(-1, 4))
-        assert G1.g_inv(float(ys[700])) == expected[700]
-        with pytest.raises(RangeError):
-            G1.g_inv(np.array([g_s, np.nan]))
-
-    def test_no_modification_when_already_nondegenerate(self):
-        G = Nonlinearity.linear(1.0)
-        assert build_nondegenerate_surrogate(G, 0.7, 0.5) is G
-
-    def test_infeasible_floor_raises(self):
-        G = Nonlinearity.porous_medium(4.0)  # cubic derivative, tiny near 0
-        floor_above_inner_slope = float(G.dg(0.15)) * 1.5
-        with pytest.raises(SpliceError):
-            build_nondegenerate_surrogate(G, 0.3, floor_above_inner_slope)
-
-
 class TestCheckHypotheses:
     def test_heat_baseline_all_pass(self):
         dom = Domain.interval(0.0, 1.0)
@@ -266,6 +176,18 @@ class TestCheckHypotheses:
         )
         assert report.h2_flux_monotone
         assert not report.h5_nondegenerate
+
+    def test_degenerate_time_dependent_note_names_the_floor_key(self):
+        dom = Domain.interval(0.0, 1.0)
+        report = check_hypotheses(
+            DensityModel.constant(1.0, dom),
+            Nonlinearity.porous_medium(2.0),
+            BoundaryData.sine(0.6, 0.15, 0.5, horizon=1.0),
+            InitialData.constant(0.3),
+            build_grid(dom, 64),
+        )
+        assert not report.positivity_route
+        assert any("[boundary] positivity_floor" in note for note in report.notes)
 
     def test_divergent_density_flags_regime(self):
         dom = Domain.interval(0.0, 1.0)

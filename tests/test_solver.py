@@ -11,7 +11,7 @@ from scipy.linalg import solve_banded
 from collar import experiments, solver
 from collar.analysis import comparison_check
 from collar.config import parse_config
-from collar.errors import ConfigError, LinearSolveError, SolveError, StepError
+from collar.errors import ConfigError, LinearSolveError, ShapeError, SolveError, StepError
 from collar.experiments import run_experiment
 from collar.geometry import Domain, build_grid
 from collar.models import BoundaryData, DensityModel, InitialData, Nonlinearity
@@ -216,6 +216,13 @@ class TestSolve:
         fld = solve_eps_eta(p, store_stride=1)
         fld.values[p.grid.index_of(0.5), 7] = np.nan
         assert math.isnan(flux_balance_defect(fld, p))
+
+    def test_flux_balance_refuses_strided_fields(self):
+        # At stride 4 the stored pairs span four steps of mass change, which
+        # used to be compared with one step's boundary flux.
+        p = heat_problem(nodes=65, horizon=0.02, dt=1e-3)
+        with pytest.raises(ShapeError, match="store_stride = 4"):
+            flux_balance_defect(solve_eps_eta(p, store_stride=4), p)
 
     def test_time_stamps_on_lattice(self):
         fld = solve_eps_eta(heat_problem(nodes=65, horizon=0.01, dt=1e-3), store_stride=2)
