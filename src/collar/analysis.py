@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, HypothesisError, ShapeError, SourceError
-from .geometry import CORE, Grid, collar_decomposition
+from .geometry import CORE, Grid, NodeClassification, collar_decomposition
 from .models import BoundaryData, Nonlinearity
 from .operators import assemble_diffusion, solve_tridiagonal
 from .solver import SpaceTimeField, _identity_rows
@@ -50,6 +50,23 @@ class DualityPotential:
         }
 
 
+def check_duality_source(grid: Grid, eps: float, source) -> NodeClassification:
+    """The collar classification at ``eps``; SourceError unless ``source`` fits it."""
+    f = np.asarray(source, dtype=float)
+    if f.shape != (grid.n,):
+        raise SourceError(f"source shape {f.shape} does not match the grid ({grid.n},)")
+    if np.any(f < 0.0):
+        raise SourceError("source must be nonnegative")
+    if not np.any(f > 0.0):
+        raise SourceError("source must not vanish identically")
+    cls = collar_decomposition(grid, eps)
+    inside = np.zeros(grid.n, dtype=bool)
+    inside[cls.probes()] = True
+    if not np.all(inside[f > 0.0]):
+        raise SourceError("source support must lie strictly inside the core at this collar level")
+    return cls
+
+
 def solve_duality_potential(grid: Grid, eps: float, source: np.ndarray) -> DualityPotential:
     """Solve the discrete Poisson problem driven by a nonnegative source.
 
@@ -59,22 +76,8 @@ def solve_duality_potential(grid: Grid, eps: float, source: np.ndarray) -> Duali
     the conservative face fluxes, which balance the source mass exactly.
     """
     f = np.asarray(source, dtype=float)
-    if f.shape != (grid.n,):
-        raise SourceError(f"source shape {f.shape} does not match the grid ({grid.n},)")
-    if np.any(f < 0.0):
-        raise SourceError("source must be nonnegative")
-    if not np.any(f > 0.0):
-        raise SourceError("source must not vanish identically")
-
-    cls = collar_decomposition(grid, eps)
+    cls = check_duality_source(grid, eps, f)
     m0, m1 = cls.window
-    inside = np.zeros(grid.n, dtype=bool)
-    inside[cls.probes()] = True
-    if not np.all(inside[f > 0.0]):
-        raise SourceError(
-            "source support must lie strictly inside the core at this collar level"
-        )
-
     op = assemble_diffusion(grid)
     bands = tuple(band[m0 : m1 + 1].copy() for band in (op.lo, op.di, op.up))
     rhs = -f[m0 : m1 + 1]

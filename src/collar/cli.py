@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .config import EXPERIMENT_KINDS, parse_config_file
-from .errors import CollarError, ConfigError
+from .errors import CollarError
 from .experiments import (
     CONFIG_ERRORS,
     EXIT_CONFIG_ERROR,
@@ -48,24 +48,21 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = parse_config_file(args.config)
+        # validate builds what the run builds first, so both reject the same configs.
+        report = _hypotheses(_models(cfg)) if args.command == "validate" else None
     except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except ConfigError as exc:
+    except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except CollarError as exc:
+        print(f"model error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_ERROR
 
     out_dir = args.out or cfg.sections["experiment"].get("output_dir") or "out"
 
     if args.command == "validate":
-        try:
-            report = _hypotheses(_models(cfg))
-        except CONFIG_ERRORS as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-        except CollarError as exc:
-            print(f"model error: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL_ERROR
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         payload = report.as_dict()

@@ -5,6 +5,9 @@ is strict: unknown sections or keys, type mismatches, and out-of-range
 values fail with the offending line, because a silently misconfigured
 numerical experiment is worse than a loud one.  Every default is filled in
 at parse time, so the parsed sections are the whole config a run uses.
+The third field of each schema entry states the key's admissible values, a
+bound or a string's choices, checked as its line is read; only the checks
+that relate two keys wait until every default is filled in.
 """
 
 from __future__ import annotations
@@ -15,52 +18,62 @@ from pathlib import Path
 import numpy as np
 
 from .barriers import CASES
-from .errors import ConfigError, ConfigParseError
+from .errors import ConfigParseError
 from .geometry import Domain, Grid, MIN_NODES, build_grid, collar_decomposition
 from .models import BoundaryData, DensityModel, InitialData, Nonlinearity
 from .solver import SolverScheme
 
 # Each key maps to its type tag (f float, i int, s string, l nonempty list of
-# floats, b bool) and its default: ``...`` for a key every config must set,
-# None for one that stays absent unless set, a callable for a default derived
-# from the sections filled before it.
+# floats, b bool), its default and its admissible values.  The default is
+# ``...`` for a key every config must set, None for one that stays absent
+# unless set, a callable for one derived from the sections filled before it.
+# The admissible values are a bound (``"> 0"``, held by every list entry), a
+# string's choices, or None; every float and list entry must also be finite.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "domain": {
-        "kind": ("s", ...), "a": ("f", None), "b": ("f", None), "r_in": ("f", None),
-        "r_out": ("f", None), "dim": ("i", None), "collar_cap": ("f", None),
+        "kind": ("s", ..., None), "a": ("f", None, None), "b": ("f", None, None),
+        "r_in": ("f", None, "> 0"), "r_out": ("f", None, "> 0"), "dim": ("i", None, ">= 2"),
+        "collar_cap": ("f", None, "> 0"),
     },
     "density": {
-        "kind": ("s", ...), "c": ("f", 1.0), "alpha": ("f", None), "coef": ("f", 1.0),
-        "file": ("s", None),
+        "kind": ("s", ..., None), "c": ("f", 1.0, "> 0"), "alpha": ("f", None, None),
+        "coef": ("f", 1.0, "> 0"), "file": ("s", None, None),
     },
     "nonlinearity": {
-        "kind": ("s", ...), "slope": ("f", 1.0), "m": ("f", None), "file": ("s", None),
+        "kind": ("s", ..., None), "slope": ("f", 1.0, "> 0"), "m": ("f", None, "> 1"),
+        "file": ("s", None, None),
     },
     "boundary": {
-        "kind": ("s", ...), "value": ("f", 0.0), "rate": ("f", 0.0), "offset": ("f", 0.0),
-        "amplitude": ("f", 0.0), "frequency": ("f", 1.0), "left": ("f", 0.0),
-        "right": ("f", 0.0), "positivity_floor": ("f", 0.0),
+        "kind": ("s", ..., None), "value": ("f", 0.0, None), "rate": ("f", 0.0, None),
+        "offset": ("f", 0.0, None), "amplitude": ("f", 0.0, None),
+        "frequency": ("f", 1.0, None), "left": ("f", 0.0, None), "right": ("f", 0.0, None),
+        "positivity_floor": ("f", 0.0, ">= 0"),
     },
     "initial": {
-        "kind": ("s", ...), "value": ("f", 0.0), "amplitude": ("f", 1.0), "mode": ("i", 1),
-        "offset": ("f", 0.0),
+        "kind": ("s", ..., None), "value": ("f", 0.0, None), "amplitude": ("f", 1.0, None),
+        "mode": ("i", 1, None), "offset": ("f", 0.0, None),
     },
     "numerics": {
-        "nodes": ("i", ...), "dt": ("f", ...), "t_final": ("f", 1.0), "newton_tol": ("f", 1e-10),
-        "max_iterations": ("i", 30), "jacobian_floor": ("f", 1e-8),
-        "scheme": ("s", "implicit-newton"), "store_stride": ("i", 1),
+        "nodes": ("i", ..., f">= {MIN_NODES}"), "dt": ("f", ..., "> 0"),
+        "t_final": ("f", 1.0, "> 0"), "newton_tol": ("f", 1e-10, "> 0"),
+        "max_iterations": ("i", 30, ">= 1"), "jacobian_floor": ("f", 1e-8, ">= 0"),
+        "scheme": ("s", "implicit-newton", ("implicit-newton",)),
+        "store_stride": ("i", 1, ">= 1"),
     },
     "experiment": {
-        "kind": ("s", ...), "eps": ("f", 0.0), "eta": ("f", 0.0), "eta_cap": ("f", 0.1),
-        "eps_list": ("l", None), "eta_list": ("l", None), "alpha_list": ("l", None),
-        "tau": ("f", lambda s: s["numerics"]["t_final"] / 10.0), "threshold": ("f", 0.05),
-        "sigma": ("f", 0.1), "t0": ("f", lambda s: s["numerics"]["t_final"] / 2.0),
-        "anchor": ("s", "left"), "barrier_case": ("s", "potential-timed"),
-        "barrier_side": ("s", "both"), "conflict_offset": ("f", 0.5),
-        "curvature_margin": ("f", 2.0), "safety": ("f", 1.05),
-        "source_center": ("f", None), "source_width": ("f", None),
-        "assert_convergence": ("b", True), "scale_nodes_with_eps": ("b", True),
-        "output_dir": ("s", None),
+        "kind": ("s", ..., None), "eps": ("f", 0.0, None), "eta": ("f", 0.0, ">= 0"),
+        "eta_cap": ("f", 0.1, "> 0"), "eps_list": ("l", None, "> 0"),
+        "eta_list": ("l", None, "> 0"), "alpha_list": ("l", None, None),
+        "tau": ("f", lambda s: s["numerics"]["t_final"] / 10.0, None),
+        "threshold": ("f", 0.05, "> 0"), "sigma": ("f", 0.1, "> 0"),
+        "t0": ("f", lambda s: s["numerics"]["t_final"] / 2.0, "> 0"),
+        "anchor": ("s", "left", ("left", "right")),
+        "barrier_case": ("s", "potential-timed", CASES),
+        "barrier_side": ("s", "both", ("lower", "upper", "both")),
+        "conflict_offset": ("f", 0.5, None), "curvature_margin": ("f", 2.0, ">= 1"),
+        "safety": ("f", 1.05, ">= 1"), "source_center": ("f", None, None),
+        "source_width": ("f", None, "> 0"), "assert_convergence": ("b", True, None),
+        "scale_nodes_with_eps": ("b", True, None), "output_dir": ("s", None, None),
     },
 }
 
@@ -88,30 +101,45 @@ _KINDS: dict[str, dict[str, tuple[str, ...]]] = {
 EXPERIMENT_KINDS = tuple(_KINDS["experiment"])
 
 
-def _convert(key: str, raw: str, tag: str, line: int):
+_WORDS = {"> 0": "positive", ">= 0": "nonnegative"}
+
+
+def _convert(key: str, raw: str, spec: tuple, line: int):
+    """The value of one config line, checked against the key's admissible values."""
+    tag, _, allowed = spec
     try:
         if tag == "f":
-            return float(raw)
-        if tag == "i":
-            v = float(raw)
-            if v != int(v):
+            value = float(raw)
+        elif tag == "i":
+            value = float(raw)
+            if value != int(value):
                 raise ValueError
-            return int(v)
-        if tag == "l":
-            values = [float(tok) for tok in raw.split(",") if tok.strip()]
-            if not values:
+            value = int(value)
+        elif tag == "l":
+            value = [float(tok) for tok in raw.split(",") if tok.strip()]
+            if not value:
                 raise ValueError
-            return values
-        if tag == "b":
-            low = raw.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError
-        return raw
-    except (ValueError, OverflowError):  # int(inf) overflows
+        elif tag == "b":
+            value = {"true": True, "yes": True, "1": True,
+                     "false": False, "no": False, "0": False}[raw.lower()]
+        else:
+            value = raw
+    except (ValueError, OverflowError, KeyError):  # int(inf) overflows; KeyError: no bool word
         raise ConfigParseError(f"cannot parse {key} = {raw!r} as {tag}", line) from None
+    if isinstance(allowed, tuple) and value not in allowed:
+        name, choices = key.replace("_", " "), "/".join(allowed)
+        raise ConfigParseError(f"unknown {name} {value!r}; choose from {choices}", line)
+    if tag in ("f", "i", "l"):
+        entries = value if tag == "l" else [value]
+        ok = all(abs(e) < np.inf for e in entries)  # false for nan too
+        if allowed:
+            op, bound = allowed.split()
+            ok = ok and all(e > float(bound) if op == ">" else e >= float(bound) for e in entries)
+        if not ok:
+            words = filter(None, (_WORDS.get(allowed, allowed), tag != "i" and "finite"))
+            subject = f"{key} entries" if tag == "l" else key
+            raise ConfigParseError(f"{subject} must be {' and '.join(words)}", line)
+    return value
 
 
 @dataclass
@@ -154,7 +182,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigParseError(f"unknown key {key!r} in [{current}]", lineno)
         if key in sections[current]:
             raise ConfigParseError(f"duplicate key {key!r}", lineno)
-        sections[current][key] = _convert(key, raw, _SCHEMA[current][key][0], lineno)
+        sections[current][key] = _convert(key, raw, _SCHEMA[current][key], lineno)
         lines[current, key] = lineno
 
     for sec, keys in _SCHEMA.items():
@@ -167,7 +195,7 @@ def parse_config(text: str) -> ExperimentConfig:
             if key not in own and any(key in taken for taken in kinds.values()):
                 msg = f"key {key!r} does not apply to {sec} kind {values['kind']!r}"
                 raise ConfigParseError(msg, lines[sec, key])
-        for key, (_, default) in keys.items():
+        for key, (_, default, _) in keys.items():
             if key in values or default is None:
                 continue
             if default is ...:
@@ -183,58 +211,24 @@ def parse_config_file(path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
-def _fail(msg: str):
-    raise ConfigParseError(msg)
-
-
 def _validate(cfg: ExperimentConfig):
     s = cfg.sections
     for sec, kinds in _KINDS.items():
         kind = s[sec]["kind"]
         if kind not in kinds:
-            _fail(f"{sec} kind {kind!r} not one of {'/'.join(kinds)}")
+            raise ConfigParseError(f"{sec} kind {kind!r} not one of {'/'.join(kinds)}")
         for key in kinds[kind]:
             if key not in s[sec]:
-                _fail(f"{kind} {sec} needs key {key!r}")
+                raise ConfigParseError(f"{kind} {sec} needs key {key!r}")
 
-    if s["domain"]["kind"] != "interval" and s["domain"]["dim"] < 2:
-        _fail("radial domains need dim >= 2")
-
-    num = s["numerics"]
-    if num["nodes"] < MIN_NODES:
-        _fail(f"nodes = {num['nodes']} below minimum {MIN_NODES}")
-    if not 0.0 < num["dt"] < np.inf:
-        _fail("dt must be positive and finite")
-    if not 0.0 < num["t_final"] < np.inf:
-        _fail("t_final must be positive and finite")
-    if num["scheme"] != "implicit-newton":
-        _fail(f"unknown scheme {num['scheme']!r}; the only scheme is implicit-newton")
-    if num["store_stride"] < 1:
-        _fail("store_stride must be >= 1")
-    try:
-        build_scheme(cfg)
-    except ConfigError as exc:
-        raise ConfigParseError(str(exc)) from None
-
+    t_final = s["numerics"]["t_final"]
     exp = s["experiment"]
-    if not 0.0 < exp["tau"] < num["t_final"]:
-        _fail("tau must lie in (0, t_final)")
-    if not all(0.0 < e < np.inf for e in exp.get("eps_list") or ()):
-        _fail("eps_list entries must be positive and finite")
-    if not all(np.isfinite(exp.get("alpha_list") or ())):
-        _fail("alpha_list entries must be finite")
-    if not 0.0 < exp["threshold"] < np.inf:
-        _fail("threshold must be positive and finite")
-    if not 0.0 <= exp["eta"] < np.inf:
-        _fail("eta must be nonnegative and finite")
-    if not 0.0 < exp["eta_cap"] < np.inf:
-        _fail("eta_cap must be positive and finite")
-    if exp["barrier_case"] not in CASES:
-        _fail(f"unknown barrier case {exp['barrier_case']!r}; choose from {CASES}")
-    if exp["barrier_side"] not in ("lower", "upper", "both"):
-        _fail("barrier_side must be lower, upper, or both")
-    if exp["anchor"] not in ("left", "right"):
-        _fail("anchor must be left or right")
+    if not 0.0 < exp["tau"] < t_final:
+        raise ConfigParseError("tau must lie in (0, t_final)")
+    if exp["t0"] > t_final:
+        raise ConfigParseError(f"t0 = {exp['t0']} exceeds t_final = {t_final}")
+    if exp["eta"] > exp["eta_cap"]:
+        raise ConfigParseError(f"eta = {exp['eta']} exceeds eta_cap = {exp['eta_cap']}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +257,11 @@ def _load_table(path: str):
     try:
         data = np.loadtxt(path)
     except OSError as exc:
-        _fail(f"table file {path!r} cannot be read: {exc}")
+        raise ConfigParseError(f"table file {path!r} cannot be read: {exc}")
     except ValueError as exc:
-        _fail(f"table file {path!r} is not a numeric table: {exc}")
+        raise ConfigParseError(f"table file {path!r} is not a numeric table: {exc}")
     if data.ndim != 2 or data.shape[1] != 2:
-        _fail(f"table file {path!r} must have two numeric columns")
+        raise ConfigParseError(f"table file {path!r} must have two numeric columns")
     return data[:, 0], data[:, 1]
 
 

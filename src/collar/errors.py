@@ -34,7 +34,7 @@ class ConfigParseError(ConfigError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
-            message = f"line {line}: {message}"
+            message = f"{message} (line {line})"
         super().__init__(message)
 
 

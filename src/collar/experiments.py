@@ -15,6 +15,7 @@ import numpy as np
 
 from .analysis import (
     boundary_attainment,
+    check_duality_source,
     solve_duality_potential,
     unit_bump_source,
 )
@@ -37,7 +38,8 @@ from .config import (
     build_nonlinearity,
     build_scheme,
 )
-from .errors import CollarError, ConfigError, DomainError, RegimeError, ResolutionError, SourceError
+from .errors import CollarError, ConfigError, DomainError, ModelError, RegimeError
+from .errors import ResolutionError, SourceError
 from .geometry import Domain, build_grid, collar_decomposition
 from .models import (
     BoundaryData,
@@ -55,10 +57,10 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
 #: Errors that a config mistake raises, reported as exit 2 rather than 3: a
-#: malformed domain, a collar level the grid cannot resolve, or a duality
-#: source (built from config alone) that does not fit the collar is the
-#: config's fault, not the solver's.
-CONFIG_ERRORS = (ConfigError, DomainError, ResolutionError, RegimeError, SourceError)
+#: malformed domain, a collar level the grid cannot resolve, a table or data
+#: that breaks a model's hypotheses or oscillates above ``sigma``, or a duality
+#: source that does not fit the collar.  Each comes from the config alone.
+CONFIG_ERRORS = (ConfigError, DomainError, ResolutionError, RegimeError, ModelError, SourceError)
 
 
 def _write_json(path: Path, payload: dict):
@@ -81,7 +83,7 @@ class _Stage:
 def _models(cfg: ExperimentConfig):
     domain = build_domain(cfg)
     grid = build_grid_from(cfg, domain)
-    return {
+    m = {
         "domain": domain,
         "grid": grid,
         "rho": build_density(cfg, domain),
@@ -90,6 +92,14 @@ def _models(cfg: ExperimentConfig):
         "initial": build_initial(cfg, domain),
         "scheme": build_scheme(cfg),
     }
+    if cfg.kind == "duality":  # the source must fit every level, for validate too
+        exp = cfg.sections["experiment"]
+        levels = [float(e) for e in exp.get("eps_list") or [exp["eps"] or 4.0 * grid.h]]
+        source = unit_bump_source(grid, exp.get("source_center"), exp.get("source_width"))
+        for eps in levels:
+            check_duality_source(grid, eps, source)
+        m["duality"] = levels, source
+    return m
 
 
 def _hypotheses(m: dict) -> HypothesisReport:
@@ -228,15 +238,13 @@ def _run_barrier_certify(cfg, m, out: Path):
 
 
 def _run_duality(cfg, m, out: Path):
-    exp = cfg.sections["experiment"]
     grid = m["grid"]
-    eps_values = exp.get("eps_list") or [exp["eps"] or 4.0 * grid.h]
-    source = unit_bump_source(grid, exp.get("source_center"), exp.get("source_width"))
+    levels, source = m["duality"]
     rows = []
     ok = True
-    for eps in eps_values:
-        pot = solve_duality_potential(grid, float(eps), source)
-        psi_pos = bool(np.all(pot.psi[collar_decomposition(grid, float(eps)).core] > 0.0))
+    for eps in levels:
+        pot = solve_duality_potential(grid, eps, source)
+        psi_pos = bool(np.all(pot.psi[collar_decomposition(grid, eps).core] > 0.0))
         derivs_neg = bool(np.all(pot.normal_derivatives < 0.0))
         defect_ok = abs(pot.flux_sum - pot.source_integral) <= 1e-6 * pot.source_integral
         ok &= psi_pos and derivs_neg and defect_ok
@@ -391,14 +399,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
         report["verdict"] = "pass" if ok else "fail"
         report["payload"] = payload
         code = EXIT_PASS if ok else EXIT_VERDICT_FAIL
-    except CONFIG_ERRORS as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        report["verdict"] = "error"
-        code = EXIT_CONFIG_ERROR
     except CollarError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         report["verdict"] = "error"
-        code = EXIT_NUMERICAL_ERROR
+        code = EXIT_CONFIG_ERROR if isinstance(exc, CONFIG_ERRORS) else EXIT_NUMERICAL_ERROR
     report["timings"] = stage.timings
     _write_json(out / "report.json", report)
     return code

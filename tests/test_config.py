@@ -6,6 +6,7 @@ import pytest
 
 from collar.cli import main as cli_main
 from collar.config import (
+    _KINDS,
     _SCHEMA,
     build_boundary,
     build_density,
@@ -51,6 +52,99 @@ RADIAL_DOMAINS = {
     "ball": "kind = ball\nr_out = 1.0\ndim = 3",
     "annulus": "kind = annulus\nr_in = 1.0\nr_out = 2.0\ndim = 2",
 }
+
+# The config of TestMoreRunners::test_barrier_certify_experiment, which certifies.
+BARRIER_CERTIFY = """
+[domain]
+kind = interval
+a = 0.0
+b = 2.0
+collar_cap = 0.6
+
+[density]
+kind = constant
+c = 1.0
+
+[nonlinearity]
+kind = linear
+
+[boundary]
+kind = constant
+value = 1.0
+
+[initial]
+kind = constant
+value = 1.0
+
+[numerics]
+nodes = 201
+dt = 0.001
+t_final = 1.0
+
+[experiment]
+kind = barrier-certify
+barrier_case = potential-timed
+barrier_side = both
+sigma = 0.1
+t0 = 0.5
+"""
+
+_SWEEP = "kind = dichotomy-sweep\neps_list = 0.2, 0.1, 0.05, 0.025\nalpha_list = 1.0"
+
+# Each config mistake, the subcommand that runs it, and the config; {table}
+# names a density table with a zero value.
+CONFIG_MISTAKES = {
+    "negative-c": ("solve", MINIMAL_HEAT.replace("c = 1.0", "c = -1")),
+    "negative-slope": ("solve", MINIMAL_HEAT.replace("kind = linear", "kind = linear\nslope = -1")),
+    "small-m": ("solve", MINIMAL_HEAT.replace("kind = linear", "kind = porous-medium\nm = 0.5")),
+    "nan-c": ("solve", MINIMAL_HEAT.replace("c = 1.0", "c = nan")),
+    "nan-slope": ("solve", MINIMAL_HEAT.replace("kind = linear", "kind = linear\nslope = nan")),
+    "nan-m": ("solve", MINIMAL_HEAT.replace("kind = linear", "kind = porous-medium\nm = nan")),
+    "nan-amplitude": ("solve", MINIMAL_HEAT.replace("amplitude = 1.0", "amplitude = nan")),
+    "infinite-value": ("solve", MINIMAL_HEAT.replace("value = 0.0", "value = inf")),
+    "nan-floor": ("solve", MINIMAL_HEAT.replace("value = 0.0",
+                                                "value = 0.0\npositivity_floor = nan")),
+    "nan-offset": ("dichotomy-sweep", MINIMAL_HEAT.replace(
+        "kind = solve", f"{_SWEEP}\nconflict_offset = nan")),
+    "nan-safety": ("barrier-certify", BARRIER_CERTIFY.replace("t0 = 0.5",
+                                                              "t0 = 0.5\nsafety = nan")),
+    "nan-margin": ("barrier-certify", BARRIER_CERTIFY.replace(
+        "t0 = 0.5", "t0 = 0.5\ncurvature_margin = nan")),
+    "small-safety": ("barrier-certify", BARRIER_CERTIFY.replace("t0 = 0.5",
+                                                                "t0 = 0.5\nsafety = 0.5")),
+    "nan-sigma": ("barrier-certify", BARRIER_CERTIFY.replace("sigma = 0.1", "sigma = nan")),
+    "nan-t0": ("barrier-certify", BARRIER_CERTIFY.replace("t0 = 0.5", "t0 = nan")),
+    "negative-t0": ("barrier-certify", BARRIER_CERTIFY.replace("t0 = 0.5", "t0 = -1")),
+    "late-t0": ("barrier-certify", BARRIER_CERTIFY.replace("t0 = 0.5", "t0 = 2")),
+    "lift-above-cap": ("solve", MINIMAL_HEAT.replace("kind = solve",
+                                                     "kind = solve\neta = 0.5\neta_cap = 0.1")),
+    "zero-table-density": ("solve", MINIMAL_HEAT.replace("kind = constant\nc = 1.0",
+                                                         "kind = table\nfile = {table}")),
+    "bump-in-collar": ("duality", MINIMAL_HEAT.replace("kind = solve",
+                                                       "kind = duality\neps = 0.25")),
+}
+
+# Values that keep the config valid where 1.0 would not.
+VALID = {"a": "0.0", "r_out": "2.0", "dim": "2", "m": "2.0", "eta": "0.05", "tau": "0.01",
+         "t0": "0.02", "eps_list": "0.2, 0.1, 0.05, 0.025", "eta_list": "0.1, 0.05, 0.025"}
+
+
+def with_setting(sec: str, key: str, value: str) -> str:
+    """MINIMAL_HEAT with ``key = value`` last in [sec], under a kind that takes the key."""
+    sections = dict(re.findall(r"\[(\w+)\]\n((?:.+\n)*)", MINIMAL_HEAT))
+    kinds = {} if sec == "experiment" else _KINDS.get(sec, {})
+    kind = next((k for k, keys in kinds.items() if key in keys), None)
+    if kind is None:
+        body = [ln for ln in sections[sec].splitlines() if not ln.startswith(f"{key} =")]
+    else:
+        body = [f"kind = {kind}"] + [f"{k} = {VALID.get(k, '1.0')}"
+                                     for k in kinds[kind] if k != key]
+    sections[sec] = "\n".join(body + [f"{key} = {value}"]) + "\n"
+    return "".join(f"[{name}]\n{text}\n" for name, text in sections.items())
+
+
+NUMBER_KEYS = [(sec, key) for sec, keys in _SCHEMA.items()
+               for key, spec in keys.items() if spec[0] in ("f", "l")]
 
 
 class TestParsing:
@@ -134,6 +228,16 @@ class TestParsing:
             parse_config(doc)
         assert err.value.line == doc.splitlines().index(f"eps_list = {value}") + 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("sec, key", NUMBER_KEYS, ids=[f"{s}.{k}" for s, k in NUMBER_KEYS])
+    def test_every_number_key_must_be_finite(self, sec, key, value):
+        parse_config(with_setting(sec, key, VALID.get(key, "1.0")))  # the key applies here
+        doc = with_setting(sec, key, value)
+        pattern = rf"^{key} (entries )?must be (.+ and )?finite \(line \d+\)$"
+        with pytest.raises(ConfigParseError, match=pattern) as err:
+            parse_config(doc)
+        assert err.value.line == doc.splitlines().index(f"{key} = {value}") + 1
+
 
 class TestMaterialization:
     def test_builders_produce_models(self):
@@ -175,7 +279,7 @@ class TestRunExperiment:
         assert run_experiment(parse_config(MINIMAL_HEAT), tmp_path) == 0
         config = json.loads((tmp_path / "report.json").read_text())["config"]
         for sec, keys in _SCHEMA.items():
-            assert {key for key, (_, default) in keys.items() if default is not None} <= set(
+            assert {key for key, spec in keys.items() if spec[1] is not None} <= set(
                 config[sec]), sec
         assert "collar_cap" not in config["domain"]
         assert config["numerics"]["newton_tol"] == 1e-10
@@ -338,16 +442,18 @@ class TestCli:
         ("attainment", "kind = attainment\neps_list = 0.2, 0.1, 0.05, 0.0", "eps_list"),
         ("attainment", "kind = attainment\neps_list = 0.2, 0.1, 0.05, -0.1", "eps_list"),
         ("solve", "kind = solve\neps = -0.2", "collar width -0.2 must be >= 0"),
-        ("solve", "kind = solve\neps = nan", "collar width nan must be >= 0"),
+        ("solve", "kind = solve\neps = nan", "eps must be finite (line {line})"),
         ("solve", "kind = solve\neta = inf\neta_cap = inf", "eta"),
     ], ids=["zero-level", "negative-level", "negative-eps", "nan-eps", "infinite-lift"])
     def test_bad_collar_widths_and_lifts_are_config_errors(self, tmp_path, capsys, command,
                                                            experiment, message):
         # These used to raise ZeroDivisionError, fail the verdict, pass as if
         # eps were 0 (validate too), raise ValueError, and exit 3.
-        cfg = self._write(tmp_path, MINIMAL_HEAT.replace("kind = solve", experiment))
+        doc = MINIMAL_HEAT.replace("kind = solve", experiment)
+        cfg = self._write(tmp_path, doc)
+        line = doc.splitlines().index(experiment.splitlines()[-1]) + 1
         assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
-        assert f"config error: {message}" in capsys.readouterr().err
+        assert f"config error: {message.format(line=line)}" in capsys.readouterr().err
         assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize("command, experiment, message", [
@@ -370,17 +476,28 @@ class TestCli:
         assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("experiment", [
-        "eps = 0.25", "eps = 0.125\nsource_width = -0.1", "eps = 0.125\nsource_center = nan",
+    @pytest.mark.parametrize("experiment, message, at_parse", [
+        ("eps = 0.25", "source support must lie strictly inside the core", False),
+        ("eps = 0.125\nsource_width = -0.1", "source_width must be positive and finite", True),
+        ("eps = 0.125\nsource_center = nan", "source_center must be finite", True),
     ], ids=["bump-in-collar", "negative-width", "nan-center"])
-    def test_duality_sources_that_do_not_fit_are_config_errors(self, tmp_path, experiment):
-        # The source is built from the config alone; these used to exit 3.
+    def test_duality_sources_that_do_not_fit_are_config_errors(self, tmp_path, capsys,
+                                                               experiment, message, at_parse):
+        # The source is built from the config alone; these used to exit 3, and
+        # validate passed them.
         doc = MINIMAL_HEAT.replace("kind = solve", f"kind = duality\n{experiment}")
         cfg = self._write(tmp_path, doc)
+        assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
         assert cli_main(["duality", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        if at_parse:  # the key's line is rejected: no run, no report
+            assert f"config error: {message}" in capsys.readouterr().err
+            assert not (tmp_path / "out/report.json").exists()
+            return
         report = json.loads((tmp_path / "out/report.json").read_text())
         assert report["verdict"] == "error"
         assert report["error"]["type"] == "SourceError"
+        assert message in report["error"]["message"]
 
     def test_unknown_barrier_case_is_a_config_error(self, tmp_path, capsys):
         # validate used to exit 0 while barrier-certify exited 2.
@@ -425,12 +542,23 @@ class TestCli:
         assert report["error"]["type"] == "ConfigParseError"
         assert str(table) in report["error"]["message"]
 
-    def test_non_finite_initial_data_exits_numerical_error(self, tmp_path):
+    def test_non_finite_initial_data_is_a_config_error(self, tmp_path, capsys):
+        # This used to exit 3 with a SolveError; TestNonFinite covers the
+        # solver's own guard through the API.
         cfg = self._write(tmp_path, MINIMAL_HEAT.replace("amplitude = 1.0", "amplitude = nan"))
         code = cli_main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == 3
-        report = json.loads((tmp_path / "out/report.json").read_text())
-        assert report["error"]["type"] == "SolveError"
+        assert code == 2
+        assert "config error: amplitude must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out/report.json").exists()
+
+    @pytest.mark.parametrize("command, doc", CONFIG_MISTAKES.values(), ids=list(CONFIG_MISTAKES))
+    def test_config_mistakes_exit_2_under_validate_and_the_run(self, tmp_path, command, doc):
+        # Each used to pass validate, or to exit 1, 3 or even 0 under one of the two.
+        table = tmp_path / "rho.txt"
+        np.savetxt(table, [[0.0, 1.0], [0.5, 0.0], [1.0, 1.0]])
+        cfg = self._write(tmp_path, doc.replace("{table}", str(table)))
+        assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+        assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
 class TestMoreRunners:
@@ -446,41 +574,7 @@ class TestMoreRunners:
         assert (tmp_path / "limit_candidate.csv").exists()
 
     def test_barrier_certify_experiment(self, tmp_path):
-        doc = """
-[domain]
-kind = interval
-a = 0.0
-b = 2.0
-collar_cap = 0.6
-
-[density]
-kind = constant
-c = 1.0
-
-[nonlinearity]
-kind = linear
-
-[boundary]
-kind = constant
-value = 1.0
-
-[initial]
-kind = constant
-value = 1.0
-
-[numerics]
-nodes = 201
-dt = 0.001
-t_final = 1.0
-
-[experiment]
-kind = barrier-certify
-barrier_case = potential-timed
-barrier_side = both
-sigma = 0.1
-t0 = 0.5
-"""
-        cfg = parse_config(doc)
+        cfg = parse_config(BARRIER_CERTIFY)
         assert run_experiment(cfg, tmp_path) == 0
         certs = json.loads((tmp_path / "barrier_certificates.json").read_text())
         assert all(c["residual"]["verdict"] == "pass" for c in certs["certificates"])

@@ -940,8 +940,10 @@ class TestOneSolvePerSweep:
         assert "members" not in data
 
     def test_failed_sweep_names_the_member_in_its_report(self, tmp_path):
-        doc = SWEEP_CFG.replace("value = 0.3", "value = nan")
-        assert run_experiment(parse_config(doc), tmp_path) == 3
+        # A config cannot set a non-finite value, so break the parsed one.
+        cfg = parse_config(SWEEP_CFG)
+        cfg.sections["initial"]["value"] = math.nan
+        assert run_experiment(cfg, tmp_path) == 3
         error = json.loads((tmp_path / "report.json").read_text())["error"]
         assert error["type"] == "SolveError"
         assert error["message"].startswith(
