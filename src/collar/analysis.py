@@ -17,8 +17,9 @@ import numpy as np
 from .errors import ConfigError, HypothesisError, ShapeError, SourceError
 from .geometry import CORE, Grid, NodeClassification, collar_decomposition
 from .models import BoundaryData, Nonlinearity
-from .operators import assemble_diffusion, solve_tridiagonal
+from .operators import assemble_diffusion
 from .solver import SpaceTimeField, _identity_rows
+from .tridiagonal import solve_tridiagonal
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import CASES
 from .errors import ConfigError, GeometryError, ModelError, RegimeError
 from .geometry import Domain, Grid
 from .models import (
@@ -33,7 +34,6 @@ from .models import (
 )
 from .operators import assemble_diffusion
 
-CASES = ("potential-timed", "miller-timed", "potential-stationary", "miller-stationary")
 SIDES = ("lower", "upper")
 
 
@@ -576,6 +576,24 @@ class ResidualReport:
         }
 
 
+def check_barrier_region(barrier: Barrier, grid: Grid, dt: float) -> np.ndarray:
+    """Interior grid nodes of the barrier's region; ConfigError if the check cannot resolve it.
+
+    The residual check needs at least 10 such nodes and, for a time-localized
+    barrier, a time window wider than its ``±2 dt`` stencil.
+    """
+    idx = np.nonzero(barrier.region_node_mask(grid))[0]
+    idx = idx[(idx >= 1) & (idx <= grid.n - 2)]
+    if idx.size < 10:
+        raise ConfigError(
+            f"validity region covers only {idx.size} grid nodes; need at least 10"
+        )
+    t_lo, t_hi = barrier.t_window
+    if barrier.anchor_t is not None and t_hi - 2 * dt <= t_lo + 2 * dt:
+        raise ConfigError("time window too narrow for the requested time step")
+    return idx
+
+
 def verify_barrier_residual(
     barrier: Barrier,
     grid: Grid,
@@ -596,13 +614,7 @@ def verify_barrier_residual(
     side, at every sample time and its ``±dt`` and ``±2 dt`` neighbours.  The
     worst point is the first extreme residual, earliest time first.
     """
-    mask = barrier.region_node_mask(grid)
-    idx = np.nonzero(mask)[0]
-    idx = idx[(idx >= 1) & (idx <= grid.n - 2)]
-    if idx.size < 10:
-        raise ConfigError(
-            f"validity region covers only {idx.size} grid nodes; need at least 10"
-        )
+    idx = check_barrier_region(barrier, grid, dt)
     a, b = max(int(idx[0]) - 2, 0), min(int(idx[-1]) + 2, grid.n - 1)
     op = assemble_diffusion(grid).window(a, b)
     xs = grid.nodes[a : b + 1]
@@ -612,8 +624,6 @@ def verify_barrier_residual(
     if timed:
         t_lo, t_hi = barrier.t_window
         lo, hi = t_lo + 2 * dt, t_hi - 2 * dt
-        if hi <= lo:
-            raise ConfigError("time window too narrow for the requested time step")
         n_t = min(_TIME_SAMPLES, max(10, int((hi - lo) / dt)))
         ts = np.linspace(lo, hi, n_t)
         times = np.stack((ts - 2 * dt, ts - dt, ts, ts + dt, ts + 2 * dt))

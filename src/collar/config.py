@@ -8,20 +8,28 @@ at parse time, so the parsed sections are the whole config a run uses.
 The third field of each schema entry states the key's admissible values, a
 bound or a string's choices, checked as its line is read; only the checks
 that relate two keys wait until every default is filled in.
+
+Parsing also loads what the experiment kind runs, and nothing more: this
+module imports only ``errors``, ``geometry`` and ``models``, and
+``parse_config`` imports the modules the kind's runner calls (``solver``,
+``analysis`` or ``barriers``) once it knows the kind.  A command-line call
+parses before it runs, so a first run pays no import cost.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .barriers import CASES
 from .errors import ConfigParseError
 from .geometry import Domain, Grid, MIN_NODES, build_grid, collar_decomposition
 from .models import BoundaryData, DensityModel, InitialData, Nonlinearity
-from .solver import SolverScheme
+
+#: Barrier cases the certifier builds; ``collar.barriers`` takes them from here.
+CASES = ("potential-timed", "miller-timed", "potential-stationary", "miller-stationary")
 
 # Each key maps to its type tag (f float, i int, s string, l nonempty list of
 # floats, b bool), its default and its admissible values.  The default is
@@ -99,6 +107,16 @@ _KINDS: dict[str, dict[str, tuple[str, ...]]] = {
 }
 
 EXPERIMENT_KINDS = tuple(_KINDS["experiment"])
+
+# The collar modules each experiment kind's run calls, beyond the ones every
+# kind imports.  ``parse_config`` imports them as soon as it knows the kind,
+# so a kind loads only what it runs and a first run pays for none of them.
+# Each runner imports its modules itself, so no result depends on this table.
+_KIND_MODULES: dict[str, tuple[str, ...]] = {
+    "solve": ("solver",), "family": ("solver",), "barrier-certify": ("barriers",),
+    "duality": ("analysis",), "attainment": ("analysis",), "dichotomy-sweep": ("analysis",),
+    "hypothesis-report": (),
+}
 
 
 _WORDS = {"> 0": "positive", ">= 0": "nonnegative"}
@@ -204,6 +222,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig(sections)
     _validate(cfg)
+    for name in _KIND_MODULES[cfg.kind]:
+        importlib.import_module(f"{__package__}.{name}")
     return cfg
 
 
@@ -305,7 +325,10 @@ def build_initial(cfg: ExperimentConfig, domain: Domain) -> InitialData:
     return InitialData.sine(domain, amplitude=i["amplitude"], mode=i["mode"], offset=i["offset"])
 
 
-def build_scheme(cfg: ExperimentConfig) -> SolverScheme:
+def build_scheme(cfg: ExperimentConfig):
+    """The solver scheme, for the kinds that step."""
+    from .solver import SolverScheme
+
     n = cfg.sections["numerics"]
     return SolverScheme(
         newton_tol=n["newton_tol"],

@@ -3,6 +3,11 @@
 Every run writes a top-level ``report.json`` embedding the fully resolved
 config, the verdicts with the tolerances they used, and stage timings; data
 files (CSV) are bit-reproducible for identical configs.
+
+At module level this imports only ``config``, ``errors``, ``geometry`` and
+``models``.  Each runner imports the modules it calls (``solver``,
+``analysis`` or ``barriers``) itself and calls through them, so a kind loads
+only what it runs; ``parse_config`` has already imported them by then.
 """
 
 from __future__ import annotations
@@ -13,21 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    boundary_attainment,
-    check_duality_source,
-    solve_duality_potential,
-    unit_bump_source,
-)
-from .barriers import (
-    BarrierParams,
-    build_barrier,
-    build_boundary_potential,
-    build_miller_barrier,
-    select_barrier_constants,
-    select_localization_radius,
-    verify_barrier_residual,
-)
 from .config import (
     ExperimentConfig,
     build_boundary,
@@ -49,7 +39,6 @@ from .models import (
     global_bound,
     h4_integral,
 )
-from .solver import ApproxProblem, extract_limit_solution, solve_eps_eta, solve_members
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
@@ -90,15 +79,19 @@ def _models(cfg: ExperimentConfig):
         "flux": build_nonlinearity(cfg),
         "phi": build_boundary(cfg, domain),
         "initial": build_initial(cfg, domain),
-        "scheme": build_scheme(cfg),
     }
-    if cfg.kind == "duality":  # the source must fit every level, for validate too
+    # validate builds these too, so it rejects every config the run rejects.
+    if cfg.kind == "duality":  # the source must fit every level
+        from . import analysis
+
         exp = cfg.sections["experiment"]
         levels = [float(e) for e in exp.get("eps_list") or [exp["eps"] or 4.0 * grid.h]]
-        source = unit_bump_source(grid, exp.get("source_center"), exp.get("source_width"))
+        source = analysis.unit_bump_source(grid, exp.get("source_center"), exp.get("source_width"))
         for eps in levels:
-            check_duality_source(grid, eps, source)
+            analysis.check_duality_source(grid, eps, source)
         m["duality"] = levels, source
+    elif cfg.kind == "barrier-certify":
+        m["barriers"] = _barriers(cfg, m)
     return m
 
 
@@ -106,7 +99,9 @@ def _hypotheses(m: dict) -> HypothesisReport:
     return check_hypotheses(m["rho"], m["flux"], m["phi"], m["initial"], m["grid"])
 
 
-def _problem(cfg: ExperimentConfig, m: dict, **overrides) -> ApproxProblem:
+def _problem(cfg: ExperimentConfig, m: dict, **overrides):
+    from . import solver
+
     num = cfg.sections["numerics"]
     exp = cfg.sections["experiment"]
     base = dict(
@@ -122,7 +117,7 @@ def _problem(cfg: ExperimentConfig, m: dict, **overrides) -> ApproxProblem:
         dt=num["dt"],
     )
     base.update(overrides)
-    return ApproxProblem(**base)
+    return solver.ApproxProblem(**base)
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +126,24 @@ def _problem(cfg: ExperimentConfig, m: dict, **overrides) -> ApproxProblem:
 
 
 def _run_solve(cfg, m, out: Path):
+    from . import solver
+
     num = cfg.sections["numerics"]
     problem = _problem(cfg, m)
-    fieldobj = solve_eps_eta(problem, m["scheme"], store_stride=num["store_stride"])
+    fieldobj = solver.solve_eps_eta(problem, build_scheme(cfg), store_stride=num["store_stride"])
     fieldobj.to_csv(out / "trajectory.csv")
     _write_json(out / "trajectory_meta.json", fieldobj.meta)
     return bool(fieldobj.meta["max_principle_ok"]), {"meta": fieldobj.meta}
 
 
 def _run_family(cfg, m, out: Path):
+    from . import solver
+
     exp = cfg.sections["experiment"]
     num = cfg.sections["numerics"]
     problem = _problem(cfg, m)
-    finest, diag = extract_limit_solution(
-        problem, exp["eps_list"], exp["eta_list"], m["scheme"],
+    finest, diag = solver.extract_limit_solution(
+        problem, exp["eps_list"], exp["eta_list"], build_scheme(cfg),
         store_stride=num["store_stride"],
     )
     finest.to_csv(out / "limit_candidate.csv")
@@ -153,7 +152,10 @@ def _run_family(cfg, m, out: Path):
     return ok, {"diagnostics": diag.as_dict()}
 
 
-def _barrier_ingredients(cfg, m):
+def _barriers(cfg, m) -> list:
+    """Each side's barrier, with its constants chosen and its region checked on the grid."""
+    from . import barriers
+
     exp = cfg.sections["experiment"]
     domain: Domain = m["domain"]
     grid = m["grid"]
@@ -170,18 +172,18 @@ def _barrier_ingredients(cfg, m):
     eta = exp["eta"]
 
     if case.startswith("potential"):
-        potential = build_boundary_potential(
+        potential = barriers.build_boundary_potential(
             rho.majorant, domain.collar_cap, exp["curvature_margin"]
         )
         cap_space = domain.collar_cap
     else:
         radius = domain.collar_cap
-        potential = build_miller_barrier(domain, x0, radius)
+        potential = barriers.build_miller_barrier(domain, x0, radius)
         cap_space = radius
     cap = min(cap_space, 0.49 * domain.width)
     if timed:
         cap = min(cap, t0)
-    delta = select_localization_radius(
+    delta = barriers.select_localization_radius(
         case, phi, flux, (x0, t0), sigma, eta, cap,
         initial=m["initial"], domain=domain,
     )
@@ -192,7 +194,7 @@ def _barrier_ingredients(cfg, m):
 
     K = global_bound(m["initial"].sup_norm(grid), phi.sup_norm(domain), exp["eta_cap"])
     phi_scale = phi.sup_norm(domain) if timed else abs(float(phi.phi(x0, 0.0)))
-    params = BarrierParams(
+    params = barriers.BarrierParams(
         inf_rho=rho.inf_on(grid),
         sup_rho=rho.sup_on(grid) if rho.is_bounded else np.inf,
         alpha0=flux.alpha0,
@@ -203,47 +205,54 @@ def _barrier_ingredients(cfg, m):
         dim=domain.dim,
         pot_edge=pot_edge,
     )
-    return case, (x0, t0), sigma, eta, potential, params
+    sides = ["lower", "upper"] if exp["barrier_side"] == "both" else [exp["barrier_side"]]
+    built = []
+    for side in sides:
+        constants = barriers.select_barrier_constants(case, side, flux, params, exp["safety"])
+        barrier = barriers.build_barrier(
+            case, side, domain, (x0, t0), sigma, eta, constants, potential, flux, phi,
+            delta=delta,
+        )
+        barriers.check_barrier_region(barrier, grid, cfg.sections["numerics"]["dt"])
+        built.append(barrier)
+    return built
 
 
 def _run_barrier_certify(cfg, m, out: Path):
+    from . import barriers
+
     exp = cfg.sections["experiment"]
-    num = cfg.sections["numerics"]
-    case, anchor, sigma, eta, potential, params = _barrier_ingredients(cfg, m)
-    sides = ["lower", "upper"] if exp["barrier_side"] == "both" else [exp["barrier_side"]]
-    safety = exp["safety"]
+    dt = cfg.sections["numerics"]["dt"]
     certificates = []
     all_pass = True
-    for side in sides:
-        constants = select_barrier_constants(case, side, m["flux"], params, safety)
-        barrier = build_barrier(
-            case, side, m["domain"], anchor, sigma, eta, constants,
-            potential, m["flux"], m["phi"], delta=params.delta,
-        )
-        report = verify_barrier_residual(barrier, m["grid"], m["rho"], m["flux"], num["dt"])
+    for barrier in m["barriers"]:
+        report = barriers.verify_barrier_residual(barrier, m["grid"], m["rho"], m["flux"], dt)
         all_pass &= report.verdict
         certificates.append(
             {
-                "constants": constants.as_dict(),
-                "delta": params.delta,
-                "sigma": sigma,
-                "eta": eta,
-                "anchor": {"x0": anchor[0], "t0": anchor[1]},
+                "constants": barrier.constants.as_dict(),
+                "delta": barrier.delta,
+                "sigma": barrier.sigma,
+                "eta": exp["eta"],
+                "anchor": {"x0": barrier.anchor_x, "t0": barrier.anchor_t},
                 "window": list(barrier.t_window),
                 "residual": report.as_dict(),
             }
         )
-    _write_json(out / "barrier_certificates.json", {"case": case, "certificates": certificates})
+    payload = {"case": exp["barrier_case"], "certificates": certificates}
+    _write_json(out / "barrier_certificates.json", payload)
     return all_pass, {"certificates": certificates}
 
 
 def _run_duality(cfg, m, out: Path):
+    from . import analysis
+
     grid = m["grid"]
     levels, source = m["duality"]
     rows = []
     ok = True
     for eps in levels:
-        pot = solve_duality_potential(grid, eps, source)
+        pot = analysis.solve_duality_potential(grid, eps, source)
         psi_pos = bool(np.all(pot.psi[collar_decomposition(grid, eps).core] > 0.0))
         derivs_neg = bool(np.all(pot.normal_derivatives < 0.0))
         defect_ok = abs(pot.flux_sum - pot.source_integral) <= 1e-6 * pot.source_integral
@@ -267,16 +276,18 @@ def _attainment_grid(cfg, m, eps: float):
     return build_grid(domain, max(n, 16))
 
 
-def _level_problems(cfg, m, eps_list, phi) -> list[ApproxProblem]:
+def _level_problems(cfg, m, eps_list, phi) -> list:
     return [
         _problem(cfg, m, grid=_attainment_grid(cfg, m, eps), phi=phi, eps=float(eps))
         for eps in eps_list
     ]
 
 
-def _solve(cfg, m, problems):
+def _solve(cfg, problems):
+    from . import solver
+
     stride = cfg.sections["numerics"]["store_stride"]
-    return solve_members(problems, m["scheme"], store_stride=stride)
+    return solver.solve_members(problems, build_scheme(cfg), store_stride=stride)
 
 
 def _member_totals(fields) -> list[dict]:
@@ -286,9 +297,11 @@ def _member_totals(fields) -> list[dict]:
 
 
 def _run_attainment(cfg, m, out: Path):
+    from . import analysis
+
     exp = cfg.sections["experiment"]
-    fields = _solve(cfg, m, _level_problems(cfg, m, exp["eps_list"], m["phi"]))
-    report = boundary_attainment(fields, m["phi"], exp["tau"], threshold=exp["threshold"])
+    fields = _solve(cfg, _level_problems(cfg, m, exp["eps_list"], m["phi"]))
+    report = analysis.boundary_attainment(fields, m["phi"], exp["tau"], threshold=exp["threshold"])
     _write_json(out / "attainment.json", report.as_dict())
     rows = np.array(report.csv_rows())
     np.savetxt(out / "attainment.csv", rows, delimiter=",", header="eps,sup_gap",
@@ -307,6 +320,8 @@ def _probe_diffs(fields_a, fields_b, coords, tau):
 
 
 def _run_dichotomy(cfg, m, out: Path):
+    from . import analysis
+
     exp = cfg.sections["experiment"]
     offset = exp["conflict_offset"]
     eps_list = exp["eps_list"]
@@ -334,14 +349,14 @@ def _run_dichotomy(cfg, m, out: Path):
         cases.append((alpha, verdict))
         problems += _level_problems(cfg, m_alpha, eps_list, phi_a)
         problems += _level_problems(cfg, m_alpha, eps_list, phi_b)
-    fields = _solve(cfg, m, problems)
+    fields = _solve(cfg, problems)
 
     rows = []
     for j, (alpha, verdict) in enumerate(cases):
         fields_a = fields[2 * j * n : (2 * j + 1) * n]
         fields_b = fields[(2 * j + 1) * n : (2 * j + 2) * n]
-        rep_a = boundary_attainment(fields_a, phi_a, tau, threshold=threshold)
-        rep_b = boundary_attainment(fields_b, phi_b, tau, threshold=threshold)
+        rep_a = analysis.boundary_attainment(fields_a, phi_a, tau, threshold=threshold)
+        rep_b = analysis.boundary_attainment(fields_b, phi_b, tau, threshold=threshold)
         diffs = _probe_diffs(fields_a, fields_b, coords, tau)
         decreasing = all(b < a for a, b in zip(diffs[:-1], diffs[1:]))
         rows.append(

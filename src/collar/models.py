@@ -15,7 +15,16 @@ import numpy as np
 from .errors import ModelError, RangeError
 from .geometry import Domain, Grid
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
+#: 16-point Gauss-Legendre rule on [-1, 1], bit for bit ``leggauss(16)``, which
+#: returns symmetric nodes and weights; written out so numpy.polynomial is not imported.
+_GAUSS_HALF_X = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                 0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                 0.9445750230732326, 0.9894009349916499)
+_GAUSS_HALF_W = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                 0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                 0.062253523938647456, 0.027152459411754176)
+_GAUSS_X = np.concatenate((-np.array(_GAUSS_HALF_X[::-1]), _GAUSS_HALF_X))
+_GAUSS_W = np.concatenate((_GAUSS_HALF_W[::-1], _GAUSS_HALF_W))
 
 #: Pieces with ratio above this are treated as failing to decay geometrically.
 _DECAY_CUTOFF = 0.999

@@ -7,68 +7,18 @@ face fluxes with no quadrature error.  For N = 1 this reduces to the classic
 three-point second difference.  The ball center is handled by the natural
 zero-flux inner face.
 
-Tridiagonal systems go straight to LAPACK: ``gtsv`` for a one-off solve, or
-``gttrf`` once and ``gttrs`` per right-hand side when the matrix is reused.
-
-The three routines come from scipy's compiled LAPACK wrapper,
-``scipy.linalg._flapack``, loaded straight from its file.  Importing it
-through ``scipy.linalg.lapack`` would run the package inits of ``scipy`` and
-``scipy.linalg``, which pull in ``scipy._lib._array_api``, ``numpy.testing``
-and ``numpy.f2py`` and roughly double the import time of ``collar``.  The
-extension needs numpy alone.  It is registered in ``sys.modules`` under its
-own name, so a later ``import scipy.linalg`` reuses the same module and the
-same routine objects; if scipy imported it first, that module is reused here.
-``_flapack`` is private to scipy: when its file is not where this loader
-looks, the public ``scipy.linalg.lapack`` is imported instead.
+This module is the stencil alone.  Tridiagonal solves live in
+``collar.tridiagonal``, so the barrier certifier, which only applies the
+stencil, never loads LAPACK.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import LinearSolveError
 from .geometry import BALL, Grid
-
-_FLAPACK = "scipy.linalg._flapack"
-
-
-def _flapack_path():
-    """File of scipy's compiled LAPACK wrapper, found without importing scipy; None if absent."""
-    spec = importlib.util.find_spec("scipy")
-    roots = spec.submodule_search_locations if spec is not None else None
-    for root in roots or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = Path(root, "linalg", "_flapack" + suffix)
-            if path.is_file():
-                return path
-    return None
-
-
-def _load_lapack():
-    """The module holding scipy's ``d*`` LAPACK routines, without scipy's package inits."""
-    module = sys.modules.get(_FLAPACK)
-    if module is not None:
-        return module
-    path = _flapack_path()
-    if path is None:
-        from scipy.linalg import lapack
-
-        return lapack
-    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[_FLAPACK] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-_lapack = _load_lapack()
-dgtsv, dgttrf, dgttrs = _lapack.dgtsv, _lapack.dgttrf, _lapack.dgttrs
 
 
 @dataclass(frozen=True)
@@ -151,31 +101,3 @@ def assemble_diffusion(grid: Grid) -> DiffusionOperator:
 
     return DiffusionOperator(lo=lo, di=di, up=up, volumes=vol, face_areas=area)
 
-
-def _check(info: int, routine: str) -> None:
-    if info != 0:
-        raise LinearSolveError(f"LAPACK {routine} failed with info = {info}", info=info)
-
-
-def solve_tridiagonal(lo: np.ndarray, di: np.ndarray, up: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with the given bands (full-length arrays).
-
-    ``lo[0]`` and ``up[-1]`` lie outside the matrix and are ignored.
-    """
-    *_, x, info = dgtsv(lo[1:], di, up[:-1], rhs)
-    _check(info, "dgtsv")
-    return x
-
-
-def factor_tridiagonal(lo: np.ndarray, di: np.ndarray, up: np.ndarray) -> tuple:
-    """LU factors of the tridiagonal matrix, for repeated ``solve_factored`` calls."""
-    *factors, info = dgttrf(lo[1:], di, up[:-1])
-    _check(info, "dgttrf")
-    return tuple(factors)
-
-
-def solve_factored(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve with factors from ``factor_tridiagonal``; same pivots as ``solve_tridiagonal``."""
-    x, info = dgttrs(*factors, rhs)
-    _check(info, "dgttrs")
-    return x

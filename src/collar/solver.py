@@ -27,6 +27,10 @@ other flux assembles its Jacobian bands each iteration and solves them with
 ``gtsv``.  Both paths pivot alike, so a linear flux gives bit-identical
 trajectories either way.  A non-finite residual or Newton update fails its
 member instead of freezing the state.
+
+The three LAPACK routines come from ``collar.tridiagonal``, which maps scipy's
+compiled wrapper when this module is imported.  ``parse_config`` imports this
+module for every kind that steps, so a first run finds LAPACK loaded.
 """
 
 from __future__ import annotations
@@ -40,14 +44,8 @@ import numpy as np
 from .errors import ConfigError, LinearSolveError, ShapeError, SolveError, StepError
 from .geometry import Grid, collar_decomposition
 from .models import BoundaryData, DensityModel, InitialData, Nonlinearity, global_bound
-from .operators import (
-    DiffusionOperator,
-    assemble_diffusion,
-    factor_tridiagonal,
-    solve_factored,
-    solve_tridiagonal,
-    stack_operators,
-)
+from .operators import DiffusionOperator, assemble_diffusion, stack_operators
+from .tridiagonal import factor_tridiagonal, solve_factored, solve_tridiagonal
 
 #: Linear-flux LU factorizations one batch keeps, one per ``(dt, floor)``; the
 #: least recently used is dropped first.  Rounding gives one lattice a few

@@ -1,0 +1,95 @@
+"""Tridiagonal solves through LAPACK, for the solver and the duality potential.
+
+``gtsv`` serves a one-off solve; ``gttrf`` once and ``gttrs`` per right-hand
+side serve a matrix that is reused.  Bands are full-length arrays as the
+stencil in ``collar.operators`` stores them.
+
+The three routines come from scipy's compiled LAPACK wrapper,
+``scipy.linalg._flapack``, loaded straight from its file when this module is
+imported.  Importing it through ``scipy.linalg.lapack`` would run the package
+inits of ``scipy`` and ``scipy.linalg``, which pull in
+``scipy._lib._array_api``, ``numpy.testing`` and ``numpy.f2py`` and roughly
+double the import time of ``collar``.  The extension needs numpy alone.  It
+is registered in ``sys.modules`` under its own name, so a later ``import
+scipy.linalg`` reuses the same module and the same routine objects; if scipy
+imported it first, that module is reused here.  ``_flapack`` is private to
+scipy: when its file is not where this loader looks, the public
+``scipy.linalg.lapack`` is imported instead.  Only ``collar.solver`` and
+``collar.analysis`` import this module, so the experiment kinds that solve
+no tridiagonal system never map the extension.
+"""
+
+from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from .errors import LinearSolveError
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_path():
+    """File of scipy's compiled LAPACK wrapper, found without importing scipy; None if absent."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(root, "linalg", "_flapack" + suffix)
+            if path.is_file():
+                return path
+    return None
+
+
+def _load_lapack():
+    """The module holding scipy's ``d*`` LAPACK routines, without scipy's package inits."""
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    path = _flapack_path()
+    if path is None:
+        from scipy.linalg import lapack
+
+        return lapack
+    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_FLAPACK] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_lapack = _load_lapack()
+dgtsv, dgttrf, dgttrs = _lapack.dgtsv, _lapack.dgttrf, _lapack.dgttrs
+
+
+def _check(info: int, routine: str) -> None:
+    if info != 0:
+        raise LinearSolveError(f"LAPACK {routine} failed with info = {info}", info=info)
+
+
+def solve_tridiagonal(lo: np.ndarray, di: np.ndarray, up: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with the given bands (full-length arrays).
+
+    ``lo[0]`` and ``up[-1]`` lie outside the matrix and are ignored.
+    """
+    *_, x, info = dgtsv(lo[1:], di, up[:-1], rhs)
+    _check(info, "dgtsv")
+    return x
+
+
+def factor_tridiagonal(lo: np.ndarray, di: np.ndarray, up: np.ndarray) -> tuple:
+    """LU factors of the tridiagonal matrix, for repeated ``solve_factored`` calls."""
+    *factors, info = dgttrf(lo[1:], di, up[:-1])
+    _check(info, "dgttrf")
+    return tuple(factors)
+
+
+def solve_factored(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve with factors from ``factor_tridiagonal``; same pivots as ``solve_tridiagonal``."""
+    x, info = dgttrs(*factors, rhs)
+    _check(info, "dgttrs")
+    return x

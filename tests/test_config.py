@@ -122,6 +122,12 @@ CONFIG_MISTAKES = {
                                                          "kind = table\nfile = {table}")),
     "bump-in-collar": ("duality", MINIMAL_HEAT.replace("kind = solve",
                                                        "kind = duality\neps = 0.25")),
+    "degenerate-timed-barrier": ("barrier-certify", BARRIER_CERTIFY.replace(
+        "kind = linear", "kind = porous-medium\nm = 2.0")),
+    "coarse-barrier-region": ("barrier-certify", BARRIER_CERTIFY.replace("nodes = 201",
+                                                                         "nodes = 17")),
+    "coarse-barrier-time-step": ("barrier-certify", BARRIER_CERTIFY.replace("dt = 0.001",
+                                                                            "dt = 0.3")),
 }
 
 # Values that keep the config valid where 1.0 would not.

@@ -1,12 +1,15 @@
-"""The LAPACK boundary: how ``collar.operators`` loads its three routines.
+"""The LAPACK boundary, and which modules each experiment kind loads.
 
-``collar.operators`` loads scipy's private ``_flapack`` extension from its
+``collar.tridiagonal`` loads scipy's private ``_flapack`` extension from its
 file, skipping the package inits of ``scipy`` and ``scipy.linalg``.  These
 tests pin that the routines are scipy's own (bit for bit, in either import
-order), that the public import takes over when the file is missing, and that
-neither importing ``collar.cli`` nor a first experiment call pulls scipy's
-package inits, ``numpy.testing``, ``numpy.f2py`` or ``numpy.ma`` back in.
-``import collar`` alone loads no submodule and no numpy.
+order) and that the public import takes over when the file is missing.
+``import collar.cli`` loads no scipy module at all, and ``import
+collar.solver`` loads ``_flapack`` and nothing else of scipy.  Parsing a
+config loads exactly the collar modules its kind runs; a first experiment
+call after that loads no further collar module and nothing of scipy,
+``numpy.ma``, ``numpy.polynomial`` or ``locale``.  ``import collar`` alone
+loads no submodule and no numpy.
 """
 
 import json
@@ -19,7 +22,8 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg.lapack
 
-from collar import operators
+from collar import tridiagonal
+from collar.config import EXPERIMENT_KINDS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -43,7 +47,7 @@ BIT_IDENTITY = """
 import numpy as np
 {first}
 {second}
-ops, lapack = collar.operators, scipy.linalg.lapack
+ops, lapack = collar.tridiagonal, scipy.linalg.lapack
 assert ops.dgtsv is lapack.dgtsv and ops.dgttrf is lapack.dgttrf and ops.dgttrs is lapack.dgttrs
 rng = np.random.default_rng(11)
 pivoted = 0
@@ -68,35 +72,38 @@ print("ok")
 
 
 def test_routines_are_scipys_bit_for_bit_with_collar_imported_first():
-    code = BIT_IDENTITY.format(first="import collar.operators", second="import scipy.linalg.lapack")
+    code = BIT_IDENTITY.format(first="import collar.tridiagonal", second="import scipy.linalg.lapack")
     assert run_python(code).strip() == "ok"
 
 
 def test_routines_are_scipys_bit_for_bit_with_scipy_imported_first():
-    code = BIT_IDENTITY.format(first="import scipy.linalg.lapack", second="import collar.operators")
+    code = BIT_IDENTITY.format(first="import scipy.linalg.lapack", second="import collar.tridiagonal")
     assert run_python(code).strip() == "ok"
 
 
 def test_public_import_when_the_extension_file_is_missing(monkeypatch):
-    monkeypatch.setattr(operators, "_flapack_path", lambda: None)
-    monkeypatch.delitem(sys.modules, operators._FLAPACK)
-    module = operators._load_lapack()
+    monkeypatch.setattr(tridiagonal, "_flapack_path", lambda: None)
+    monkeypatch.delitem(sys.modules, tridiagonal._FLAPACK)
+    module = tridiagonal._load_lapack()
     assert module is scipy.linalg.lapack
     lo, di, up = np.full(9, -1.0), np.full(9, 2.5), np.full(9, -1.0)
     rhs = np.linspace(0.0, 1.0, 9)
     *_, x, info = module.dgtsv(lo[1:], di, up[:-1], rhs)
-    assert info == 0 and np.array_equal(x, operators.solve_tridiagonal(lo, di, up, rhs))
+    assert info == 0 and np.array_equal(x, tridiagonal.solve_tridiagonal(lo, di, up, rhs))
 
 
 def test_import_leaves_scipy_package_inits_out():
     out = run_python("""
         import json, sys
         import collar.cli
-        print(json.dumps(sorted(sys.modules)))
+        cli = sorted(sys.modules)
+        import collar.solver
+        print(json.dumps([cli, sorted(set(sys.modules) - set(cli))]))
     """)
-    modules = json.loads(out)
-    assert [m for m in modules if within(m, "scipy")] == ["scipy.linalg._flapack"]
-    assert [m for m in modules if within(m, "numpy.testing", "numpy.f2py", "numpy.ma")] == []
+    cli, solver = json.loads(out)
+    assert [m for m in cli if within(m, "scipy")] == []
+    assert [m for m in solver if within(m, "scipy")] == ["scipy.linalg._flapack"]
+    assert [m for m in cli + solver if within(m, "numpy.testing", "numpy.f2py", "numpy.ma")] == []
 
 
 def test_package_import_loads_no_submodule_and_no_numpy():
@@ -212,26 +219,53 @@ t0 = 0.5
 """
 
 
+def with_experiment(text: str, lines: str) -> str:
+    """``text`` with the body of its [experiment] section replaced by ``lines``."""
+    return text.split("[experiment]")[0] + "[experiment]\n" + lines + "\n"
+
+
+# Collar modules loaded once ``collar.cli`` is imported, and the ones each
+# kind's parse adds: the modules its run calls, with what they import.
+CLI_MODULES = {"collar", "collar.cli", "collar.config", "collar.errors", "collar.experiments",
+               "collar.geometry", "collar.models"}
+STEPPING = {"collar.solver", "collar.operators", "collar.tridiagonal"}
+KINDS = {
+    "solve": (with_experiment(FAMILY, "kind = solve\neps = 0.1\neta = 0.05"), STEPPING),
+    "family": (FAMILY, STEPPING),
+    "barrier-certify": (CERTIFY, {"collar.barriers", "collar.operators"}),
+    "duality": (with_experiment(FAMILY, "kind = duality\neps_list = 0.2, 0.1"),
+                STEPPING | {"collar.analysis"}),
+    "attainment": (SWEEP.replace("kind = dichotomy-sweep", "kind = attainment")
+                   .replace("alpha_list = 1.0, 3.0\n", ""), STEPPING | {"collar.analysis"}),
+    "dichotomy-sweep": (SWEEP, STEPPING | {"collar.analysis"}),
+    "hypothesis-report": (with_experiment(FAMILY, "kind = hypothesis-report"), set()),
+}
+
+
 def test_first_calls_leave_numpy_ma_scipy_linalg_and_locale_unloaded(tmp_path):
     xs = np.linspace(0.0, 2.0, 41)
     np.savetxt(tmp_path / "density.txt", np.column_stack([xs, 1.0 + 0.2 * np.sin(xs)]))
-    kinds = {"family": FAMILY, "dichotomy-sweep": SWEEP, "barrier-certify": CERTIFY}
-    for kind, text in kinds.items():
+    assert set(KINDS) == set(EXPERIMENT_KINDS)
+    for kind, (text, parse_loads) in KINDS.items():
         (tmp_path / f"{kind}.cfg").write_text(text)
-    out = run_python("""
-        import contextlib, io, json, sys
-        from collar import cli
-        calls = {}
-        for kind in ("family", "dichotomy-sweep", "barrier-certify"):
-            before = set(sys.modules)
+        out = run_python(f"""
+            import contextlib, io, json, sys
+            from collar import cli
+            from collar.config import parse_config_file
+            parse_config_file("{kind}.cfg")
+            parsed = sorted(sys.modules)
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main([kind, "--config", kind + ".cfg", "--out", kind])
-            calls[kind] = [code, sorted(set(sys.modules) - before)]
-        print(json.dumps(calls))
-    """, cwd=tmp_path)
-    calls = json.loads(out)
-    assert set(calls) == set(kinds)
-    for kind, (code, new) in calls.items():
+                code = cli.main(["{kind}", "--config", "{kind}.cfg", "--out", "{kind}"])
+            print(json.dumps([code, parsed, sorted(set(sys.modules) - set(parsed))]))
+        """, cwd=tmp_path)
+        code, parsed, new = json.loads(out)
         assert code == 0, (kind, code)
-        unwanted = [m for m in new if within(m, "scipy", "numpy.ma", "locale")]
+        assert {m for m in parsed if within(m, "collar")} == CLI_MODULES | parse_loads, kind
+        unwanted = [m for m in new
+                    if within(m, "collar", "scipy", "numpy.ma", "numpy.polynomial", "locale")]
         assert unwanted == [], (kind, unwanted)
+        loaded = set(parsed + new)
+        if kind == "barrier-certify":
+            assert not loaded & {"collar.solver", "collar.analysis", "scipy.linalg._flapack"}
+        if kind == "family":
+            assert not loaded & {"collar.barriers", "collar.analysis"}

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collar import models
 from collar.errors import ModelError, RangeError
 from collar.geometry import Domain, build_grid
 from collar.models import (
@@ -38,6 +39,12 @@ def dyadic_quadrature_oracle(alpha: float, eps_hat: float, levels: int = 200):
     if ratio >= 1.0 - 1e-13:
         return None
     return sum(pieces) + pieces[-1] * ratio / (1.0 - ratio)
+
+
+def test_gauss_table_is_leggauss_16_bit_for_bit():
+    x, w = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(models._GAUSS_X, x)
+    assert np.array_equal(models._GAUSS_W, w)
 
 
 class TestIntegralDichotomy:

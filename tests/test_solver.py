@@ -8,14 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from collar import experiments, solver
+from collar import solver
 from collar.analysis import comparison_check
 from collar.config import parse_config
 from collar.errors import ConfigError, LinearSolveError, ShapeError, SolveError, StepError
 from collar.experiments import run_experiment
 from collar.geometry import Domain, build_grid
 from collar.models import BoundaryData, DensityModel, InitialData, Nonlinearity
-from collar.operators import factor_tridiagonal, solve_factored, solve_tridiagonal
 from collar.solver import (
     ApproxProblem,
     SolverScheme,
@@ -27,6 +26,7 @@ from collar.solver import (
     solve_members,
     step_implicit,
 )
+from collar.tridiagonal import factor_tridiagonal, solve_factored, solve_tridiagonal
 
 DOM = Domain.interval(0.0, 1.0)
 RHO1 = DensityModel.constant(1.0, DOM)
@@ -896,31 +896,31 @@ threshold = 0.05
 
 class TestOneSolvePerSweep:
     @staticmethod
-    def count_members(monkeypatch, module):
+    def count_members(monkeypatch):
         sizes = []
-        real = module.solve_members
+        real = solver.solve_members
 
         def counted(problems, *args, **kwargs):
             sizes.append(len(problems))
             return real(problems, *args, **kwargs)
 
-        monkeypatch.setattr(module, "solve_members", counted)
+        monkeypatch.setattr(solver, "solve_members", counted)
         return sizes
 
     def test_dichotomy_solves_all_members_at_once(self, tmp_path, monkeypatch):
-        sizes = self.count_members(monkeypatch, experiments)
+        sizes = self.count_members(monkeypatch)
         assert run_experiment(parse_config(SWEEP_CFG), tmp_path) in (0, 1)
         assert sizes == [2 * 2 * 4]
 
     def test_attainment_solves_all_levels_at_once(self, tmp_path, monkeypatch):
-        sizes = self.count_members(monkeypatch, experiments)
+        sizes = self.count_members(monkeypatch)
         doc = SWEEP_CFG.replace("kind = dichotomy-sweep", "kind = attainment").replace(
             "alpha_list = 1.0, 3.0\nconflict_offset = 0.3\n", "")
         assert run_experiment(parse_config(doc), tmp_path) in (0, 1)
         assert sizes == [4]
 
     def test_family_solves_all_members_at_once(self, monkeypatch):
-        sizes = self.count_members(monkeypatch, solver)
+        sizes = self.count_members(monkeypatch)
         extract_limit_solution(heat_problem(nodes=81, horizon=0.01),
                                [0.2, 0.1, 0.05, 0.025], [0.1, 0.05, 0.025])
         assert sizes == [6]
