@@ -169,18 +169,16 @@ class AttainmentReport:
     attained: bool
     probe_offsets: list = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "eps_levels": list(self.eps_levels),
-            "sups": list(self.sups),
-            "tau": self.tau,
-            "threshold": self.threshold,
-            "attained": self.attained,
-            "probe_offsets": list(self.probe_offsets),
-        }
-
     def csv_rows(self):
         return list(zip(self.eps_levels, self.sups))
+
+
+def check_attainment_levels(eps_list) -> None:
+    """ConfigError unless there are at least 4 collar levels, strictly decreasing."""
+    if len(eps_list) < 4:
+        raise ConfigError(f"need at least 4 collar levels, got {len(eps_list)}")
+    if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
+        raise ConfigError("collar levels must be strictly decreasing")
 
 
 def boundary_attainment(
@@ -199,14 +197,11 @@ def boundary_attainment(
     finest one is below the threshold.  ``probe_offsets`` holds each level's
     largest probe distance from the boundary.
     """
-    if len(fields) < 4:
-        raise ConfigError(f"need at least 4 collar levels, got {len(fields)}")
+    eps_list = [f.eps for f in fields]
+    check_attainment_levels(eps_list)
     horizon = float(min(f.times[-1] for f in fields))
     if not (0.0 < tau < horizon):
         raise ConfigError(f"tau must lie in (0, {horizon})")
-    eps_list = [f.eps for f in fields]
-    if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
-        raise ConfigError("collar levels must be strictly decreasing")
 
     sups = []
     offsets = []
@@ -252,15 +247,6 @@ class OrderingVerdict:
     worst_x: float | None
     worst_t: float | None
     detail: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_gap": self.worst_gap,
-            "worst_x": self.worst_x,
-            "worst_t": self.worst_t,
-            "detail": self.detail,
-        }
 
 
 def comparison_check(

@@ -15,13 +15,13 @@ that discrete verification passes at finite resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import CASES
 from .errors import ConfigError, GeometryError, ModelError, RegimeError
-from .geometry import Domain, Grid
+from .geometry import ANNULUS, Domain, Grid
 from .models import (
     BoundaryData,
     InitialData,
@@ -221,7 +221,7 @@ def build_miller_barrier(
     if radius <= 0.0:
         raise GeometryError("exterior sphere radius must be positive")
     at_lo = abs(x0 - domain.lo) <= tol
-    if domain.kind == "radial-annulus" and at_lo and radius > domain.lo + tol:
+    if domain.kind == ANNULUS and at_lo and radius > domain.lo + tol:
         raise GeometryError(
             f"inner boundary admits exterior spheres only up to radius {domain.lo}"
         )
@@ -287,14 +287,10 @@ class BarrierConstants:
     safety: float
 
     def as_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "side": self.side,
-            "M": self.M,
-            "lambda": self.lam,
-            "beta": self.beta,
-            "safety": self.safety,
-        }
+        """The fields, with ``lam`` under its artifact key ``lambda``."""
+        out = asdict(self)
+        out["lambda"] = out.pop("lam")
+        return out
 
 
 def _validate_case_side(case: str, side: str):
@@ -559,21 +555,8 @@ class ResidualReport:
     worst_t: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "case": self.case,
-            "verdict": "pass" if self.verdict else "fail",
-            "max_residual": self.max_residual,
-            "min_residual": self.min_residual,
-            "tolerance": self.tolerance,
-            "c_res": self.c_res,
-            "h": self.h,
-            "dt": self.dt,
-            "n_nodes": self.n_nodes,
-            "n_times": self.n_times,
-            "worst_x": self.worst_x,
-            "worst_t": self.worst_t,
-        }
+        """The fields, with the verdict written as ``"pass"`` or ``"fail"``."""
+        return {**asdict(self), "verdict": "pass" if self.verdict else "fail"}
 
 
 def check_barrier_region(barrier: Barrier, grid: Grid, dt: float) -> np.ndarray:

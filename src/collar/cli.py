@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import EXPERIMENT_KINDS, parse_config_file
@@ -65,7 +66,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        payload = report.as_dict()
+        payload = asdict(report)
         _write_json(out / "hypothesis.json", payload)
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0 if report.core_ok else 1

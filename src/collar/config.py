@@ -65,7 +65,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "nodes": ("i", ..., f">= {MIN_NODES}"), "dt": ("f", ..., "> 0"),
         "t_final": ("f", 1.0, "> 0"), "newton_tol": ("f", 1e-10, "> 0"),
         "max_iterations": ("i", 30, ">= 1"), "jacobian_floor": ("f", 1e-8, ">= 0"),
-        "scheme": ("s", "implicit-newton", ("implicit-newton",)),
         "store_stride": ("i", 1, ">= 1"),
     },
     "experiment": {

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .config import (
 )
 from .errors import CollarError, ConfigError, DomainError, ModelError, RegimeError
 from .errors import ResolutionError, SourceError
-from .geometry import Domain, build_grid, collar_decomposition
+from .geometry import BALL, Domain, build_grid, collar_decomposition
 from .models import (
     BoundaryData,
     DensityModel,
@@ -80,11 +81,20 @@ def _models(cfg: ExperimentConfig):
         "phi": build_boundary(cfg, domain),
         "initial": build_initial(cfg, domain),
     }
-    # validate builds these too, so it rejects every config the run rejects.
-    if cfg.kind == "duality":  # the source must fit every level
+    # validate builds and checks these too, so it rejects every config the run
+    # rejects, and the run rejects its levels before any solve.
+    exp = cfg.sections["experiment"]
+    if cfg.kind == "family":
+        from . import solver
+
+        solver.family_levels(exp["eps_list"], exp["eta_list"])
+    elif cfg.kind in ("attainment", "dichotomy-sweep"):
         from . import analysis
 
-        exp = cfg.sections["experiment"]
+        analysis.check_attainment_levels(exp["eps_list"])
+    elif cfg.kind == "duality":  # the source must fit every level
+        from . import analysis
+
         levels = [float(e) for e in exp.get("eps_list") or [exp["eps"] or 4.0 * grid.h]]
         source = analysis.unit_bump_source(grid, exp.get("source_center"), exp.get("source_width"))
         for eps in levels:
@@ -126,11 +136,7 @@ def _problem(cfg: ExperimentConfig, m: dict, **overrides):
 
 
 def _run_solve(cfg, m, out: Path):
-    from . import solver
-
-    num = cfg.sections["numerics"]
-    problem = _problem(cfg, m)
-    fieldobj = solver.solve_eps_eta(problem, build_scheme(cfg), store_stride=num["store_stride"])
+    fieldobj = _solve(cfg, [_problem(cfg, m)])[0]
     fieldobj.to_csv(out / "trajectory.csv")
     _write_json(out / "trajectory_meta.json", fieldobj.meta)
     return bool(fieldobj.meta["max_principle_ok"]), {"meta": fieldobj.meta}
@@ -164,7 +170,7 @@ def _barriers(cfg, m) -> list:
     phi = m["phi"]
     case = exp["barrier_case"]
     x0 = domain.lo if exp["anchor"] == "left" else domain.hi
-    if domain.kind == "radial-ball":
+    if domain.kind == BALL:
         x0 = domain.hi
     timed = case.endswith("timed")
     t0 = exp["t0"] if timed else None
@@ -302,11 +308,11 @@ def _run_attainment(cfg, m, out: Path):
     exp = cfg.sections["experiment"]
     fields = _solve(cfg, _level_problems(cfg, m, exp["eps_list"], m["phi"]))
     report = analysis.boundary_attainment(fields, m["phi"], exp["tau"], threshold=exp["threshold"])
-    _write_json(out / "attainment.json", report.as_dict())
+    _write_json(out / "attainment.json", asdict(report))
     rows = np.array(report.csv_rows())
     np.savetxt(out / "attainment.csv", rows, delimiter=",", header="eps,sup_gap",
                comments="", fmt="%.17g")
-    return report.attained, {"report": report.as_dict(), "members": _member_totals(fields)}
+    return report.attained, {"report": asdict(report), "members": _member_totals(fields)}
 
 
 def _probe_diffs(fields_a, fields_b, coords, tau):
@@ -334,7 +340,7 @@ def _run_dichotomy(cfg, m, out: Path):
     # The conflicting run shifts the whole boundary trace by a constant.  One
     # trace object for every alpha lets a batch evaluate it once per sub-step.
     phi_a = m["phi"]
-    phi_b = BoundaryData.from_callable(
+    phi_b = BoundaryData(
         lambda x, t: np.asarray(phi_a.phi(x, t)) + offset,
         horizon=phi_a.horizon,
         time_dependent=phi_a.time_dependent,
@@ -382,9 +388,9 @@ def _run_dichotomy(cfg, m, out: Path):
 
 
 def _run_hypothesis(cfg, m, out: Path):
-    report = m["hypotheses"]
-    _write_json(out / "hypothesis.json", report.as_dict())
-    return report.core_ok, {"hypothesis": report.as_dict()}
+    report = asdict(m["hypotheses"])
+    _write_json(out / "hypothesis.json", report)
+    return m["hypotheses"].core_ok, {"hypothesis": report}
 
 
 _RUNNERS = {
@@ -407,7 +413,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     try:
         m = stage.run("build_models", lambda: _models(cfg))
         hyp = m["hypotheses"] = stage.run("hypotheses", lambda: _hypotheses(m))
-        report["hypothesis"] = hyp.as_dict()
+        report["hypothesis"] = asdict(hyp)
         report["warnings"] = list(hyp.notes)
         runner = _RUNNERS[cfg.kind]
         ok, payload = stage.run(cfg.kind, lambda: runner(cfg, m, out))

@@ -76,14 +76,6 @@ class H4Result:
     method: str
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "finite": self.finite,
-            "value": self.value,
-            "method": self.method,
-            "detail": self.detail,
-        }
-
 
 def _dyadic_pieces(f, upper, n_pieces: int = 60):
     """Integrals of ``eta * f(eta)`` over [u 2^-k-1, u 2^-k], k = 0.., per upper limit u.
@@ -165,13 +157,11 @@ class DensityModel:
         if kind == "constant":
             if self.coef <= 0.0:
                 raise ModelError("constant density must be positive")
-            self.has_positive_inf = True
             self.is_bounded = True
             self.majorant = PowerMajorant(self.coef, 0.0)
         elif kind == "power":
             if self.coef <= 0.0:
                 raise ModelError("power-law density needs a positive coefficient")
-            self.has_positive_inf = self.alpha >= 0.0
             self.is_bounded = self.alpha <= 0.0
             self.majorant = PowerMajorant(self.coef, self.alpha)
         elif kind == "table":
@@ -182,7 +172,6 @@ class DensityModel:
             if np.any(v <= 0.0) or np.any(~np.isfinite(v)):
                 raise ModelError("density table values must be positive and finite")
             self._knots, self._values = k, v
-            self.has_positive_inf = True
             self.is_bounded = True
             self.majorant = self._table_majorant()
         else:
@@ -385,12 +374,6 @@ class BoundaryData:
         return cls(f, horizon=horizon, time_dependent=False,
                    positivity_floor=positivity_floor)
 
-    @classmethod
-    def from_callable(cls, func, horizon: float = 1.0, time_dependent: bool = True,
-                      positivity_floor: float = 0.0):
-        return cls(func, horizon=horizon, time_dependent=time_dependent,
-                   positivity_floor=positivity_floor)
-
     def phi(self, x, t):
         out = np.asarray(self._func(x, t), dtype=float)
         return float(out) if out.ndim == 0 else out
@@ -423,10 +406,6 @@ class InitialData:
             return offset + amplitude * np.sin(mode * np.pi * (x - domain.lo) / w)
 
         return cls(f)
-
-    @classmethod
-    def from_callable(cls, func):
-        return cls(func)
 
     def u0(self, x):
         out = np.asarray(self._func(x), dtype=float)
@@ -465,21 +444,6 @@ class HypothesisReport:
     @property
     def core_ok(self) -> bool:
         return self.h1_density_positive and self.h2_flux_monotone and self.h3_initial_bounded
-
-    def as_dict(self) -> dict:
-        return {
-            "h1_density_positive": self.h1_density_positive,
-            "h2_flux_monotone": self.h2_flux_monotone,
-            "h3_initial_bounded": self.h3_initial_bounded,
-            "h4": self.h4.as_dict(),
-            "h4_majorant_dominates": self.h4_majorant_dominates,
-            "h5_nondegenerate": self.h5_nondegenerate,
-            "compat_initial_boundary": self.compat_initial_boundary,
-            "compat_at_time_zero": self.compat_at_time_zero,
-            "positivity_route": self.positivity_route,
-            "evidence": self.evidence,
-            "notes": self.notes,
-        }
 
 
 def _continuity_score(values_coarse: np.ndarray, values_fine: np.ndarray, abs_tol: float) -> bool:

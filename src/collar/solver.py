@@ -13,9 +13,11 @@ starts each outer step at the extrapolation ``2 u_n - u_(n-1)`` or
 ``3 (u_n - u_(n-1)) + u_(n-2)`` of the last outer states, and the sub-steps
 of a halved step at their current state.
 
-Members of a family or sweep that share the time lattice step together: their
-windows are laid end to end as one block-diagonal tridiagonal system whose
-coupling bands are zero, so every LAPACK call returns each block's own
+The members of one solve are approximations of one problem: they share one
+flux object, one ``dt`` and one horizon, which ``solve_members`` checks, while
+grid, collar width, lift, density and data may differ.  They step together:
+their windows are laid end to end as one block-diagonal tridiagonal system
+whose coupling bands are zero, so every LAPACK call returns each block's own
 solution and every member's trajectory is bit-identical to solving it alone.
 One solve keeps all members' window states in one concatenated array, and the
 extrapolation is elementwise, so each row depends on its own history only.
@@ -244,11 +246,6 @@ def _all_finite(values: np.ndarray) -> bool:
     return math.isfinite(np.add.reduce(values))
 
 
-def _stacked_flux(runs, name: str):
-    """Evaluator of flux method ``name`` over runs of rows, each run with its own flux."""
-    return lambda v: np.concatenate([getattr(f, name)(v[rows]) for f, rows in runs])
-
-
 def _cached(cache: dict, key, make, limit: int):
     """``cache[key]``, or ``make(key)`` on a miss; beyond ``limit`` the least recently used goes."""
     value = cache.pop(key, None)
@@ -264,13 +261,12 @@ class _Batch:
     """Members stepped together as one block-diagonal tridiagonal system.
 
     Member ``k`` owns rows ``starts[k] .. starts[k] + sizes[k] - 1`` of every
-    concatenated vector.  The flux is evaluated once per run of neighbouring
-    members that share it, and a time-dependent trace once per distinct
+    concatenated vector.  The members share one flux, which is evaluated once
+    on all rows, and a time-dependent trace is evaluated once per distinct
     ``BoundaryData``, on all its interface points.
     """
 
     def __init__(self, problems):
-        self.problems = problems
         self.sizes = np.array([p.layout.size for p in problems])
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.op = stack_operators([p._window_op for p in problems])
@@ -280,17 +276,8 @@ class _Batch:
         total = int(self.sizes.sum())
         self._lo_zero = np.flatnonzero(_index_mask(total, self.dir, self.starts))
         self._up_zero = np.flatnonzero(_index_mask(total, self.dir, self.starts + self.sizes - 1))
-        self.linear = all(p.flux.kind == "linear" for p in problems)
-        self._runs = []  # (flux, rows) per run of neighbours sharing one flux
-        for p, s, n in zip(problems, self.starts, self.sizes):
-            if self._runs and self._runs[-1][0] is p.flux:
-                self._runs[-1][1] = slice(self._runs[-1][1].start, s + n)
-            else:
-                self._runs.append([p.flux, slice(s, s + n)])
-        if len(self._runs) == 1:
-            self.g, self.dg = self._runs[0][0].g, self._runs[0][0].dg
-        else:
-            self.g, self.dg = (_stacked_flux(self._runs, name) for name in ("g", "dg"))
+        self.flux = problems[0].flux
+        self.linear = self.flux.kind == "linear"
         traces = {}  # id(phi) -> (phi, rows of self.dir, interface points, lifts)
         row = 0
         for p in problems:
@@ -356,8 +343,8 @@ class _Batch:
 
     def _factor(self, key) -> tuple:
         dt, floor = key
-        slopes = [max(float(p.flux.dg(0.0)), floor) for p in self.problems]
-        return factor_tridiagonal(*self.bands(dt / self.rho, np.repeat(slopes, self.sizes)))
+        slope = max(float(self.flux.dg(0.0)), floor)
+        return factor_tridiagonal(*self.bands(dt / self.rho, np.full(self.rho.size, slope)))
 
 
 def _newton(batch: _Batch, state, start, scheme: SolverScheme, t_new: float, dt: float):
@@ -381,7 +368,7 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, t_new: float, dt:
     tol = scheme.newton_tol
 
     def residual(v):
-        gv = np.asarray(batch.g(v))
+        gv = np.asarray(batch.flux.g(v))
         res = (v - u_old) - scale * op.apply(gv)
         res[dir_rows] = v[dir_rows] - bc
         norms = np.maximum.reduceat(np.abs(res), starts).tolist()
@@ -417,7 +404,7 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, t_new: float, dt:
         if batch.linear:
             delta = solve_factored(batch.linear_factors(dt, scheme.jacobian_floor), rhs)
         else:
-            gp = np.maximum(np.asarray(batch.dg(u), dtype=float), scheme.jacobian_floor)
+            gp = np.maximum(np.asarray(batch.flux.dg(u), dtype=float), scheme.jacobian_floor)
             bands = batch.bands(scale, gp)
             delta = batch.solve(bands, rhs, live, errors)
             if not _all_finite(delta) and not np.isfinite(gp).all():
@@ -565,8 +552,8 @@ def _extrapolate(state, history):
     return guess
 
 
-def _advance(problems, ids, scheme: SolverScheme, store_stride: int) -> list[SpaceTimeField]:
-    """Advance members sharing ``dt`` and ``horizon`` in lockstep; ``ids`` name them in errors."""
+def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTimeField]:
+    """Advance the members of one solve in lockstep over their shared time lattice."""
     p0 = problems[0]
     n_outer = int(round(p0.horizon / p0.dt))
     if n_outer < 1 or abs(n_outer * p0.dt - p0.horizon) > 1e-8 * p0.horizon:
@@ -574,7 +561,7 @@ def _advance(problems, ids, scheme: SolverScheme, store_stride: int) -> list[Spa
     times = np.empty(1 + n_outer // store_stride + (n_outer % store_stride != 0))
     times[0] = 0.0
     firsts = np.cumsum([0] + [p.layout.size for p in problems]).tolist()
-    members = [_Member(i, p, times.size, r) for i, p, r in zip(ids, problems, firsts)]
+    members = [_Member(i, p, times.size, r) for i, (p, r) in enumerate(zip(problems, firsts))]
     state = np.concatenate([m.window[:, 0] for m in members])
     history = []  # the outer states before ``state``, newest first, at most two
     batches = {}
@@ -664,7 +651,8 @@ def solve_members(
 ) -> list[SpaceTimeField]:
     """Advance lifted collar problems over [0, horizon]; one field per problem, in order.
 
-    Problems that share ``dt`` and ``horizon`` step in lockstep on one
+    The problems must share one flux object, one ``dt`` and one ``horizon``;
+    a ConfigError names the first that does not.  They step in lockstep on one
     block-diagonal Newton system, and each field is bit-identical to solving
     its problem alone.  Stored time stamps sit on the uniform lattice
     ``k * dt`` regardless of internal sub-stepping: a member whose step fails
@@ -672,26 +660,15 @@ def solve_members(
     other members at that depth, and its depth relaxes after 20 clean steps.
     A SolveError names the failing member's index, ``eps``, ``eta`` and time.
     """
-    scheme = scheme or SolverScheme()
-    groups = {}
+    problems = list(problems)
+    p0 = problems[0]
     for i, p in enumerate(problems):
-        groups.setdefault((p.dt, p.horizon), []).append(i)
-    fields = [None] * len(problems)
-    for ids in groups.values():
-        group = _advance([problems[i] for i in ids], ids, scheme, store_stride)
-        for i, f in zip(ids, group):
-            fields[i] = f
-    return fields
-
-
-def solve_eps_eta(
-    problem: ApproxProblem,
-    scheme: SolverScheme | None = None,
-    *,
-    store_stride: int = 1,
-) -> SpaceTimeField:
-    """Advance one lifted collar problem over [0, horizon]; see ``solve_members``."""
-    return solve_members([problem], scheme, store_stride=store_stride)[0]
+        for name, same in (("flux", p.flux is p0.flux), ("dt", p.dt == p0.dt),
+                           ("horizon", p.horizon == p0.horizon)):
+            if not same:
+                raise ConfigError(f"member {i} has another {name} than member 0; "
+                                  "the members of one solve share one flux, dt and horizon")
+    return _advance(problems, scheme or SolverScheme(), store_stride)
 
 
 def flux_balance_defect(fieldobj: SpaceTimeField, problem: ApproxProblem) -> float:
@@ -763,16 +740,24 @@ _MAX_PROBES = 64
 _DECAY_FACTOR = 1.5
 
 
-def _halving(levels, label: str, minimum: int):
-    arr = np.asarray(levels, dtype=float)
-    if arr.size < minimum:
-        raise ConfigError(f"need at least {minimum} {label} levels, got {arr.size}")
-    if np.any(arr <= 0.0) or np.any(np.diff(arr) >= 0.0):
-        raise ConfigError(f"{label} levels must be positive and strictly decreasing")
-    ratios = arr[:-1] / arr[1:]
-    if np.any(np.abs(ratios - 2.0) > 0.05):
-        raise ConfigError(f"{label} levels must halve; got ratios {ratios}")
-    return arr
+def family_levels(eps_levels, eta_levels) -> tuple[np.ndarray, np.ndarray]:
+    """The collar and lift levels of a family; ConfigError unless each halves.
+
+    A family needs at least 4 collar and 3 lift levels.
+    """
+
+    def halving(levels, label: str, minimum: int):
+        arr = np.asarray(levels, dtype=float)
+        if arr.size < minimum:
+            raise ConfigError(f"need at least {minimum} {label} levels, got {arr.size}")
+        if np.any(arr <= 0.0) or np.any(np.diff(arr) >= 0.0):
+            raise ConfigError(f"{label} levels must be positive and strictly decreasing")
+        ratios = arr[:-1] / arr[1:]
+        if np.any(np.abs(ratios - 2.0) > 0.05):
+            raise ConfigError(f"{label} levels must halve; got ratios {ratios}")
+        return arr
+
+    return halving(eps_levels, "collar", 4), halving(eta_levels, "lift", 3)
 
 
 def _decays(diffs, scale: float) -> bool:
@@ -799,8 +784,7 @@ def extract_limit_solution(
     non-decay is reported, not raised, because the divergent-integral regime
     is expected to produce it.
     """
-    eps_arr = _halving(eps_levels, "collar", 4)
-    eta_arr = _halving(eta_levels, "lift", 3)
+    eps_arr, eta_arr = family_levels(eps_levels, eta_levels)
     grid = problem.grid
     probe_idx = collar_decomposition(grid, float(eps_arr[0])).probes(_MAX_PROBES)
     if probe_idx.size < 5:

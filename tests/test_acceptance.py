@@ -37,7 +37,7 @@ from collar.models import (
     PowerMajorant,
     h4_integral,
 )
-from collar.solver import ApproxProblem, SolverScheme, solve_eps_eta
+from collar.solver import ApproxProblem, SolverScheme, solve_members
 
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(32)
 
@@ -95,7 +95,7 @@ def test_criterion_02_heat_equation_oracle():
         p = ApproxProblem(grid=build_grid(dom, nodes), rho=rho, flux=lin, phi=phi,
                           initial=u0, eps=0.0, eta=0.0, eta_cap=0.0,
                           horizon=horizon, dt=dt)
-        return solve_eps_eta(p, store_stride=stride)
+        return solve_members([p], store_stride=stride)[0]
 
     fld = solve(256, 0.2, 1e-4, 10)
     exact = np.exp(-np.pi**2 * fld.times)[None, :] * np.sin(np.pi * fld.grid.nodes)[:, None]
@@ -125,11 +125,11 @@ def test_criterion_03_porous_medium_oracle():
     p = ApproxProblem(
         grid=grid, rho=DensityModel.constant(1.0, dom),
         flux=Nonlinearity.porous_medium(2.0),
-        phi=BoundaryData.from_callable(exact, horizon=0.6),  # clear of the blow-up time
-        initial=InitialData.from_callable(lambda x: exact(x, 0.0)),
+        phi=BoundaryData(exact, horizon=0.6),  # clear of the blow-up time
+        initial=InitialData(lambda x: exact(x, 0.0)),
         eps=0.0, eta=0.0, eta_cap=0.0, horizon=0.5, dt=1e-3,
     )
-    fld = solve_eps_eta(p, store_stride=25)
+    fld = solve_members([p], store_stride=25)[0]
     ex = exact(grid.nodes[:, None], fld.times[None, :])
     rel = float(np.max(np.abs(fld.values - ex)) / np.max(np.abs(ex)))
     _report(3, "porous-medium oracle", rel < 1e-2, 30.0, time.perf_counter() - t0,
@@ -182,13 +182,13 @@ def test_criterion_05_barrier_sandwich():
     flux = Nonlinearity.linear(1.0)
     T = 1.0
     phi = BoundaryData.constant(0.5, horizon=T)
-    u0 = InitialData.from_callable(lambda x: 0.5 + 0.3 * np.sin(np.pi * np.asarray(x, float)))
+    u0 = InitialData(lambda x: 0.5 + 0.3 * np.sin(np.pi * np.asarray(x, float)))
     eta, eta_cap, sigma = 0.05, 0.1, 0.15
     anchor = (0.0, 0.5)
 
     p = ApproxProblem(grid=grid, rho=rho, flux=flux, phi=phi, initial=u0,
                       eps=0.05, eta=eta, eta_cap=eta_cap, horizon=T, dt=2e-3)
-    fld = solve_eps_eta(p, store_stride=5)
+    fld = solve_members([p], store_stride=5)[0]
     K = p.bound_K
 
     pot = build_boundary_potential(rho.majorant, dom.collar_cap, curvature_margin=2.0)
@@ -259,7 +259,7 @@ def test_criterion_07_lift_monotonicity_and_maximality():
     def solve(eta):
         p = ApproxProblem(grid=grid, rho=rho, flux=flux, phi=phi, initial=u0,
                           eps=0.0, eta=eta, eta_cap=0.1, horizon=0.2, dt=1e-3)
-        return solve_eps_eta(p, store_stride=10)
+        return solve_members([p], store_stride=10)[0]
 
     f_low, f_mid, f_high = solve(0.025), solve(0.05), solve(0.1)
     direct = solve(0.0)
@@ -335,7 +335,7 @@ def test_criterion_09_uniqueness_functional():
     def schedule(eta, dt, stride):
         p = ApproxProblem(grid=grid, rho=rho, flux=flux, phi=phi, initial=u0,
                           eps=0.0, eta=eta, eta_cap=0.1, horizon=T, dt=dt)
-        return solve_eps_eta(p, store_stride=stride)
+        return solve_members([p], store_stride=stride)[0]
 
     u1 = schedule(4e-5, 5e-5, 200)
     u2 = schedule(0.0, 2.5e-5, 400)

@@ -15,7 +15,7 @@ from collar.errors import ConfigError, HypothesisError, ShapeError, SourceError
 from collar.geometry import CORE, Domain, NodeClassification, build_grid
 from collar.models import BoundaryData, DensityModel, InitialData, Nonlinearity
 from collar.operators import assemble_diffusion
-from collar.solver import ApproxProblem, SolverScheme, SpaceTimeField, solve_eps_eta
+from collar.solver import ApproxProblem, SolverScheme, SpaceTimeField, solve_members
 
 DOM = Domain.interval(0.0, 1.0)
 RHO1 = DensityModel.constant(1.0, DOM)
@@ -120,7 +120,7 @@ class TestUniquenessFunctional:
                 initial=InitialData.sine(DOM, 1.0),
                 eps=0.0, eta=eta, eta_cap=0.1, horizon=T, dt=dt,
             )
-            return solve_eps_eta(p, store_stride=stride)
+            return solve_members([p], store_stride=stride)[0]
 
         u1 = schedule(4e-5, 4e-5 * 1.25, 200)   # dt = 5e-5
         u2 = schedule(0.0, 2.5e-5, 400)         # dt = 2.5e-5
@@ -145,7 +145,7 @@ def attainment_fields(eps_levels, phi, u0, rho, horizon=1.0, dt=2e-3, factor=4):
             grid=grid, rho=rho, flux=LIN, phi=phi, initial=u0,
             eps=eps, eta=0.0, eta_cap=0.1, horizon=horizon, dt=dt,
         )
-        fields.append(solve_eps_eta(p, store_stride=5))
+        fields.append(solve_members([p], store_stride=5)[0])
     return fields
 
 
@@ -157,7 +157,7 @@ class TestBoundaryAttainment:
             horizon=0.3, dt=1e-3, factor=8,
         )
         rep = boundary_attainment(fields, phi, tau=0.05, threshold=0.05)
-        assert rep.attained, rep.as_dict()
+        assert rep.attained, rep
         assert all(b < a for a, b in zip(rep.sups[:-1], rep.sups[1:]))
 
     def test_constant_data_gap_equals_lift(self):
@@ -170,7 +170,7 @@ class TestBoundaryAttainment:
                 initial=InitialData.constant(0.5),
                 eps=eps, eta=0.05, eta_cap=0.1, horizon=0.1, dt=5e-3,
             )
-            fields.append(solve_eps_eta(p, store_stride=4))
+            fields.append(solve_members([p], store_stride=4)[0])
         rep = boundary_attainment(fields, phi, tau=0.02, threshold=0.06)
         assert rep.sups == pytest.approx([0.05] * 4, abs=1e-9)
 
@@ -208,7 +208,7 @@ class TestOrderingChecks:
                 initial=InitialData.sine(DOM, 1.0),
                 eps=0.0, eta=eta, eta_cap=0.1, horizon=0.05, dt=1e-3,
             )
-            return solve_eps_eta(p, store_stride=5)
+            return solve_members([p], store_stride=5)[0]
 
         return solve(eta_low), solve(eta_high)
 

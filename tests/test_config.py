@@ -128,6 +128,16 @@ CONFIG_MISTAKES = {
                                                                          "nodes = 17")),
     "coarse-barrier-time-step": ("barrier-certify", BARRIER_CERTIFY.replace("dt = 0.001",
                                                                             "dt = 0.3")),
+    "family-eps-not-halving": ("family", MINIMAL_HEAT.replace("kind = solve", (
+        "kind = family\neps_list = 0.2, 0.15, 0.1, 0.05\neta_list = 0.1, 0.05, 0.025"))),
+    "family-three-eps": ("family", MINIMAL_HEAT.replace("kind = solve", (
+        "kind = family\neps_list = 0.2, 0.1, 0.05\neta_list = 0.1, 0.05, 0.025"))),
+    "attainment-three-levels": ("attainment", MINIMAL_HEAT.replace(
+        "kind = solve", "kind = attainment\neps_list = 0.2, 0.1, 0.05")),
+    "attainment-increasing": ("attainment", MINIMAL_HEAT.replace(
+        "kind = solve", "kind = attainment\neps_list = 0.025, 0.05, 0.1, 0.2")),
+    "dichotomy-increasing": ("dichotomy-sweep", MINIMAL_HEAT.replace("kind = solve", (
+        "kind = dichotomy-sweep\neps_list = 0.025, 0.05, 0.1, 0.2\nalpha_list = 1.0"))),
 }
 
 # Values that keep the config valid where 1.0 would not.
@@ -392,13 +402,14 @@ class TestCli:
         assert code == 2
         assert "config error: cannot read" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scheme", ["semi-implicit-lagged", "explicit"])
-    def test_only_scheme_is_implicit_newton(self, tmp_path, capsys, scheme):
+    @pytest.mark.parametrize("scheme", ["implicit-newton", "semi-implicit-lagged", "explicit"])
+    def test_scheme_is_an_unknown_key(self, tmp_path, capsys, scheme):
+        # The solver has one scheme, so [numerics] no longer takes a key naming it.
         doc = MINIMAL_HEAT.replace("t_final = 0.05", f"t_final = 0.05\nscheme = {scheme}")
         code = cli_main(["solve", "--config", str(self._write(tmp_path, doc)),
                          "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "implicit-newton" in capsys.readouterr().err
+        assert "unknown key 'scheme'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("nodes", "inf"), ("nodes", "1e400"),
                                             ("dt", "nan"), ("dt", "inf"), ("t_final", "inf")])

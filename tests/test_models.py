@@ -93,12 +93,9 @@ class TestIntegralDichotomy:
 class TestDensityModel:
     def test_power_law_flags(self):
         dom = Domain.interval(0.0, 1.0)
-        assert DensityModel.power_law(1.0, dom).has_positive_inf
         assert not DensityModel.power_law(1.0, dom).is_bounded
         assert DensityModel.power_law(-1.0, dom).is_bounded
-        assert not DensityModel.power_law(-1.0, dom).has_positive_inf
-        both = DensityModel.power_law(0.0, dom)
-        assert both.is_bounded and both.has_positive_inf
+        assert DensityModel.power_law(0.0, dom).is_bounded
 
     def test_power_law_values(self):
         dom = Domain.interval(0.0, 1.0)
@@ -228,7 +225,7 @@ class TestCheckHypotheses:
             DensityModel.constant(1.0, dom),
             Nonlinearity.linear(1.0),
             BoundaryData.constant(0.0, horizon=1.0),
-            InitialData.from_callable(lambda x: np.where(np.asarray(x) < 0.5, 0.0, 1.0)),
+            InitialData(lambda x: np.where(np.asarray(x) < 0.5, 0.0, 1.0)),
             grid,
         )
         assert not report.h3_initial_bounded
