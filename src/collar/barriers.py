@@ -1,4 +1,10 @@
-"""Sub/supersolution barrier families with explicit constant rules.
+"""Sub/supersolution barriers, built in one pass by ``build_barriers``.
+
+``build_barriers`` turns one barrier case and the config's models into each
+requested side's barrier: it builds the spatial profile, picks the
+localization radius, selects the constants and checks that the grid resolves
+the barrier's validity region.  ``verify_barrier_residual`` then checks the
+discrete residual of each barrier; a failure there is a verdict.
 
 Two spatial profiles are available.  The distance potential ``V`` is the
 double integral of the density majorant, valid when the weighted collar
@@ -9,7 +15,9 @@ and an exterior sphere, which interval and radial geometry provide exactly.
 A barrier combines one profile with an anchor value of the boundary data, a
 gap ``sigma``, and quadratic localization penalties; the constants are the
 smallest ones satisfying the case's inequalities, times a safety factor so
-that discrete verification passes at finite resolution.
+that discrete verification passes at finite resolution.  The config schema
+bounds every key, so the checks left here are the ones a config within those
+bounds can still fail, and each raises a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -19,23 +27,21 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import CASES
-from .errors import ConfigError, GeometryError, ModelError, RegimeError
-from .geometry import ANNULUS, Domain, Grid
+from .errors import ConfigError, ModelError, RegimeError
+from .geometry import ANNULUS, BALL, Domain, Grid
 from .models import (
     BoundaryData,
+    DensityModel,
     InitialData,
     Nonlinearity,
     PowerMajorant,
     _GAUSS_W,
     _GAUSS_X,
     _dyadic_pieces,
+    global_bound,
     h4_integral,
 )
 from .operators import assemble_diffusion
-
-SIDES = ("lower", "upper")
-
 
 #: Rows of the potential table integrated per batch; bounds the temporaries.
 _TABLE_BLOCK = 16
@@ -115,8 +121,6 @@ def build_boundary_potential(majorant, eps_hat: float, curvature_margin: float =
     Raises RegimeError when the weighted collar integral diverges, in which
     case no bounded potential with the required curvature exists.
     """
-    if curvature_margin < 1.0:
-        raise ConfigError(f"curvature margin must be >= 1, got {curvature_margin}")
     verdict = h4_integral(majorant, eps_hat)
     if not verdict.finite:
         raise RegimeError(
@@ -168,19 +172,20 @@ def build_boundary_potential(majorant, eps_hat: float, curvature_margin: float =
 class MillerBarrier:
     """Exponential bump from the exterior sphere condition.
 
-    Centered at the exterior point ``center`` with ``|anchor - center| = R``,
+    Centered at the exterior point ``center`` at distance R from the anchor,
     so the bump vanishes at the anchor, is positive elsewhere in the domain,
     and its Laplacian stays below -1 on the validity region.
     """
 
-    domain: Domain
-    anchor: float
     center: float
     radius: float
-    steepness: float
+    dim: int
     amplitude: float
-    inward_sign: float
-    region_reach: float
+
+    @property
+    def steepness(self) -> float:
+        """``N / R^2``, twice the bound that makes the Laplacian negative outside the sphere."""
+        return self.dim / self.radius**2
 
     def evaluate(self, x):
         s = np.abs(np.asarray(x, dtype=float) - self.center)
@@ -188,93 +193,37 @@ class MillerBarrier:
         out = self.amplitude * (math.exp(-a * r * r) - np.exp(-a * s * s))
         return float(out) if out.ndim == 0 else out
 
-    def at_offset(self, offset):
-        """Bump value at the in-domain point ``offset`` away from the anchor."""
-        return self.evaluate(self.anchor + self.inward_sign * np.asarray(offset, dtype=float))
 
-    def profile_laplacian(self, s):
-        """Exact Laplacian of the bump at distance ``s`` from the center."""
-        a, n = self.steepness, self.domain.dim
-        s = np.asarray(s, dtype=float)
-        out = self.amplitude * (2.0 * a * n - 4.0 * a * a * s * s) * np.exp(-a * s * s)
-        return float(out) if out.ndim == 0 else out
+def build_miller_barrier(domain: Domain, x0: float, radius: float) -> MillerBarrier:
+    """Exterior bump at the boundary point ``x0`` with exterior sphere radius R.
 
-
-def build_miller_barrier(
-    domain: Domain,
-    x0: float,
-    radius: float,
-    *,
-    steepness: float | None = None,
-) -> MillerBarrier:
-    """Exterior bump at boundary point ``x0`` with exterior sphere radius R.
-
-    The steepness must exceed ``N / (2 R^2)`` for the Laplacian to be
-    negative outside the sphere; the default is twice that bound.  The
-    amplitude is raised until the Laplacian is below -1 over distances up to
-    ``_MILLER_REGION_FACTOR * R`` from the exterior center.
+    The amplitude is raised until the Laplacian is below -1 over distances up
+    to ``_MILLER_REGION_FACTOR * R`` from the exterior center.  ``radius`` is
+    the collar cap; each check names the config keys that fix it.
     """
-    pts = domain.boundary_points()
-    tol = 1e-9 * domain.width
-    if not any(abs(x0 - b) <= tol for b in pts):
-        raise GeometryError(f"{x0} is not a boundary point of the domain")
-    if radius <= 0.0:
-        raise GeometryError("exterior sphere radius must be positive")
-    at_lo = abs(x0 - domain.lo) <= tol
-    if domain.kind == ANNULUS and at_lo and radius > domain.lo + tol:
-        raise GeometryError(
-            f"inner boundary admits exterior spheres only up to radius {domain.lo}"
+    at_lo = abs(x0 - domain.lo) < abs(x0 - domain.hi)
+    if domain.kind == ANNULUS and at_lo and radius > domain.lo + 1e-9 * domain.width:
+        raise ConfigError(
+            f"the inner boundary admits exterior spheres only up to r_in = {domain.lo}, "
+            f"and the collar cap is {radius}; set collar_cap <= r_in or anchor = right"
         )
     n = domain.dim
-    a = n / radius**2 if steepness is None else float(steepness)
-    if a <= n / (2.0 * radius**2) * (1.0 + 1e-9):
-        raise GeometryError(
-            f"steepness {a} must exceed N/(2 R^2) = {n / (2 * radius ** 2)}"
-        )
-    inward = 1.0 if at_lo else -1.0
-    center = x0 - inward * radius
+    a = n / radius**2
 
     s = np.linspace(radius, _MILLER_REGION_FACTOR * radius, 4097)
     bracket = (4.0 * a * a * s * s - 2.0 * a * n) * np.exp(-a * s * s)
     gmin = float(np.min(bracket))
-    if gmin <= 0.0:
-        raise GeometryError("Laplacian sign requirement fails on the region")
-    return MillerBarrier(
-        domain=domain,
-        anchor=float(x0),
-        center=float(center),
-        radius=float(radius),
-        steepness=a,
-        amplitude=_MILLER_SAFETY / gmin,
-        inward_sign=inward,
-        region_reach=_MILLER_REGION_FACTOR * radius,
-    )
+    if not gmin >= np.finfo(float).tiny:  # positive, but e^(-4N) underflows
+        raise ConfigError(
+            f"the exterior bump underflows in dim = {n}; lower dim or take a potential case"
+        )
+    center = x0 - radius if at_lo else x0 + radius
+    return MillerBarrier(float(center), float(radius), n, _MILLER_SAFETY / gmin)
 
 
 # ---------------------------------------------------------------------------
 # Constant selection
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BarrierParams:
-    """Inputs to the constant rules of one barrier case.
-
-    ``phi_scale`` is the boundary-data scale entering the rules: the sup norm
-    for time-localized barriers, the anchor magnitude for stationary ones.
-    ``pot_edge`` is the spatial profile's value at the lateral edge of the
-    localization ball (needed where the lateral bound leans on the profile).
-    """
-
-    inf_rho: float
-    sup_rho: float
-    alpha0: float
-    delta: float
-    phi_scale: float
-    eta_cap: float
-    bound_K: float
-    dim: int
-    pot_edge: float | None = None
 
 
 @dataclass(frozen=True)
@@ -293,74 +242,72 @@ class BarrierConstants:
         return out
 
 
-def _validate_case_side(case: str, side: str):
-    if case not in CASES:
-        raise ConfigError(f"unknown barrier case {case!r}; choose from {CASES}")
-    if side not in SIDES:
-        raise ConfigError(f"unknown barrier side {side!r}; choose from {SIDES}")
-
-
 def select_barrier_constants(
-    case: str,
-    side: str,
-    flux: Nonlinearity,
-    params: BarrierParams,
+    case: str, side: str, flux: Nonlinearity, *, inf_rho: float, sup_rho: float, delta: float,
+    phi_scale: float, eta_cap: float, bound_K: float, dim: int, pot_edge: float,
     safety: float = 1.05,
 ) -> BarrierConstants:
     """Smallest constants satisfying the chosen case's inequalities, with margin.
 
+    ``phi_scale`` is the boundary-data scale entering the rules: the sup norm
+    for time-localized barriers, the anchor magnitude for stationary ones.
+    ``pot_edge`` is the spatial profile's value at the lateral edge of the
+    localization ball, which the rules of ``miller-timed`` and of the upper
+    ``potential-stationary`` barrier divide by.
+
     Time-localized cases bound the time derivative through the derivative
-    floor of the flux, so they demand a nondegenerate flux; a degenerate flux
-    takes a stationary case (``potential-stationary`` or ``miller-stationary``).
+    floor ``flux.alpha0``, so they demand a nondegenerate flux; a degenerate
+    flux takes a stationary case (``potential-stationary`` or
+    ``miller-stationary``).
     """
-    _validate_case_side(case, side)
     timed = case.endswith("timed")
     potential_case = case.startswith("potential")
-    if timed and params.alpha0 <= 0.0:
+    alpha0 = flux.alpha0
+    if timed and alpha0 <= 0.0:
         raise RegimeError(
             "time-localized barriers divide by the flux derivative floor; "
             "with a degenerate flux use barrier_case = potential-stationary or "
             "miller-stationary, or a nondegenerate flux"
         )
-    if potential_case and not (params.inf_rho > 0.0):
+    if potential_case and not (inf_rho > 0.0):
         raise RegimeError("distance-potential barriers require a density bounded below")
-    if not potential_case and not np.isfinite(params.sup_rho):
+    if not potential_case and not np.isfinite(sup_rho):
         raise RegimeError("exterior-bump barriers require a bounded density")
 
-    d2 = params.delta**2
-    K = params.bound_K
+    d2 = delta**2
+    K = bound_K
     if side == "lower":
-        top = params.phi_scale + params.eta_cap if timed else params.phi_scale
+        top = phi_scale + eta_cap if timed else phi_scale
         num = float(flux.g(top) - flux.g(-K))
     else:
-        num = float(flux.g(K) - flux.g(-params.phi_scale))
+        num = float(flux.g(K) - flux.g(-phi_scale))
     num = max(num, 0.0)
 
     def need_edge() -> float:
-        if params.pot_edge is None or params.pot_edge <= 0.0:
-            raise ConfigError(f"case {case}/{side} needs the profile value at the ball edge")
-        return params.pot_edge
+        if pot_edge <= 0.0:
+            raise ConfigError(
+                f"case {case}/{side} divides by the profile value {pot_edge} at the edge "
+                "of the localization ball, which must be positive"
+            )
+        return pot_edge
 
     lam: float | None = None
     beta: float | None = None
     if case == "potential-timed":
         beta = lam = num / d2
-        M = 2.0 * beta * params.dim / params.inf_rho + 2.0 * lam * params.delta / params.alpha0
+        M = 2.0 * beta * dim / inf_rho + 2.0 * lam * delta / alpha0
     elif case == "miller-timed":
         lam = num / d2
-        M = max(
-            2.0 * lam * params.delta * params.sup_rho / params.alpha0,
-            num / need_edge(),
-        )
+        M = max(2.0 * lam * delta * sup_rho / alpha0, num / need_edge())
     elif case == "potential-stationary":
         if side == "lower":
             beta = num / d2
-            M = 2.0 * beta * params.dim / params.inf_rho
+            M = 2.0 * beta * dim / inf_rho
         else:
             M = num / need_edge()
     else:  # miller-stationary
         beta = num / d2
-        M = 2.0 * beta * params.dim
+        M = 2.0 * beta * dim
 
     return BarrierConstants(
         case=case,
@@ -388,17 +335,11 @@ def select_localization_radius(
 
     Time-localized barriers control the oscillation of the lifted boundary
     flux over the time window; stationary ones control the deviation of the
-    lifted initial data from the anchor value over the spatial ball.  Found
-    by bisection on sampled data.
+    lifted initial data from the anchor value over the spatial ball, and
+    need ``initial`` and ``domain``.  Found by bisection on sampled data.
     """
-    _validate_case_side(case, "lower")
     x0, t0 = anchor
-    if sigma <= 0.0:
-        raise ConfigError("sigma must be positive")
-
     if case.endswith("timed"):
-        if t0 is None:
-            raise ConfigError("time-localized barriers need an anchor time")
         target = float(flux.g(phi.phi(x0, t0) + eta))
 
         def deviation(delta: float) -> float:
@@ -407,8 +348,6 @@ def select_localization_radius(
             return float(np.max(np.abs(vals - target)))
 
     else:
-        if initial is None or domain is None:
-            raise ConfigError("stationary localization needs the initial data and domain")
         target = float(flux.g(phi.phi(x0, 0.0) + eta))
         inward = 1.0 if abs(x0 - domain.lo) < abs(x0 - domain.hi) else -1.0
 
@@ -442,8 +381,6 @@ def select_localization_radius(
 class Barrier:
     """One sub- or supersolution barrier with its validity region."""
 
-    case: str
-    side: str
     domain: Domain
     anchor_x: float
     anchor_t: float | None
@@ -456,84 +393,80 @@ class Barrier:
     t_window: tuple[float, float]
 
     @property
-    def sign(self) -> float:
-        return -1.0 if self.side == "lower" else 1.0
+    def case(self) -> str:
+        return self.constants.case
 
-    def spatial_profile(self, x):
-        if isinstance(self.potential, MillerBarrier):
-            return self.potential.evaluate(x)
-        return self.potential.at_distance(self.domain.distance(x))
-
-    def flux_argument(self, x, t: float | None):
-        s = self.sign
-        arg = self.base_level + s * (self.sigma + self.constants.M * self.spatial_profile(x))
-        if self.constants.lam is not None:
-            if t is None:
-                raise ConfigError("time-localized barrier evaluated without a time")
-            arg = arg + s * self.constants.lam * (t - self.anchor_t) ** 2
-        if self.constants.beta is not None:
-            arg = arg + s * self.constants.beta * (np.asarray(x, float) - self.anchor_x) ** 2
-        return arg
+    @property
+    def side(self) -> str:
+        return self.constants.side
 
     def evaluate(self, x, t: float | None = None):
         """Barrier value at nodes ``x`` and time ``t`` (ignored if stationary)."""
-        return self.flux.g_inv(self.flux_argument(x, t))
+        c = self.constants
+        if isinstance(self.potential, MillerBarrier):
+            profile = self.potential.evaluate(x)
+        else:
+            profile = self.potential.at_distance(self.domain.distance(x))
+        s = -1.0 if self.side == "lower" else 1.0
+        arg = self.base_level + s * (self.sigma + c.M * profile)
+        if c.lam is not None:
+            arg = arg + s * c.lam * (t - self.anchor_t) ** 2
+        if c.beta is not None:
+            arg = arg + s * c.beta * (np.asarray(x, float) - self.anchor_x) ** 2
+        return self.flux.g_inv(arg)
 
     def region_node_mask(self, grid: Grid) -> np.ndarray:
         near = np.abs(grid.nodes - self.anchor_x) <= self.delta * (1.0 + 1e-12)
         return near & (grid.steps_from_boundary > 0)
 
 
-def build_barrier(
-    case: str,
-    side: str,
-    domain: Domain,
-    anchor: tuple[float, float | None],
-    sigma: float,
-    eta: float,
-    constants: BarrierConstants,
-    potential: BoundaryPotential | MillerBarrier,
-    flux: Nonlinearity,
-    phi: BoundaryData,
-    delta: float,
-) -> Barrier:
-    """Assemble the barrier evaluator for one case, side, and anchor."""
-    _validate_case_side(case, side)
-    if (case, side) != (constants.case, constants.side):
-        raise ConfigError("constants were selected for a different case or side")
-    x0, t0 = anchor
-    tol = 1e-9 * domain.width
-    if not any(abs(x0 - b) <= tol for b in domain.boundary_points()):
-        raise ConfigError(f"anchor {x0} must be a boundary point")
-    if isinstance(potential, MillerBarrier) and delta > potential.radius * (1.0 + 1e-12):
-        raise ConfigError("localization radius exceeds the exterior-bump validity radius")
+def build_barriers(
+    case: str, sides: tuple[str, ...], grid: Grid, rho: DensityModel, flux: Nonlinearity,
+    phi: BoundaryData, initial: InitialData, *, anchor: str, t0: float, sigma: float,
+    eta: float, eta_cap: float, safety: float, curvature_margin: float, dt: float,
+) -> list[Barrier]:
+    """One barrier of ``case`` per side, its region checked on ``grid`` at time step ``dt``.
 
+    ``anchor`` is ``left`` or ``right``, the end of the domain the barriers
+    sit at; a ball's one boundary is its outer sphere.  ``t0`` is the anchor
+    time of a time-localized case, which a stationary case ignores.  Raises a
+    ConfigError when the config admits no such barrier on this grid.
+    """
+    domain = grid.domain
+    x0 = domain.lo if anchor == "left" and domain.kind != BALL else domain.hi
     timed = case.endswith("timed")
-    horizon = phi.horizon
-    if timed:
-        if t0 is None or not (0.0 < t0 <= horizon):
-            raise ConfigError(f"anchor time must lie in (0, {horizon}]")
-        window = (t0 - delta, min(t0 + delta, horizon))
-        base = float(flux.g(phi.phi(x0, t0) + eta))
-    else:
-        t0 = None
-        window = (0.0, horizon)
-        base = float(flux.g(phi.phi(x0, 0.0) + eta))
-
-    return Barrier(
-        case=case,
-        side=side,
-        domain=domain,
-        anchor_x=float(x0),
-        anchor_t=t0,
-        delta=float(delta),
-        sigma=float(sigma),
-        constants=constants,
-        potential=potential,
-        flux=flux,
-        base_level=base,
-        t_window=window,
+    t0 = t0 if timed else None
+    cap = min(domain.collar_cap, 0.49 * domain.width, t0 if timed else np.inf)
+    delta = select_localization_radius(
+        case, phi, flux, (x0, t0), sigma, eta, cap, initial=initial, domain=domain
     )
+    if case.startswith("potential"):
+        potential = build_boundary_potential(rho.majorant, domain.collar_cap, curvature_margin)
+        pot_edge = float(potential.at_distance(delta))
+    else:
+        potential = build_miller_barrier(domain, x0, domain.collar_cap)
+        inward = 1.0 if x0 == domain.lo else -1.0
+        pot_edge = float(potential.evaluate(x0 + inward * delta))
+
+    phi_sup = phi.sup_norm(domain)
+    inputs = dict(
+        inf_rho=rho.inf_on(grid), sup_rho=rho.sup_on(grid) if rho.is_bounded else np.inf,
+        delta=delta, phi_scale=phi_sup if timed else abs(float(phi.phi(x0, 0.0))),
+        eta_cap=eta_cap, bound_K=global_bound(initial.sup_norm(grid), phi_sup, eta_cap),
+        dim=domain.dim, pot_edge=pot_edge, safety=safety,
+    )
+    built = []
+    for side in sides:
+        barrier = Barrier(
+            domain=domain, anchor_x=float(x0), anchor_t=t0, delta=float(delta),
+            sigma=float(sigma), constants=select_barrier_constants(case, side, flux, **inputs),
+            potential=potential, flux=flux,
+            base_level=float(flux.g(phi.phi(x0, t0 if timed else 0.0) + eta)),
+            t_window=(t0 - delta, min(t0 + delta, phi.horizon)) if timed else (0.0, phi.horizon),
+        )
+        check_barrier_region(barrier, grid, dt)
+        built.append(barrier)
+    return built
 
 
 @dataclass
@@ -581,7 +514,6 @@ def verify_barrier_residual(
     barrier: Barrier,
     grid: Grid,
     rho,
-    flux: Nonlinearity,
     dt: float,
 ) -> ResidualReport:
     """Evaluate the discrete evolution residual of a barrier over its region.
@@ -623,7 +555,7 @@ def verify_barrier_residual(
         d3t_scale = 0.0
 
     rho_vals = np.asarray(rho.rho(grid.nodes[idx]), dtype=float)
-    gw = np.asarray(flux.g(w_now))
+    gw = np.asarray(barrier.flux.g(w_now))
     res = rho_vals * dwdt - op.apply(gw)[:, j]
 
     k = j[(idx >= 2) & (idx <= grid.n - 3)]

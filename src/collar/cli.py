@@ -14,9 +14,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .config import EXPERIMENT_KINDS, parse_config_file
-from .errors import CollarError
+from .errors import CollarError, ConfigError
 from .experiments import (
-    CONFIG_ERRORS,
     EXIT_CONFIG_ERROR,
     EXIT_NUMERICAL_ERROR,
     _hypotheses,
@@ -54,7 +53,7 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except CollarError as exc:

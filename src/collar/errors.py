@@ -2,7 +2,9 @@
 
 Each class mirrors one failure category of the public operations, so callers
 can distinguish configuration mistakes from numerical breakdowns and from
-verdict-style failures (which are reported, never raised).
+verdict-style failures (which are reported, never raised).  The exit code
+follows the class: every error a config can cause is a ``ConfigError`` and
+exits 2; any other ``CollarError`` is a numerical failure and exits 3.
 """
 
 from __future__ import annotations
@@ -10,18 +12,6 @@ from __future__ import annotations
 
 class CollarError(Exception):
     """Base class for every error raised by this package."""
-
-
-class DomainError(CollarError):
-    """Geometry input is inconsistent (bad endpoints, point outside domain)."""
-
-
-class ResolutionError(CollarError):
-    """A collar level is too thin for the grid to resolve it."""
-
-
-class GeometryError(CollarError):
-    """An exterior-sphere construction is geometrically infeasible."""
 
 
 class ConfigError(CollarError):
@@ -38,11 +28,19 @@ class ConfigParseError(ConfigError):
         super().__init__(message)
 
 
-class ModelError(CollarError):
+class DomainError(ConfigError):
+    """Geometry input is inconsistent (bad endpoints, point outside domain)."""
+
+
+class ResolutionError(ConfigError):
+    """A collar level is too thin for the grid to resolve it."""
+
+
+class ModelError(ConfigError):
     """A density/nonlinearity/data evaluator violates its hypotheses."""
 
 
-class RegimeError(CollarError):
+class RegimeError(ConfigError):
     """A construction was requested outside its validity regime."""
 
 
@@ -75,7 +73,7 @@ class SolveError(CollarError):
     """A full trajectory solve failed after exhausting time-step retries."""
 
 
-class SourceError(CollarError):
+class SourceError(ConfigError):
     """A duality source term is invalid (negative entries, empty support)."""
 
 

@@ -29,28 +29,14 @@ from .config import (
     build_nonlinearity,
     build_scheme,
 )
-from .errors import CollarError, ConfigError, DomainError, ModelError, RegimeError
-from .errors import ResolutionError, SourceError
-from .geometry import BALL, Domain, build_grid, collar_decomposition
-from .models import (
-    BoundaryData,
-    DensityModel,
-    HypothesisReport,
-    check_hypotheses,
-    global_bound,
-    h4_integral,
-)
+from .errors import CollarError, ConfigError
+from .geometry import Domain, build_grid, collar_decomposition
+from .models import BoundaryData, DensityModel, HypothesisReport, check_hypotheses, h4_integral
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
-
-#: Errors that a config mistake raises, reported as exit 2 rather than 3: a
-#: malformed domain, a collar level the grid cannot resolve, a table or data
-#: that breaks a model's hypotheses or oscillates above ``sigma``, or a duality
-#: source that does not fit the collar.  Each comes from the config alone.
-CONFIG_ERRORS = (ConfigError, DomainError, ResolutionError, RegimeError, ModelError, SourceError)
 
 
 def _write_json(path: Path, payload: dict):
@@ -92,6 +78,7 @@ def _models(cfg: ExperimentConfig):
         from . import analysis
 
         analysis.check_attainment_levels(exp["eps_list"])
+        _attainment_grid(cfg, m, exp["eps_list"][-1])  # the finest level's grid
     elif cfg.kind == "duality":  # the source must fit every level
         from . import analysis
 
@@ -163,65 +150,14 @@ def _barriers(cfg, m) -> list:
     from . import barriers
 
     exp = cfg.sections["experiment"]
-    domain: Domain = m["domain"]
-    grid = m["grid"]
-    flux = m["flux"]
-    rho: DensityModel = m["rho"]
-    phi = m["phi"]
-    case = exp["barrier_case"]
-    x0 = domain.lo if exp["anchor"] == "left" else domain.hi
-    if domain.kind == BALL:
-        x0 = domain.hi
-    timed = case.endswith("timed")
-    t0 = exp["t0"] if timed else None
-    sigma = exp["sigma"]
-    eta = exp["eta"]
-
-    if case.startswith("potential"):
-        potential = barriers.build_boundary_potential(
-            rho.majorant, domain.collar_cap, exp["curvature_margin"]
-        )
-        cap_space = domain.collar_cap
-    else:
-        radius = domain.collar_cap
-        potential = barriers.build_miller_barrier(domain, x0, radius)
-        cap_space = radius
-    cap = min(cap_space, 0.49 * domain.width)
-    if timed:
-        cap = min(cap, t0)
-    delta = barriers.select_localization_radius(
-        case, phi, flux, (x0, t0), sigma, eta, cap,
-        initial=m["initial"], domain=domain,
+    side = exp["barrier_side"]
+    return barriers.build_barriers(
+        exp["barrier_case"], ("lower", "upper") if side == "both" else (side,),
+        m["grid"], m["rho"], m["flux"], m["phi"], m["initial"],
+        anchor=exp["anchor"], t0=exp["t0"], sigma=exp["sigma"], eta=exp["eta"],
+        eta_cap=exp["eta_cap"], safety=exp["safety"],
+        curvature_margin=exp["curvature_margin"], dt=cfg.sections["numerics"]["dt"],
     )
-    if case.startswith("potential"):
-        pot_edge = float(potential.at_distance(min(delta, domain.collar_cap)))
-    else:
-        pot_edge = float(potential.at_offset(delta))
-
-    K = global_bound(m["initial"].sup_norm(grid), phi.sup_norm(domain), exp["eta_cap"])
-    phi_scale = phi.sup_norm(domain) if timed else abs(float(phi.phi(x0, 0.0)))
-    params = barriers.BarrierParams(
-        inf_rho=rho.inf_on(grid),
-        sup_rho=rho.sup_on(grid) if rho.is_bounded else np.inf,
-        alpha0=flux.alpha0,
-        delta=delta,
-        phi_scale=phi_scale,
-        eta_cap=exp["eta_cap"],
-        bound_K=K,
-        dim=domain.dim,
-        pot_edge=pot_edge,
-    )
-    sides = ["lower", "upper"] if exp["barrier_side"] == "both" else [exp["barrier_side"]]
-    built = []
-    for side in sides:
-        constants = barriers.select_barrier_constants(case, side, flux, params, exp["safety"])
-        barrier = barriers.build_barrier(
-            case, side, domain, (x0, t0), sigma, eta, constants, potential, flux, phi,
-            delta=delta,
-        )
-        barriers.check_barrier_region(barrier, grid, cfg.sections["numerics"]["dt"])
-        built.append(barrier)
-    return built
 
 
 def _run_barrier_certify(cfg, m, out: Path):
@@ -232,7 +168,7 @@ def _run_barrier_certify(cfg, m, out: Path):
     certificates = []
     all_pass = True
     for barrier in m["barriers"]:
-        report = barriers.verify_barrier_residual(barrier, m["grid"], m["rho"], m["flux"], dt)
+        report = barriers.verify_barrier_residual(barrier, m["grid"], m["rho"], dt)
         all_pass &= report.verdict
         certificates.append(
             {
@@ -423,7 +359,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     except CollarError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         report["verdict"] = "error"
-        code = EXIT_CONFIG_ERROR if isinstance(exc, CONFIG_ERRORS) else EXIT_NUMERICAL_ERROR
+        code = EXIT_CONFIG_ERROR if isinstance(exc, ConfigError) else EXIT_NUMERICAL_ERROR
     report["timings"] = stage.timings
     _write_json(out / "report.json", report)
     return code

@@ -143,11 +143,26 @@ class Grid:
 
 
 def build_grid(domain: Domain, node_count: int) -> Grid:
-    """Uniform grid with ``node_count`` nodes covering the closed domain."""
+    """Uniform grid with ``node_count`` nodes covering the closed domain.
+
+    On a radial domain the cell volumes of the ``r^(N-1)`` metric must be
+    normal doubles: the first cell, the smallest, must not underflow and
+    ``hi^N`` must not overflow, or the stencil divides by zero or infinity.
+    """
     if node_count < MIN_NODES:
         raise ConfigError(f"node_count {node_count} below minimum {MIN_NODES}")
-    nodes = np.linspace(domain.lo, domain.hi, int(node_count))
     h = domain.width / (node_count - 1)
+    if domain.dim > 1:
+        n, lo = domain.dim, np.float64(domain.lo)
+        with np.errstate(all="ignore"):
+            first = ((lo + 0.5 * h) ** n - lo**n) / n
+            top = np.float64(domain.hi) ** n
+        if not (first >= np.finfo(float).tiny and np.isfinite(top)):
+            raise ConfigError(
+                f"dim = {n} is too large for a radial grid of {node_count} nodes: "
+                "its cell volumes do not fit a double; lower dim"
+            )
+    nodes = np.linspace(domain.lo, domain.hi, int(node_count))
     d = domain.distance(nodes)
     steps = np.rint(d / h).astype(int)
     return Grid(domain=domain, nodes=nodes, h=h, distances=d, steps_from_boundary=steps)

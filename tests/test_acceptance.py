@@ -18,14 +18,7 @@ from collar.analysis import (
     uniqueness_functional,
     unit_bump_source,
 )
-from collar.barriers import (
-    BarrierParams,
-    build_barrier,
-    build_boundary_potential,
-    select_barrier_constants,
-    select_localization_radius,
-    verify_barrier_residual,
-)
+from collar.barriers import build_barriers, verify_barrier_residual
 from collar.config import parse_config
 from collar.experiments import run_experiment
 from collar.geometry import Domain, build_grid, collar_decomposition
@@ -136,39 +129,32 @@ def test_criterion_03_porous_medium_oracle():
             f"rel_err={rel:.2e}")
 
 
-def _worked_barrier_setup():
+def test_criterion_04_barrier_certification():
+    t0 = time.perf_counter()
     dom = Domain.interval(0.0, 2.0, collar_cap=0.6)
     rho = DensityModel.constant(1.0, dom)
     flux = Nonlinearity.linear(1.0)
     phi = BoundaryData.constant(1.0, horizon=1.0)
-    pot = build_boundary_potential(rho.majorant, dom.collar_cap, curvature_margin=2.0)
-    params = BarrierParams(
-        inf_rho=1.0, sup_rho=1.0, alpha0=1.0, delta=0.5, phi_scale=1.0,
-        eta_cap=0.1, bound_K=1.1, dim=1, pot_edge=float(pot.at_distance(0.5)),
-    )
-    return dom, rho, flux, phi, pot, params
+    u0 = InitialData.constant(1.0)
 
+    def certify(nodes):
+        grid = build_grid(dom, nodes)
+        built = build_barriers("potential-timed", ("lower", "upper"), grid, rho, flux, phi, u0,
+                               anchor="left", t0=0.5, sigma=0.1, eta=0.0, eta_cap=0.1,
+                               safety=1.05, curvature_margin=2.0, dt=1e-3)
+        return grid, built
 
-def test_criterion_04_barrier_certification():
-    t0 = time.perf_counter()
-    dom, rho, flux, phi, pot, params = _worked_barrier_setup()
     ok = True
     detail = []
     for nodes in (201, 401, 801):  # h = 1e-2, 5e-3, 2.5e-3
-        grid = build_grid(dom, nodes)
-        for side in ("lower", "upper"):
-            c = select_barrier_constants("potential-timed", side, flux, params)
-            b = build_barrier("potential-timed", side, dom, (0.0, 0.5), 0.1, 0.0, c,
-                              pot, flux, phi, delta=0.5)
-            rep = verify_barrier_residual(b, grid, rho, flux, 1e-3)
+        grid, built = certify(nodes)
+        for b in built:
+            rep = verify_barrier_residual(b, grid, rho, 1e-3)
             ok &= rep.verdict
-            detail.append(f"h={grid.h:.3g}/{side}:{'ok' if rep.verdict else 'BAD'}")
-    grid = build_grid(dom, 201)
-    c = select_barrier_constants("potential-timed", "lower", flux, params)
-    weak = dataclasses.replace(c, M=c.M / 100.0)
-    b = build_barrier("potential-timed", "lower", dom, (0.0, 0.5), 0.1, 0.0, weak,
-                      pot, flux, phi, delta=0.5)
-    rep = verify_barrier_residual(b, grid, rho, flux, 1e-3)
+            detail.append(f"h={grid.h:.3g}/{b.side}:{'ok' if rep.verdict else 'BAD'}")
+    grid, (lower, _) = certify(201)
+    weak = dataclasses.replace(lower.constants, M=lower.constants.M / 100.0)
+    rep = verify_barrier_residual(dataclasses.replace(lower, constants=weak), grid, rho, 1e-3)
     ok &= not rep.verdict
     detail.append(f"M/100:{'detected' if not rep.verdict else 'MISSED'}")
     _report(4, "barrier certification", ok, 5.0, time.perf_counter() - t0, " ".join(detail))
@@ -183,27 +169,15 @@ def test_criterion_05_barrier_sandwich():
     T = 1.0
     phi = BoundaryData.constant(0.5, horizon=T)
     u0 = InitialData(lambda x: 0.5 + 0.3 * np.sin(np.pi * np.asarray(x, float)))
-    eta, eta_cap, sigma = 0.05, 0.1, 0.15
-    anchor = (0.0, 0.5)
+    eta, eta_cap, sigma, dt = 0.05, 0.1, 0.15, 2e-3
 
     p = ApproxProblem(grid=grid, rho=rho, flux=flux, phi=phi, initial=u0,
-                      eps=0.05, eta=eta, eta_cap=eta_cap, horizon=T, dt=2e-3)
+                      eps=0.05, eta=eta, eta_cap=eta_cap, horizon=T, dt=dt)
     fld = solve_members([p], store_stride=5)[0]
-    K = p.bound_K
 
-    pot = build_boundary_potential(rho.majorant, dom.collar_cap, curvature_margin=2.0)
-    delta = select_localization_radius("potential-timed", phi, flux, anchor, sigma, eta,
-                                       min(dom.collar_cap, anchor[1]))
-    params = BarrierParams(inf_rho=1.0, sup_rho=1.0, alpha0=1.0, delta=delta,
-                           phi_scale=0.5, eta_cap=eta_cap, bound_K=K, dim=1,
-                           pot_edge=float(pot.at_distance(delta)))
-    barriers = {}
-    for side in ("lower", "upper"):
-        c = select_barrier_constants("potential-timed", side, flux, params)
-        barriers[side] = build_barrier("potential-timed", side, dom, anchor, sigma, eta,
-                                       c, pot, flux, phi, delta=delta)
-
-    lo, hi = barriers["lower"], barriers["upper"]
+    lo, hi = build_barriers("potential-timed", ("lower", "upper"), grid, rho, flux, phi, u0,
+                            anchor="left", t0=0.5, sigma=sigma, eta=eta, eta_cap=eta_cap,
+                            safety=1.05, curvature_margin=2.0, dt=dt)
     region = lo.region_node_mask(grid) & fld.mask
     xs = grid.nodes[region]
     t_lo, t_hi = lo.t_window
@@ -216,7 +190,7 @@ def test_criterion_05_barrier_sandwich():
         worst_high = max(worst_high, float(np.max(u - hi.evaluate(xs, t))))
     ok = worst_low <= 1e-6 and worst_high <= 1e-6
     _report(5, "barrier sandwich", ok, 10.0, time.perf_counter() - t0,
-            f"below={worst_low:.2e} above={worst_high:.2e} delta={delta:.3f}")
+            f"below={worst_low:.2e} above={worst_high:.2e} delta={lo.delta:.3f}")
 
 
 def test_criterion_06_duality_flux_identity():

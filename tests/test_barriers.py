@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from collar.barriers import (
     BarrierConstants,
-    BarrierParams,
-    build_barrier,
+    build_barriers,
     build_boundary_potential,
     build_miller_barrier,
     select_barrier_constants,
     select_localization_radius,
     verify_barrier_residual,
 )
-from collar.errors import ConfigError, GeometryError, ModelError, RangeError, RegimeError
+from collar.errors import ConfigError, ModelError, RangeError, RegimeError
 from collar.geometry import Domain, build_grid, collar_decomposition
 from collar.models import (
     BoundaryData,
@@ -214,17 +213,24 @@ class TestBoundaryPotential:
         assert np.all(lap[idx] <= bound + 1e-9)
 
 
+def _bump_laplacian(mb, dim, s):
+    """Exact Laplacian of the bump at distance ``s`` from its center."""
+    a = mb.steepness
+    return mb.amplitude * (2.0 * a * dim - 4.0 * a * a * s * s) * np.exp(-a * s * s)
+
+
 class TestMillerBarrier:
-    def test_profile_laplacian_worked_value(self):
+    def test_bump_laplacian_worked_value(self):
         dom = Domain.ball(3.0, dim=2)
-        mb = build_miller_barrier(dom, 3.0, radius=1.0, steepness=2.0)
+        mb = build_miller_barrier(dom, 3.0, radius=1.0)
+        assert mb.steepness == 2.0  # N / R^2
         # Unscaled profile Laplacian at unit distance from the center:
         # (2aN - 4 a^2 s^2) e^{-a s^2} = -8 e^{-2}.
-        unscaled = mb.profile_laplacian(1.0) / mb.amplitude
+        unscaled = _bump_laplacian(mb, 2, 1.0) / mb.amplitude
         assert unscaled == pytest.approx(-8.0 * math.exp(-2.0), rel=1e-12)
-        # Amplitude is raised until the whole region meets -1.
-        s = np.linspace(mb.radius, mb.region_reach, 1001)
-        assert np.max(mb.profile_laplacian(s)) <= -1.0
+        # Amplitude is raised until the whole region, out to 2R, meets -1.
+        s = np.linspace(mb.radius, 2.0 * mb.radius, 1001)
+        assert np.max(_bump_laplacian(mb, 2, s)) <= -1.0
 
     def test_vanishes_at_anchor_positive_inside(self):
         dom = Domain.interval(0.0, 1.0)
@@ -233,14 +239,9 @@ class TestMillerBarrier:
         xs = np.linspace(0.01, 1.0, 50)
         assert np.all(mb.evaluate(xs) > 0.0)
 
-    def test_critical_steepness_rejected(self):
-        dom = Domain.interval(0.0, 1.0)
-        with pytest.raises(GeometryError):
-            build_miller_barrier(dom, 0.0, radius=0.5, steepness=1.0 / (2 * 0.5**2))
-
     def test_annulus_inner_radius_bound(self):
         dom = Domain.annulus(0.2, 1.2, dim=2)
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigError, match="set collar_cap <= r_in or anchor = right"):
             build_miller_barrier(dom, 0.2, radius=0.5)
         build_miller_barrier(dom, 0.2, radius=0.2)
 
@@ -264,25 +265,14 @@ class TestMillerBarrier:
 
 
 def _timed_params(**overrides):
-    base = dict(
-        inf_rho=1.0,
-        sup_rho=1.0,
-        alpha0=1.0,
-        delta=0.5,
-        phi_scale=1.0,
-        eta_cap=0.1,
-        bound_K=1.1,
-        dim=1,
-        pot_edge=0.35,
-    )
-    base.update(overrides)
-    return BarrierParams(**base)
+    return dict(inf_rho=1.0, sup_rho=1.0, delta=0.5, phi_scale=1.0, eta_cap=0.1,
+                bound_K=1.1, dim=1, pot_edge=0.35) | overrides
 
 
 class TestConstantSelection:
     def test_worked_potential_timed_lower(self):
         G = Nonlinearity.linear(1.0)
-        c = select_barrier_constants("potential-timed", "lower", G, _timed_params())
+        c = select_barrier_constants("potential-timed", "lower", G, **_timed_params())
         # beta = lambda = (G(1.1) - G(-1.1)) / 0.25 = 8.8, M = 26.4, then 1.05x.
         assert c.beta == pytest.approx(8.8 * 1.05, rel=1e-12)
         assert c.lam == pytest.approx(8.8 * 1.05, rel=1e-12)
@@ -290,9 +280,7 @@ class TestConstantSelection:
 
     def test_stationary_pointwise_rule(self):
         G = Nonlinearity.linear(1.0)
-        c = select_barrier_constants(
-            "potential-stationary", "lower", G, _timed_params(phi_scale=1.0)
-        )
+        c = select_barrier_constants("potential-stationary", "lower", G, **_timed_params())
         beta_raw = (1.0 + 1.1) / 0.25
         assert c.beta == pytest.approx(beta_raw * 1.05, rel=1e-12)
         assert c.M == pytest.approx(2.0 * beta_raw * 1.05, rel=1e-12)
@@ -300,7 +288,7 @@ class TestConstantSelection:
 
     def test_miller_timed_rules(self):
         G = Nonlinearity.linear(1.0)
-        c = select_barrier_constants("miller-timed", "upper", G, _timed_params(sup_rho=2.0))
+        c = select_barrier_constants("miller-timed", "upper", G, **_timed_params(sup_rho=2.0))
         num = 1.1 + 1.0
         lam_raw = num / 0.25
         assert c.lam == pytest.approx(lam_raw * 1.05, rel=1e-12)
@@ -310,93 +298,85 @@ class TestConstantSelection:
     def test_degenerate_timed_rejected(self):
         G = Nonlinearity.porous_medium(2.0)
         with pytest.raises(RegimeError, match="barrier_case = potential-stationary"):
-            select_barrier_constants("miller-timed", "lower", G, _timed_params(alpha0=0.0))
+            select_barrier_constants("miller-timed", "lower", G, **_timed_params())
 
     def test_potential_case_needs_positive_infimum(self):
         G = Nonlinearity.linear(1.0)
         with pytest.raises(RegimeError):
-            select_barrier_constants("potential-timed", "lower", G, _timed_params(inf_rho=0.0))
+            select_barrier_constants("potential-timed", "lower", G, **_timed_params(inf_rho=0.0))
 
     def test_miller_case_needs_bounded_density(self):
         G = Nonlinearity.linear(1.0)
         with pytest.raises(RegimeError):
-            select_barrier_constants(
-                "miller-stationary", "lower", G, _timed_params(sup_rho=np.inf)
-            )
+            select_barrier_constants("miller-stationary", "lower", G,
+                                     **_timed_params(sup_rho=np.inf))
 
     @pytest.mark.parametrize("bump", ["phi_scale", "eta_cap", "bound_K"])
     def test_monotone_in_data_scales(self, bump):
         G = Nonlinearity.linear(1.0)
         base = _timed_params()
-        bigger = _timed_params(**{bump: getattr(base, bump) + 0.5})
+        bigger = _timed_params(**{bump: base[bump] + 0.5})
         for side in ("lower", "upper"):
-            c0 = select_barrier_constants("potential-timed", side, G, base)
-            c1 = select_barrier_constants("potential-timed", side, G, bigger)
+            c0 = select_barrier_constants("potential-timed", side, G, **base)
+            c1 = select_barrier_constants("potential-timed", side, G, **bigger)
             assert c1.M >= c0.M - 1e-12
             assert c1.beta >= c0.beta - 1e-12
             assert c1.lam >= c0.lam - 1e-12
 
 
-@pytest.fixture
-def worked_setup():
-    """The nondegenerate configuration of the worked timed example."""
+#: The config values of the worked timed example, as ``barrier-certify`` passes them.
+WORKED = dict(anchor="left", t0=0.5, sigma=0.1, eta=0.0, eta_cap=0.1, safety=1.05,
+              curvature_margin=2.0, dt=1e-3)
+
+
+def worked_barriers(case="potential-timed", sides=("lower", "upper"), flux=None, **overrides):
+    """The grid, density and barriers of the worked example: constant data on [0, 2].
+
+    A timed case localizes to radius 0.5 (the anchor time), a stationary one
+    to 0.6 (the collar cap); ``K`` is 1.1.
+    """
     dom = Domain.interval(0.0, 2.0, collar_cap=0.6)
     grid = build_grid(dom, 201)
     rho = DensityModel.constant(1.0, dom)
-    G = Nonlinearity.linear(1.0)
+    flux = flux or Nonlinearity.linear(1.0)
     phi = BoundaryData.constant(1.0, horizon=1.0)
     u0 = InitialData.constant(1.0)
-    pot = build_boundary_potential(rho.majorant, dom.collar_cap, curvature_margin=2.0)
-    params = BarrierParams(
-        inf_rho=1.0, sup_rho=1.0, alpha0=1.0, delta=0.5, phi_scale=1.0,
-        eta_cap=0.1, bound_K=1.1, dim=1,
-        pot_edge=float(pot.at_distance(0.5)),
-    )
-    return dom, grid, rho, G, phi, u0, pot, params
+    built = build_barriers(case, sides, grid, rho, flux, phi, u0, **(WORKED | overrides))
+    return grid, rho, built
+
+
+def _weakened(barrier, factor=100.0):
+    c = barrier.constants
+    return dataclasses.replace(barrier, constants=dataclasses.replace(c, M=c.M / factor))
+
+
+def _constant_stationary():
+    # M = 0 and no penalties: the barrier is constant in space and time.
+    grid, rho, (b,) = worked_barriers("potential-stationary", ("lower",))
+    flat = BarrierConstants("potential-stationary", "lower", M=0.0, lam=None, beta=None,
+                            safety=1.0)
+    return grid, rho, dataclasses.replace(b, constants=flat)
 
 
 class TestBuildBarrier:
-    def test_anchor_exactness(self, worked_setup):
-        dom, grid, rho, G, phi, u0, pot, params = worked_setup
-        for side, sign in (("lower", -1.0), ("upper", 1.0)):
-            c = select_barrier_constants("potential-timed", side, G, params)
-            b = build_barrier(
-                "potential-timed", side, dom, (0.0, 0.5), 0.1, 0.0, c, pot, G, phi,
-                delta=0.5,
-            )
+    def test_anchor_exactness(self):
+        _, _, built = worked_barriers()
+        for b, sign in zip(built, (-1.0, 1.0)):
             # All penalty terms vanish at the anchor.
             assert b.evaluate(0.0, 0.5) == pytest.approx(1.0 + sign * 0.1, rel=1e-12)
 
-    def test_lower_edge_below_minus_K(self, worked_setup):
-        dom, grid, rho, G, phi, u0, pot, params = worked_setup
-        c = select_barrier_constants("potential-timed", "lower", G, params)
-        b = build_barrier(
-            "potential-timed", "lower", dom, (0.0, 0.5), 0.1, 0.0, c, pot, G, phi,
-            delta=0.5,
-        )
+    def test_lower_edge_below_minus_K(self):
+        _, _, (b,) = worked_barriers(sides=("lower",))
         for t in (0.1, 0.5, 0.9):
             assert b.evaluate(0.5, t) <= -1.1 + 1e-9
         # The time edges also sit below -K.
         assert b.evaluate(0.25, 0.0) <= -1.1 + 1e-9
 
-    def test_lower_below_upper_on_region(self, worked_setup):
-        dom, grid, rho, G, phi, u0, pot, params = worked_setup
-        lo = select_barrier_constants("potential-timed", "lower", G, params)
-        hi = select_barrier_constants("potential-timed", "upper", G, params)
-        bl = build_barrier("potential-timed", "lower", dom, (0.0, 0.5), 0.1, 0.0, lo,
-                           pot, G, phi, delta=0.5)
-        bu = build_barrier("potential-timed", "upper", dom, (0.0, 0.5), 0.1, 0.0, hi,
-                           pot, G, phi, delta=0.5)
+    def test_lower_below_upper_on_region(self):
+        grid, _, (bl, bu) = worked_barriers()
         xs = grid.nodes[bl.region_node_mask(grid)]
         for t in np.linspace(0.05, 0.95, 7):
             assert np.all(bl.evaluate(xs, t) <= bu.evaluate(xs, t) + 1e-12)
-
-    def test_anchor_must_be_boundary(self, worked_setup):
-        dom, grid, rho, G, phi, u0, pot, params = worked_setup
-        c = select_barrier_constants("potential-timed", "lower", G, params)
-        with pytest.raises(ConfigError):
-            build_barrier("potential-timed", "lower", dom, (0.5, 0.5), 0.1, 0.0, c,
-                          pot, G, phi, delta=0.5)
 
 
 class TestLocalizationRadius:
@@ -492,74 +472,40 @@ def _loop_residual(barrier, grid, rho, flux, dt, time_samples=96):
     }
 
 
-def _assert_residual_matches_loop(barrier, grid, rho, flux, dt=1e-3):
-    rep = verify_barrier_residual(barrier, grid, rho, flux, dt).as_dict()
-    assert rep == _loop_residual(barrier, grid, rho, flux, dt)
+def _assert_residual_matches_loop(barrier, grid, rho, dt=1e-3):
+    rep = verify_barrier_residual(barrier, grid, rho, dt).as_dict()
+    assert rep == _loop_residual(barrier, grid, rho, barrier.flux, dt)
     return rep
 
 
-def _timed_barrier(dom, G, phi, pot, params, side, x0=0.0, constants=None):
-    c = constants or select_barrier_constants("potential-timed", side, G, params)
-    return build_barrier("potential-timed", side, dom, (x0, 0.5), 0.1, 0.0, c,
-                         pot, G, phi, delta=0.5)
-
-
 class TestResidualVerification:
-    def test_worked_configuration_passes(self, worked_setup):
-        dom, grid, rho, G, phi, u0, pot, params = worked_setup
-        for side in ("lower", "upper"):
-            c = select_barrier_constants("potential-timed", side, G, params)
-            b = build_barrier("potential-timed", side, dom, (0.0, 0.5), 0.1, 0.0, c,
-                              pot, G, phi, delta=0.5)
-            rep = verify_barrier_residual(b, grid, rho, G, 1e-3)
+    def test_worked_configuration_passes(self):
+        grid, rho, built = worked_barriers()
+        for b in built:
+            rep = verify_barrier_residual(b, grid, rho, 1e-3)
             assert rep.verdict, rep.as_dict()
 
-    def test_underscaled_amplitude_fails(self, worked_setup):
-        dom, grid, rho, G, phi, u0, pot, params = worked_setup
-        c = select_barrier_constants("potential-timed", "lower", G, params)
-        weak = dataclasses.replace(c, M=c.M / 100.0)
-        b = build_barrier("potential-timed", "lower", dom, (0.0, 0.5), 0.1, 0.0, weak,
-                          pot, G, phi, delta=0.5)
-        rep = verify_barrier_residual(b, grid, rho, G, 1e-3)
+    def test_underscaled_amplitude_fails(self):
+        grid, rho, (b,) = worked_barriers(sides=("lower",))
+        rep = verify_barrier_residual(_weakened(b), grid, rho, 1e-3)
         assert not rep.verdict
         assert rep.max_residual > rep.tolerance
 
-    def test_constant_barrier_residual_zero(self, worked_setup):
-        dom, grid, rho, G, phi, u0, pot, params = worked_setup
-        # M = 0 and no penalties: the barrier is constant in space and time.
-        c = BarrierConstants("potential-stationary", "lower", M=0.0, lam=None,
-                             beta=None, safety=1.0)
-        b = build_barrier("potential-stationary", "lower", dom, (0.0, None), 0.1, 0.0,
-                          c, pot, G, phi, delta=0.5)
-        rep = verify_barrier_residual(b, grid, rho, G, 1e-3)
+    def test_constant_barrier_residual_zero(self):
+        grid, rho, b = _constant_stationary()
+        rep = verify_barrier_residual(b, grid, rho, 1e-3)
         assert rep.max_residual == pytest.approx(0.0, abs=1e-12)
         assert rep.verdict
 
     def test_miller_stationary_passes(self):
-        dom = Domain.interval(0.0, 2.0, collar_cap=0.6)
-        grid = build_grid(dom, 201)
-        rho = DensityModel.constant(1.0, dom)
-        G = Nonlinearity.linear(1.0)
-        phi = BoundaryData.constant(1.0, horizon=1.0)
-        mb = build_miller_barrier(dom, 0.0, radius=0.6)
-        params = BarrierParams(
-            inf_rho=1.0, sup_rho=1.0, alpha0=1.0, delta=0.5, phi_scale=1.0,
-            eta_cap=0.1, bound_K=1.1, dim=1, pot_edge=float(mb.at_offset(0.5)),
-        )
-        for side in ("lower", "upper"):
-            c = select_barrier_constants("miller-stationary", side, G, params)
-            b = build_barrier("miller-stationary", side, dom, (0.0, None), 0.1, 0.0,
-                              c, mb, G, phi, delta=0.5)
-            rep = verify_barrier_residual(b, grid, rho, G, 1e-3)
+        grid, rho, built = worked_barriers("miller-stationary")
+        for b in built:
+            rep = verify_barrier_residual(b, grid, rho, 1e-3)
             assert rep.verdict, rep.as_dict()
 
-    def test_report_serializes(self, worked_setup):
-        dom, grid, rho, G, phi, u0, pot, params = worked_setup
-        c = select_barrier_constants("potential-timed", "lower", G, params)
-        b = build_barrier("potential-timed", "lower", dom, (0.0, 0.5), 0.1, 0.0, c,
-                          pot, G, phi, delta=0.5)
-        rep = verify_barrier_residual(b, grid, rho, G, 1e-3)
-        d = rep.as_dict()
+    def test_report_serializes(self):
+        grid, rho, (b,) = worked_barriers(sides=("lower",))
+        d = verify_barrier_residual(b, grid, rho, 1e-3).as_dict()
         assert d["verdict"] == "pass"
         assert {"max_residual", "tolerance", "h", "dt"} <= set(d)
 
@@ -567,84 +513,57 @@ class TestResidualVerification:
 class TestResidualMatchesLoop:
     """The one-pass residual check reproduces the per-sample loop exactly."""
 
-    def test_worked_potential_timed(self, worked_setup):
-        dom, grid, rho, G, phi, u0, pot, params = worked_setup
-        for side in ("lower", "upper"):
-            rep = _assert_residual_matches_loop(
-                _timed_barrier(dom, G, phi, pot, params, side), grid, rho, G)
+    def test_worked_potential_timed(self):
+        grid, rho, built = worked_barriers()
+        for b in built:
+            rep = _assert_residual_matches_loop(b, grid, rho)
             assert rep["verdict"] == "pass"
 
-    def test_underscaled_worst_point(self, worked_setup):
-        dom, grid, rho, G, phi, u0, pot, params = worked_setup
-        c = select_barrier_constants("potential-timed", "lower", G, params)
-        weak = dataclasses.replace(c, M=c.M / 100.0)
-        rep = _assert_residual_matches_loop(
-            _timed_barrier(dom, G, phi, pot, params, "lower", constants=weak), grid, rho, G)
+    def test_underscaled_worst_point(self):
+        grid, rho, (b,) = worked_barriers(sides=("lower",))
+        rep = _assert_residual_matches_loop(_weakened(b), grid, rho)
         assert rep["verdict"] == "fail"
         # The first sample time, at the node where the weakened penalty bites.
         assert (rep["worst_x"], rep["worst_t"]) == (0.39, 0.002)
 
-    def test_constant_stationary(self, worked_setup):
-        dom, grid, rho, G, phi, u0, pot, params = worked_setup
-        c = BarrierConstants("potential-stationary", "lower", M=0.0, lam=None,
-                             beta=None, safety=1.0)
-        b = build_barrier("potential-stationary", "lower", dom, (0.0, None), 0.1, 0.0,
-                          c, pot, G, phi, delta=0.5)
-        rep = _assert_residual_matches_loop(b, grid, rho, G)
+    def test_constant_stationary(self):
+        grid, rho, b = _constant_stationary()
+        rep = _assert_residual_matches_loop(b, grid, rho)
         assert rep["worst_t"] is None
 
     def test_miller_stationary(self):
-        dom = Domain.interval(0.0, 2.0, collar_cap=0.6)
-        grid = build_grid(dom, 201)
-        rho = DensityModel.constant(1.0, dom)
-        G = Nonlinearity.linear(1.0)
-        phi = BoundaryData.constant(1.0, horizon=1.0)
-        mb = build_miller_barrier(dom, 0.0, radius=0.6)
-        params = BarrierParams(
-            inf_rho=1.0, sup_rho=1.0, alpha0=1.0, delta=0.5, phi_scale=1.0,
-            eta_cap=0.1, bound_K=1.1, dim=1, pot_edge=float(mb.at_offset(0.5)),
-        )
-        for side in ("lower", "upper"):
-            c = select_barrier_constants("miller-stationary", side, G, params)
-            b = build_barrier("miller-stationary", side, dom, (0.0, None), 0.1, 0.0,
-                              c, mb, G, phi, delta=0.5)
-            _assert_residual_matches_loop(b, grid, rho, G)
+        grid, rho, built = worked_barriers("miller-stationary")
+        for b in built:
+            _assert_residual_matches_loop(b, grid, rho)
 
     def test_radial_ball(self):
         dom = Domain.ball(1.0, dim=2, collar_cap=0.4)
         grid = build_grid(dom, 161)
         rho = DensityModel.power_law(0.5, dom)
-        G = Nonlinearity.linear(1.0)
         phi = BoundaryData.sine(1.0, 0.2, 1.0, horizon=1.0)
-        pot = build_boundary_potential(rho.majorant, dom.collar_cap)
-        params = BarrierParams(
-            inf_rho=rho.inf_on(grid), sup_rho=np.inf, alpha0=1.0, delta=0.35,
-            phi_scale=1.2, eta_cap=0.1, bound_K=1.3, dim=2,
-            pot_edge=float(pot.at_distance(0.35)),
-        )
-        for side in ("lower", "upper"):
-            c = select_barrier_constants("potential-timed", side, G, params)
-            b = build_barrier("potential-timed", side, dom, (1.0, 0.5), 0.1, 0.0, c,
-                              pot, G, phi, delta=0.35)
-            _assert_residual_matches_loop(b, grid, rho, G)
+        built = build_barriers("potential-timed", ("lower", "upper"), grid, rho,
+                               Nonlinearity.linear(1.0), phi, InitialData.constant(1.0),
+                               **(WORKED | dict(sigma=0.15)))
+        for b in built:
+            assert b.anchor_x == 1.0  # a ball's one boundary, whichever end is asked for
+            assert 0.1 < b.delta < 0.4  # the sine trace shrinks the radius below the cap
+            _assert_residual_matches_loop(b, grid, rho)
 
-    def test_slab_clipped_at_either_end(self, worked_setup):
-        dom, grid, rho, G, phi, u0, pot, params = worked_setup
-        for x0, end in ((0.0, 1), (2.0, grid.n - 2)):
-            b = _timed_barrier(dom, G, phi, pot, params, "lower", x0=x0)
+    def test_slab_clipped_at_either_end(self):
+        for anchor in ("left", "right"):
+            grid, rho, (b,) = worked_barriers(sides=("lower",), anchor=anchor)
             idx = np.nonzero(b.region_node_mask(grid))[0]
-            assert end in idx
-            _assert_residual_matches_loop(b, grid, rho, G)
+            assert (1 if anchor == "left" else grid.n - 2) in idx
+            _assert_residual_matches_loop(b, grid, rho)
 
 
-def test_residual_reads_only_the_region_slab(worked_setup):
+def test_residual_reads_only_the_region_slab():
     # The wide identity table covers the region's flux arguments but not
     # those far from the anchor, where the quadratic penalty grows; the
     # check must not evaluate the barrier there.
-    dom, grid, rho, _, phi, u0, pot, params = worked_setup
     G = Nonlinearity.from_table([-14.0, 14.0], [-14.0, 14.0])
-    b = _timed_barrier(dom, G, phi, pot, params, "lower")
+    grid, rho, (b,) = worked_barriers(sides=("lower",), flux=G)
     with pytest.raises(RangeError):
         b.evaluate(grid.nodes, 0.5)
-    rep = verify_barrier_residual(b, grid, rho, G, 1e-3)
+    rep = verify_barrier_residual(b, grid, rho, 1e-3)
     assert rep.verdict, rep.as_dict()

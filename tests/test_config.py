@@ -1,11 +1,16 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collar.cli import main as cli_main
 from collar.config import (
+    CASES,
     _KINDS,
     _SCHEMA,
     build_boundary,
@@ -90,6 +95,9 @@ t0 = 0.5
 """
 
 _SWEEP = "kind = dichotomy-sweep\neps_list = 0.2, 0.1, 0.05, 0.025\nalpha_list = 1.0"
+_HEAT_INTERVAL = "kind = interval\na = 0.0\nb = 1.0"
+_CERTIFY_INTERVAL = "kind = interval\na = 0.0\nb = 2.0\ncollar_cap = 0.6"
+_MILLER = "barrier_case = miller-stationary"
 
 # Each config mistake, the subcommand that runs it, and the config; {table}
 # names a density table with a zero value.
@@ -138,7 +146,69 @@ CONFIG_MISTAKES = {
         "kind = solve", "kind = attainment\neps_list = 0.025, 0.05, 0.1, 0.2")),
     "dichotomy-increasing": ("dichotomy-sweep", MINIMAL_HEAT.replace("kind = solve", (
         "kind = dichotomy-sweep\neps_list = 0.025, 0.05, 0.1, 0.2\nalpha_list = 1.0"))),
+    # The exterior bump at an inner radius below the collar cap, and a bump
+    # whose e^(-4 dim) underflows; both used to exit 3.
+    "miller-inner-radius-below-cap": ("barrier-certify", BARRIER_CERTIFY.replace(
+        _CERTIFY_INTERVAL, "kind = annulus\nr_in = 0.1\nr_out = 1.0\ndim = 2").replace(
+        "barrier_case = potential-timed", _MILLER)),
+    "miller-bump-underflow": ("barrier-certify", BARRIER_CERTIFY.replace(
+        _CERTIFY_INTERVAL, "kind = ball\nr_out = 1.0\ndim = 200").replace(
+        "barrier_case = potential-timed", _MILLER).replace("nodes = 201", "nodes = 17")),
+    # Radial cell volumes that underflow: solve exited 3 after 11 halvings,
+    # duality failed its verdict on NaN, and attainment exited 3 on a level
+    # grid that validate never built.
+    "radial-metric-underflow-solve": ("solve", MINIMAL_HEAT.replace(
+        _HEAT_INTERVAL, "kind = ball\nr_out = 1.0\ndim = 200")),
+    "radial-metric-underflow-duality": ("duality", MINIMAL_HEAT.replace(
+        _HEAT_INTERVAL, "kind = ball\nr_out = 1.0\ndim = 200").replace(
+        "kind = solve", "kind = duality")),
+    "radial-metric-underflow-finest-level": ("attainment", MINIMAL_HEAT.replace(
+        _HEAT_INTERVAL, "kind = ball\nr_out = 1.0\ndim = 130").replace(
+        "kind = solve", "kind = attainment\neps_list = 0.2, 0.1, 0.05, 0.025")),
 }
+
+
+@st.composite
+def barrier_configs(draw):
+    """A barrier-certify config over the domains, models and keys a config can name."""
+    dim = st.integers(2, 300)
+    domain = draw(st.one_of(
+        st.just("kind = interval\na = 0.0\nb = 2.0"),
+        st.builds("kind = ball\nr_out = 1.0\ndim = {}".format, dim),
+        st.builds("kind = annulus\nr_in = {}\nr_out = 2.0\ndim = {}".format,
+                  st.sampled_from([0.05, 0.2, 1.0]), dim),
+    ))
+    density = draw(st.one_of(st.just("kind = constant"),
+                             st.builds("kind = power\nalpha = {!r}".format, st.floats(-1.0, 2.5))))
+    pick = lambda *values: draw(st.sampled_from(values))  # noqa: E731
+    flux = pick("kind = linear", "kind = porous-medium\nm = 2.0")
+    trace = pick("kind = constant\nvalue = 1.0", "kind = ramp\nvalue = 0.5\nrate = 1.0",
+                 "kind = sine\noffset = 1.0\namplitude = 0.5\nfrequency = 1.0")
+    initial = pick("kind = constant\nvalue = 1.0", "kind = sine\namplitude = 0.5\noffset = 1.0")
+    return f"""
+[domain]
+{domain}
+[density]
+{density}
+[nonlinearity]
+{flux}
+[boundary]
+{trace}
+[initial]
+{initial}
+[numerics]
+nodes = {pick(16, 17, 41, 201, 801)}
+dt = {pick(0.001, 0.01, 0.2)}
+t_final = 1.0
+[experiment]
+kind = barrier-certify
+barrier_case = {pick(*CASES)}
+barrier_side = {pick("lower", "upper", "both")}
+anchor = {pick("left", "right")}
+sigma = {pick(0.05, 0.1, 0.5)}
+t0 = {pick(0.1, 0.5, 1.0)}
+eta = {pick(0.0, 0.05)}
+"""
 
 # Values that keep the config valid where 1.0 would not.
 VALID = {"a": "0.0", "r_out": "2.0", "dim": "2", "m": "2.0", "eta": "0.05", "tau": "0.01",
@@ -576,6 +646,19 @@ class TestCli:
         cfg = self._write(tmp_path, doc.replace("{table}", str(table)))
         assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
         assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    @given(barrier_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_no_barrier_config_exits_3(self, doc):
+        # Every error a barrier config can cause is a config error, and validate
+        # builds the barriers the run builds, so both reject the same configs.
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "exp.cfg"
+            cfg.write_text(doc)
+            checked = cli_main(["validate", "--config", str(cfg), "--out", f"{tmp}/v"])
+            run = cli_main(["barrier-certify", "--config", str(cfg), "--out", f"{tmp}/r"])
+        assert 3 not in (checked, run)
+        assert (checked == 2) == (run == 2)
 
 
 class TestMoreRunners:
