@@ -195,14 +195,10 @@ def boundary_attainment(
     lifted data) over stored times in ``[tau, horizon]``.  The verdict is
     "attained" when the sups decay monotonically across levels and the
     finest one is below the threshold.  ``probe_offsets`` holds each level's
-    largest probe distance from the boundary.
+    largest probe distance from the boundary.  The levels are checked by
+    ``check_attainment_levels`` when their members are built, and ``tau``
+    by the config schema.
     """
-    eps_list = [f.eps for f in fields]
-    check_attainment_levels(eps_list)
-    horizon = float(min(f.times[-1] for f in fields))
-    if not (0.0 < tau < horizon):
-        raise ConfigError(f"tau must lie in (0, {horizon})")
-
     sups = []
     offsets = []
     for f in fields:
@@ -226,7 +222,7 @@ def boundary_attainment(
     monotone = all(b <= a * (1.0 + 1e-9) for a, b in zip(sups[:-1], sups[1:]))
     attained = monotone and sups[-1] < threshold
     return AttainmentReport(
-        eps_levels=eps_list,
+        eps_levels=[f.eps for f in fields],
         sups=sups,
         tau=tau,
         threshold=threshold,

@@ -1,11 +1,23 @@
 """Experiment orchestration: one config in, artifact files and a verdict out.
 
+``_models`` builds everything a kind's run uses from the config, and
+``validate`` calls the same function, so both reject the same configs and a
+run rejects a config before it solves anything.  A kind that steps gets
+``m["members"]``, the exact ``ApproxProblem`` list its runner steps, in the
+order the runner reads the fields: ``solve`` one member, ``family`` the
+halving family of ``solver.family_members``, ``attainment`` one member per
+collar level, and ``dichotomy-sweep`` those levels for each alpha under two
+boundary traces.  Each of these runners makes one ``solve_members`` call on
+that list and analyses the fields it returns.  ``barrier-certify`` gets
+``m["barriers"]`` and ``duality`` its levels and source the same way.
+
 Every run writes a top-level ``report.json`` embedding the fully resolved
-config, the verdicts with the tolerances they used, and stage timings; data
-files (CSV) are bit-reproducible for identical configs.
+config, the verdicts with the tolerances they used, stage timings and, for
+the kinds that step, each member's solver totals; data files (CSV) are
+bit-reproducible for identical configs.
 
 At module level this imports only ``config``, ``errors``, ``geometry`` and
-``models``.  Each runner imports the modules it calls (``solver``,
+``models``.  Each function imports the modules it calls (``solver``,
 ``analysis`` or ``barriers``) itself and calls through them, so a kind loads
 only what it runs; ``parse_config`` has already imported them by then.
 """
@@ -14,7 +26,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,19 +79,10 @@ def _models(cfg: ExperimentConfig):
         "phi": build_boundary(cfg, domain),
         "initial": build_initial(cfg, domain),
     }
-    # validate builds and checks these too, so it rejects every config the run
-    # rejects, and the run rejects its levels before any solve.
+    # validate builds these too, so it rejects every config the run rejects,
+    # and the run rejects its members, barriers or source before any solve.
     exp = cfg.sections["experiment"]
-    if cfg.kind == "family":
-        from . import solver
-
-        solver.family_levels(exp["eps_list"], exp["eta_list"])
-    elif cfg.kind in ("attainment", "dichotomy-sweep"):
-        from . import analysis
-
-        analysis.check_attainment_levels(exp["eps_list"])
-        _attainment_grid(cfg, m, exp["eps_list"][-1])  # the finest level's grid
-    elif cfg.kind == "duality":  # the source must fit every level
+    if cfg.kind == "duality":  # the source must fit every level
         from . import analysis
 
         levels = [float(e) for e in exp.get("eps_list") or [exp["eps"] or 4.0 * grid.h]]
@@ -89,6 +92,8 @@ def _models(cfg: ExperimentConfig):
         m["duality"] = levels, source
     elif cfg.kind == "barrier-certify":
         m["barriers"] = _barriers(cfg, m)
+    elif cfg.kind != "hypothesis-report":
+        m["members"] = _members(cfg, m)
     return m
 
 
@@ -96,25 +101,55 @@ def _hypotheses(m: dict) -> HypothesisReport:
     return check_hypotheses(m["rho"], m["flux"], m["phi"], m["initial"], m["grid"])
 
 
-def _problem(cfg: ExperimentConfig, m: dict, **overrides):
+def _members(cfg: ExperimentConfig, m: dict) -> list:
+    """The members the kind's run steps, in the order its runner reads their fields.
+
+    ``solve`` steps the config's problem and ``family`` its halving family.
+    ``attainment`` steps one member per collar level, each on its own grid, and
+    ``dichotomy-sweep`` those levels for each alpha's power-law density, first
+    under the config trace and then under that trace shifted by
+    ``conflict_offset``.
+    """
     from . import solver
 
     num = cfg.sections["numerics"]
     exp = cfg.sections["experiment"]
-    base = dict(
-        grid=m["grid"],
-        rho=m["rho"],
-        flux=m["flux"],
-        phi=m["phi"],
-        initial=m["initial"],
-        eps=exp["eps"],
-        eta=exp["eta"],
-        eta_cap=exp["eta_cap"],
-        horizon=num["t_final"],
+    base = solver.ApproxProblem(
+        grid=m["grid"], rho=m["rho"], flux=m["flux"], phi=m["phi"], initial=m["initial"],
+        eps=exp["eps"], eta=exp["eta"], eta_cap=exp["eta_cap"], horizon=num["t_final"],
         dt=num["dt"],
     )
-    base.update(overrides)
-    return solver.ApproxProblem(**base)
+    if cfg.kind == "solve":
+        return [base]
+    if cfg.kind == "family":
+        return solver.family_members(base, exp["eps_list"], exp["eta_list"])
+    from . import analysis
+
+    analysis.check_attainment_levels(exp["eps_list"])
+    domain: Domain = m["domain"]
+
+    def level_grid(eps: float):
+        if not exp["scale_nodes_with_eps"]:
+            return m["grid"]
+        # Resolve each level with four cells across its collar so the probe
+        # distance tracks the collar width.
+        return build_grid(domain, max(int(round(domain.width / (eps / 4.0))) + 1, 16))
+
+    levels = [replace(base, grid=level_grid(eps), eps=float(eps))
+              for eps in exp["eps_list"]]
+    if cfg.kind == "attainment":
+        return levels
+    # The conflicting run shifts the whole boundary trace by a constant.  One
+    # trace object for every alpha lets a batch evaluate it once per sub-step.
+    phi, offset = m["phi"], exp["conflict_offset"]
+    shifted = BoundaryData(lambda x, t: np.asarray(phi.phi(x, t)) + offset,
+                           horizon=phi.horizon, time_dependent=phi.time_dependent)
+    members = []
+    for alpha in exp["alpha_list"]:
+        rho = DensityModel.power_law(float(alpha), domain)
+        members += [replace(p, rho=rho, phi=trace)
+                    for trace in (phi, shifted) for p in levels]
+    return members
 
 
 # ---------------------------------------------------------------------------
@@ -122,27 +157,38 @@ def _problem(cfg: ExperimentConfig, m: dict, **overrides):
 # ---------------------------------------------------------------------------
 
 
+def _solve(cfg, m) -> list:
+    """One field per member of ``m["members"]``, in member order, from one solve."""
+    from . import solver
+
+    stride = cfg.sections["numerics"]["store_stride"]
+    return solver.solve_members(m["members"], build_scheme(cfg), store_stride=stride)
+
+
+def _member_totals(fields) -> list[dict]:
+    """Solver totals of each member, in member order, for ``report.json``."""
+    keys = ("eps", "eta", "newton_iterations", "step_halvings", "max_scaled_residual")
+    return [{key: f.meta[key] for key in keys} for f in fields]
+
+
 def _run_solve(cfg, m, out: Path):
-    fieldobj = _solve(cfg, [_problem(cfg, m)])[0]
+    fields = _solve(cfg, m)
+    fieldobj = fields[0]
     fieldobj.to_csv(out / "trajectory.csv")
     _write_json(out / "trajectory_meta.json", fieldobj.meta)
-    return bool(fieldobj.meta["max_principle_ok"]), {"meta": fieldobj.meta}
+    ok = bool(fieldobj.meta["max_principle_ok"])
+    return ok, {"meta": fieldobj.meta, "members": _member_totals(fields)}
 
 
 def _run_family(cfg, m, out: Path):
     from . import solver
 
-    exp = cfg.sections["experiment"]
-    num = cfg.sections["numerics"]
-    problem = _problem(cfg, m)
-    finest, diag = solver.extract_limit_solution(
-        problem, exp["eps_list"], exp["eta_list"], build_scheme(cfg),
-        store_stride=num["store_stride"],
-    )
+    fields = _solve(cfg, m)
+    finest, diag = solver.extract_limit_solution(fields)
     finest.to_csv(out / "limit_candidate.csv")
     _write_json(out / "family_diagnostics.json", diag.as_dict())
-    ok = diag.converged or not exp["assert_convergence"]
-    return ok, {"diagnostics": diag.as_dict()}
+    ok = diag.converged or not cfg.sections["experiment"]["assert_convergence"]
+    return ok, {"diagnostics": diag.as_dict(), "members": _member_totals(fields)}
 
 
 def _barriers(cfg, m) -> list:
@@ -207,42 +253,11 @@ def _run_duality(cfg, m, out: Path):
     return ok, {"levels": rows}
 
 
-def _attainment_grid(cfg, m, eps: float):
-    exp = cfg.sections["experiment"]
-    domain: Domain = m["domain"]
-    if not exp["scale_nodes_with_eps"]:
-        return m["grid"]
-    # Resolve each level with four cells across its collar so the probe
-    # distance tracks the collar width.
-    n = int(round(domain.width / (eps / 4.0))) + 1
-    return build_grid(domain, max(n, 16))
-
-
-def _level_problems(cfg, m, eps_list, phi) -> list:
-    return [
-        _problem(cfg, m, grid=_attainment_grid(cfg, m, eps), phi=phi, eps=float(eps))
-        for eps in eps_list
-    ]
-
-
-def _solve(cfg, problems):
-    from . import solver
-
-    stride = cfg.sections["numerics"]["store_stride"]
-    return solver.solve_members(problems, build_scheme(cfg), store_stride=stride)
-
-
-def _member_totals(fields) -> list[dict]:
-    """Solver totals of each member, in member order, for ``report.json``."""
-    keys = ("eps", "eta", "newton_iterations", "step_halvings", "max_scaled_residual")
-    return [{key: f.meta[key] for key in keys} for f in fields]
-
-
 def _run_attainment(cfg, m, out: Path):
     from . import analysis
 
     exp = cfg.sections["experiment"]
-    fields = _solve(cfg, _level_problems(cfg, m, exp["eps_list"], m["phi"]))
+    fields = _solve(cfg, m)
     report = analysis.boundary_attainment(fields, m["phi"], exp["tau"], threshold=exp["threshold"])
     _write_json(out / "attainment.json", asdict(report))
     rows = np.array(report.csv_rows())
@@ -265,36 +280,19 @@ def _run_dichotomy(cfg, m, out: Path):
     from . import analysis
 
     exp = cfg.sections["experiment"]
-    offset = exp["conflict_offset"]
     eps_list = exp["eps_list"]
-    domain: Domain = m["domain"]
     tau, threshold = exp["tau"], exp["threshold"]
+    fields = _solve(cfg, m)
 
-    coarse = _attainment_grid(cfg, m, eps_list[0])
-    coords = coarse.nodes[collar_decomposition(coarse, eps_list[0]).probes(33)]
-
-    # The conflicting run shifts the whole boundary trace by a constant.  One
-    # trace object for every alpha lets a batch evaluate it once per sub-step.
-    phi_a = m["phi"]
-    phi_b = BoundaryData(
-        lambda x, t: np.asarray(phi_a.phi(x, t)) + offset,
-        horizon=phi_a.horizon,
-        time_dependent=phi_a.time_dependent,
-    )
-    # Every level of every alpha and boundary trace is one member of one solve.
-    cases, problems = [], []
+    # Each alpha owns 2n members: its n levels under each of the two traces.
     n = len(eps_list)
-    for alpha in exp["alpha_list"]:
-        rho = DensityModel.power_law(float(alpha), domain)
-        verdict = h4_integral(rho.majorant, domain.collar_cap)
-        m_alpha = dict(m, rho=rho)
-        cases.append((alpha, verdict))
-        problems += _level_problems(cfg, m_alpha, eps_list, phi_a)
-        problems += _level_problems(cfg, m_alpha, eps_list, phi_b)
-    fields = _solve(cfg, problems)
-
+    coarse = fields[0].grid
+    coords = coarse.nodes[collar_decomposition(coarse, eps_list[0]).probes(33)]
+    phi_a, phi_b = m["phi"], m["members"][n].phi
+    cap = m["domain"].collar_cap
     rows = []
-    for j, (alpha, verdict) in enumerate(cases):
+    for j, alpha in enumerate(exp["alpha_list"]):
+        verdict = h4_integral(m["members"][2 * j * n].rho.majorant, cap)
         fields_a = fields[2 * j * n : (2 * j + 1) * n]
         fields_b = fields[(2 * j + 1) * n : (2 * j + 2) * n]
         rep_a = analysis.boundary_attainment(fields_a, phi_a, tau, threshold=threshold)

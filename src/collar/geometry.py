@@ -181,10 +181,6 @@ class NodeClassification:
     labels: np.ndarray
 
     @property
-    def collar(self) -> np.ndarray:
-        return np.nonzero(self.labels == COLLAR)[0]
-
-    @property
     def interface(self) -> np.ndarray:
         return np.nonzero(self.labels == INTERFACE)[0]
 

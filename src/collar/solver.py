@@ -201,10 +201,6 @@ class SpaceTimeField:
     mask: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    @property
-    def n_times(self) -> int:
-        return self.times.size
-
     def times_match(self, other: "SpaceTimeField", tol: float = 1e-10) -> bool:
         return self.times.size == other.times.size and bool(
             np.all(np.abs(self.times - other.times) <= tol * max(1.0, float(self.times[-1])))
@@ -695,7 +691,7 @@ def flux_balance_defect(fieldobj: SpaceTimeField, problem: ApproxProblem) -> flo
     # One contiguous row per step, so each sums in the order of a 1-D sum.
     du = np.ascontiguousarray((u[free, 1:] - u[free, :-1]).T)
     mass_change = np.sum(rho_vals * du * op.volumes[free], axis=1)
-    flux_in = np.zeros(fieldobj.n_times - 1)
+    flux_in = np.zeros(fieldobj.times.size - 1)
     if f1 < m1:
         g = np.asarray(problem.flux.g(u[f1 : f1 + 2, 1:]))
         flux_in += op.face_areas[f1] * (g[1] - g[0]) / h
@@ -768,50 +764,48 @@ def _decays(diffs, scale: float) -> bool:
     return True
 
 
-def extract_limit_solution(
-    problem: ApproxProblem,
-    eps_levels,
-    eta_levels,
-    scheme: SolverScheme | None = None,
-    *,
-    store_stride: int = 1,
-) -> tuple[SpaceTimeField, LimitDiagnostics]:
-    """Solve a halving family in collar width and lift, with Cauchy diagnostics.
+def family_members(problem: ApproxProblem, eps_levels, eta_levels) -> list[ApproxProblem]:
+    """The members of a halving family in collar width and lift, on ``problem``'s grid.
 
-    Successive differences are measured on a fixed interior probe set (nodes
-    clear of the widest collar).  The family is declared converged when both
+    Each collar level at the least lift comes first, widest first, then each
+    larger lift at the finest collar level, largest first: the order
+    ``extract_limit_solution`` reads their fields in.  ConfigError unless the
+    levels halve and at least 5 probe nodes clear the widest collar.
+    """
+    eps_arr, eta_arr = family_levels(eps_levels, eta_levels)
+    if collar_decomposition(problem.grid, float(eps_arr[0])).probes(_MAX_PROBES).size < 5:
+        raise ConfigError("fewer than 5 probe nodes clear of the widest collar")
+    eta_min = float(eta_arr[-1])
+    pairs = [(e, eta_min) for e in eps_arr] + [(eps_arr[-1], h) for h in eta_arr[:-1]]
+    return [dataclasses.replace(problem, eps=float(e), eta=float(h)) for e, h in pairs]
+
+
+def extract_limit_solution(fields) -> tuple[SpaceTimeField, LimitDiagnostics]:
+    """The finest field of a family and its Cauchy diagnostics.
+
+    ``fields`` are the solved ``family_members``, in their order.  Successive
+    differences are measured on a fixed interior probe set (nodes clear of
+    the widest collar).  The family is declared converged when both
     difference sequences decay by at least a factor 1.5 per halving;
     non-decay is reported, not raised, because the divergent-integral regime
     is expected to produce it.
     """
-    eps_arr, eta_arr = family_levels(eps_levels, eta_levels)
-    grid = problem.grid
-    probe_idx = collar_decomposition(grid, float(eps_arr[0])).probes(_MAX_PROBES)
-    if probe_idx.size < 5:
-        raise ConfigError("fewer than 5 probe nodes clear of the widest collar")
-
-    eta_min = float(eta_arr[-1])
-    members = [(e, eta_min) for e in eps_arr] + [(eps_arr[-1], h) for h in eta_arr[:-1]]
-    fields = solve_members(
-        [dataclasses.replace(problem, eps=float(e), eta=float(h)) for e, h in members],
-        scheme,
-        store_stride=store_stride,
-    )
-    eps_fields = fields[: eps_arr.size]
+    n_eps = next(i for i, f in enumerate(fields) if f.eta != fields[0].eta)
+    eps_fields = fields[:n_eps]
     finest = eps_fields[-1]
-    eta_fields = fields[eps_arr.size :] + [finest]
+    eta_fields = fields[n_eps:] + [finest]
+    grid = finest.grid
+    probe_idx = collar_decomposition(grid, eps_fields[0].eps).probes(_MAX_PROBES)
 
-    def sup_diff(a: SpaceTimeField, b: SpaceTimeField) -> float:
-        if not a.times_match(b):
-            raise ShapeError("family members stored different time stamps")
-        return float(np.max(np.abs(a.values[probe_idx, :] - b.values[probe_idx, :])))
+    def sup_diffs(seq) -> list:
+        return [float(np.max(np.abs(a.values[probe_idx, :] - b.values[probe_idx, :])))
+                for a, b in zip(seq[:-1], seq[1:])]
 
-    eps_diffs = [sup_diff(eps_fields[i], eps_fields[i + 1]) for i in range(len(eps_fields) - 1)]
-    eta_diffs = [sup_diff(eta_fields[i], eta_fields[i + 1]) for i in range(len(eta_fields) - 1)]
-    K = problem.bound_K
+    eps_diffs, eta_diffs = sup_diffs(eps_fields), sup_diffs(eta_fields)
+    K = finest.meta["bound_K"]
     diag = LimitDiagnostics(
-        eps_levels=[float(e) for e in eps_arr],
-        eta_levels=[float(h) for h in eta_arr],
+        eps_levels=[f.eps for f in eps_fields],
+        eta_levels=[f.eta for f in eta_fields],
         eps_diffs=eps_diffs,
         eta_diffs=eta_diffs,
         eps_converged=_decays(eps_diffs, K),

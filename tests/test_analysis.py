@@ -11,7 +11,7 @@ from collar.analysis import (
     uniqueness_functional,
     unit_bump_source,
 )
-from collar.errors import ConfigError, HypothesisError, ShapeError, SourceError
+from collar.errors import HypothesisError, ShapeError, SourceError
 from collar.geometry import CORE, Domain, NodeClassification, build_grid
 from collar.models import BoundaryData, DensityModel, InitialData, Nonlinearity
 from collar.operators import assemble_diffusion
@@ -188,13 +188,6 @@ class TestBoundaryAttainment:
         monkeypatch.setattr(analysis, "collar_decomposition", lambda grid, eps: all_core)
         with pytest.raises(ShapeError, match="no interface rows"):
             boundary_attainment(fields, phi, tau=0.05)
-
-    def test_tau_range_checked(self):
-        phi = BoundaryData.constant(0.0, horizon=1.0)
-        fields = attainment_fields([0.2, 0.1, 0.05, 0.025], phi,
-                                   InitialData.sine(DOM, 1.0), RHO1, horizon=0.1)
-        with pytest.raises(ConfigError):
-            boundary_attainment(fields, phi, tau=0.5)
 
 
 class TestOrderingChecks:

@@ -16,7 +16,7 @@ from collar.barriers import (
     verify_barrier_residual,
 )
 from collar.errors import ConfigError, ModelError, RangeError, RegimeError
-from collar.geometry import Domain, build_grid, collar_decomposition
+from collar.geometry import COLLAR, Domain, build_grid, collar_decomposition
 from collar.models import (
     BoundaryData,
     DensityModel,
@@ -207,7 +207,7 @@ class TestBoundaryPotential:
         vals = pot.at_distance(grid.distances)
         lap = op.apply(vals)
         cls = collar_decomposition(grid, domain.collar_cap)
-        idx = np.concatenate([cls.collar, cls.interface])
+        idx = np.concatenate([np.flatnonzero(cls.labels == COLLAR), cls.interface])
         idx = idx[(idx >= 1) & (idx <= grid.n - 2)]
         bound = -np.asarray(rho.rho(grid.nodes[idx])) + 10.0 * grid.h
         assert np.all(lap[idx] <= bound + 1e-9)

@@ -98,9 +98,17 @@ _SWEEP = "kind = dichotomy-sweep\neps_list = 0.2, 0.1, 0.05, 0.025\nalpha_list =
 _HEAT_INTERVAL = "kind = interval\na = 0.0\nb = 1.0"
 _CERTIFY_INTERVAL = "kind = interval\na = 0.0\nb = 2.0\ncollar_cap = 0.6"
 _MILLER = "barrier_case = miller-stationary"
+_LEVELS_ABOVE_CAP = "eps_list = 0.4, 0.2, 0.1, 0.05"
+
+
+def _heat(experiment: str, nodes: int = 101) -> str:
+    """MINIMAL_HEAT on ``nodes`` nodes under the ``[experiment]`` body ``experiment``."""
+    return MINIMAL_HEAT.replace("nodes = 65", f"nodes = {nodes}").replace("kind = solve",
+                                                                           experiment)
+
 
 # Each config mistake, the subcommand that runs it, and the config; {table}
-# names a density table with a zero value.
+# names a density table with a zero value, {table3} one with three columns.
 CONFIG_MISTAKES = {
     "negative-c": ("solve", MINIMAL_HEAT.replace("c = 1.0", "c = -1")),
     "negative-slope": ("solve", MINIMAL_HEAT.replace("kind = linear", "kind = linear\nslope = -1")),
@@ -165,6 +173,35 @@ CONFIG_MISTAKES = {
     "radial-metric-underflow-finest-level": ("attainment", MINIMAL_HEAT.replace(
         _HEAT_INTERVAL, "kind = ball\nr_out = 1.0\ndim = 130").replace(
         "kind = solve", "kind = attainment\neps_list = 0.2, 0.1, 0.05, 0.025")),
+    # Members that validate never built, so it passed them while the run exited 2.
+    "family-lift-above-cap": ("family", _heat(
+        "kind = family\neps_list = 0.2, 0.1, 0.05, 0.025\neta_list = 0.4, 0.2, 0.1")),
+    "family-level-above-cap": ("family", _heat(
+        f"kind = family\n{_LEVELS_ABOVE_CAP}\neta_list = 0.1, 0.05, 0.025")),
+    "family-level-below-2h": ("family", _heat(
+        "kind = family\neps_list = 0.16, 0.08, 0.04, 0.02\neta_list = 0.1, 0.05, 0.025", 41)),
+    "family-few-probes": ("family", _heat(
+        "kind = family\neps_list = 0.42, 0.21, 0.105, 0.0525\neta_list = 0.1, 0.05, 0.025",
+        41).replace("b = 1.0", "b = 1.0\ncollar_cap = 0.42")),
+    "attainment-level-above-cap": ("attainment", _heat(
+        f"kind = attainment\n{_LEVELS_ABOVE_CAP}")),
+    "attainment-level-below-2h": ("attainment", _heat(
+        "kind = attainment\neps_list = 0.2, 0.1, 0.05, 0.01\nscale_nodes_with_eps = false")),
+    "dichotomy-level-above-cap": ("dichotomy-sweep", _heat(
+        f"kind = dichotomy-sweep\n{_LEVELS_ABOVE_CAP}\nalpha_list = 1.0")),
+    # Parse errors no other test reaches.
+    "duplicate-section": ("solve", MINIMAL_HEAT + "\n[experiment]\nkind = solve\n"),
+    "key-outside-section": ("solve", "dt = 0.001\n" + MINIMAL_HEAT),
+    "line-without-equals": ("solve", MINIMAL_HEAT.replace("kind = solve", "kind = solve\nverbose")),
+    "missing-nodes": ("solve", MINIMAL_HEAT.replace("nodes = 65\n", "")),
+    "unknown-initial-kind": ("solve", MINIMAL_HEAT.replace("kind = sine", "kind = cosine")),
+    "tau-at-t-final": ("solve", MINIMAL_HEAT.replace("kind = solve", "kind = solve\ntau = 0.05")),
+    "fractional-nodes": ("solve", MINIMAL_HEAT.replace("nodes = 65", "nodes = 10.5")),
+    "bool-not-a-word": ("family", MINIMAL_HEAT.replace("kind = solve", (
+        "kind = family\neps_list = 0.2, 0.1, 0.05, 0.025\neta_list = 0.1, 0.05, 0.025\n"
+        "assert_convergence = maybe"))),
+    "three-column-table": ("solve", MINIMAL_HEAT.replace("kind = constant\nc = 1.0",
+                                                         "kind = table\nfile = {table3}")),
 }
 
 
@@ -300,6 +337,14 @@ class TestParsing:
         with pytest.raises(ConfigParseError, match=f"key '{key}' does not apply") as err:
             parse_config(doc)
         assert err.value.line == doc.splitlines().index(new.splitlines()[1]) + 1
+
+    def test_bool_words(self):
+        doc = MINIMAL_HEAT.replace("kind = solve", (
+            "kind = family\neps_list = 0.2, 0.1, 0.05, 0.025\neta_list = 0.1, 0.05, 0.025\n"
+            "assert_convergence = no\nscale_nodes_with_eps = yes"))
+        exp = parse_config(doc).sections["experiment"]
+        assert exp["assert_convergence"] is False
+        assert exp["scale_nodes_with_eps"] is True
 
     def test_keys_of_every_kind_accepted(self):
         doc = MINIMAL_HEAT.replace("b = 1.0", "b = 1.0\ncollar_cap = 0.2").replace(
@@ -641,9 +686,11 @@ class TestCli:
     @pytest.mark.parametrize("command, doc", CONFIG_MISTAKES.values(), ids=list(CONFIG_MISTAKES))
     def test_config_mistakes_exit_2_under_validate_and_the_run(self, tmp_path, command, doc):
         # Each used to pass validate, or to exit 1, 3 or even 0 under one of the two.
-        table = tmp_path / "rho.txt"
+        table, table3 = tmp_path / "rho.txt", tmp_path / "rho3.txt"
         np.savetxt(table, [[0.0, 1.0], [0.5, 0.0], [1.0, 1.0]])
-        cfg = self._write(tmp_path, doc.replace("{table}", str(table)))
+        np.savetxt(table3, [[0.0, 1.0, 2.0], [1.0, 1.0, 2.0]])
+        doc = doc.replace("{table}", str(table)).replace("{table3}", str(table3))
+        cfg = self._write(tmp_path, doc)
         assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
         assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 

@@ -88,7 +88,7 @@ class TestCollarDecomposition:
         grid = build_grid(dom, 21)  # h = 0.05
         cls = collar_decomposition(grid, 0.2)
         assert set(np.round(grid.nodes[cls.interface], 10)) == {0.2, 0.8}
-        assert np.all(grid.distances[cls.collar] < 0.2)
+        assert np.all(grid.distances[cls.labels == COLLAR] < 0.2)
         assert np.all(grid.distances[cls.core] > 0.2)
 
     def test_matches_documented_example_spacing(self):
@@ -97,7 +97,7 @@ class TestCollarDecomposition:
         dom = Domain.interval(0.0, 2.0)
         grid = build_grid(dom, 21)  # h = 0.1
         cls = collar_decomposition(grid, 0.2)
-        left_collar = [x for x in grid.nodes[cls.collar] if x < 1.0]
+        left_collar = [x for x in grid.nodes[cls.labels == COLLAR] if x < 1.0]
         assert left_collar == [pytest.approx(0.1)]
         assert sorted(np.round(grid.nodes[cls.interface], 10)) == [0.2, 1.8]
 
@@ -115,7 +115,8 @@ class TestCollarDecomposition:
         grid = build_grid(Domain.interval(0.0, 1.0), 41)
         cls = collar_decomposition(grid, 0.1)
         interior = np.count_nonzero(grid.steps_from_boundary > 0)
-        assert len(cls.collar) + len(cls.interface) + len(cls.core) == interior
+        n_collar = np.count_nonzero(cls.labels == COLLAR)
+        assert n_collar + len(cls.interface) + len(cls.core) == interior
         labels = cls.labels
         assert set(labels) <= {EXTERIOR, COLLAR, INTERFACE, CORE}
 
@@ -146,7 +147,7 @@ class TestCollarLevels:
         grid = build_grid(DOMAINS[kind], 41)
         cls = collar_decomposition(grid, 0.0)
         assert np.array_equal(cls.interface, np.flatnonzero(grid.distances == 0.0))
-        assert cls.collar.size == 0
+        assert not np.any(cls.labels == COLLAR)
         assert cls.window == (0, grid.n - 1)
 
     @pytest.mark.parametrize("kind", DOMAINS)

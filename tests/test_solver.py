@@ -22,6 +22,7 @@ from collar.solver import (
     blend_initial_data,
     collar_cutoff,
     extract_limit_solution,
+    family_members,
     flux_balance_defect,
     solve_members,
     step_implicit,
@@ -58,6 +59,12 @@ def heat_problem(nodes=129, horizon=0.1, dt=1e-3, eps=0.0, eta=0.0, eta_cap=0.1)
     )
 
 
+def solve_family(p: ApproxProblem, eps_levels, eta_levels, store_stride=1):
+    """The finest field and diagnostics of ``p``'s family, solved as one solve."""
+    members = family_members(p, eps_levels, eta_levels)
+    return extract_limit_solution(solve_members(members, store_stride=store_stride))
+
+
 def loop_flux_balance_defect(fieldobj, problem: ApproxProblem) -> float:
     """Oracle for ``flux_balance_defect``: the same defect, one stored time at a time."""
     lay = problem.layout
@@ -68,7 +75,7 @@ def loop_flux_balance_defect(fieldobj, problem: ApproxProblem) -> float:
     rho_vals = np.asarray(problem.rho.rho(problem.grid.nodes[free]))
     h = problem.grid.h
     worst = 0.0
-    for j in range(fieldobj.n_times - 1):
+    for j in range(fieldobj.times.size - 1):
         dt = fieldobj.times[j + 1] - fieldobj.times[j]
         u_new = fieldobj.values[:, j + 1]
         u_old = fieldobj.values[:, j]
@@ -240,16 +247,15 @@ class TestSolve:
         path = tmp_path / "traj.csv"
         fld.to_csv(path)
         data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (fld.n_times, fld.grid.n + 1)
+        assert data.shape == (fld.times.size, fld.grid.n + 1)
         assert np.allclose(data[:, 0], fld.times)
 
 
 class TestLimitExtraction:
     def test_heat_family_converges_to_exact(self):
         p = heat_problem(nodes=81, horizon=0.05, dt=1e-3)  # h = 0.0125
-        finest, diag = extract_limit_solution(
-            p, [0.2, 0.1, 0.05, 0.025], [0.1, 0.05, 0.025], store_stride=10
-        )
+        finest, diag = solve_family(p, [0.2, 0.1, 0.05, 0.025], [0.1, 0.05, 0.025],
+                                    store_stride=10)
         assert diag.converged, diag.as_dict()
         # The finest member still carries its lift; compare inside it.
         mid = finest.grid.index_of(0.5)
@@ -262,9 +268,8 @@ class TestLimitExtraction:
             phi=BoundaryData.constant(0.2, horizon=1.0), initial=InitialData.constant(0.2),
             eps=0.2, eta=0.1, eta_cap=0.1, horizon=0.02, dt=1e-3,
         )
-        finest, diag = extract_limit_solution(
-            p, [0.2, 0.1, 0.05, 0.025], [0.1, 0.05, 0.025], store_stride=4
-        )
+        finest, diag = solve_family(p, [0.2, 0.1, 0.05, 0.025], [0.1, 0.05, 0.025],
+                                    store_stride=4)
         assert diag.converged
         assert diag.eps_diffs == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
         assert diag.eta_diffs == pytest.approx([0.05, 0.025], abs=1e-12)
@@ -272,9 +277,9 @@ class TestLimitExtraction:
     def test_family_validation(self):
         p = heat_problem(nodes=81)
         with pytest.raises(ConfigError):
-            extract_limit_solution(p, [0.2, 0.1, 0.05], [0.1, 0.05, 0.025])
+            family_members(p, [0.2, 0.1, 0.05], [0.1, 0.05, 0.025])
         with pytest.raises(ConfigError):
-            extract_limit_solution(p, [0.2, 0.1, 0.05, 0.025], [0.1, 0.03])
+            family_members(p, [0.2, 0.1, 0.05, 0.025], [0.1, 0.03])
 
 
 class TestDecayRule:
@@ -852,7 +857,7 @@ class TestPredictor:
         scheme = SolverScheme()
         fld = solve_members([p], scheme)[0]
         _, values, _ = reference_solve(p, scheme, predict=False)
-        n_outer = fld.n_times - 1
+        n_outer = fld.times.size - 1
         finite = np.isfinite(fld.values) & np.isfinite(values)
         assert np.all(np.abs(fld.values - values)[finite] <= n_outer * scheme.newton_tol)
 
@@ -914,6 +919,11 @@ threshold = 0.05
 """
 
 
+# SWEEP_CFG as any kind that steps: 81 nodes resolve the finest family level.
+STEPPING_CFG = SWEEP_CFG.replace("nodes = 41", "nodes = 81").replace(
+    "kind = dichotomy-sweep", "kind = dichotomy-sweep\neta_list = 0.1, 0.05, 0.025")
+
+
 class TestOneSolvePerSweep:
     @staticmethod
     def count_members(monkeypatch):
@@ -939,15 +949,16 @@ class TestOneSolvePerSweep:
         assert run_experiment(parse_config(doc), tmp_path) in (0, 1)
         assert sizes == [4]
 
-    def test_family_solves_all_members_at_once(self, monkeypatch):
+    def test_family_solves_all_members_at_once(self, tmp_path, monkeypatch):
         sizes = self.count_members(monkeypatch)
-        extract_limit_solution(heat_problem(nodes=81, horizon=0.01),
-                               [0.2, 0.1, 0.05, 0.025], [0.1, 0.05, 0.025])
+        doc = STEPPING_CFG.replace("kind = dichotomy-sweep", "kind = family")
+        assert run_experiment(parse_config(doc), tmp_path) in (0, 1)
         assert sizes == [6]
 
-    @pytest.mark.parametrize("kind, n_members", [("dichotomy-sweep", 16), ("attainment", 4)])
+    @pytest.mark.parametrize("kind, n_members", [("dichotomy-sweep", 16), ("attainment", 4),
+                                                 ("family", 6), ("solve", 1)])
     def test_report_lists_member_solver_totals(self, tmp_path, kind, n_members):
-        doc = SWEEP_CFG.replace("kind = dichotomy-sweep", f"kind = {kind}")
+        doc = STEPPING_CFG.replace("kind = dichotomy-sweep", f"kind = {kind}")
         assert run_experiment(parse_config(doc), tmp_path) in (0, 1)
         members = json.loads((tmp_path / "report.json").read_text())["payload"]["members"]
         assert len(members) == n_members
@@ -955,9 +966,13 @@ class TestOneSolvePerSweep:
             assert set(m) == {"eps", "eta", "newton_iterations", "step_halvings",
                               "max_scaled_residual"}
             assert m["newton_iterations"] > 0 and 0.0 <= m["max_scaled_residual"] <= 1e-10
-        assert [m["eps"] for m in members[:4]] == [0.2, 0.1, 0.05, 0.025]
-        data = json.loads((tmp_path / f"{kind.split('-')[0]}.json").read_text())
-        assert "members" not in data
+        first = [0.0] if kind == "solve" else [0.2, 0.1, 0.05, 0.025]
+        assert [m["eps"] for m in members[: len(first)]] == first
+        if kind == "family":  # the collar levels at the least lift, then the larger lifts
+            assert [m["eta"] for m in members] == [0.025] * 4 + [0.1, 0.05]
+        artifact = {"family": "family_diagnostics", "solve": "trajectory_meta"}.get(
+            kind, kind.split("-")[0])
+        assert "members" not in json.loads((tmp_path / f"{artifact}.json").read_text())
 
     def test_failed_sweep_names_the_member_in_its_report(self, tmp_path):
         # A config cannot set a non-finite value, so break the parsed one.
