@@ -1,8 +1,11 @@
 """Command-line entry point: ``collar <subcommand> --config <path>``.
 
-Subcommands match the experiment kinds, plus ``validate`` which parses the
-config and emits the hypothesis report only.  Exit codes: 0 all verdicts
-pass, 1 a verdict failed, 2 configuration error, 3 numerical failure.
+Subcommands match the experiment kinds, plus ``validate``, which builds what
+the run builds (its members, barriers and duality source) without stepping,
+so it exits 2 on every config the run rejects, then writes the hypothesis
+report to ``hypothesis.json`` and exits 1 when a core hypothesis fails.
+Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 configuration error,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for kind in EXPERIMENT_KINDS + ("validate",):
         p = sub.add_parser(kind, help=f"run a {kind} experiment" if kind != "validate"
-                           else "parse the config and report hypotheses only")
+                           else "build what the run builds without stepping (exit 2 on "
+                           "every config the run rejects) and write hypothesis.json "
+                           "(exit 1 if a core hypothesis fails)")
         p.add_argument("--config", required=True, help="path to the experiment config")
         p.add_argument("--out", default=None, help="output directory (default ./out)")
     return parser

@@ -281,6 +281,8 @@ def _load_table(path: str):
         raise ConfigParseError(f"table file {path!r} is not a numeric table: {exc}")
     if data.ndim != 2 or data.shape[1] != 2:
         raise ConfigParseError(f"table file {path!r} must have two numeric columns")
+    if not np.isfinite(data).all():
+        raise ConfigParseError(f"table file {path!r} has an entry that is not finite")
     return data[:, 0], data[:, 1]
 
 

@@ -22,7 +22,10 @@ solution and every member's trajectory is bit-identical to solving it alone.
 One solve keeps all members' window states in one concatenated array, and the
 extrapolation is elementwise, so each row depends on its own history only.
 Convergence, line search, failure and step halving are per member, and each
-member keeps its rows and counters in one record.  For a linear flux the
+member keeps its rows and counters in one record.  One solve builds one
+block system for all its members and every sub-step level steps on it: a
+member that does not step at a level sits out with a zero right-hand side, so
+its block solves to zero, as a converged member's does.  For a linear flux the
 Jacobian depends only on the step size and the floor, so a batch factors it
 once per ``(dt, floor)`` and reuses the LU factors (LAPACK ``gttrs``); every
 other flux assembles its Jacobian bands each iteration and solves them with
@@ -53,8 +56,6 @@ from .tridiagonal import factor_tridiagonal, solve_factored, solve_tridiagonal
 #: least recently used is dropped first.  Rounding gives one lattice a few
 #: distinct ``dt`` values, but most steps share one, which two entries keep.
 _LU_CACHE = 2
-#: Batches one solve keeps, one per set of members stepping together.
-_BATCH_CACHE = 8
 #: Halvings of one outer step before a member's solve fails.
 _MAX_DEPTH = 10
 #: Clean outer steps after which a halved member relaxes one depth.
@@ -242,24 +243,13 @@ def _all_finite(values: np.ndarray) -> bool:
     return math.isfinite(np.add.reduce(values))
 
 
-def _cached(cache: dict, key, make, limit: int):
-    """``cache[key]``, or ``make(key)`` on a miss; beyond ``limit`` the least recently used goes."""
-    value = cache.pop(key, None)
-    if value is None:
-        value = make(key)
-        if len(cache) >= limit:
-            del cache[next(iter(cache))]
-    cache[key] = value
-    return value
-
-
 class _Batch:
-    """Members stepped together as one block-diagonal tridiagonal system.
+    """All members of one solve as one block-diagonal tridiagonal system.
 
     Member ``k`` owns rows ``starts[k] .. starts[k] + sizes[k] - 1`` of every
     concatenated vector.  The members share one flux, which is evaluated once
     on all rows, and a time-dependent trace is evaluated once per distinct
-    ``BoundaryData``, on all its interface points.
+    ``BoundaryData``, on all its interface points, whichever members step.
     """
 
     def __init__(self, problems):
@@ -307,7 +297,7 @@ class _Batch:
         return np.repeat(members, self.sizes)
 
     def solve(self, bands, rhs, live: list, errors: dict) -> np.ndarray:
-        """The shared solve; a member whose block has a zero pivot fails alone."""
+        """The shared solve; a zero pivot's block turns to identity rows, failing its member if live."""
         while True:
             try:
                 return solve_tridiagonal(*bands, rhs)
@@ -316,8 +306,9 @@ class _Batch:
                     raise
                 # LAPACK's info is the 1-based row of the zero pivot.
                 k = int(np.searchsorted(self.starts, err.info - 1, side="right")) - 1
-                errors[k] = err
-                live[k] = False
+                if live[k]:
+                    errors[k] = err
+                    live[k] = False
                 _identity_rows(bands, rhs, slice(self.starts[k], self.starts[k] + self.sizes[k]))
 
     def bands(self, scale, gp):
@@ -335,25 +326,30 @@ class _Batch:
 
     def linear_factors(self, dt: float, floor: float) -> tuple:
         """LU factors of the linear-flux Newton matrix, cached per ``(dt, floor)``."""
-        return _cached(self._lu, (dt, floor), self._factor, _LU_CACHE)
+        factors = self._lu.pop((dt, floor), None)
+        if factors is None:
+            slope = max(float(self.flux.dg(0.0)), floor)
+            factors = factor_tridiagonal(*self.bands(dt / self.rho, np.full(self.rho.size, slope)))
+            if len(self._lu) >= _LU_CACHE:
+                del self._lu[next(iter(self._lu))]  # the least recently used
+        self._lu[(dt, floor)] = factors
+        return factors
 
-    def _factor(self, key) -> tuple:
-        dt, floor = key
-        slope = max(float(self.flux.dg(0.0)), floor)
-        return factor_tridiagonal(*self.bands(dt / self.rho, np.full(self.rho.size, slope)))
 
-
-def _newton(batch: _Batch, state, start, scheme: SolverScheme, t_new: float, dt: float):
-    """One implicit Euler step of every member of the batch from ``state``.
+def _newton(batch: _Batch, state, start, scheme: SolverScheme, t_new: float, dt: float,
+            stepping: list):
+    """One implicit Euler step from ``state`` of each batch member ``k`` with ``stepping[k]``.
 
     Newton starts at ``start``, which it overwrites.  Returns ``(state,
     iterations, residuals, errors)``: per member, the Newton iterations and
     the final scaled residual, and ``errors[k]``, the StepError member ``k``
-    would raise stepping alone, for each member that failed.
+    would raise stepping alone, for each stepping member that failed.
     Members iterate in lockstep, each with its own convergence test and line
-    search.  A member leaves the iteration once it converges or fails; from
-    then on its right-hand side is zero, so its block solves to zero, and a
-    block holding a non-finite Jacobian entry becomes identity rows first.
+    search.  A member that does not step starts out of the iteration; any
+    other leaves it once it converges or fails.  Out of it, a member's
+    right-hand side is zero, so its block solves to zero, and a block holding
+    a non-finite Jacobian entry or a zero pivot becomes identity rows first.
+    Only stepping members' rows of the returned state are a step.
     """
     op, dir_rows, starts = batch.op, batch.dir, batch.starts
     bc = batch.dirichlet(t_new)
@@ -390,7 +386,7 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, t_new: float, dt:
     res, norms = residual(u)
     errors = {}
     iters = [0] * len(norms)
-    live = [r > tol for r in norms]  # a NaN residual compares False and fails below
+    live = [s and r > tol for s, r in zip(stepping, norms)]  # a NaN residual fails below
     for _ in range(scheme.max_iterations):
         if not any(live):
             break
@@ -445,7 +441,7 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, t_new: float, dt:
                 live[k] = norms[k] > tol
 
     for k, r in enumerate(norms):
-        if k in errors or r <= tol:  # a NaN residual compares False
+        if not stepping[k] or k in errors or r <= tol:  # a NaN residual compares False
             continue
         if not math.isfinite(r):
             message = f"scaled residual is not finite after {iters[k]} iterations"
@@ -472,7 +468,8 @@ def step_implicit(
     """
     if problem._solo is None:
         problem._solo = _Batch([problem])
-    u, iters, norms, errors = _newton(problem._solo, state, state.copy(), scheme, t_new, dt)
+    u, iters, norms, errors = _newton(problem._solo, state, state.copy(), scheme, t_new, dt,
+                                      [True])
     if errors:
         raise errors[0]
     return u, iters[0], norms[0]
@@ -481,7 +478,7 @@ def step_implicit(
 class _Member:
     """One problem's progress through ``_advance``: its state rows, stored values, counters.
 
-    ``rows`` is its slice of the solve's concatenated window state; ``depth``
+    ``rows`` is its block's slice of the solve's concatenated state; ``depth``
     is the sub-step level of its outer steps (``2**depth`` sub-steps each);
     ``clean`` counts its outer steps since that level last changed.
     """
@@ -556,50 +553,40 @@ def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTim
         n_outer = max(1, int(np.ceil(p0.horizon / p0.dt - 1e-12)))
     times = np.empty(1 + n_outer // store_stride + (n_outer % store_stride != 0))
     times[0] = 0.0
-    firsts = np.cumsum([0] + [p.layout.size for p in problems]).tolist()
-    members = [_Member(i, p, times.size, r) for i, (p, r) in enumerate(zip(problems, firsts))]
+    batch = _Batch(problems)
+    members = [_Member(i, p, times.size, int(batch.starts[i])) for i, p in enumerate(problems)]
     state = np.concatenate([m.window[:, 0] for m in members])
     history = []  # the outer states before ``state``, newest first, at most two
-    batches = {}
 
-    def batch_of(group):
-        """The batch of ``group`` and its rows of the state: a slice of all for everyone."""
-        def make(_):
-            everyone = len(group) == len(members)
-            rows = slice(None) if everyone else np.r_[tuple(m.rows for m in group)]
-            return _Batch([m.problem for m in group]), rows
-
-        return _cached(batches, tuple(m.index for m in group), make, _BATCH_CACHE)
-
-    def substeps(group, level, t, t_next, guess, new):
-        """Steps ``group`` over [t, t_next] in ``2**level`` sub-steps into ``new``.
+    def substeps(level, t, t_next, guess, new):
+        """Steps the members at depth ``level`` over [t, t_next] in ``2**level`` sub-steps.
 
         Level 0 starts Newton at ``guess``, deeper levels at the current state.
-        Returns the failures.
+        The other members sit out, and so does a member from the sub-step it
+        fails in.  Writes the stepped members' rows of ``new``; returns the
+        failures.
         """
+        stepping = [m.depth == level for m in members]
+        if not any(stepping):
+            return []
         nsub = 2**level
         failed = []
-        batch, rows = batch_of(group)
-        v = state[rows]
+        v = state
         for j in range(nsub):
             a = t + (t_next - t) * j / nsub
             b = t + (t_next - t) * (j + 1) / nsub
-            start = guess[rows] if level == 0 else v.copy()
-            v, iters, res, errors = _newton(batch, v, start, scheme, b, b - a)
-            for i, m in enumerate(group):
-                if i not in errors:
-                    m.iterations += iters[i]
-                    m.worst_residual = max(m.worst_residual, res[i])
+            start = guess if level == 0 else v.copy()
+            v, iters, res, errors = _newton(batch, v, start, scheme, b, b - a, stepping)
             if errors:
-                failed.extend((group[i], err) for i, err in errors.items())
-                keep = batch.rows([i not in errors for i in range(len(group))])
-                v, rows = v[keep], np.arange(state.size)[rows][keep]
-                group = [m for i, m in enumerate(group) if i not in errors]
-                if not group:
-                    break
-                if j + 1 < nsub:
-                    batch = batch_of(group)[0]
-        new[rows] = v
+                failed.extend((members[k], err) for k, err in errors.items())
+                stepping = [s and k not in errors for k, s in enumerate(stepping)]
+            for m, s, it, r in zip(members, stepping, iters, res):
+                if s:
+                    m.iterations += it
+                    m.worst_residual = max(m.worst_residual, r)
+            if not any(stepping):
+                break
+        np.copyto(new, v, where=all(stepping) or batch.rows(stepping))  # True: no mask to build
         return failed
 
     t = 0.0
@@ -608,10 +595,9 @@ def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTim
         t_next = p0.horizon if step == n_outer - 1 else (step + 1) * p0.dt
         guess, new = _extrapolate(state, history), np.empty_like(state)
         # Levels ascend: a member that fails at one level retries at the next.
-        pending, level = members, 0
-        while pending:
-            group = [m for m in pending if m.depth == level]
-            for m, err in substeps(group, level, t, t_next, guess, new) if group else ():
+        level = 0
+        while any(m.depth >= level for m in members):
+            for m, err in substeps(level, t, t_next, guess, new):
                 m.depth += 1
                 m.clean = 0
                 m.halvings += 1
@@ -620,7 +606,6 @@ def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTim
                         f"{m.label(t)}: time step exhausted after {m.halvings} halvings; "
                         f"last step error: {err}"
                     )
-            pending = [m for m in pending if m.depth > level]
             level += 1
         history = [state] + history[:1]
         state = new
@@ -649,11 +634,12 @@ def solve_members(
 
     The problems must share one flux object, one ``dt`` and one ``horizon``;
     a ConfigError names the first that does not.  They step in lockstep on one
-    block-diagonal Newton system, and each field is bit-identical to solving
-    its problem alone.  Stored time stamps sit on the uniform lattice
-    ``k * dt`` regardless of internal sub-stepping: a member whose step fails
-    retries it on a halved lattice (up to 10 halvings), together with the
-    other members at that depth, and its depth relaxes after 20 clean steps.
+    block-diagonal Newton system, built once per call, and each field is
+    bit-identical to solving its problem alone.  Stored time stamps sit on the
+    uniform lattice ``k * dt`` regardless of internal sub-stepping: a member
+    whose step fails retries it on a halved lattice (up to 10 halvings),
+    together with the other members at that depth, on the same system while
+    the rest sit out, and its depth relaxes after 20 clean steps.
     A SolveError names the failing member's index, ``eps``, ``eta`` and time.
     """
     problems = list(problems)

@@ -660,7 +660,10 @@ class TestCli:
 
     @pytest.mark.parametrize("model", ["kind = constant\nc = 1.0", "kind = linear"],
                              ids=["density", "nonlinearity"])
-    @pytest.mark.parametrize("content", [None, "0.0 1.0\n0.5 abc\n"], ids=["missing", "malformed"])
+    @pytest.mark.parametrize("content", [
+        None, "0.0 1.0\n0.5 abc\n", "0.0 0.0\n0.5 nan\n1.0 2.0\n", "0.0 0.0\n0.5 inf\n1.0 2.0\n",
+        "0.0 1.0\nnan 1.0\n1.0 1.0\n", "0.0 1.0\ninf 1.0\n1.0 1.0\n",
+    ], ids=["missing", "malformed", "nan-value", "inf-value", "nan-coordinate", "inf-coordinate"])
     def test_unreadable_table_is_a_config_error(self, tmp_path, capsys, model, content):
         table = tmp_path / "table.txt"
         if content is not None:

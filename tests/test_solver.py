@@ -672,12 +672,113 @@ def nan_jacobian_first(flux: Nonlinearity, calls: int, cap: float) -> Nonlineari
     return Nonlinearity("nan-jacobian-first", flux.g, dg, flux.g_inv, flux.alpha0)
 
 
+def nan_once_members(m, horizon):
+    """Three members; the middle one's trace is NaN on its third evaluation.
+
+    So its residual is NaN from the start of that step while the others
+    iterate; the next block is a ball whose free centre row meets the NaN trace.
+    """
+    calls = []
+
+    def trace(x, t):
+        calls.append(None)
+        return np.asarray(x, float) * 0.0 + (np.nan if len(calls) == 3 else 0.2)
+
+    flux = LIN if m is None else Nonlinearity.porous_medium(m)
+    nan_once = BoundaryData(trace, horizon=1.0)
+    return [pme_problem(n, dom=dom, flux=flux, dt=1e-3, horizon=horizon, phi=phi)
+            for n, dom, phi in ((33, DOM, BoundaryData.sine(0.2, 0.1, 2.0)),
+                                (17, DOM, nan_once),
+                                (21, BALL, BoundaryData.sine(0.2, 0.1, 2.0)))]
+
+
+def inject_zero_pivot(monkeypatch, when):
+    """Arms one zero pivot at the first ``_newton`` call for which ``when(batch,
+    t_new, dt, stepping)`` returns a row, and raises it in the next linear solve.
+
+    Returns a log: the row, the ``stepping`` masks of the ``_newton`` calls
+    from the armed one on, and the number of those calls when it fired.
+    """
+    newton, log = solver._newton, {"row": None, "masks": [], "fired_in": None}
+
+    def spy(batch, state, start, scheme, t_new, dt, stepping):
+        if log["row"] is None:
+            log["row"] = when(batch, t_new, dt, stepping)
+        if log["row"] is not None:
+            log["masks"].append(list(stepping))
+        return newton(batch, state, start, scheme, t_new, dt, stepping)
+
+    def singular_once(lo, di, up, rhs):
+        if log["row"] is not None and log["fired_in"] is None:
+            log["fired_in"] = len(log["masks"])
+            raise LinearSolveError("zero pivot", info=log["row"] + 1)  # LAPACK counts from 1
+        return solve_tridiagonal(lo, di, up, rhs)
+
+    monkeypatch.setattr(solver, "_newton", spy)
+    monkeypatch.setattr(solver, "solve_tridiagonal", singular_once)
+    return log
+
+
+def assert_match(fields, alone, members):
+    for k in members:
+        assert np.array_equal(fields[k].values, alone[k].values, equal_nan=True), k
+        assert fields[k].meta == alone[k].meta, k
+
+
 class TestBatchedMembers:
     def test_only_one_member_halves(self):
         # Porous-medium m = 3 at dt = 0.5 from u0 = 0 to a trace of 1: the
         # 65-node member needs five halvings, the coarser ones none.
         fields = assert_members_match_alone(lambda: [pme_problem(n) for n in (17, 33, 65)])
         assert [f.meta["step_halvings"] for f in fields] == [0, 0, 5]
+
+    def test_one_block_system_per_solve(self, monkeypatch):
+        built, batch = [], solver._Batch
+
+        def counted(problems):
+            built.append(len(problems))
+            return batch(problems)
+
+        monkeypatch.setattr(solver, "_Batch", counted)
+        fields = solve_members([pme_problem(n) for n in (17, 33, 65)])
+        assert [f.meta["step_halvings"] for f in fields] == [0, 0, 5]
+        assert built == [3]
+
+    def test_member_failing_mid_substeps_leaves_its_level_stepping(self, monkeypatch):
+        # Members 1 and 2 are equal and halve together; a zero pivot fails
+        # member 2 in a sub-step that is neither the first nor the last of a
+        # halved step, and member 1 steps on through the next sub-step.
+        def make():
+            return [pme_problem(n) for n in (17, 65, 65)]
+
+        def mid_substep(batch, t_new, dt, stepping):
+            ends = np.array([t_new - dt, t_new]) / 0.5  # in outer steps
+            if stepping[1] and stepping[2] and np.all(np.abs(ends - np.round(ends)) > 1e-9):
+                return int(batch.starts[2])
+            return None
+
+        alone = [solve_one(p) for p in make()]
+        log = inject_zero_pivot(monkeypatch, mid_substep)
+        fields = solve_members(make())
+        assert log["fired_in"] == 1
+        assert log["masks"][:2] == [[False, True, True], [False, True, False]]
+        assert fields[2].meta["step_halvings"] == alone[2].meta["step_halvings"] + 1
+        assert_match(fields, alone, (0, 1))
+
+    def test_zero_pivot_in_a_member_sitting_out_fails_nobody(self, monkeypatch):
+        # Member 0 sits out while member 1 sub-steps; the zero pivot is in its block.
+        def make():
+            return [pme_problem(33), pme_problem(65)]
+
+        def sitting_out(batch, t_new, dt, stepping):
+            return 0 if stepping == [False, True] else None
+
+        alone = [solve_one(p) for p in make()]
+        log = inject_zero_pivot(monkeypatch, sitting_out)
+        fields = solve_members(make())
+        assert log["fired_in"] == 1
+        assert [f.meta["step_halvings"] for f in fields] == [0, 5]
+        assert_match(fields, alone, (0, 1))
 
     def test_member_backtracking_through_nan_flux_values(self):
         # The middle member's Newton trials overshoot into NaN flux values and
@@ -724,30 +825,40 @@ class TestBatchedMembers:
         monkeypatch.setattr(solver, "solve_tridiagonal", singular_once)
         fields = solve_members(make())
         assert [f.meta["step_halvings"] for f in fields] == [int(k == owner) for k in range(3)]
-        for k in {0, 1, 2} - {owner}:
-            assert np.array_equal(fields[k].values, alone[k].values, equal_nan=True)
-            assert fields[k].meta == alone[k].meta
+        assert_match(fields, alone, {0, 1, 2} - {owner})
+
+    @pytest.mark.parametrize("call", [1, 30, 200])
+    def test_zero_pivot_in_a_member_not_iterating_fails_nobody(self, monkeypatch, call):
+        # Member 0 stays at its zero trace with a zero residual, so alone it
+        # makes no linear solve; a zero pivot in its block is not its failure.
+        def make():
+            return [pme_problem(17, phi=BoundaryData.constant(0.0, horizon=2.0)), pme_problem(65)]
+
+        alone = [solve_one(p) for p in make()]
+        assert alone[0].meta["newton_iterations"] == 0
+        calls = []
+
+        def singular_at_row_0(lo, di, up, rhs):
+            calls.append(None)
+            if len(calls) == call:
+                raise LinearSolveError("zero pivot", info=1)
+            return solve_tridiagonal(lo, di, up, rhs)
+
+        monkeypatch.setattr(solver, "solve_tridiagonal", singular_at_row_0)
+        fields = solve_members(make())
+        assert len(calls) > call
+        assert_match(fields, alone, (0, 1))
 
     @pytest.mark.parametrize("m", [None, 2.0])  # prefactored and assembled Jacobians
     def test_non_finite_residual_fails_its_member_alone(self, m):
-        # The middle member's trace is NaN on its third evaluation, so its
-        # residual is NaN from the start of that step while the others iterate;
-        # the next block is a ball whose free centre row meets the NaN trace.
-        def make():
-            calls = []
+        fields = assert_members_match_alone(lambda: nan_once_members(m, horizon=0.01))
+        assert [f.meta["step_halvings"] for f in fields] == [0, 1, 0]
 
-            def trace(x, t):
-                calls.append(None)
-                return np.asarray(x, float) * 0.0 + (np.nan if len(calls) == 3 else 0.2)
-
-            flux = LIN if m is None else Nonlinearity.porous_medium(m)
-            nan_once = BoundaryData(trace, horizon=1.0)
-            return [pme_problem(n, dom=dom, flux=flux, dt=1e-3, horizon=0.01, phi=phi)
-                    for n, dom, phi in ((33, DOM, BoundaryData.sine(0.2, 0.1, 2.0)),
-                                        (17, DOM, nan_once),
-                                        (21, BALL, BoundaryData.sine(0.2, 0.1, 2.0)))]
-
-        fields = assert_members_match_alone(make)
+    @pytest.mark.parametrize("m", [None, 2.0])
+    def test_halved_member_relaxes_after_clean_steps(self, m):
+        # 30 outer steps: the middle member halves at the third and steps at
+        # depth 1 until 20 clean steps bring it back to depth 0.
+        fields = assert_members_match_alone(lambda: nan_once_members(m, horizon=0.03))
         assert [f.meta["step_halvings"] for f in fields] == [0, 1, 0]
 
     def test_free_ball_centre_row_starts_a_block(self):
