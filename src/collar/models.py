@@ -324,7 +324,12 @@ class Nonlinearity:
 
 
 class BoundaryData:
-    """Dirichlet trace ``phi(x0, t)`` on boundary points over [0, horizon]."""
+    """Dirichlet trace ``phi(x0, t)`` on boundary points over [0, horizon].
+
+    ``func(x, t)`` must broadcast like a ufunc: the solver evaluates a trace
+    once for many times, with a row of boundary points ``x`` and a column of
+    times ``t``, and reads one row of values per time.
+    """
 
     def __init__(self, func, *, horizon=1.0, time_dependent=True, positivity_floor=0.0):
         self._func = func

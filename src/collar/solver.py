@@ -25,13 +25,19 @@ Convergence, line search, failure and step halving are per member, and each
 member keeps its rows and counters in one record.  One solve builds one
 block system for all its members and every sub-step level steps on it: a
 member that does not step at a level sits out with a zero right-hand side, so
-its block solves to zero, as a converged member's does.  For a linear flux the
-Jacobian depends only on the step size and the floor, so a batch factors it
-once per ``(dt, floor)`` and reuses the LU factors (LAPACK ``gttrs``); every
-other flux assembles its Jacobian bands each iteration and solves them with
-``gtsv``.  Both paths pivot alike, so a linear flux gives bit-identical
-trajectories either way.  A non-finite residual or Newton update fails its
-member instead of freezing the state.
+its block solves to zero, as a converged member's does.
+
+Nothing that is fixed for a whole step is computed inside the Newton call.
+The lifted traces are evaluated once per block of outer steps, at all their
+end times at once, and once per halved step and level, at all that level's
+sub-step ends; each time-dependent ``BoundaryData`` is called once per
+evaluation.  What depends only on the step size, ``dt / rho`` and the stencil
+bands scaled by it, is kept per ``(dt, floor)``.  For a linear flux the
+Jacobian depends only on these too, so the same record holds its LU factors
+(LAPACK ``gttrs``); every other flux assembles its Jacobian bands each
+iteration and solves them with ``gtsv``.  Both paths pivot alike, so a linear
+flux gives bit-identical trajectories either way.  A non-finite residual or
+Newton update fails its member instead of freezing the state.
 
 The three LAPACK routines come from ``collar.tridiagonal``, which maps scipy's
 compiled wrapper when this module is imported.  ``parse_config`` imports this
@@ -52,10 +58,12 @@ from .models import BoundaryData, DensityModel, InitialData, Nonlinearity, globa
 from .operators import DiffusionOperator, assemble_diffusion, stack_operators
 from .tridiagonal import factor_tridiagonal, solve_factored, solve_tridiagonal
 
-#: Linear-flux LU factorizations one batch keeps, one per ``(dt, floor)``; the
-#: least recently used is dropped first.  Rounding gives one lattice a few
-#: distinct ``dt`` values, but most steps share one, which two entries keep.
+#: Step-size records one batch keeps, one per ``(dt, floor)``; the least
+#: recently used is dropped first.  Rounding gives one lattice a few distinct
+#: ``dt`` values, but most steps share one, which two entries keep.
 _LU_CACHE = 2
+#: Outer steps whose traces one table holds, so a long run's tables stay small.
+_TRACE_BLOCK = 256
 #: Halvings of one outer step before a member's solve fails.
 _MAX_DEPTH = 10
 #: Clean outer steps after which a halved member relaxes one depth.
@@ -243,18 +251,42 @@ def _all_finite(values: np.ndarray) -> bool:
     return math.isfinite(np.add.reduce(values))
 
 
+class _StepSize:
+    """What one step size fixes: ``scale = dt / rho``, the stencil bands scaled by
+    it and, for a linear flux, the LU factors of the Newton matrix."""
+
+    __slots__ = ("scale", "lo", "di", "up", "lu")
+
+    def __init__(self, batch: "_Batch", dt: float, floor: float):
+        op = batch.op
+        self.scale = scale = dt / batch.rho
+        self.lo = -scale[1:] * op.lo[1:]
+        self.di = scale * op.di
+        self.up = -scale[:-1] * op.up[:-1]
+        self.lu = None
+        if batch.linear:
+            slope = max(float(batch.flux.dg(0.0)), floor)
+            self.lu = factor_tridiagonal(*batch.bands(self, np.full(scale.size, slope)))
+
+
 class _Batch:
     """All members of one solve as one block-diagonal tridiagonal system.
 
     Member ``k`` owns rows ``starts[k] .. starts[k] + sizes[k] - 1`` of every
-    concatenated vector.  The members share one flux, which is evaluated once
-    on all rows, and a time-dependent trace is evaluated once per distinct
-    ``BoundaryData``, on all its interface points, whichever members step.
+    concatenated vector and entries ``bc_starts[k] .. bc_starts[k] +
+    bc_sizes[k] - 1`` of a row of traces.  The members share one flux, which
+    is evaluated once on all rows.  A time-independent trace is evaluated
+    here, once; ``traces`` evaluates each distinct time-dependent
+    ``BoundaryData`` once per call, for a whole array of times, on all its
+    interface points, whichever members step.  ``step`` keeps what one step
+    size fixes, one record per ``(dt, floor)``.
     """
 
     def __init__(self, problems):
         self.sizes = np.array([p.layout.size for p in problems])
         self.starts = np.cumsum(self.sizes) - self.sizes
+        self.bc_sizes = np.array([p.layout.dir_local.size for p in problems])
+        self.bc_starts = np.cumsum(self.bc_sizes) - self.bc_sizes
         self.op = stack_operators([p._window_op for p in problems])
         self.rho = np.concatenate([p._rho_w for p in problems])
         self.dir = np.concatenate([p.layout.dir_local + s for p, s in zip(problems, self.starts)])
@@ -264,16 +296,14 @@ class _Batch:
         self._up_zero = np.flatnonzero(_index_mask(total, self.dir, self.starts + self.sizes - 1))
         self.flux = problems[0].flux
         self.linear = self.flux.kind == "linear"
-        traces = {}  # id(phi) -> (phi, rows of self.dir, interface points, lifts)
-        row = 0
-        for p in problems:
+        traces = {}  # id(phi) -> (phi, rows of a trace row, interface points, lifts)
+        for p, row in zip(problems, self.bc_starts):
             k = p.layout.dir_local.size
             entry = traces.setdefault(id(p.phi), (p.phi, [], [], []))
             entry[1].append(np.arange(row, row + k))
             entry[2].append(p.layout.dir_points)
             entry[3].append(np.full(k, p.eta))
-            row += k
-        self._bc_static = np.empty(row)
+        self._bc_static = np.empty(int(self.bc_sizes.sum()))
         self._bc_dynamic = []
         for phi, *parts in traces.values():
             rows, points, lifts = map(np.concatenate, parts)
@@ -281,15 +311,15 @@ class _Batch:
                 self._bc_dynamic.append((phi, rows, points, lifts))
             else:
                 self._bc_static[rows] = np.asarray(phi.phi(points, 0.0), dtype=float) + lifts
-        self._lu = {}
+        self._steps = {}
 
-    def dirichlet(self, t: float) -> np.ndarray:
-        """Lifted traces at every member's interface nodes, concatenated."""
-        if not self._bc_dynamic:
-            return self._bc_static
-        bc = self._bc_static.copy()
+    def traces(self, ts) -> np.ndarray:
+        """Lifted traces at every member's interface nodes, one row per time in ``ts``."""
+        ts = np.asarray(ts, dtype=float)
+        bc = np.empty((ts.size, self._bc_static.size))
+        bc[:] = self._bc_static
         for phi, rows, points, lifts in self._bc_dynamic:
-            bc[rows] = np.asarray(phi.phi(points, t), dtype=float) + lifts
+            bc[:, rows] = np.asarray(phi.phi(points, ts[:, None]), dtype=float) + lifts
         return bc
 
     def rows(self, members) -> np.ndarray:
@@ -311,35 +341,35 @@ class _Batch:
                     live[k] = False
                 _identity_rows(bands, rhs, slice(self.starts[k], self.starts[k] + self.sizes[k]))
 
-    def bands(self, scale, gp):
+    def bands(self, size: _StepSize, gp):
         """Bands of ``I - diag(scale) L diag(gp)`` with identity rows at imposed nodes."""
-        op = self.op
         j_lo = np.zeros(gp.size)
         j_up = np.zeros(gp.size)
-        j_lo[1:] = -scale[1:] * op.lo[1:] * gp[:-1]
-        j_up[:-1] = -scale[:-1] * op.up[:-1] * gp[1:]
-        j_di = 1.0 - scale * op.di * gp
+        np.multiply(size.lo, gp[:-1], out=j_lo[1:])
+        np.multiply(size.up, gp[1:], out=j_up[:-1])
+        j_di = 1.0 - size.di * gp
         j_lo[self._lo_zero] = 0.0
         j_up[self._up_zero] = 0.0
         j_di[self.dir] = 1.0
         return j_lo, j_di, j_up
 
-    def linear_factors(self, dt: float, floor: float) -> tuple:
-        """LU factors of the linear-flux Newton matrix, cached per ``(dt, floor)``."""
-        factors = self._lu.pop((dt, floor), None)
-        if factors is None:
-            slope = max(float(self.flux.dg(0.0)), floor)
-            factors = factor_tridiagonal(*self.bands(dt / self.rho, np.full(self.rho.size, slope)))
-            if len(self._lu) >= _LU_CACHE:
-                del self._lu[next(iter(self._lu))]  # the least recently used
-        self._lu[(dt, floor)] = factors
-        return factors
+    def step(self, dt: float, floor: float) -> _StepSize:
+        """The record of step size ``dt`` at Jacobian floor ``floor``, built on first use."""
+        size = self._steps.pop((dt, floor), None)
+        if size is None:
+            size = _StepSize(self, dt, floor)
+            if len(self._steps) >= _LU_CACHE:
+                del self._steps[next(iter(self._steps))]  # the least recently used
+        self._steps[(dt, floor)] = size
+        return size
 
 
-def _newton(batch: _Batch, state, start, scheme: SolverScheme, t_new: float, dt: float,
+def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, dt: float,
             stepping: list):
     """One implicit Euler step from ``state`` of each batch member ``k`` with ``stepping[k]``.
 
+    ``bc`` is the row of ``batch.traces`` at the step's end, which the caller
+    evaluates; what the step size ``dt`` fixes comes from ``batch.step``.
     Newton starts at ``start``, which it overwrites.  Returns ``(state,
     iterations, residuals, errors)``: per member, the Newton iterations and
     the final scaled residual, and ``errors[k]``, the StepError member ``k``
@@ -352,11 +382,11 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, t_new: float, dt:
     Only stepping members' rows of the returned state are a step.
     """
     op, dir_rows, starts = batch.op, batch.dir, batch.starts
-    bc = batch.dirichlet(t_new)
+    size = batch.step(dt, scheme.jacobian_floor)
+    scale = size.scale
     u_old = state
     u = start
     u[dir_rows] = bc
-    scale = dt / batch.rho
     tol = scheme.newton_tol
 
     def residual(v):
@@ -394,10 +424,10 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, t_new: float, dt:
         if not all(live):
             rhs[batch.rows(np.logical_not(live))] = 0.0
         if batch.linear:
-            delta = solve_factored(batch.linear_factors(dt, scheme.jacobian_floor), rhs)
+            delta = solve_factored(size.lu, rhs)
         else:
             gp = np.maximum(np.asarray(batch.flux.dg(u), dtype=float), scheme.jacobian_floor)
-            bands = batch.bands(scale, gp)
+            bands = batch.bands(size, gp)
             delta = batch.solve(bands, rhs, live, errors)
             if not _all_finite(delta) and not np.isfinite(gp).all():
                 # A non-finite Jacobian gives its member a non-finite update, and
@@ -468,8 +498,8 @@ def step_implicit(
     """
     if problem._solo is None:
         problem._solo = _Batch([problem])
-    u, iters, norms, errors = _newton(problem._solo, state, state.copy(), scheme, t_new, dt,
-                                      [True])
+    bc = problem._solo.traces([t_new])[0]
+    u, iters, norms, errors = _newton(problem._solo, state, state.copy(), scheme, bc, dt, [True])
     if errors:
         raise errors[0]
     return u, iters[0], norms[0]
@@ -478,16 +508,19 @@ def step_implicit(
 class _Member:
     """One problem's progress through ``_advance``: its state rows, stored values, counters.
 
-    ``rows`` is its block's slice of the solve's concatenated state; ``depth``
-    is the sub-step level of its outer steps (``2**depth`` sub-steps each);
-    ``clean`` counts its outer steps since that level last changed.
+    ``rows`` is its block's slice of the solve's concatenated state and
+    ``bc_rows`` its slice of a row of traces; ``depth`` is the sub-step level
+    of its outer steps (``2**depth`` sub-steps each); ``clean`` counts its
+    outer steps since that level last changed.
     """
 
-    def __init__(self, index: int, problem: ApproxProblem, n_stored: int, first: int):
+    def __init__(self, index: int, problem: ApproxProblem, n_stored: int, batch: _Batch):
         self.index = index  # position in the caller's list, named in errors
         self.problem = problem
         lay = problem.layout
+        first, bc_first = int(batch.starts[index]), int(batch.bc_starts[index])
         self.rows = slice(first, first + lay.size)
+        self.bc_rows = slice(bc_first, bc_first + lay.dir_local.size)
         state = problem.initial_window()
         if not np.isfinite(state).all():
             bad = problem.grid.nodes[lay.m0 + np.flatnonzero(~np.isfinite(state))]
@@ -504,17 +537,21 @@ class _Member:
         p = self.problem
         return f"member {self.index} (eps = {p.eps:.6g}, eta = {p.eta:.6g}) at t = {t:.6g}"
 
-    def field(self, times: np.ndarray, store_stride: int) -> SpaceTimeField:
+    def field(self, times: np.ndarray, store_stride: int, trace_lo: np.ndarray,
+              trace_hi: np.ndarray) -> SpaceTimeField:
+        """The member's field; ``trace_lo`` and ``trace_hi`` are the least and largest
+        lifted trace the solve imposed, per entry of a row of traces."""
         p, lay = self.problem, self.problem.layout
         K = p.bound_K
         lo_data = min(
             float(np.min(p.initial.u0(p.grid.nodes[lay.m0 : lay.m1 + 1]))),
             p.phi.min_value(p.grid.domain),
         )
-        max_ok = bool(
-            np.nanmax(self.window) <= K + 1e-6
-            and np.nanmin(self.window) >= lo_data - p.eta_cap - 1e-6
-        )
+        # The sampled extremes of the trace can miss a peak that the time
+        # lattice hits; the values imposed at the interface bound it too.
+        hi = max(K, float(trace_hi[self.bc_rows].max()))
+        lo = min(lo_data - p.eta_cap, float(trace_lo[self.bc_rows].min()))
+        max_ok = bool(np.nanmax(self.window) <= hi + 1e-6 and np.nanmin(self.window) >= lo - 1e-6)
         meta = {
             "eps": p.eps,
             "eta": p.eta,
@@ -545,8 +582,19 @@ def _extrapolate(state, history):
     return guess
 
 
+def _substep_ends(t, t_next, nsub: int) -> np.ndarray:
+    """``t + (t_next - t) * j / nsub`` for ``j = 0 .. nsub``, along a new last axis."""
+    t = np.asarray(t, dtype=float)[..., None]
+    return t + (np.asarray(t_next, dtype=float)[..., None] - t) * np.arange(nsub + 1) / nsub
+
+
 def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTimeField]:
-    """Advance the members of one solve in lockstep over their shared time lattice."""
+    """Advance the members of one solve in lockstep over their shared time lattice.
+
+    The traces at the outer step ends are evaluated once per block of
+    ``_TRACE_BLOCK`` outer steps, and those at the sub-step ends of a halved
+    step once per step and level.
+    """
     p0 = problems[0]
     n_outer = int(round(p0.horizon / p0.dt))
     if n_outer < 1 or abs(n_outer * p0.dt - p0.horizon) > 1e-8 * p0.horizon:
@@ -554,29 +602,33 @@ def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTim
     times = np.empty(1 + n_outer // store_stride + (n_outer % store_stride != 0))
     times[0] = 0.0
     batch = _Batch(problems)
-    members = [_Member(i, p, times.size, int(batch.starts[i])) for i, p in enumerate(problems)]
+    members = [_Member(i, p, times.size, batch) for i, p in enumerate(problems)]
     state = np.concatenate([m.window[:, 0] for m in members])
     history = []  # the outer states before ``state``, newest first, at most two
+    # The least and largest lifted trace imposed at each entry of a row of traces.
+    trace_lo = np.full(int(batch.bc_sizes.sum()), np.inf)
+    trace_hi = -trace_lo
 
-    def substeps(level, t, t_next, guess, new):
-        """Steps the members at depth ``level`` over [t, t_next] in ``2**level`` sub-steps.
+    def impose(bc, rows):
+        """Widens the imposed extremes by the entries ``rows`` of the trace rows ``bc``."""
+        np.fmin(trace_lo, np.min(bc, axis=0, initial=np.inf, where=rows), out=trace_lo)
+        np.fmax(trace_hi, np.max(bc, axis=0, initial=-np.inf, where=rows), out=trace_hi)
 
-        Level 0 starts Newton at ``guess``, deeper levels at the current state.
-        The other members sit out, and so does a member from the sub-step it
-        fails in.  Writes the stepped members' rows of ``new``; returns the
-        failures.
+    def substeps(stepping, ends, bc, guess, new):
+        """Steps the members marked in ``stepping`` over the sub-steps between the ``ends``.
+
+        ``bc`` holds the traces at the sub-step ends, one row each.  A single
+        step starts Newton at ``guess``, sub-steps each at the current state.
+        A member sits out from the sub-step it fails in.  Writes the stepped
+        members' rows of ``new``; returns the failures.
         """
-        stepping = [m.depth == level for m in members]
-        if not any(stepping):
-            return []
-        nsub = 2**level
+        nsub = len(ends) - 1
         failed = []
         v = state
         for j in range(nsub):
-            a = t + (t_next - t) * j / nsub
-            b = t + (t_next - t) * (j + 1) / nsub
-            start = guess if level == 0 else v.copy()
-            v, iters, res, errors = _newton(batch, v, start, scheme, b, b - a, stepping)
+            start = guess if nsub == 1 else v.copy()
+            v, iters, res, errors = _newton(batch, v, start, scheme, bc[j], ends[j + 1] - ends[j],
+                                            stepping)
             if errors:
                 failed.extend((members[k], err) for k, err in errors.items())
                 stepping = [s and k not in errors for k, s in enumerate(stepping)]
@@ -591,37 +643,59 @@ def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTim
 
     t = 0.0
     col = 0
+    deepest = 0  # the largest member depth
     for step in range(n_outer):
-        t_next = p0.horizon if step == n_outer - 1 else (step + 1) * p0.dt
+        k = step % _TRACE_BLOCK
+        if k == 0:
+            stop = min(step + _TRACE_BLOCK, n_outer)
+            lattice = np.arange(step, stop + 1) * p0.dt
+            if stop == n_outer:
+                lattice[-1] = p0.horizon
+            outer_ends = _substep_ends(lattice[:-1], lattice[1:], 1)
+            table = batch.traces(outer_ends[:, 1])
+            impose(table, True)
+            outer_ends, t_nexts = outer_ends.tolist(), lattice[1:].tolist()
+        t_next = t_nexts[k]
         guess, new = _extrapolate(state, history), np.empty_like(state)
         # Levels ascend: a member that fails at one level retries at the next.
         level = 0
-        while any(m.depth >= level for m in members):
-            for m, err in substeps(level, t, t_next, guess, new):
-                m.depth += 1
-                m.clean = 0
-                m.halvings += 1
-                if m.depth > _MAX_DEPTH:
-                    raise SolveError(
-                        f"{m.label(t)}: time step exhausted after {m.halvings} halvings; "
-                        f"last step error: {err}"
-                    )
+        while level <= deepest:
+            stepping = [m.depth == level for m in members]
+            if any(stepping):
+                if level == 0:
+                    ends, bc = outer_ends[k], table[k : k + 1]
+                else:
+                    ends = _substep_ends(t, t_next, 2**level).tolist()
+                    bc = batch.traces(ends[1:])
+                    impose(bc, np.repeat(stepping, batch.bc_sizes))
+                for m, err in substeps(stepping, ends, bc, guess, new):
+                    m.depth += 1
+                    m.clean = 0
+                    m.halvings += 1
+                    if m.depth > _MAX_DEPTH:
+                        raise SolveError(
+                            f"{m.label(t)}: time step exhausted after {m.halvings} halvings; "
+                            f"last step error: {err}"
+                        )
+                    deepest = max(deepest, m.depth)
             level += 1
         history = [state] + history[:1]
         state = new
         t = t_next
-        for m in members:
-            m.clean += 1
-            if m.depth > 0 and m.clean >= _RELAX_STEPS:
-                m.depth -= 1
-                m.clean = 0
+        if deepest:
+            for m in members:
+                m.clean += 1
+                if m.depth > 0 and m.clean >= _RELAX_STEPS:
+                    m.depth -= 1
+                    m.clean = 0
+            deepest = max(m.depth for m in members)
         if (step + 1) % store_stride == 0 or step == n_outer - 1:
             col += 1
             times[col] = t
             for m in members:
                 m.window[:, col] = state[m.rows]
 
-    return [m.field(times, store_stride) for m in members]
+    return [m.field(times, store_stride, trace_lo, trace_hi) for m in members]
 
 
 def solve_members(
@@ -639,8 +713,12 @@ def solve_members(
     uniform lattice ``k * dt`` regardless of internal sub-stepping: a member
     whose step fails retries it on a halved lattice (up to 10 halvings),
     together with the other members at that depth, on the same system while
-    the rest sit out, and its depth relaxes after 20 clean steps.
-    A SolveError names the failing member's index, ``eps``, ``eta`` and time.
+    the rest sit out, and its depth relaxes after 20 clean steps.  Each
+    distinct time-dependent trace is evaluated once per block of outer steps,
+    and once more per halved step and level.  A member's maximum principle holds
+    when its window stays within its data bound ``bound_K``, widened to the
+    lifted trace values the solve imposed on it.  A SolveError names the
+    failing member's index, ``eps``, ``eta`` and time.
     """
     problems = list(problems)
     p0 = problems[0]

@@ -478,6 +478,22 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out/report.json").exists()
 
+    def test_trace_peak_on_the_lattice_keeps_the_max_principle(self, tmp_path):
+        # sin(pi t) peaks at t = 0.5, a lattice time, so the interface carries
+        # 1 + eta = 1.1; the sampled sup of the trace misses the peak, so
+        # bound_K alone is 1.0999953 and used to fail this correct solve.
+        doc = (MINIMAL_HEAT
+               .replace("kind = constant\nvalue = 0.0",  # the boundary
+                        "kind = sine\noffset = 0.0\namplitude = 1.0\nfrequency = 0.5")
+               .replace("kind = sine\namplitude = 1.0", "kind = constant\nvalue = 0.0")
+               .replace("nodes = 65\ndt = 0.001\nt_final = 0.05",
+                        "nodes = 41\ndt = 0.002\nt_final = 1.0")
+               .replace("kind = solve", "kind = solve\neta = 0.1\neta_cap = 0.1"))
+        cfg = self._write(tmp_path, doc)
+        assert cli_main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        meta = json.loads((tmp_path / "out/trajectory_meta.json").read_text())
+        assert meta["max_principle_ok"] and meta["bound_K"] < 1.1
+
     def test_validate_subcommand(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL_HEAT)
         code = cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")])

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from collar import solver
+from collar import experiments, solver
 from collar.analysis import comparison_check
 from collar.config import parse_config
 from collar.errors import ConfigError, LinearSolveError, ShapeError, SolveError, StepError
@@ -672,41 +672,52 @@ def nan_jacobian_first(flux: Nonlinearity, calls: int, cap: float) -> Nonlineari
     return Nonlinearity("nan-jacobian-first", flux.g, dg, flux.g_inv, flux.alpha0)
 
 
+def nan_once(t_nan: float, value: float = 0.2, times: int = 1) -> BoundaryData:
+    """The trace ``value``, but NaN at ``t_nan`` in the first ``times`` evaluations that include it.
+
+    A member under it fails the step ending at ``t_nan`` ``times`` times over;
+    each halved retry evaluates the trace there again, and the last one steps.
+    """
+    hit = []
+
+    def trace(x, t):
+        at = np.abs(np.asarray(t, float) - t_nan) < 1e-12
+        nan = len(hit) < times and bool(at.any())
+        if nan:
+            hit.append(None)
+        return np.asarray(x, float) * 0.0 + np.where(nan & at, np.nan, value)
+
+    return BoundaryData(trace, horizon=1.0)
+
+
 def nan_once_members(m, horizon):
-    """Three members; the middle one's trace is NaN on its third evaluation.
+    """Three members; the middle one's trace is NaN once at the third outer time.
 
     So its residual is NaN from the start of that step while the others
     iterate; the next block is a ball whose free centre row meets the NaN trace.
     """
-    calls = []
-
-    def trace(x, t):
-        calls.append(None)
-        return np.asarray(x, float) * 0.0 + (np.nan if len(calls) == 3 else 0.2)
-
     flux = LIN if m is None else Nonlinearity.porous_medium(m)
-    nan_once = BoundaryData(trace, horizon=1.0)
     return [pme_problem(n, dom=dom, flux=flux, dt=1e-3, horizon=horizon, phi=phi)
             for n, dom, phi in ((33, DOM, BoundaryData.sine(0.2, 0.1, 2.0)),
-                                (17, DOM, nan_once),
+                                (17, DOM, nan_once(3e-3)),
                                 (21, BALL, BoundaryData.sine(0.2, 0.1, 2.0)))]
 
 
 def inject_zero_pivot(monkeypatch, when):
     """Arms one zero pivot at the first ``_newton`` call for which ``when(batch,
-    t_new, dt, stepping)`` returns a row, and raises it in the next linear solve.
+    dt, stepping)`` returns a row, and raises it in the next linear solve.
 
     Returns a log: the row, the ``stepping`` masks of the ``_newton`` calls
     from the armed one on, and the number of those calls when it fired.
     """
     newton, log = solver._newton, {"row": None, "masks": [], "fired_in": None}
 
-    def spy(batch, state, start, scheme, t_new, dt, stepping):
+    def spy(batch, state, start, scheme, bc, dt, stepping):
         if log["row"] is None:
-            log["row"] = when(batch, t_new, dt, stepping)
+            log["row"] = when(batch, dt, stepping)
         if log["row"] is not None:
             log["masks"].append(list(stepping))
-        return newton(batch, state, start, scheme, t_new, dt, stepping)
+        return newton(batch, state, start, scheme, bc, dt, stepping)
 
     def singular_once(lo, di, up, rhs):
         if log["row"] is not None and log["fired_in"] is None:
@@ -751,9 +762,17 @@ class TestBatchedMembers:
         def make():
             return [pme_problem(n) for n in (17, 65, 65)]
 
-        def mid_substep(batch, t_new, dt, stepping):
-            ends = np.array([t_new - dt, t_new]) / 0.5  # in outer steps
-            if stepping[1] and stepping[2] and np.all(np.abs(ends - np.round(ends)) > 1e-9):
+        run = []  # the step sizes of the calls in the current run of both halved members
+
+        def mid_substep(batch, dt, stepping):
+            # One level's sub-steps of one outer step are one run of calls with
+            # one mask and one step size; the run's j-th call is sub-step j.
+            both = stepping == [False, True, True]
+            if not both or (run and not math.isclose(dt, run[-1])):
+                run.clear()
+            if both:
+                run.append(dt)
+            if 1 < len(run) < round(0.5 / dt):  # neither the first nor the last sub-step
                 return int(batch.starts[2])
             return None
 
@@ -770,7 +789,7 @@ class TestBatchedMembers:
         def make():
             return [pme_problem(33), pme_problem(65)]
 
-        def sitting_out(batch, t_new, dt, stepping):
+        def sitting_out(batch, dt, stepping):
             return 0 if stepping == [False, True] else None
 
         alone = [solve_one(p) for p in make()]
@@ -889,10 +908,19 @@ class TestBatchedMembers:
             solve_members([p, dataclasses.replace(p, eta=0.05), odd])
 
     def test_factor_cache_stays_bounded(self):
-        batch = solver._Batch([heat_problem(), radial_heat_problem()])
-        for k in range(10):
-            batch.linear_factors(1e-3 * (1 + k), 1e-8)
-        assert len(batch._lu) == solver._LU_CACHE
+        # One step-size record per (dt, floor), factored for a linear flux
+        # only; the least recently used is dropped first.
+        problems = [heat_problem(), radial_heat_problem()]
+        for flux in (LIN, pme(2.0)):
+            batch = solver._Batch([dataclasses.replace(p, flux=flux) for p in problems])
+            first = batch.step(1e-3, 1e-8)
+            for k in range(10):
+                assert batch.step(1e-3, 1e-8) is first  # kept while recently used
+                batch.step(1e-3 * (2 + k), 1e-8)
+            assert len(batch._steps) == solver._LU_CACHE
+            assert batch.step(2e-3, 1e-8) is not batch.step(2e-3, 2e-8)
+            assert (first.lu is not None) == (flux is LIN)
+            assert np.array_equal(first.scale, 1e-3 / batch.rho)
 
     def test_index_sets_equal_numpy_set_operations(self):
         problems = [pme_problem(17), pme_problem(33, eps=0.125), pme_problem(21, dom=BALL),
@@ -921,44 +949,55 @@ class TestBatchedMembers:
 
 @st.composite
 def member_sets(draw):
+    """``(make, scheme, stride, halving)``: ``make`` builds the members of one solve afresh.
+
+    The members share sine and ramp traces; with ``halving``, member 0's trace
+    is NaN once at an outer time, so that member halves.
+    """
     m = draw(st.one_of(st.none(), st.floats(1.5, 3.0)))
     flux = LIN if m is None else Nonlinearity.porous_medium(m)
-    traces = [BoundaryData.sine(draw(st.floats(0.0, 0.5)), draw(st.sampled_from([0.0, 0.2])),
-                                draw(st.floats(0.5, 3.0)), horizon=1.0)
-              for _ in range(draw(st.integers(1, 2)))]
+    specs = [(draw(st.sampled_from(["sine", "ramp"])), draw(st.floats(0.0, 0.5)),
+              draw(st.sampled_from([0.0, 0.2])), draw(st.floats(0.5, 3.0)))
+             for _ in range(draw(st.integers(1, 2)))]
     dt = draw(st.sampled_from([5e-3, 1e-2]))
+    halving = draw(st.booleans())
+    t_nan = draw(st.integers(1, round(0.05 / dt))) * dt
     members = []
-    for _ in range(draw(st.integers(1, 5))):
+    for k in range(draw(st.integers(1, 5)) + halving):
         dom = draw(st.sampled_from([DOM, BALL]))
         rho = (DensityModel.constant(draw(st.floats(0.5, 2.0)), dom) if draw(st.booleans())
                else DensityModel.power_law(draw(st.floats(0.0, 2.0)), dom))
         members.append(dict(
             grid=build_grid(dom, draw(st.sampled_from([17, 25, 33]))), rho=rho,
-            flux=flux, phi=draw(st.sampled_from(traces)),
+            flux=flux, phi=draw(st.integers(0, len(specs) - 1)) if k or not halving else -1,
             initial=InitialData.sine(dom, draw(st.floats(-1.0, 1.0)), draw(st.integers(1, 3)),
                                      offset=draw(st.floats(0.0, 0.5))),
             eps=draw(st.sampled_from([0.0, 0.125, 0.25])), eta=draw(st.floats(0.0, 0.1)),
             eta_cap=0.1, horizon=0.05, dt=dt,
         ))
-    return members, SolverScheme(), draw(st.integers(1, 3))
+
+    def make():
+        traces = [BoundaryData.sine(offset, amplitude, frequency, horizon=1.0) if kind == "sine"
+                  else BoundaryData.ramp(offset, amplitude * frequency, horizon=1.0)
+                  for kind, offset, amplitude, frequency in specs] + [nan_once(t_nan)]
+        return [ApproxProblem(**dict(kw, phi=traces[kw["phi"]])) for kw in members]
+
+    return make, SolverScheme(), draw(st.integers(1, 3)), halving
 
 
 class TestMemberProperties:
     @given(member_sets())
     @settings(max_examples=30, deadline=None)
     def test_batch_equals_each_member_alone(self, drawn):
-        members, scheme, stride = drawn
-
-        def make():
-            return [ApproxProblem(**kw) for kw in members]
-
+        make, scheme, stride, halving = drawn
         try:
             [solve_one(p, scheme) for p in make()]
         except SolveError:
             with pytest.raises(SolveError):
                 solve_members(make(), scheme)
             return
-        assert_members_match_alone(make, scheme, stride)
+        fields = assert_members_match_alone(make, scheme, stride)
+        assert fields[0].meta["step_halvings"] >= halving
 
 
 class TestPredictor:
@@ -1094,3 +1133,74 @@ class TestOneSolvePerSweep:
         assert error["type"] == "SolveError"
         assert error["message"].startswith(
             "member 0 (eps = 0.2, eta = 0) at t = 0: initial state is not finite")
+
+
+def counted(phi: BoundaryData, calls: list) -> BoundaryData:
+    """``phi``, appending the shape of each column of times it is evaluated at to ``calls``."""
+
+    def trace(x, t):
+        if np.ndim(t) == 2:
+            calls.append(np.shape(t))
+        return phi.phi(x, t)
+
+    return BoundaryData(trace, horizon=phi.horizon, time_dependent=phi.time_dependent)
+
+
+class TestTraceTable:
+    def test_traces_equal_scalar_evaluation(self):
+        # Bit for bit at outer and sub-step ends, for every trace kind and for
+        # the dichotomy sweep's trace shifted by its conflict offset.
+        traces = [BoundaryData.constant(0.4), BoundaryData.ramp(0.1, 2.0),
+                  BoundaryData.sine(0.2, 0.3, 1.7), BoundaryData.sided(0.1, 0.7, DOM)]
+        mine = [pme_problem(n, phi=phi, eps=eps, eta=eta, horizon=1.0)
+                for phi in traces for n, eps, eta in ((17, 0.0, 0.0), (33, 0.125, 0.05))]
+        sweep = experiments._models(parse_config(SWEEP_CFG))["members"]
+        lattice = np.arange(41) * 0.025
+        ts = np.concatenate([solver._substep_ends(lattice[:-1], lattice[1:], nsub)[:, 1:].ravel()
+                             for nsub in (1, 2, 4)])
+        for problems in (mine, sweep):
+            table = solver._Batch(problems).traces(ts)
+            for t, row in zip(ts.tolist(), table):
+                alone = [np.asarray(p.phi.phi(p.layout.dir_points, t if p.phi.time_dependent
+                                              else 0.0), dtype=float) + p.eta for p in problems]
+                assert np.array_equal(row, np.concatenate(alone)), t
+
+    def test_substep_ends_are_the_scalar_expressions(self):
+        t, t_next = 0.3, 0.3 + 1e-3 * 7
+        for nsub in (1, 2, 4, 8):
+            ends = solver._substep_ends(t, t_next, nsub).tolist()
+            assert ends == [t + (t_next - t) * j / nsub for j in range(nsub + 1)]
+
+    @pytest.mark.parametrize("block", [256, 8])
+    def test_a_trace_is_evaluated_once_per_block(self, monkeypatch, block):
+        # 30 outer steps, no halving: one evaluation per block of outer steps,
+        # at all its end times at once, and the same answers whatever the block.
+        monkeypatch.setattr(solver, "_TRACE_BLOCK", block)
+        calls = {"sine": [], "ramp": []}
+
+        def make():
+            sine = counted(BoundaryData.sine(0.2, 0.1, 2.0), calls["sine"])
+            ramp = counted(BoundaryData.ramp(0.2, 1.0), calls["ramp"])
+            return [pme_problem(33, flux=LIN, dt=1e-3, horizon=0.03, phi=sine),
+                    pme_problem(17, flux=LIN, dt=1e-3, horizon=0.03, phi=ramp),
+                    pme_problem(21, dom=BALL, flux=LIN, dt=1e-3, horizon=0.03, phi=sine)]
+
+        fields = solve_members(make())
+        assert [f.meta["step_halvings"] for f in fields] == [0, 0, 0]
+        blocks = [(min(block, 30 - s), 1) for s in range(0, 30, block)]
+        assert calls == {"sine": blocks, "ramp": blocks}
+        assert_members_match_alone(make)
+
+    def test_a_halved_step_adds_one_evaluation_per_level(self):
+        # The middle member fails the third outer step at levels 0 and 1 and
+        # steps it at level 2; it stays at depth 2 for 20 clean steps, then at
+        # depth 1 for the last 8.  Its trace is evaluated once for the block and
+        # once per halved level of each step, at all that level's sub-step ends.
+        problems = nan_once_members(None, horizon=0.03)
+        problems[1] = dataclasses.replace(problems[1], phi=nan_once(3e-3, times=2))
+        calls = [[] for _ in problems]
+        problems = [dataclasses.replace(p, phi=counted(p.phi, c)) for p, c in zip(problems, calls)]
+        fields = solve_members(problems)
+        assert [f.meta["step_halvings"] for f in fields] == [0, 2, 0]
+        expected = [(30, 1), (2, 1), (4, 1)] + [(4, 1)] * 19 + [(2, 1)] * 8
+        assert calls == [expected] * 3  # the other traces ride along
