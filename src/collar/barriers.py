@@ -8,7 +8,9 @@ discrete residual of each barrier; a failure there is a verdict.
 
 Two spatial profiles are available.  The distance potential ``V`` is the
 double integral of the density majorant, valid when the weighted collar
-integral is finite and the density has a positive infimum.  The exterior
+integral is finite and the density has a positive infimum; without a
+closed form it is a table whose rows are computed block by block on first
+read, so a barrier pays only for the distances it evaluates.  The exterior
 bump ``h`` (the classical Miller construction) needs only a bounded density
 and an exterior sphere, which interval and radial geometry provide exactly.
 
@@ -35,6 +37,7 @@ from .models import (
     InitialData,
     Nonlinearity,
     PowerMajorant,
+    TabulatedMajorant,
     _GAUSS_W,
     _GAUSS_X,
     _dyadic_pieces,
@@ -43,7 +46,7 @@ from .models import (
 )
 from .operators import assemble_diffusion
 
-#: Rows of the potential table integrated per batch; bounds the temporaries.
+#: Rows of the potential table integrated per batch, on first read; bounds the temporaries.
 _TABLE_BLOCK = 16
 
 #: Most sample times at which a timed barrier's residual is checked.
@@ -85,14 +88,20 @@ class BoundaryPotential:
     from 0 to d.  Then ``V'' = -margin * majorant`` on the collar, V(0) = 0,
     and V is constant beyond the cap.  ``margin >= 1`` absorbs the radial
     first-order term of the Laplacian.
+
+    A power-law majorant has a closed form.  Any other majorant is tabulated
+    on a log grid of distances, whose rows are computed ``_TABLE_BLOCK`` at a
+    time on first read: ``at_distance`` fills the blocks holding the rows
+    that bracket its distances, and then interpolates.
     """
 
     eps_hat: float
     margin: float
     closed_form: bool
-    _power: PowerMajorant | None
-    _table_d: np.ndarray | None
-    _table_v: np.ndarray | None
+    _majorant: object
+    _table_d: np.ndarray | None = None
+    _table_v: np.ndarray | None = None
+    _filled: np.ndarray | None = None
 
     def at_distance(self, d):
         d = np.clip(np.asarray(d, dtype=float), 0.0, None)
@@ -100,11 +109,34 @@ class BoundaryPotential:
         if self.closed_form:
             out = self.margin * self._closed_value(capped)
         else:
+            j = np.searchsorted(self._table_d, capped, side="right") - 1
+            self._fill_rows(np.stack((j, j + 1)))
             out = np.interp(capped, self._table_d, self._table_v)
         return float(out) if out.ndim == 0 else out
 
+    def _fill_rows(self, table_rows):
+        # Row 0 (d = 0) stays 0 and heads no block; block b starts at row 1 + 16 b.
+        want = np.zeros_like(self._filled)
+        want[(np.clip(table_rows, 1, self._table_d.size - 1) - 1) // _TABLE_BLOCK] = True
+        for block in np.flatnonzero(want & ~self._filled):
+            # W by composite Gauss panels on [d, cap], J by dyadic pieces below
+            # d with the same geometric-tail estimate the integral dichotomy uses.
+            start = 1 + block * _TABLE_BLOCK
+            d = self._table_d[start : start + _TABLE_BLOCK]
+            w = _composite_integral(self._majorant, d, self.eps_hat)
+            pieces, counts = _dyadic_pieces(self._majorant, d)
+            rows = np.arange(d.size)
+            last = pieces[rows, counts - 1]
+            two = counts >= 2
+            ratio = np.divide(last, pieces[rows, np.maximum(counts - 2, 0)],
+                              out=np.zeros_like(last), where=two)
+            r = np.minimum(ratio, 0.999)
+            tail = np.where(two, last * r / (1.0 - r), 0.0)
+            self._table_v[start : start + d.size] = self.margin * (d * w + pieces.sum(axis=1) + tail)
+            self._filled[block] = True
+
     def _closed_value(self, d):
-        coef, alpha = self._power.coef, self._power.alpha
+        coef, alpha = self._majorant.coef, self._majorant.alpha
         eh = self.eps_hat
         safe = np.where(d > 0.0, d, eh)
         if alpha == 1.0:
@@ -119,7 +151,10 @@ def build_boundary_potential(majorant, eps_hat: float, curvature_margin: float =
     """Construct the distance potential from a majorant of the density.
 
     Raises RegimeError when the weighted collar integral diverges, in which
-    case no bounded potential with the required curvature exists.
+    case no bounded potential with the required curvature exists.  A
+    ``TabulatedMajorant`` is positive and finite everywhere, so its table
+    rows are left to be computed on first read; any other callable has every
+    row computed here, so one that is not positive and finite fails here.
     """
     verdict = h4_integral(majorant, eps_hat)
     if not verdict.finite:
@@ -127,40 +162,13 @@ def build_boundary_potential(majorant, eps_hat: float, curvature_margin: float =
             "weighted collar integral diverges; the distance potential is unbounded"
         )
     if isinstance(majorant, PowerMajorant):
-        return BoundaryPotential(
-            eps_hat=eps_hat,
-            margin=curvature_margin,
-            closed_form=True,
-            _power=majorant,
-            _table_d=None,
-            _table_v=None,
-        )
-
-    # Tabulate d * W(d) + J(d) on a log grid, a block of rows per pass: W by
-    # composite Gauss panels on [d, cap], J by dyadic pieces below d with the
-    # same geometric-tail estimate the integral dichotomy uses.
+        return BoundaryPotential(eps_hat, curvature_margin, True, majorant)
     ds = np.concatenate(([0.0], np.geomspace(eps_hat * 1e-9, eps_hat, 1025)))
-    vals = np.zeros_like(ds)
-    for start in range(1, ds.size, _TABLE_BLOCK):
-        d = ds[start : start + _TABLE_BLOCK]
-        w = _composite_integral(majorant, d, eps_hat)
-        pieces, counts = _dyadic_pieces(majorant, d)
-        rows = np.arange(d.size)
-        last = pieces[rows, counts - 1]
-        two = counts >= 2
-        ratio = np.divide(last, pieces[rows, np.maximum(counts - 2, 0)],
-                          out=np.zeros_like(last), where=two)
-        r = np.minimum(ratio, 0.999)
-        tail = np.where(two, last * r / (1.0 - r), 0.0)
-        vals[start : start + d.size] = curvature_margin * (d * w + pieces.sum(axis=1) + tail)
-    return BoundaryPotential(
-        eps_hat=eps_hat,
-        margin=curvature_margin,
-        closed_form=False,
-        _power=None,
-        _table_d=ds,
-        _table_v=vals,
-    )
+    blocks = np.zeros(len(range(1, ds.size, _TABLE_BLOCK)), dtype=bool)
+    pot = BoundaryPotential(eps_hat, curvature_margin, False, majorant, ds, np.zeros_like(ds), blocks)
+    if not isinstance(majorant, TabulatedMajorant):
+        pot.at_distance(ds)
+    return pot
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,17 @@ class TabulatedMajorant:
     knots: np.ndarray
     values: np.ndarray
 
+    def __post_init__(self):
+        # Then the majorant is positive and finite at every distance, which
+        # lets the potential table skip rows no barrier reads.
+        k, v = np.asarray(self.knots, dtype=float), np.asarray(self.values, dtype=float)
+        if k.ndim != 1 or not k.size or not np.all(np.isfinite(k)) or not np.all(np.diff(k) > 0):
+            raise ModelError("majorant knots must be finite and strictly increasing, in one row")
+        if v.shape != k.shape:
+            raise ModelError(f"majorant needs one value per knot, got {v.shape} for {k.shape}")
+        if not np.all(np.isfinite(v) & (v > 0.0)):
+            raise ModelError("majorant values must be positive and finite")
+
     def __call__(self, eta):
         return np.interp(np.asarray(eta, dtype=float), self.knots, self.values)
 

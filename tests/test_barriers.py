@@ -86,15 +86,15 @@ def _assert_table_matches_loop(majorant, eps_hat, margin=2.0, stride=1):
     # An odd stride visits every position within the table's row blocks.
     rows = np.unique(np.r_[np.arange(0, pot._table_d.size, stride), pot._table_d.size - 1])
     expected = [_loop_value(majorant, pot._table_d[i], eps_hat, margin) for i in rows]
-    np.testing.assert_allclose(pot._table_v[rows], expected, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(pot.at_distance(pot._table_d[rows]), expected, rtol=1e-13, atol=0.0)
 
 
-def _certify_table_majorant():
+def _certify_table_density():
     # The density table the certify-table benchmark workload draws, on its domain.
     dom = Domain.interval(0.0, 2.0, collar_cap=0.6)
     xs = np.linspace(0.0, 2.0, 81)
     rho = 1.0 + 0.2 * np.sin(0.5 * np.pi * xs) + 0.05 * np.cos(np.pi * xs)
-    return DensityModel.from_table(xs, rho, dom).majorant
+    return DensityModel.from_table(xs, rho, dom)
 
 
 @st.composite
@@ -151,7 +151,7 @@ class TestBoundaryPotential:
         assert np.max(rel) <= 1e-4
 
     def test_table_matches_loop_on_certify_density(self):
-        _assert_table_matches_loop(_certify_table_majorant(), 0.6)
+        _assert_table_matches_loop(_certify_table_density().majorant, 0.6)
 
     # At alpha = 1.9 the dyadic pieces decay slowly, so the geometric tail
     # carries a visible share of J(d).
@@ -163,6 +163,21 @@ class TestBoundaryPotential:
     @settings(max_examples=15, deadline=None)
     def test_table_matches_loop_on_piecewise_linear(self, majorant, eps_hat):
         _assert_table_matches_loop(majorant, eps_hat, stride=31)
+
+    @given(piecewise_linear_majorants(), st.floats(0.05, 1.0), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rows_filled_on_read_match_the_full_table(self, majorant, eps_hat, data):
+        full = build_boundary_potential(majorant, eps_hat)
+        full.at_distance(full._table_d)
+        assert full._filled.all()
+        exponents = data.draw(st.lists(st.floats(-10.0, 0.5), max_size=30))
+        queries = np.concatenate(([0.0, eps_hat, 1.5 * eps_hat, 10.0 * eps_hat], majorant.knots,
+                                  eps_hat * 10.0 ** np.array(exponents)))
+        queries = np.array(data.draw(st.permutations(queries)))
+        cuts = sorted(data.draw(st.lists(st.integers(0, queries.size), max_size=5)))
+        lazy = build_boundary_potential(majorant, eps_hat)
+        for part in np.split(queries, cuts):
+            assert np.array_equal(lazy.at_distance(part), full.at_distance(part))
 
     def test_underflowing_pieces_stop_early(self):
         # Pieces drop below 1e-300 after a few halvings; past that point the
@@ -555,6 +570,23 @@ class TestResidualMatchesLoop:
             idx = np.nonzero(b.region_node_mask(grid))[0]
             assert (1 if anchor == "left" else grid.n - 2) in idx
             _assert_residual_matches_loop(b, grid, rho)
+
+
+def test_certify_fills_only_the_table_blocks_it_reads():
+    # The certify-table workload's problem.  Its barriers read the potential
+    # at d = 0, at node distances h = 0.0025 and up, and at the localization
+    # radius; 754 of the table's 1025 rows lie below h.
+    rho = _certify_table_density()
+    grid = build_grid(rho.domain, 801)
+    built = build_barriers("potential-timed", ("lower", "upper"), grid, rho,
+                           Nonlinearity.linear(1.0), BoundaryData.sine(1.0, 0.035, 0.5),
+                           InitialData.constant(1.0), **WORKED)
+    pot = built[0].potential
+    assert built[1].potential is pot and pot._filled.size == 65
+    assert pot._filled.sum() <= 2  # what `collar validate` builds: the edge value at delta
+    for b in built:
+        assert verify_barrier_residual(b, grid, rho, WORKED["dt"]).verdict
+    assert pot._filled.sum() <= 17
 
 
 def test_residual_reads_only_the_region_slab():

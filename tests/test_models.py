@@ -12,6 +12,7 @@ from collar.models import (
     InitialData,
     Nonlinearity,
     PowerMajorant,
+    TabulatedMajorant,
     check_hypotheses,
     global_bound,
     h4_integral,
@@ -117,6 +118,33 @@ class TestDensityModel:
         dom = Domain.interval(0.0, 1.0)
         with pytest.raises(ModelError):
             DensityModel.from_table([0.0, 0.5, 0.4], [1.0, 1.0, 1.0], dom)
+
+
+
+#: Inputs a piecewise-linear majorant rejects: its interpolant must be positive
+#: and finite at every distance, so no potential table row can see it fail.
+BAD_MAJORANTS = {
+    "knots-2d": ([[0.0, 0.5]], [[1.0, 1.0]], "strictly increasing"),
+    "knots-empty": ([], [], "strictly increasing"),
+    "knots-repeated": ([0.0, 0.5, 0.5], [1.0, 1.0, 1.0], "strictly increasing"),
+    "knots-decreasing": ([0.0, 0.5, 0.4], [1.0, 1.0, 1.0], "strictly increasing"),
+    "knots-nan": ([0.0, np.nan, 1.0], [1.0, 1.0, 1.0], "strictly increasing"),
+    "knots-infinite": ([-np.inf, 0.5], [1.0, 2.0], "strictly increasing"),
+    "values-short": ([0.0, 0.5, 1.0], [1.0, 1.0], "one value per knot"),
+    "values-2d": ([0.0, 0.5], [[1.0, 1.0]], "one value per knot"),
+    "value-zero": ([0.0, 0.5], [1.0, 0.0], "positive and finite"),
+    "value-negative": ([0.0, 0.5], [-1.0, 1.0], "positive and finite"),
+    "value-nan": ([0.0, 0.5], [1.0, np.nan], "positive and finite"),
+    "value-infinite": ([0.0, 0.5], [np.inf, 1.0], "positive and finite"),
+}
+
+
+class TestTabulatedMajorant:
+    @pytest.mark.parametrize("knots, values, message", BAD_MAJORANTS.values(),
+                             ids=BAD_MAJORANTS.keys())
+    def test_bad_input_rejected(self, knots, values, message):
+        with pytest.raises(ModelError, match=message):
+            TabulatedMajorant(knots=np.array(knots), values=np.array(values))
 
 
 class TestNonlinearity:
