@@ -92,7 +92,7 @@ class BoundaryPotential:
     A power-law majorant has a closed form.  Any other majorant is tabulated
     on a log grid of distances, whose rows are computed ``_TABLE_BLOCK`` at a
     time on first read: ``at_distance`` fills the blocks holding the rows
-    that bracket its distances, and then interpolates.
+    its interpolation reads, and then interpolates.
     """
 
     eps_hat: float
@@ -109,15 +109,16 @@ class BoundaryPotential:
         if self.closed_form:
             out = self.margin * self._closed_value(capped)
         else:
+            # np.interp reads row j, and row j + 1 only off knot j; row 0 is 0.
             j = np.searchsorted(self._table_d, capped, side="right") - 1
-            self._fill_rows(np.stack((j, j + 1)))
+            self._fill_rows(np.concatenate((j[j > 0], j[capped > self._table_d[j]] + 1)))
             out = np.interp(capped, self._table_d, self._table_v)
         return float(out) if out.ndim == 0 else out
 
     def _fill_rows(self, table_rows):
-        # Row 0 (d = 0) stays 0 and heads no block; block b starts at row 1 + 16 b.
+        # Rows 1 and up only: row 0 heads no block, and block b starts at row 1 + 16 b.
         want = np.zeros_like(self._filled)
-        want[(np.clip(table_rows, 1, self._table_d.size - 1) - 1) // _TABLE_BLOCK] = True
+        want[(table_rows - 1) // _TABLE_BLOCK] = True
         for block in np.flatnonzero(want & ~self._filled):
             # W by composite Gauss panels on [d, cap], J by dyadic pieces below
             # d with the same geometric-tail estimate the integral dichotomy uses.
@@ -357,10 +358,9 @@ def select_localization_radius(
 
     else:
         target = float(flux.g(phi.phi(x0, 0.0) + eta))
-        inward = 1.0 if abs(x0 - domain.lo) < abs(x0 - domain.hi) else -1.0
 
         def deviation(delta: float) -> float:
-            xs = x0 + inward * np.linspace(0.0, delta, _RADIUS_SAMPLES)
+            xs = domain.into(x0, np.linspace(0.0, delta, _RADIUS_SAMPLES))
             vals = np.asarray(flux.g(initial.u0(xs) + eta))
             return float(np.max(np.abs(vals - target)))
 
@@ -453,8 +453,7 @@ def build_barriers(
         pot_edge = float(potential.at_distance(delta))
     else:
         potential = build_miller_barrier(domain, x0, domain.collar_cap)
-        inward = 1.0 if x0 == domain.lo else -1.0
-        pot_edge = float(potential.evaluate(x0 + inward * delta))
+        pot_edge = float(potential.evaluate(domain.into(x0, delta)))
 
     phi_sup = phi.sup_norm(domain)
     inputs = dict(

@@ -65,7 +65,7 @@ def main(argv=None) -> int:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
 
-    out_dir = args.out or cfg.sections["experiment"].get("output_dir") or "out"
+    out_dir = args.out or "out"
 
     if args.command == "validate":
         out = Path(out_dir)

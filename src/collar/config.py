@@ -80,7 +80,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "conflict_offset": ("f", 0.5, None), "curvature_margin": ("f", 2.0, ">= 1"),
         "safety": ("f", 1.05, ">= 1"), "source_center": ("f", None, None),
         "source_width": ("f", None, "> 0"), "assert_convergence": ("b", True, None),
-        "scale_nodes_with_eps": ("b", True, None), "output_dir": ("s", None, None),
+        "scale_nodes_with_eps": ("b", True, None),
     },
 }
 

@@ -109,6 +109,15 @@ class Domain:
         d = np.maximum(d, 0.0)
         return float(d) if np.isscalar(x) or d.ndim == 0 else d
 
+    def into(self, b, distances) -> np.ndarray:
+        """Points ``distances`` into the domain from boundary points ``b``, broadcast.
+
+        ``b + d`` at the lower end of an interval or annulus, else ``b - d``.
+        """
+        b = np.asarray(b, dtype=float)
+        up = (b == self.lo) & (self.kind != BALL)
+        return np.where(up, b + distances, b - distances)
+
     def nearest_boundary_point(self, x):
         """Boundary coordinate closest to ``x`` (ties go to the outer side)."""
         x = np.asarray(x, dtype=float)

@@ -1,9 +1,10 @@
 """Density, nonlinearity, boundary and initial data, and hypothesis checks.
 
-Model objects are immutable after construction and their evaluators are pure
-functions, so they can be shared freely between concurrent solves.  Analytic
-hypotheses are certified either in closed form (power-law densities) or by
-dense sampling; every verdict records which method produced it.
+Each model kind has one classmethod constructor, which checks its input and
+closes over the kind's evaluators.  Models are immutable after construction
+and their evaluators pure, so they can be shared freely between concurrent
+solves.  Analytic hypotheses are certified either in closed form (power-law
+densities) or by dense sampling; every verdict records which method produced it.
 """
 
 from __future__ import annotations
@@ -152,74 +153,50 @@ def h4_integral(majorant, eps_hat: float) -> H4Result:
 
 
 class DensityModel:
-    """Positive spatial density with positivity flags and a distance majorant.
+    """Positive spatial density with a boundedness flag and a distance majorant.
 
-    Kinds: ``constant`` (value c), ``power`` (coef * d(x)**(-alpha)), and
-    ``table`` (piecewise linear in the reduced coordinate).
+    Built by ``constant`` (value c), ``power_law`` (coef * d(x)**(-alpha)) or
+    ``from_table`` (piecewise linear in the reduced coordinate), each of which
+    checks its input and closes over its evaluator, like ``Nonlinearity``.
     """
 
-    def __init__(self, kind, domain, *, coef=1.0, alpha=None, knots=None, values=None):
-        self.kind = kind
+    def __init__(self, domain, rho, majorant, is_bounded):
         self.domain = domain
-        self.coef = float(coef)
-        self.alpha = None if alpha is None else float(alpha)
-        self._knots = knots
-        self._values = values
-        if kind == "constant":
-            if self.coef <= 0.0:
-                raise ModelError("constant density must be positive")
-            self.is_bounded = True
-            self.majorant = PowerMajorant(self.coef, 0.0)
-        elif kind == "power":
-            if self.coef <= 0.0:
-                raise ModelError("power-law density needs a positive coefficient")
-            self.is_bounded = self.alpha <= 0.0
-            self.majorant = PowerMajorant(self.coef, self.alpha)
-        elif kind == "table":
-            v = np.asarray(values, dtype=float)
-            k = np.asarray(knots, dtype=float)
-            if k.ndim != 1 or k.size < 2 or np.any(np.diff(k) <= 0):
-                raise ModelError("density table needs a strictly increasing coordinate column")
-            if np.any(v <= 0.0) or np.any(~np.isfinite(v)):
-                raise ModelError("density table values must be positive and finite")
-            self._knots, self._values = k, v
-            self.is_bounded = True
-            self.majorant = self._table_majorant()
-        else:
-            raise ModelError(f"unknown density kind {kind!r}")
+        self._rho = rho
+        self.majorant = majorant
+        self.is_bounded = is_bounded
 
     @classmethod
     def constant(cls, c: float, domain: Domain) -> "DensityModel":
-        return cls("constant", domain, coef=c)
+        c = float(c)
+        if c <= 0.0:
+            raise ModelError("constant density must be positive")
+        return cls(domain, lambda x: np.full(x.shape, c), PowerMajorant(c, 0.0), True)
 
     @classmethod
     def power_law(cls, alpha: float, domain: Domain, coef: float = 1.0) -> "DensityModel":
-        return cls("power", domain, coef=coef, alpha=alpha)
+        alpha, coef = float(alpha), float(coef)
+        if coef <= 0.0:
+            raise ModelError("power-law density needs a positive coefficient")
+        return cls(domain, lambda x: coef * np.maximum(domain.distance(x), 1e-300) ** (-alpha),
+                   PowerMajorant(coef, alpha), alpha <= 0.0)
 
     @classmethod
     def from_table(cls, coords, values, domain: Domain) -> "DensityModel":
-        return cls("table", domain, knots=coords, values=values)
+        k, v = np.asarray(coords, dtype=float), np.asarray(values, dtype=float)
+        if k.ndim != 1 or k.size < 2 or np.any(np.diff(k) <= 0):
+            raise ModelError("density table needs a strictly increasing coordinate column")
+        if np.any(v <= 0.0) or np.any(~np.isfinite(v)):
+            raise ModelError("density table values must be positive and finite")
+        # The majorant: the worst tabulated value at each boundary distance.
+        etas = np.linspace(0.0, domain.collar_cap, 513)
+        near = domain.into(np.array(domain.boundary_points())[:, None], etas)
+        majorant = TabulatedMajorant(knots=etas, values=np.max(np.interp(near, k, v), axis=0))
+        return cls(domain, lambda x: np.interp(x, k, v), majorant, True)
 
     def rho(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            out = np.full(x.shape, self.coef)
-        elif self.kind == "power":
-            d = np.maximum(self.domain.distance(x), 1e-300)
-            out = self.coef * d ** (-self.alpha)
-        else:
-            out = np.interp(x, self._knots, self._values)
+        out = self._rho(np.asarray(x, dtype=float))
         return float(out) if out.ndim == 0 else out
-
-    def _table_majorant(self) -> TabulatedMajorant:
-        # Worst tabulated value over all points at a given boundary distance.
-        dom = self.domain
-        etas = np.linspace(0.0, dom.collar_cap, 513)
-        sides = []
-        for b in dom.boundary_points():
-            inward = 1.0 if b == dom.lo else -1.0
-            sides.append(np.interp(b + inward * etas, self._knots, self._values))
-        return TabulatedMajorant(knots=etas, values=np.max(sides, axis=0))
 
     def inf_on(self, grid: Grid) -> float:
         idx = grid.interior_indices()
@@ -236,7 +213,7 @@ class DensityModel:
 
 
 class Nonlinearity:
-    """Monotone flux with evaluators for value, derivative, and inverse.
+    """Monotone flux: evaluators ``g`` and ``dg``, and ``g_inv``, which checks ``g_range``.
 
     ``alpha0`` is the degeneracy floor: positive exactly when the derivative
     stays above it everywhere (the nondegenerate regime), zero otherwise.
@@ -244,8 +221,8 @@ class Nonlinearity:
 
     def __init__(self, kind, g, dg, g_inv, alpha0, g_range=(-np.inf, np.inf)):
         self.kind = kind
-        self._g = g
-        self._dg = dg
+        self.g = g
+        self.dg = dg
         self._g_inv = g_inv
         self.alpha0 = float(alpha0)
         self.g_range = g_range
@@ -307,12 +284,6 @@ class Nonlinearity:
             alpha0=alpha0 if alpha0 > 0 else 0.0,
             g_range=(float(v[0]), float(v[-1])),
         )
-
-    def g(self, u):
-        return self._g(u)
-
-    def dg(self, u):
-        return self._dg(u)
 
     def g_inv(self, y):
         y_arr = np.asarray(y, dtype=float)
@@ -512,15 +483,14 @@ def check_hypotheses(
     )
     evidence["h3"] = {"method": "sampled", "n": int(xs.size), "sup": u0_sup}
 
+    # Near-boundary samples: one row per boundary point.
+    bounds = np.array(dom.boundary_points())[:, None]
     h4 = h4_integral(rho.majorant, dom.collar_cap)
     etas = dom.collar_cap * 2.0 ** (-np.arange(1, 21, dtype=float))
-    dominated = True
-    for b in dom.boundary_points():
-        inward = 1.0 if b == dom.lo else -1.0
-        pts = b + inward * etas
-        gap = rho.rho(pts) - np.asarray(rho.majorant(dom.distance(pts)))
-        if np.any(gap > 1e-9 * np.maximum(1.0, np.abs(rho.rho(pts)))):
-            dominated = False
+    pts = dom.into(bounds, etas)
+    rho_near = rho.rho(pts)
+    gap = rho_near - np.asarray(rho.majorant(dom.distance(pts)))
+    dominated = not np.any(gap > 1e-9 * np.maximum(1.0, np.abs(rho_near)))
     evidence["h4"] = {"method": h4.method, "dominates_samples": int(etas.size)}
     if not h4.finite:
         notes.append(
@@ -532,25 +502,16 @@ def check_hypotheses(
                       "alpha0": flux.alpha0}
 
     # Compatibility of the initial trace with the boundary data at t = 0.
-    compat = True
     probes = dom.collar_cap * 2.0 ** (-np.arange(4, 15, dtype=float))
-    worst = 0.0
-    for b in dom.boundary_points():
-        inward = 1.0 if b == dom.lo else -1.0
-        vals = initial.u0(b + inward * probes)
-        target = phi.phi(b, 0.0)
-        gap = float(np.max(np.abs(np.asarray(vals)[-2:] - target)))
-        worst = max(worst, gap)
-        if gap > _COMPAT_BAND:
-            compat = False
-    evidence["compatibility"] = {"method": "sampled", "band": _COMPAT_BAND, "worst_gap": worst}
+    u0_near = np.asarray(initial.u0(dom.into(bounds, probes)))
+    gaps = np.max(np.abs(u0_near[:, -2:] - phi.phi(bounds, 0.0)), axis=1)
+    compat = not np.any(gaps > _COMPAT_BAND)
+    evidence["compatibility"] = {"method": "sampled", "band": _COMPAT_BAND,
+                                 "worst_gap": float(np.max(gaps))}
     compat_e301 = compat and not phi.time_dependent
 
     phi_min = phi.min_value(dom)
-    near_u0 = min(
-        float(np.min(initial.u0(b + (1.0 if b == dom.lo else -1.0) * probes)))
-        for b in dom.boundary_points()
-    )
+    near_u0 = float(np.min(u0_near))
     floor = phi.positivity_floor
     positivity = bool(phi_min > 0.0 and floor > 0.0 and near_u0 >= floor - 1e-12)
     evidence["positivity"] = {"phi_min": phi_min, "floor": floor, "u0_near_boundary": near_u0}

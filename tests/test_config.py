@@ -542,6 +542,15 @@ class TestCli:
         assert code == 2
         assert "unknown key 'scheme'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_output_dir_is_an_unknown_key(self, tmp_path, capsys, command):
+        # --out names the output directory; the config does not.
+        doc = MINIMAL_HEAT.replace("kind = solve", "kind = solve\noutput_dir = x")
+        code = cli_main([command, "--config", str(self._write(tmp_path, doc)),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "unknown key 'output_dir'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [("nodes", "inf"), ("nodes", "1e400"),
                                             ("dt", "nan"), ("dt", "inf"), ("t_final", "inf")])
     def test_non_finite_numerics_are_config_errors(self, tmp_path, key, value):

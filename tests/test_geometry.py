@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collar.errors import ConfigError, DomainError, ResolutionError
 from collar.geometry import (
+    BALL,
     COLLAR,
     CORE,
     EXTERIOR,
@@ -40,6 +43,32 @@ class TestDistance:
         grid = build_grid(Domain.interval(-1.0, 2.0), 97)
         jumps = np.abs(np.diff(grid.distances))
         assert np.all(jumps <= grid.h + 1e-14)
+
+
+@st.composite
+def domains(draw):
+    kind = draw(st.sampled_from(["interval", "ball", "annulus"]))
+    lo = 0.0 if kind == "ball" else draw(st.floats(-1e3 if kind == "interval" else 1e-3, 1e3))
+    hi = lo + draw(st.floats(1e-3, 1e3))
+    cap = draw(st.floats(0.01, 0.49)) * (hi - lo)
+    if kind == "interval":
+        return Domain.interval(lo, hi, collar_cap=cap)
+    dim = draw(st.integers(2, 5))
+    return Domain.ball(hi, dim, cap) if kind == "ball" else Domain.annulus(lo, hi, dim, cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(domains(), st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_into_steps_distance_d_inside(dom, fractions):
+    ds = np.r_[0.0, fractions, 1.0] * dom.collar_cap
+    bounds = np.array(dom.boundary_points())[:, None]
+    pts = dom.into(bounds, ds)
+    assert pts.shape == (1 if dom.kind == BALL else 2, ds.size)
+    assert np.all((pts >= dom.lo) & (pts <= dom.hi))
+    # b + d rounds at the scale of the point, which exceeds |b| when a lower
+    # end near 0 has a wide collar.
+    scale = np.maximum(1.0, np.maximum(np.abs(bounds), np.abs(pts)))
+    assert np.all(np.abs(dom.distance(pts) - ds) <= 4 * np.spacing(scale))
 
 
 class TestDomainValidation:

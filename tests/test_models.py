@@ -21,6 +21,16 @@ from collar.models import (
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(32)
 
 
+def table_majorant_oracle(xs, vals, dom):
+    # The worst tabulated value at each boundary distance, one side at a time.
+    etas = np.linspace(0.0, dom.collar_cap, 513)
+    sides = []
+    for b in dom.boundary_points():
+        inward = 1.0 if b == dom.lo else -1.0
+        sides.append(np.interp(b + inward * etas, xs, vals))
+    return np.max(sides, axis=0)
+
+
 def dyadic_quadrature_oracle(alpha: float, eps_hat: float, levels: int = 200):
     """Independent integrator for the weighted collar integral of eta**-alpha.
 
@@ -113,6 +123,15 @@ class TestDensityModel:
         for b, inward in ((0.0, 1.0), (1.0, -1.0)):
             pts = b + inward * etas
             assert np.all(rho.rho(pts) <= np.asarray(rho.majorant(etas)) + 1e-12)
+
+    @pytest.mark.parametrize("dom", [Domain.interval(-0.5, 1.5, collar_cap=0.7),
+                                     Domain.annulus(1.0, 2.0, dim=2)], ids=["interval", "annulus"])
+    def test_table_majorant_matches_per_side_loop(self, dom):
+        xs = np.linspace(dom.lo, dom.hi, 41)
+        vals = 1.0 + 0.3 * np.sin(5.0 * xs) ** 2 + 0.1 * xs
+        majorant = DensityModel.from_table(xs, vals, dom).majorant
+        assert np.array_equal(majorant.knots, np.linspace(0.0, dom.collar_cap, 513))
+        assert np.array_equal(majorant.values, table_majorant_oracle(xs, vals, dom))
 
     def test_table_requires_increasing_coordinates(self):
         dom = Domain.interval(0.0, 1.0)
