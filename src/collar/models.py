@@ -186,6 +186,8 @@ class DensityModel:
         k, v = np.asarray(coords, dtype=float), np.asarray(values, dtype=float)
         if k.ndim != 1 or k.size < 2 or np.any(np.diff(k) <= 0):
             raise ModelError("density table needs a strictly increasing coordinate column")
+        if v.shape != k.shape:
+            raise ModelError("density table needs one value per coordinate")
         if np.any(v <= 0.0) or np.any(~np.isfinite(v)):
             raise ModelError("density table values must be positive and finite")
         # The majorant: the worst tabulated value at each boundary distance.

@@ -8,10 +8,11 @@ Euler with a damped Newton iteration on the tridiagonal system; the Jacobian
 floors the flux derivative so the linear solve stays regular where the flux
 degenerates, while the residual (and therefore the converged answer) is the
 unregularized scheme.  There is no other scheme: a step is accepted only at
-the Newton tolerance, and a step that does not reach it is halved.  Newton
-starts each outer step at the extrapolation ``2 u_n - u_(n-1)`` or
-``3 (u_n - u_(n-1)) + u_(n-2)`` of the last outer states, and the sub-steps
-of a halved step at their current state.
+the Newton tolerance, and a step that does not reach it is halved.  For a
+nonlinear flux, Newton starts each outer step at the extrapolation
+``2 u_n - u_(n-1)`` or ``3 (u_n - u_(n-1)) + u_(n-2)`` of the last outer
+states, and the sub-steps of a halved step at their current state; a linear
+flux needs no start.
 
 The members of one solve are approximations of one problem: they share one
 flux object, one ``dt`` and one horizon, which ``solve_members`` checks, while
@@ -34,10 +35,16 @@ sub-step ends; each time-dependent ``BoundaryData`` is called once per
 evaluation.  What depends only on the step size, ``dt / rho`` and the stencil
 bands scaled by it, is kept per ``(dt, floor)``.  For a linear flux the
 Jacobian depends only on these too, so the same record holds its LU factors
-(LAPACK ``gttrs``); every other flux assembles its Jacobian bands each
-iteration and solves them with ``gtsv``.  Both paths pivot alike, so a linear
-flux gives bit-identical trajectories either way.  A non-finite residual or
-Newton update fails its member instead of freezing the state.
+(LAPACK ``gttrf``), with the imposed columns moved to the right-hand side so
+that each imposed row solves to its trace exactly.  The residual of a linear
+flux is ``A v - b``, with ``b`` the old state and the traces in the imposed
+rows, so a step is one solve ``u = A^-1 b`` with those factors (``gttrs``)
+and one residual that checks it; only a member still above the tolerance,
+as when the floor lies above the slope, goes on by chord Newton on the same
+factors.  Every other flux assembles its Jacobian bands each iteration and
+solves them with ``gtsv``.  The direct solve and Newton from a start agree
+to within the tolerance of each step, not bit for bit.  A non-finite
+residual or Newton update fails its member instead of freezing the state.
 
 The three LAPACK routines come from ``collar.tridiagonal``, which maps scipy's
 compiled wrapper when this module is imported.  ``parse_config`` imports this
@@ -221,9 +228,13 @@ class SpaceTimeField:
         )
 
     def to_csv(self, path) -> None:
-        header = "t," + ",".join(f"x_{i}" for i in range(self.grid.n))
-        table = np.column_stack([self.times, self.values.T])
-        np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.17g")
+        """One line per stored time, the time first; the bytes of ``np.savetxt`` at
+        ``%.17g``, written a column at a time with no stacked table."""
+        line = ",".join(["%.17g"] * (self.grid.n + 1)) + "\n"
+        with open(path, "w") as out:
+            out.write("t," + ",".join(f"x_{i}" for i in range(self.grid.n)) + "\n")
+            for j, t in enumerate(self.times.tolist()):
+                out.write(line % (t, *self.values[:, j].tolist()))
 
 
 def _index_mask(size: int, *indices) -> np.ndarray:
@@ -253,9 +264,16 @@ def _all_finite(values: np.ndarray) -> bool:
 
 class _StepSize:
     """What one step size fixes: ``scale = dt / rho``, the stencil bands scaled by
-    it and, for a linear flux, the LU factors of the Newton matrix."""
+    it and, for a linear flux, the LU factors of the Newton matrix.
 
-    __slots__ = ("scale", "lo", "di", "up", "lu")
+    The imposed values are known, so a linear step moves their columns to the
+    right-hand side: ``columns`` holds, for the rows below and above an imposed
+    row, those rows, the imposed row's entry in a row of traces and the
+    coupling.  The factors then keep each imposed row apart, with no row
+    interchange at it, and return its trace exactly.
+    """
+
+    __slots__ = ("scale", "lo", "di", "up", "lu", "columns")
 
     def __init__(self, batch: "_Batch", dt: float, floor: float):
         op = batch.op
@@ -263,10 +281,15 @@ class _StepSize:
         self.lo = -scale[1:] * op.lo[1:]
         self.di = scale * op.di
         self.up = -scale[:-1] * op.up[:-1]
-        self.lu = None
+        self.lu = self.columns = None
         if batch.linear:
             slope = max(float(batch.flux.dg(0.0)), floor)
-            self.lu = factor_tridiagonal(*batch.bands(self, np.full(scale.size, slope)))
+            lo, di, up = batch.bands(self, np.full(scale.size, slope))
+            self.columns = []
+            for band, (rows, k) in zip((lo, up), batch.beside):
+                self.columns.append((rows, k, band[rows]))
+                band[rows] = 0.0
+            self.lu = factor_tridiagonal(lo, di, up)
 
 
 class _Batch:
@@ -292,8 +315,17 @@ class _Batch:
         self.dir = np.concatenate([p.layout.dir_local + s for p, s in zip(problems, self.starts)])
         # A band is zero at an imposed row and wherever it would couple two blocks.
         total = int(self.sizes.sum())
-        self._lo_zero = np.flatnonzero(_index_mask(total, self.dir, self.starts))
-        self._up_zero = np.flatnonzero(_index_mask(total, self.dir, self.starts + self.sizes - 1))
+        lo_zero = _index_mask(total, self.dir, self.starts)
+        up_zero = _index_mask(total, self.dir, self.starts + self.sizes - 1)
+        self._lo_zero, self._up_zero = np.flatnonzero(lo_zero), np.flatnonzero(up_zero)
+        # The rows whose lower, then upper, band couples them to an imposed row,
+        # each with that row's entry in a row of traces.
+        is_dir = _index_mask(total, self.dir)
+        entry = np.zeros(total, dtype=int)
+        entry[self.dir] = np.arange(self.dir.size)
+        below = np.flatnonzero(is_dir[:-1] & ~lo_zero[1:]) + 1
+        above = np.flatnonzero(is_dir[1:] & ~up_zero[:-1])
+        self.beside = ((below, entry[below - 1]), (above, entry[above + 1]))
         self.flux = problems[0].flux
         self.linear = self.flux.kind == "linear"
         traces = {}  # id(phi) -> (phi, rows of a trace row, interface points, lifts)
@@ -370,7 +402,11 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
 
     ``bc`` is the row of ``batch.traces`` at the step's end, which the caller
     evaluates; what the step size ``dt`` fixes comes from ``batch.step``.
-    Newton starts at ``start``, which it overwrites.  Returns ``(state,
+    A nonlinear batch starts Newton at ``start``, which it overwrites.  A
+    linear batch never reads ``start``: its first iteration is one solve with
+    the step's LU factors, and a member still above the tolerance after it,
+    as when the Jacobian floor lies above the slope, goes on by chord Newton
+    on the same factors.  Returns ``(state,
     iterations, residuals, errors)``: per member, the Newton iterations and
     the final scaled residual, and ``errors[k]``, the StepError member ``k``
     would raise stepping alone, for each stepping member that failed.
@@ -385,8 +421,6 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
     size = batch.step(dt, scheme.jacobian_floor)
     scale = size.scale
     u_old = state
-    u = start
-    u[dir_rows] = bc
     tol = scheme.newton_tol
 
     def residual(v):
@@ -413,9 +447,29 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
                 )
                 live[k] = False
 
+    if batch.linear:
+        # The residual is ``A v - b``, with ``b`` the old state and the traces in
+        # the imposed rows, so the LU of ``A`` settles the step in one solve.  A
+        # member that does not step, or whose ``b`` is not finite, takes a zero
+        # right-hand side: its block solves to zero and leaks nothing.
+        b = u_old.copy()
+        b[dir_rows] = bc
+        for rows, k, coupling in size.columns:
+            b[rows] -= coupling * bc[k]
+        direct = stepping
+        if not _all_finite(b):
+            finite = np.logical_and.reduceat(np.isfinite(b), starts).tolist()
+            direct = [s and ok for s, ok in zip(stepping, finite)]
+        if not all(direct):
+            b[batch.rows(np.logical_not(direct))] = 0.0
+        u = solve_factored(size.lu, b)
+        iters = [int(d) for d in direct]
+    else:
+        u = start
+        iters = [0] * len(stepping)
+    u[dir_rows] = bc  # the direct solve returns its members' traces already
     res, norms = residual(u)
     errors = {}
-    iters = [0] * len(norms)
     live = [s and r > tol for s, r in zip(stepping, norms)]  # a NaN residual fails below
     for _ in range(scheme.max_iterations):
         if not any(live):
@@ -604,7 +658,7 @@ def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTim
     batch = _Batch(problems)
     members = [_Member(i, p, times.size, batch) for i, p in enumerate(problems)]
     state = np.concatenate([m.window[:, 0] for m in members])
-    history = []  # the outer states before ``state``, newest first, at most two
+    history = []  # the outer states before ``state``, newest first, at most two; nonlinear only
     # The least and largest lifted trace imposed at each entry of a row of traces.
     trace_lo = np.full(int(batch.bc_sizes.sum()), np.inf)
     trace_hi = -trace_lo
@@ -618,7 +672,8 @@ def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTim
         """Steps the members marked in ``stepping`` over the sub-steps between the ``ends``.
 
         ``bc`` holds the traces at the sub-step ends, one row each.  A single
-        step starts Newton at ``guess``, sub-steps each at the current state.
+        step starts Newton at ``guess``, sub-steps each at the current state;
+        a linear batch needs no start.
         A member sits out from the sub-step it fails in.  Writes the stepped
         members' rows of ``new``; returns the failures.
         """
@@ -626,7 +681,7 @@ def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTim
         failed = []
         v = state
         for j in range(nsub):
-            start = guess if nsub == 1 else v.copy()
+            start = None if batch.linear else guess if nsub == 1 else v.copy()
             v, iters, res, errors = _newton(batch, v, start, scheme, bc[j], ends[j + 1] - ends[j],
                                             stepping)
             if errors:
@@ -656,7 +711,8 @@ def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTim
             impose(table, True)
             outer_ends, t_nexts = outer_ends.tolist(), lattice[1:].tolist()
         t_next = t_nexts[k]
-        guess, new = _extrapolate(state, history), np.empty_like(state)
+        guess = None if batch.linear else _extrapolate(state, history)
+        new = np.empty_like(state)
         # Levels ascend: a member that fails at one level retries at the next.
         level = 0
         while level <= deepest:
@@ -679,7 +735,8 @@ def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTim
                         )
                     deepest = max(deepest, m.depth)
             level += 1
-        history = [state] + history[:1]
+        if not batch.linear:
+            history = [state] + history[:1]
         state = new
         t = t_next
         if deepest:

@@ -138,6 +138,12 @@ class TestDensityModel:
         with pytest.raises(ModelError):
             DensityModel.from_table([0.0, 0.5, 0.4], [1.0, 1.0, 1.0], dom)
 
+    @pytest.mark.parametrize("values", [[1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]]],
+                             ids=["short", "long", "2d"])
+    def test_table_requires_one_value_per_coordinate(self, values):
+        with pytest.raises(ModelError, match="one value per coordinate"):
+            DensityModel.from_table([0.0, 0.5, 1.0], values, Domain.interval(0.0, 1.0))
+
 
 
 #: Inputs a piecewise-linear majorant rejects: its interpolant must be positive

@@ -44,6 +44,21 @@ def solve_one(p: ApproxProblem, scheme=None, store_stride=1):
     return solve_members([p], scheme, store_stride=store_stride)[0]
 
 
+def assert_matches_generic(fld, p: ApproxProblem, scheme: SolverScheme):
+    """``fld`` lies within the Newton budget of ``p`` solved under ``generic`` flux.
+
+    Newton from a start and the direct linear solve settle each step to within
+    the tolerance, so ``n_outer`` steps differ by at most ``n_outer`` of it;
+    the two solves must halve alike.  ``fld`` stores every step.
+    """
+    slow = solve_one(dataclasses.replace(p, flux=generic(p.flux)), scheme)
+    n_outer = fld.times.size - 1
+    assert np.array_equal(np.isnan(fld.values), np.isnan(slow.values))
+    finite = np.isfinite(fld.values)
+    assert np.all(np.abs(fld.values - slow.values)[finite] <= n_outer * scheme.newton_tol)
+    assert fld.meta["step_halvings"] == slow.meta["step_halvings"]
+
+
 def heat_problem(nodes=129, horizon=0.1, dt=1e-3, eps=0.0, eta=0.0, eta_cap=0.1):
     return ApproxProblem(
         grid=build_grid(DOM, nodes),
@@ -242,6 +257,15 @@ class TestSolve:
         assert fld.times[-1] == pytest.approx(0.01, abs=1e-12)
         assert np.all(np.diff(fld.times) > 0)
 
+    def test_csv_bytes_equal_savetxt_of_the_stacked_table(self, tmp_path):
+        fld = solve_one(heat_problem(nodes=65, horizon=0.01, eps=0.125, eta=0.05), store_stride=3)
+        assert np.isnan(fld.values).all(axis=1).any()  # rows outside the window
+        fld.to_csv(tmp_path / "field.csv")
+        header = "t," + ",".join(f"x_{i}" for i in range(fld.grid.n))
+        np.savetxt(tmp_path / "table.csv", np.column_stack([fld.times, fld.values.T]),
+                   delimiter=",", header=header, comments="", fmt="%.17g")
+        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+
     def test_trajectory_csv_roundtrip(self, tmp_path):
         fld = solve_one(heat_problem(nodes=65, horizon=0.01, dt=1e-3), store_stride=5)
         path = tmp_path / "traj.csv"
@@ -352,12 +376,62 @@ def radial_heat_problem(nodes=65, dt=2e-3, horizon=0.04):
 
 class TestPrefactoredLinearPath:
     @pytest.mark.parametrize("make", [heat_problem, radial_heat_problem])
-    def test_bit_identical_to_generic_path(self, make):
+    def test_matches_generic_path_within_newton_tolerance(self, make):
         p = make()
         fast = solve_one(p)
-        slow = solve_one(dataclasses.replace(p, flux=generic(p.flux)))
-        assert np.array_equal(fast.values, slow.values, equal_nan=True)
-        assert fast.meta["newton_iterations"] == slow.meta["newton_iterations"]
+        assert_matches_generic(fast, p, SolverScheme())
+        assert fast.meta["newton_iterations"] == fast.times.size - 1  # one solve per step
+
+    def test_direct_step_residual_stays_at_rounding(self):
+        # dt / h^2 = 320, as in the family-heat bench.  Had the factors kept
+        # the imposed columns, the solve's error at an imposed row, reset to
+        # its trace, would reach the neighbour's residual 320 times over.
+        p = dataclasses.replace(heat_problem(nodes=801, dt=5e-4, horizon=0.01, eps=0.125),
+                                eta=0.05, phi=BoundaryData.constant(0.4, horizon=1.0))
+        fld = solve_one(p)
+        assert fld.meta["newton_iterations"] == fld.times.size - 1
+        assert fld.meta["max_scaled_residual"] <= 1e-12
+
+    def test_imposed_rows_hold_the_traces_bit_for_bit(self, monkeypatch):
+        # At dt / h^2 > 1 a factorisation that kept the imposed columns would
+        # swap an imposed row with its neighbour and return its trace only to
+        # within rounding.  Every step must return the traces exactly, whether
+        # or not a member sits out (the middle one halves its third step while
+        # the others wait), and a member left out of the solve, whose trace is
+        # NaN, takes them too.
+        newton, all_stepped = solver._newton, []
+
+        def checked(batch, state, start, scheme, bc, dt, stepping):
+            out = newton(batch, state, start, scheme, bc, dt, stepping)
+            on = np.repeat(stepping, batch.bc_sizes)
+            assert np.array_equal(out[0][batch.dir][on], bc[on], equal_nan=True)
+            all_stepped.append(all(stepping))
+            return out
+
+        def make():
+            return nan_once_members(None, horizon=0.01)
+
+        p = make()[0]
+        assert p.dt / p.grid.h**2 > 1.0
+        monkeypatch.setattr(solver, "_newton", checked)
+        fields = assert_members_match_alone(make)
+        assert [f.meta["step_halvings"] for f in fields] == [0, 1, 0]
+        assert True in all_stepped and False in all_stepped
+
+    def test_floor_above_the_slope_steps_on_by_chord_newton(self):
+        # At a floor of 1.25 the factors are not those of the slope-1 system:
+        # the direct solve only starts each step and chord iterations finish it.
+        scheme = SolverScheme(jacobian_floor=1.25)
+
+        def make():
+            return [heat_problem(nodes=65, horizon=0.02),
+                    radial_heat_problem(dt=1e-3, horizon=0.02)]
+
+        fields = assert_members_match_alone(make, scheme)
+        for fld, p in zip(fields, make()):
+            assert_matches_generic(fld, p, scheme)
+            assert fld.meta["newton_iterations"] > 2 * (fld.times.size - 1)
+            assert fld.meta["max_scaled_residual"] <= scheme.newton_tol
 
     def test_linear_flux_skips_per_iteration_solves(self, monkeypatch):
         import collar.solver as solver
@@ -425,6 +499,13 @@ class TestNonFinite:
         with pytest.raises(StepError, match="update is not finite"):
             step_implicit(u, p, SolverScheme(), t_new=p.dt, dt=p.dt)
 
+    def test_nan_trace_fails_a_linear_step_unsolved(self):
+        # The direct solve leaves out a member whose right-hand side is not
+        # finite, so it fails with no iteration counted, as Newton's start did.
+        p = dataclasses.replace(heat_problem(), phi=nan_once(1e-3))
+        with pytest.raises(StepError, match="scaled residual is not finite after 0 iterations"):
+            step_implicit(p.initial_window(), p, SolverScheme(), t_new=p.dt, dt=p.dt)
+
     def test_nan_boundary_data_fails_the_solve(self):
         nan_trace = BoundaryData(
             lambda x, t: np.where(np.asarray(t) > 0.005, np.nan, 0.0) + 0.0 * np.asarray(x),
@@ -464,8 +545,7 @@ class TestProperties:
         fld = solve_one(p)
         assert fld.meta["max_principle_ok"], fld.meta
         if p.flux.kind == "linear":
-            slow = solve_one(dataclasses.replace(p, flux=generic(p.flux)))
-            assert np.array_equal(fld.values, slow.values, equal_nan=True)
+            assert_matches_generic(fld, p, SolverScheme())
 
     @given(max_principle_problems(), st.floats(0.0, 0.1), st.floats(0.0, 0.1))
     @settings(max_examples=40, deadline=None)
@@ -510,9 +590,12 @@ def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 
 
     With ``predict``, each unhalved outer step starts Newton at the
     extrapolation of the last outer states, in the solver's operation order;
-    without it, at the current state.  Returns ``(times, values, meta)``, with
-    the Newton iterations, the largest accepted scaled residual and the
-    halvings in ``meta``.
+    without it, at the current state.  A linear flux needs no start: its first
+    iteration is the direct solve with the slope's bands, its imposed columns
+    moved to the right-hand side, and Newton goes on with those bands only
+    while the residual is above the tolerance.  Returns ``(times, values,
+    meta)``, with the Newton iterations, the largest accepted scaled residual
+    and the halvings in ``meta``.
     """
     lay, op, tol = p.layout, p._window_op, scheme.newton_tol
 
@@ -539,17 +622,33 @@ def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 
             res[lay.dir_local] = v[lay.dir_local] - bc
             return res, float(np.abs(res).max())
 
-        res, norm = residual(u)
-        iters = 0
-        while norm > tol and iters < scheme.max_iterations:
-            gp = np.maximum(np.asarray(p.flux.dg(u), dtype=float), scheme.jacobian_floor)
+        def bands(v, rhs=None):
+            """Newton bands at ``v``; a linear flux's move its imposed columns to ``rhs``."""
+            gp = np.maximum(np.asarray(p.flux.dg(v), dtype=float), scheme.jacobian_floor)
             lo, up = np.zeros_like(gp), np.zeros_like(gp)
             lo[1:] = -scale[1:] * op.lo[1:] * gp[:-1]
             up[:-1] = -scale[:-1] * op.up[:-1] * gp[1:]
             di = 1.0 - scale * op.di * gp
             lo[lay.dir_local] = up[lay.dir_local] = 0.0
             di[lay.dir_local] = 1.0
-            delta = solve_tridiagonal(lo, di, up, -res)
+            if linear:
+                for band, side in ((lo, 1), (up, -1)):
+                    for k, row in enumerate(lay.dir_local + side):
+                        if 0 <= row < lay.size and row not in lay.dir_local:
+                            if rhs is not None:
+                                rhs[row] -= band[row] * bc[k]
+                            band[row] = 0.0
+            return lo, di, up
+
+        linear, iters = p.flux.kind == "linear", 0
+        if linear:
+            b = state.copy()
+            b[lay.dir_local] = bc
+            u = solve_tridiagonal(*bands(u, b), b)
+            iters = 1
+        res, norm = residual(u)
+        while norm > tol and iters < scheme.max_iterations:
+            delta = solve_tridiagonal(*bands(u), -res)
             if not np.isfinite(delta).all():
                 raise StepError("Newton update is not finite")
             frac = 1.0
