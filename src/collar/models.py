@@ -219,15 +219,18 @@ class Nonlinearity:
 
     ``alpha0`` is the degeneracy floor: positive exactly when the derivative
     stays above it everywhere (the nondegenerate regime), zero otherwise.
+    ``slope`` is the constant derivative of a linear flux, ``g(u) = slope u``,
+    and ``None`` for every other flux: the solver factors a linear flux's step
+    matrix once per step size and assembles any other's from ``dg``.
     """
 
-    def __init__(self, kind, g, dg, g_inv, alpha0, g_range=(-np.inf, np.inf)):
-        self.kind = kind
+    def __init__(self, g, dg, g_inv, alpha0, g_range=(-np.inf, np.inf), slope=None):
         self.g = g
         self.dg = dg
         self._g_inv = g_inv
         self.alpha0 = float(alpha0)
         self.g_range = g_range
+        self.slope = None if slope is None else float(slope)
 
     @classmethod
     def linear(cls, slope: float = 1.0) -> "Nonlinearity":
@@ -235,11 +238,11 @@ class Nonlinearity:
             raise ModelError("linear flux needs a positive slope")
 
         return cls(
-            "linear",
             lambda u: slope * np.asarray(u, dtype=float),
             lambda u: np.full(np.shape(np.asarray(u)), slope) if np.ndim(u) else slope,
             lambda y: np.asarray(y, dtype=float) / slope,
             alpha0=slope,
+            slope=slope,
         )
 
     @classmethod
@@ -259,7 +262,7 @@ class Nonlinearity:
             y = np.asarray(y, dtype=float)
             return np.sign(y) * np.abs(y) ** (1.0 / m)
 
-        return cls("porous-medium", g, dg, g_inv, alpha0=0.0)
+        return cls(g, dg, g_inv, alpha0=0.0)
 
     @classmethod
     def from_table(cls, u_knots, g_values) -> "Nonlinearity":
@@ -279,7 +282,6 @@ class Nonlinearity:
             return float(out) if out.ndim == 0 else out
 
         return cls(
-            "table",
             lambda x: np.interp(np.asarray(x, dtype=float), u, v),
             dg,
             lambda y: np.interp(np.asarray(y, dtype=float), v, u),
@@ -500,7 +502,7 @@ def check_hypotheses(
         )
 
     h5 = flux.alpha0 > 0.0
-    evidence["h5"] = {"method": "closed-form" if flux.kind == "linear" else "sampled",
+    evidence["h5"] = {"method": "closed-form" if flux.slope is not None else "sampled",
                       "alpha0": flux.alpha0}
 
     # Compatibility of the initial trace with the boundary data at t = 0.

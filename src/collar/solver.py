@@ -4,11 +4,12 @@ Each approximation solves ``rho du/dt = Lap[G(u)]`` on the core of the
 domain at one collar level, with the lifted boundary trace imposed strongly
 at the interface nodes and the initial state blended between the interior
 data and the boundary trace across the collar.  Time stepping is implicit
-Euler with a damped Newton iteration on the tridiagonal system; the Jacobian
-floors the flux derivative so the linear solve stays regular where the flux
-degenerates, while the residual (and therefore the converged answer) is the
-unregularized scheme.  There is no other scheme: a step is accepted only at
-the Newton tolerance, and a step that does not reach it is halved.  For a
+Euler with a damped Newton iteration on the tridiagonal system; a Jacobian
+assembled from the flux derivative floors it so the linear solve stays
+regular where the flux degenerates, while the residual (and therefore the
+converged answer) is the unregularized scheme.  There is no other scheme: a
+step is accepted only at the Newton tolerance, and a step that does not
+reach it is halved.  For a
 nonlinear flux, Newton starts each outer step at the extrapolation
 ``2 u_n - u_(n-1)`` or ``3 (u_n - u_(n-1)) + u_(n-2)`` of the last outer
 states, and the sub-steps of a halved step at their current state; a linear
@@ -28,23 +29,27 @@ block system for all its members and every sub-step level steps on it: a
 member that does not step at a level sits out with a zero right-hand side, so
 its block solves to zero, as a converged member's does.
 
+Every step matrix has one layout: an imposed row is an identity row and its
+column is moved to the right-hand side.  So LAPACK never interchanges an
+imposed row with its neighbour, each imposed row solves to its trace
+exactly, and a Jacobian entry at an imposed node never reaches a solve.
+
 Nothing that is fixed for a whole step is computed inside the Newton call.
 The lifted traces are evaluated once per block of outer steps, at all their
 end times at once, and once per halved step and level, at all that level's
-sub-step ends; each time-dependent ``BoundaryData`` is called once per
-evaluation.  What depends only on the step size, ``dt / rho`` and the stencil
-bands scaled by it, is kept per ``(dt, floor)``.  For a linear flux the
-Jacobian depends only on these too, so the same record holds its LU factors
-(LAPACK ``gttrf``), with the imposed columns moved to the right-hand side so
-that each imposed row solves to its trace exactly.  The residual of a linear
-flux is ``A v - b``, with ``b`` the old state and the traces in the imposed
-rows, so a step is one solve ``u = A^-1 b`` with those factors (``gttrs``)
-and one residual that checks it; only a member still above the tolerance,
-as when the floor lies above the slope, goes on by chord Newton on the same
-factors.  Every other flux assembles its Jacobian bands each iteration and
-solves them with ``gtsv``.  The direct solve and Newton from a start agree
-to within the tolerance of each step, not bit for bit.  A non-finite
-residual or Newton update fails its member instead of freezing the state.
+sub-step ends; each distinct ``BoundaryData`` is called once per evaluation.
+What depends only on the step size, ``dt / rho`` and the stencil bands
+scaled by it, is kept per ``dt``.  So is the LU (LAPACK ``gttrf``) of a
+linear flux's step matrix ``A``, at its exact slope, where the Jacobian
+floor does not apply.  Its residual is ``A v - b``, with ``b`` the old
+state, the traces in the imposed rows and their couplings subtracted beside
+them, so a step is one solve ``u = A^-1 b`` with those factors (``gttrs``)
+and one residual that checks it; only a member that rounding leaves above
+the tolerance goes on by chord Newton on the same factors.  Every other flux
+assembles its Jacobian bands each iteration and solves them with ``gtsv``.
+The direct solve and Newton from a start agree to within the tolerance of
+each step, not bit for bit.  A non-finite residual or Newton update fails
+its member instead of freezing the state.
 
 The three LAPACK routines come from ``collar.tridiagonal``, which maps scipy's
 compiled wrapper when this module is imported.  ``parse_config`` imports this
@@ -62,10 +67,10 @@ import numpy as np
 from .errors import ConfigError, LinearSolveError, ShapeError, SolveError, StepError
 from .geometry import Grid, collar_decomposition
 from .models import BoundaryData, DensityModel, InitialData, Nonlinearity, global_bound
-from .operators import DiffusionOperator, assemble_diffusion, stack_operators
+from .operators import assemble_diffusion, stack_operators
 from .tridiagonal import factor_tridiagonal, solve_factored, solve_tridiagonal
 
-#: Step-size records one batch keeps, one per ``(dt, floor)``; the least
+#: Step-size records one batch keeps, one per ``dt``; the least
 #: recently used is dropped first.  Rounding gives one lattice a few distinct
 #: ``dt`` values, but most steps share one, which two entries keep.
 _LU_CACHE = 2
@@ -112,6 +117,8 @@ class SolverScheme:
 
     A step is accepted only once every member's scaled residual is at most
     ``newton_tol``; otherwise it fails within ``max_iterations`` and is halved.
+    ``jacobian_floor`` applies only where the Jacobian is assembled from the
+    flux derivative ``dg``: a linear flux steps at its exact slope.
     """
 
     newton_tol: float = 1e-10
@@ -165,8 +172,7 @@ class ApproxProblem:
         if self.phi.horizon < self.horizon * (1.0 - 1e-12):
             raise ConfigError("boundary data horizon shorter than the solve horizon")
         self._layout = self._build_layout()
-        self._op = assemble_diffusion(self.grid)
-        self._window_op = self._op.window(self._layout.m0, self._layout.m1)
+        self._window_op = assemble_diffusion(self.grid).window(self._layout.m0, self._layout.m1)
         # Density values at strongly imposed rows never enter the scheme, and a
         # power-law density is infinite at the boundary nodes: leave them at 1.
         free = self._layout.free_local
@@ -189,10 +195,6 @@ class ApproxProblem:
     @property
     def layout(self) -> _Layout:
         return self._layout
-
-    @property
-    def operator(self) -> DiffusionOperator:
-        return self._op
 
     @property
     def bound_K(self) -> float:
@@ -264,32 +266,29 @@ def _all_finite(values: np.ndarray) -> bool:
 
 class _StepSize:
     """What one step size fixes: ``scale = dt / rho``, the stencil bands scaled by
-    it and, for a linear flux, the LU factors of the Newton matrix.
+    it and, for a linear flux, the LU factors of ``batch.bands`` at its slope.
 
-    The imposed values are known, so a linear step moves their columns to the
-    right-hand side: ``columns`` holds, for the rows below and above an imposed
-    row, those rows, the imposed row's entry in a row of traces and the
-    coupling.  The factors then keep each imposed row apart, with no row
-    interchange at it, and return its trace exactly.
+    ``columns`` holds, for the rows below and then above an imposed row, those
+    rows, the imposed row's entry in a row of traces and the coupling that
+    ``bands`` leaves out, the scaled stencil times the slope; a linear step
+    subtracts coupling times trace from its right-hand side there.
     """
 
     __slots__ = ("scale", "lo", "di", "up", "lu", "columns")
 
-    def __init__(self, batch: "_Batch", dt: float, floor: float):
+    def __init__(self, batch: "_Batch", dt: float):
         op = batch.op
         self.scale = scale = dt / batch.rho
         self.lo = -scale[1:] * op.lo[1:]
         self.di = scale * op.di
         self.up = -scale[:-1] * op.up[:-1]
         self.lu = self.columns = None
-        if batch.linear:
-            slope = max(float(batch.flux.dg(0.0)), floor)
-            lo, di, up = batch.bands(self, np.full(scale.size, slope))
-            self.columns = []
-            for band, (rows, k) in zip((lo, up), batch.beside):
-                self.columns.append((rows, k, band[rows]))
-                band[rows] = 0.0
-            self.lu = factor_tridiagonal(lo, di, up)
+        slope = batch.flux.slope
+        if slope is not None:
+            self.lu = factor_tridiagonal(*batch.bands(self, np.full(scale.size, slope)))
+            (below, k_below), (above, k_above) = batch.beside
+            self.columns = ((below, k_below, self.lo[below - 1] * slope),
+                            (above, k_above, self.up[above] * slope))
 
 
 class _Batch:
@@ -298,11 +297,10 @@ class _Batch:
     Member ``k`` owns rows ``starts[k] .. starts[k] + sizes[k] - 1`` of every
     concatenated vector and entries ``bc_starts[k] .. bc_starts[k] +
     bc_sizes[k] - 1`` of a row of traces.  The members share one flux, which
-    is evaluated once on all rows.  A time-independent trace is evaluated
-    here, once; ``traces`` evaluates each distinct time-dependent
-    ``BoundaryData`` once per call, for a whole array of times, on all its
-    interface points, whichever members step.  ``step`` keeps what one step
-    size fixes, one record per ``(dt, floor)``.
+    is evaluated once on all rows.  ``bands`` leaves every imposed column out.
+    ``traces`` evaluates each distinct ``BoundaryData`` once per call, for a
+    whole array of times, on all its interface points, whichever members
+    step.  ``step`` keeps what one step size fixes, one record per ``dt``.
     """
 
     def __init__(self, problems):
@@ -313,21 +311,22 @@ class _Batch:
         self.op = stack_operators([p._window_op for p in problems])
         self.rho = np.concatenate([p._rho_w for p in problems])
         self.dir = np.concatenate([p.layout.dir_local + s for p, s in zip(problems, self.starts)])
-        # A band is zero at an imposed row and wherever it would couple two blocks.
+        # A band is zero at an imposed row, wherever it would couple two blocks
+        # and, listed in ``beside`` with the imposed row's entry in a row of
+        # traces, wherever it would couple a row to an imposed one.
         total = int(self.sizes.sum())
         lo_zero = _index_mask(total, self.dir, self.starts)
         up_zero = _index_mask(total, self.dir, self.starts + self.sizes - 1)
-        self._lo_zero, self._up_zero = np.flatnonzero(lo_zero), np.flatnonzero(up_zero)
-        # The rows whose lower, then upper, band couples them to an imposed row,
-        # each with that row's entry in a row of traces.
         is_dir = _index_mask(total, self.dir)
         entry = np.zeros(total, dtype=int)
         entry[self.dir] = np.arange(self.dir.size)
         below = np.flatnonzero(is_dir[:-1] & ~lo_zero[1:]) + 1
         above = np.flatnonzero(is_dir[1:] & ~up_zero[:-1])
         self.beside = ((below, entry[below - 1]), (above, entry[above + 1]))
+        lo_zero[below] = up_zero[above] = True
+        self._lo_zero, self._up_zero = np.flatnonzero(lo_zero), np.flatnonzero(up_zero)
         self.flux = problems[0].flux
-        self.linear = self.flux.kind == "linear"
+        self.linear = self.flux.slope is not None
         traces = {}  # id(phi) -> (phi, rows of a trace row, interface points, lifts)
         for p, row in zip(problems, self.bc_starts):
             k = p.layout.dir_local.size
@@ -335,22 +334,14 @@ class _Batch:
             entry[1].append(np.arange(row, row + k))
             entry[2].append(p.layout.dir_points)
             entry[3].append(np.full(k, p.eta))
-        self._bc_static = np.empty(int(self.bc_sizes.sum()))
-        self._bc_dynamic = []
-        for phi, *parts in traces.values():
-            rows, points, lifts = map(np.concatenate, parts)
-            if phi.time_dependent:
-                self._bc_dynamic.append((phi, rows, points, lifts))
-            else:
-                self._bc_static[rows] = np.asarray(phi.phi(points, 0.0), dtype=float) + lifts
+        self._traces = [(phi, *map(np.concatenate, parts)) for phi, *parts in traces.values()]
         self._steps = {}
 
     def traces(self, ts) -> np.ndarray:
         """Lifted traces at every member's interface nodes, one row per time in ``ts``."""
         ts = np.asarray(ts, dtype=float)
-        bc = np.empty((ts.size, self._bc_static.size))
-        bc[:] = self._bc_static
-        for phi, rows, points, lifts in self._bc_dynamic:
+        bc = np.empty((ts.size, self.dir.size))
+        for phi, rows, points, lifts in self._traces:
             bc[:, rows] = np.asarray(phi.phi(points, ts[:, None]), dtype=float) + lifts
         return bc
 
@@ -374,7 +365,8 @@ class _Batch:
                 _identity_rows(bands, rhs, slice(self.starts[k], self.starts[k] + self.sizes[k]))
 
     def bands(self, size: _StepSize, gp):
-        """Bands of ``I - diag(scale) L diag(gp)`` with identity rows at imposed nodes."""
+        """Bands of ``I - diag(scale) L diag(gp)`` with identity rows at imposed nodes
+        and their columns left out, so ``gp`` at an imposed node is never read."""
         j_lo = np.zeros(gp.size)
         j_up = np.zeros(gp.size)
         np.multiply(size.lo, gp[:-1], out=j_lo[1:])
@@ -385,14 +377,14 @@ class _Batch:
         j_di[self.dir] = 1.0
         return j_lo, j_di, j_up
 
-    def step(self, dt: float, floor: float) -> _StepSize:
-        """The record of step size ``dt`` at Jacobian floor ``floor``, built on first use."""
-        size = self._steps.pop((dt, floor), None)
+    def step(self, dt: float) -> _StepSize:
+        """The record of step size ``dt``, built on first use."""
+        size = self._steps.pop(dt, None)
         if size is None:
-            size = _StepSize(self, dt, floor)
+            size = _StepSize(self, dt)
             if len(self._steps) >= _LU_CACHE:
                 del self._steps[next(iter(self._steps))]  # the least recently used
-        self._steps[(dt, floor)] = size
+        self._steps[dt] = size
         return size
 
 
@@ -402,23 +394,24 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
 
     ``bc`` is the row of ``batch.traces`` at the step's end, which the caller
     evaluates; what the step size ``dt`` fixes comes from ``batch.step``.
-    A nonlinear batch starts Newton at ``start``, which it overwrites.  A
-    linear batch never reads ``start``: its first iteration is one solve with
-    the step's LU factors, and a member still above the tolerance after it,
-    as when the Jacobian floor lies above the slope, goes on by chord Newton
-    on the same factors.  Returns ``(state,
-    iterations, residuals, errors)``: per member, the Newton iterations and
-    the final scaled residual, and ``errors[k]``, the StepError member ``k``
-    would raise stepping alone, for each stepping member that failed.
-    Members iterate in lockstep, each with its own convergence test and line
-    search.  A member that does not step starts out of the iteration; any
-    other leaves it once it converges or fails.  Out of it, a member's
-    right-hand side is zero, so its block solves to zero, and a block holding
-    a non-finite Jacobian entry or a zero pivot becomes identity rows first.
+    A nonlinear batch starts Newton at ``start``, which it overwrites, and
+    assembles its Jacobian bands from ``dg`` each iteration.  A linear batch
+    never reads ``start``: its first iteration is one solve with the step's
+    LU factors, at the exact slope, and a member that rounding leaves above
+    the tolerance goes on by chord Newton on the same factors.  Returns
+    ``(state, iterations, residuals, errors)``: per member, the Newton
+    iterations and the final scaled residual, and ``errors[k]``, the StepError
+    member ``k`` would raise stepping alone, for each stepping member that
+    failed.  Members iterate in lockstep, each with its own convergence test
+    and line search.  A member that does not step starts out of the
+    iteration; any other leaves it once it converges or fails.  Out of it, a
+    member's right-hand side is zero, so its block solves to zero, and a block
+    holding a non-finite Jacobian entry at a free row or a zero pivot becomes
+    identity rows first.
     Only stepping members' rows of the returned state are a step.
     """
     op, dir_rows, starts = batch.op, batch.dir, batch.starts
-    size = batch.step(dt, scheme.jacobian_floor)
+    size = batch.step(dt)
     scale = size.scale
     u_old = state
     tol = scheme.newton_tol
@@ -483,13 +476,15 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
             gp = np.maximum(np.asarray(batch.flux.dg(u), dtype=float), scheme.jacobian_floor)
             bands = batch.bands(size, gp)
             delta = batch.solve(bands, rhs, live, errors)
-            if not _all_finite(delta) and not np.isfinite(gp).all():
-                # A non-finite Jacobian gives its member a non-finite update, and
-                # the elimination carries it into the next block: solve again
-                # without the members it belongs to.
-                fail_non_finite(gp)
-                _identity_rows(bands, rhs, batch.rows(np.logical_not(live)))
-                delta = batch.solve(bands, rhs, live, errors)
+            if not _all_finite(delta):
+                gp[dir_rows] = 0.0  # the bands never read the Jacobian at an imposed row
+                if not np.isfinite(gp).all():
+                    # A non-finite Jacobian gives its member a non-finite update,
+                    # and the elimination carries it into the next block: solve
+                    # again without the members it belongs to.
+                    fail_non_finite(gp)
+                    _identity_rows(bands, rhs, batch.rows(np.logical_not(live)))
+                    delta = batch.solve(bands, rhs, live, errors)
         if not _all_finite(delta):
             fail_non_finite(delta)
         if not any(live):
@@ -594,23 +589,21 @@ class _Member:
     def field(self, times: np.ndarray, store_stride: int, trace_lo: np.ndarray,
               trace_hi: np.ndarray) -> SpaceTimeField:
         """The member's field; ``trace_lo`` and ``trace_hi`` are the least and largest
-        lifted trace the solve imposed, per entry of a row of traces."""
+        lifted trace the solve imposed, per entry of a row of traces.
+
+        The discrete maximum principle holds when every stored state lies
+        between the extremes of the initial window and of those traces.
+        """
         p, lay = self.problem, self.problem.layout
-        K = p.bound_K
-        lo_data = min(
-            float(np.min(p.initial.u0(p.grid.nodes[lay.m0 : lay.m1 + 1]))),
-            p.phi.min_value(p.grid.domain),
-        )
-        # The sampled extremes of the trace can miss a peak that the time
-        # lattice hits; the values imposed at the interface bound it too.
-        hi = max(K, float(trace_hi[self.bc_rows].max()))
-        lo = min(lo_data - p.eta_cap, float(trace_lo[self.bc_rows].min()))
+        start = self.window[:, 0]
+        hi = max(float(start.max()), float(trace_hi[self.bc_rows].max()))
+        lo = min(float(start.min()), float(trace_lo[self.bc_rows].min()))
         max_ok = bool(np.nanmax(self.window) <= hi + 1e-6 and np.nanmin(self.window) >= lo - 1e-6)
         meta = {
             "eps": p.eps,
             "eta": p.eta,
             "dt": p.dt,
-            "bound_K": K,
+            "bound_K": p.bound_K,
             "newton_iterations": self.iterations,
             "max_scaled_residual": self.worst_residual,
             "step_halvings": self.halvings,
@@ -771,10 +764,10 @@ def solve_members(
     whose step fails retries it on a halved lattice (up to 10 halvings),
     together with the other members at that depth, on the same system while
     the rest sit out, and its depth relaxes after 20 clean steps.  Each
-    distinct time-dependent trace is evaluated once per block of outer steps,
-    and once more per halved step and level.  A member's maximum principle holds
-    when its window stays within its data bound ``bound_K``, widened to the
-    lifted trace values the solve imposed on it.  A SolveError names the
+    distinct trace is evaluated once per block of outer steps, and once more
+    per halved step and level.  A member's maximum principle holds when its
+    window stays between the extremes of its initial window and of the lifted
+    trace values the solve imposed on it.  A SolveError names the
     failing member's index, ``eps``, ``eta`` and time.
     """
     problems = list(problems)
@@ -802,21 +795,20 @@ def flux_balance_defect(fieldobj: SpaceTimeField, problem: ApproxProblem) -> flo
     if stride != 1:
         raise ShapeError(f"flux balance needs every step stored, got store_stride = {stride}")
     lay = problem.layout
-    op = problem.operator
-    m0, m1 = lay.m0, lay.m1
-    free = lay.free_local + m0
+    op = problem._window_op  # window-local: node m0 is row 0, face i joins rows i and i + 1
+    free = lay.free_local
     f0, f1 = free[0], free[-1]
     h = problem.grid.h
-    u = fieldobj.values
-    rho_vals = np.asarray(problem.rho.rho(problem.grid.nodes[free]))
+    u = fieldobj.values[lay.m0 : lay.m1 + 1]
+    rho_vals = np.asarray(problem.rho.rho(problem.grid.nodes[lay.m0 + free]))
     # One contiguous row per step, so each sums in the order of a 1-D sum.
     du = np.ascontiguousarray((u[free, 1:] - u[free, :-1]).T)
     mass_change = np.sum(rho_vals * du * op.volumes[free], axis=1)
     flux_in = np.zeros(fieldobj.times.size - 1)
-    if f1 < m1:
+    if f1 < lay.size - 1:
         g = np.asarray(problem.flux.g(u[f1 : f1 + 2, 1:]))
         flux_in += op.face_areas[f1] * (g[1] - g[0]) / h
-    if f0 > m0:  # a ball's window starts at its centre, not at an interface row
+    if f0 > 0:  # a ball's window starts at its centre, not at an interface row
         g = np.asarray(problem.flux.g(u[f0 - 1 : f0 + 1, 1:]))
         flux_in -= op.face_areas[f0 - 1] * (g[1] - g[0]) / h
     return float(np.max(np.abs(mass_change - np.diff(fieldobj.times) * flux_in), initial=0.0))

@@ -28,7 +28,6 @@ ALLOWED = {
     "solver.SpaceTimeField.same_grid": "the three checks above call it",
     "solver.SpaceTimeField.times_match": "the three checks above call it",
     "solver.flux_balance_defect": "ROADMAP item 1: the per-step trace replaces it",
-    "solver.ApproxProblem.operator": "flux_balance_defect reads it",
     "solver.step_implicit": "the layer sweep of bench/layers.py times it",
     "solver._newton.<locals>.fail_non_finite": "a non-finite Jacobian or Newton update, "
     "which test_solver.py::TestNonFinite drives",

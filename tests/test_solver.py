@@ -16,6 +16,7 @@ from collar.errors import ConfigError, LinearSolveError, ShapeError, SolveError,
 from collar.experiments import run_experiment
 from collar.geometry import Domain, build_grid
 from collar.models import BoundaryData, DensityModel, InitialData, Nonlinearity
+from collar.operators import assemble_diffusion
 from collar.solver import (
     ApproxProblem,
     SolverScheme,
@@ -35,8 +36,8 @@ LIN = Nonlinearity.linear(1.0)
 
 
 def generic(flux: Nonlinearity) -> Nonlinearity:
-    """The same flux under a kind that does not take the prefactored linear path."""
-    return Nonlinearity("generic", flux.g, flux.dg, flux.g_inv, flux.alpha0)
+    """The same flux with no slope, so it steps by Newton on bands assembled from ``dg``."""
+    return Nonlinearity(flux.g, flux.dg, flux.g_inv, flux.alpha0)
 
 
 def solve_one(p: ApproxProblem, scheme=None, store_stride=1):
@@ -83,7 +84,7 @@ def solve_family(p: ApproxProblem, eps_levels, eta_levels, store_stride=1):
 def loop_flux_balance_defect(fieldobj, problem: ApproxProblem) -> float:
     """Oracle for ``flux_balance_defect``: the same defect, one stored time at a time."""
     lay = problem.layout
-    op = problem.operator
+    op = assemble_diffusion(problem.grid)
     m0, m1 = lay.m0, lay.m1
     free = lay.free_local + m0
     vol = op.volumes
@@ -209,6 +210,36 @@ class TestSolve:
         assert fld.meta["max_principle_ok"]
         K = fld.meta["bound_K"]
         assert np.nanmax(np.abs(fld.values)) <= K + 1e-6
+
+    def test_maximum_principle_flags_an_overshoot_within_the_data_bound(self, monkeypatch):
+        # The first step's peak, about 0.99, bumped by 0.04 to 1.03: above the
+        # initial data's largest value, 1, but inside bound_K = 1 + eta_cap.
+        p = heat_problem(horizon=0.01)
+        assert solve_one(p).meta["max_principle_ok"]
+        newton, bumped = solver._newton, []
+
+        def bump_once(*args):
+            u, *rest = newton(*args)
+            if not bumped:
+                bumped.append(np.argmax(u))
+                u[bumped[0]] += 0.04
+            return (u, *rest)
+
+        monkeypatch.setattr(solver, "_newton", bump_once)
+        fld = solve_one(p)
+        assert 1.0 < np.nanmax(fld.values) < fld.meta["bound_K"]
+        assert not fld.meta["max_principle_ok"]
+
+    def test_newton_holds_imposed_rows_on_their_traces(self):
+        # dt / h^2 = 16.4: a step matrix that kept the imposed columns would let
+        # LAPACK swap an imposed row with its neighbour, and the Newton update
+        # at that row would be off zero by rounding.
+        p = dataclasses.replace(heat_problem(), flux=generic(LIN))
+        assert p.dt / p.grid.h**2 > 16.0
+        fld = solve_one(p)
+        rows = p.layout.m0 + p.layout.dir_local
+        bc = p.phi.phi(p.layout.dir_points, fld.times[1:, None]) + p.eta
+        assert np.array_equal(fld.values[rows, 1:], bc.T)
 
     def test_lift_monotonicity(self):
         fields = [
@@ -418,9 +449,9 @@ class TestPrefactoredLinearPath:
         assert [f.meta["step_halvings"] for f in fields] == [0, 1, 0]
         assert True in all_stepped and False in all_stepped
 
-    def test_floor_above_the_slope_steps_on_by_chord_newton(self):
-        # At a floor of 1.25 the factors are not those of the slope-1 system:
-        # the direct solve only starts each step and chord iterations finish it.
+    def test_floor_does_not_apply_to_a_linear_flux(self):
+        # A floor above the slope leaves a linear step as it is: one solve at
+        # the exact slope, bit for bit the step at the default floor.
         scheme = SolverScheme(jacobian_floor=1.25)
 
         def make():
@@ -428,10 +459,44 @@ class TestPrefactoredLinearPath:
                     radial_heat_problem(dt=1e-3, horizon=0.02)]
 
         fields = assert_members_match_alone(make, scheme)
-        for fld, p in zip(fields, make()):
-            assert_matches_generic(fld, p, scheme)
-            assert fld.meta["newton_iterations"] > 2 * (fld.times.size - 1)
-            assert fld.meta["max_scaled_residual"] <= scheme.newton_tol
+        for fld, plain in zip(fields, solve_members(make())):
+            assert np.array_equal(fld.values, plain.values, equal_nan=True)
+            assert fld.meta == plain.meta
+            assert fld.meta["newton_iterations"] == fld.times.size - 1
+
+    def test_chord_newton_finishes_an_inexact_direct_solve(self, monkeypatch):
+        # The first direct solve is off by 1e-6 at one free row: the checking
+        # residual sees it, and chord iterations on the same factors settle
+        # the step within the tolerance, each one counted.
+        p = heat_problem(horizon=0.01)
+        row = int(p.layout.free_local[10])
+        factors = []
+
+        def off_once(lu, rhs):
+            out = solve_factored(lu, rhs)
+            factors.append(lu)
+            if len(factors) == 1:
+                out[row] += 1e-6
+            return out
+
+        newton, steps = solver._newton, []
+
+        def spy(*args):
+            out = newton(*args)
+            steps.append((out[1][0], out[2][0]))
+            return out
+
+        monkeypatch.setattr(solver, "solve_factored", off_once)
+        monkeypatch.setattr(solver, "_newton", spy)
+        fld = solve_one(p)
+        scheme = SolverScheme()
+        (iters, norm), rest = steps[0], steps[1:]
+        assert iters > 1 and norm <= scheme.newton_tol
+        assert all(lu is factors[0] for lu in factors[1:iters])  # chord on the same factors
+        assert [it for it, _ in rest] == [1] * len(rest)
+        assert fld.meta["newton_iterations"] == len(factors) == len(steps) + iters - 1
+        assert fld.meta["step_halvings"] == 0
+        assert fld.meta["max_scaled_residual"] <= scheme.newton_tol
 
     def test_linear_flux_skips_per_iteration_solves(self, monkeypatch):
         import collar.solver as solver
@@ -448,7 +513,9 @@ class TestPrefactoredLinearPath:
         solve_one(dataclasses.replace(heat_problem(horizon=0.01), flux=generic(LIN)))
         assert len(calls) == 10
 
-    def test_factor_cache_keyed_by_step_and_floor(self):
+    def test_factor_cache_keyed_by_step_size(self):
+        # One record per step size: the floor does not apply to a linear flux,
+        # so a floor of 1.25 steps on the record of the default floor.
         p = radial_heat_problem()
         u = p.initial_window()
         runs = [(p.dt, SolverScheme()), (p.dt / 2, SolverScheme()),
@@ -459,7 +526,8 @@ class TestPrefactoredLinearPath:
         for a, b in zip(reused, fresh):
             assert np.array_equal(a, b)
         assert not np.array_equal(reused[0], reused[1])
-        assert not np.array_equal(reused[1], reused[2])
+        assert np.array_equal(reused[1], reused[2])
+        assert list(p._solo._steps) == [p.dt / 2, p.dt]
 
 
 class TestNonFinite:
@@ -491,9 +559,7 @@ class TestNonFinite:
             step_implicit(u, p, SolverScheme(), t_new=p.dt, dt=p.dt)
 
     def test_nan_update_raises_step_error(self):
-        nan_slope = Nonlinearity(
-            "nan-slope", LIN.g, lambda u: np.full(np.shape(u), np.nan), LIN.g_inv, 0.0
-        )
+        nan_slope = Nonlinearity(LIN.g, lambda u: np.full(np.shape(u), np.nan), LIN.g_inv, 0.0)
         p = dataclasses.replace(heat_problem(), flux=nan_slope)
         u = p.initial_window()
         with pytest.raises(StepError, match="update is not finite"):
@@ -544,7 +610,7 @@ class TestProperties:
     def test_maximum_principle(self, p):
         fld = solve_one(p)
         assert fld.meta["max_principle_ok"], fld.meta
-        if p.flux.kind == "linear":
+        if p.flux.slope is not None:
             assert_matches_generic(fld, p, SolverScheme())
 
     @given(max_principle_problems(), st.floats(0.0, 0.1), st.floats(0.0, 0.1))
@@ -567,7 +633,7 @@ class TestProperties:
         fld = solve_one(p, scheme)
         assume(fld.meta["step_halvings"] == 0)
         free = p.layout.free_local + p.layout.m0
-        weights = p.rho.rho(p.grid.nodes[free]) * p.operator.volumes[free]
+        weights = p.rho.rho(p.grid.nodes[free]) * assemble_diffusion(p.grid).volumes[free]
         defect = flux_balance_defect(fld, p)
         assert defect <= scheme.newton_tol * np.sum(weights)
         assert defect == loop_flux_balance_defect(fld, p)
@@ -590,12 +656,12 @@ def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 
 
     With ``predict``, each unhalved outer step starts Newton at the
     extrapolation of the last outer states, in the solver's operation order;
-    without it, at the current state.  A linear flux needs no start: its first
-    iteration is the direct solve with the slope's bands, its imposed columns
-    moved to the right-hand side, and Newton goes on with those bands only
-    while the residual is above the tolerance.  Returns ``(times, values,
-    meta)``, with the Newton iterations, the largest accepted scaled residual
-    and the halvings in ``meta``.
+    without it, at the current state.  Every step matrix has its imposed
+    columns moved to the right-hand side.  A linear flux needs no start: its
+    first iteration is the direct solve with the bands at its exact slope, and
+    Newton goes on with those bands only while the residual is above the
+    tolerance.  Returns ``(times, values, meta)``, with the Newton iterations,
+    the largest accepted scaled residual and the halvings in ``meta``.
     """
     lay, op, tol = p.layout, p._window_op, scheme.newton_tol
 
@@ -623,24 +689,26 @@ def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 
             return res, float(np.abs(res).max())
 
         def bands(v, rhs=None):
-            """Newton bands at ``v``; a linear flux's move its imposed columns to ``rhs``."""
-            gp = np.maximum(np.asarray(p.flux.dg(v), dtype=float), scheme.jacobian_floor)
+            """Newton bands at ``v``, their imposed columns moved to ``rhs`` if given."""
+            if linear:
+                gp = np.full(v.size, p.flux.slope)
+            else:
+                gp = np.maximum(np.asarray(p.flux.dg(v), dtype=float), scheme.jacobian_floor)
             lo, up = np.zeros_like(gp), np.zeros_like(gp)
             lo[1:] = -scale[1:] * op.lo[1:] * gp[:-1]
             up[:-1] = -scale[:-1] * op.up[:-1] * gp[1:]
             di = 1.0 - scale * op.di * gp
             lo[lay.dir_local] = up[lay.dir_local] = 0.0
             di[lay.dir_local] = 1.0
-            if linear:
-                for band, side in ((lo, 1), (up, -1)):
-                    for k, row in enumerate(lay.dir_local + side):
-                        if 0 <= row < lay.size and row not in lay.dir_local:
-                            if rhs is not None:
-                                rhs[row] -= band[row] * bc[k]
-                            band[row] = 0.0
+            for band, side in ((lo, 1), (up, -1)):
+                for k, row in enumerate(lay.dir_local + side):
+                    if 0 <= row < lay.size and row not in lay.dir_local:
+                        if rhs is not None:
+                            rhs[row] -= band[row] * bc[k]
+                        band[row] = 0.0
             return lo, di, up
 
-        linear, iters = p.flux.kind == "linear", 0
+        linear, iters = p.flux.slope is not None, 0
         if linear:
             b = state.copy()
             b[lay.dir_local] = bc
@@ -756,7 +824,7 @@ def nan_above(flux: Nonlinearity, cap: float) -> Nonlinearity:
         u = np.asarray(u, dtype=float)
         return np.where(u > cap, np.nan, flux.g(u))
 
-    return Nonlinearity("nan-above", g, flux.dg, flux.g_inv, flux.alpha0)
+    return Nonlinearity(g, flux.dg, flux.g_inv, flux.alpha0)
 
 
 def nan_jacobian_first(flux: Nonlinearity, calls: int, cap: float) -> Nonlinearity:
@@ -768,7 +836,7 @@ def nan_jacobian_first(flux: Nonlinearity, calls: int, cap: float) -> Nonlineari
         out = np.asarray(flux.dg(u), dtype=float)
         return np.where(np.asarray(u) > cap, np.nan, out) if len(seen) <= calls else out
 
-    return Nonlinearity("nan-jacobian-first", flux.g, dg, flux.g_inv, flux.alpha0)
+    return Nonlinearity(flux.g, dg, flux.g_inv, flux.alpha0)
 
 
 def nan_once(t_nan: float, value: float = 0.2, times: int = 1) -> BoundaryData:
@@ -913,17 +981,31 @@ class TestBatchedMembers:
         for k in (0, 2):
             assert np.array_equal(fields[k].values, plain[k].values)
 
-    def test_non_finite_jacobian_fails_its_member_alone(self):
-        # Only the middle member's trace lies above the Jacobian's NaN cap.
-        def make():
-            flux = nan_jacobian_first(pme(2.0), 1, cap=0.75)
-            low = BoundaryData.constant(0.5, horizon=1.0)
-            return [pme_problem(33, flux=flux, dt=0.05, horizon=0.2, phi=low),
-                    pme_problem(17, flux=flux, dt=0.05, horizon=0.2),
-                    pme_problem(25, flux=flux, dt=0.05, horizon=0.2, phi=low)]
+    @staticmethod
+    def nan_jacobian_members(*above):
+        """A member per entry of ``above``; the Jacobian is NaN above 0.75 at the
+        first evaluation, which reaches, per entry, no row (``None``), the
+        imposed rows alone (``"imposed"``) or the free rows alone (``"free"``)."""
+        flux = nan_jacobian_first(pme(2.0), 1, cap=0.75)
+        data = {None: (0.5, 0.0), "imposed": (1.0, 0.0), "free": (0.5, 0.8)}
+        return [pme_problem(n, flux=flux, dt=0.05, horizon=0.2,
+                            phi=BoundaryData.constant(data[a][0], horizon=1.0),
+                            initial=InitialData.constant(data[a][1]))
+                for n, a in zip((33, 17, 25), above)]
 
-        fields = assert_members_match_alone(make)
+    def test_non_finite_jacobian_fails_its_member_alone(self):
+        # Only the middle member's state lies above the NaN cap at free rows.
+        fields = assert_members_match_alone(
+            lambda: self.nan_jacobian_members(None, "free", None))
         assert [f.meta["step_halvings"] for f in fields] == [0, 1, 0]
+
+    @pytest.mark.parametrize("above, halvings", [((None, "imposed", None), [0, 0, 0]),
+                                                 (("free", "imposed", None), [1, 0, 0])])
+    def test_non_finite_jacobian_at_imposed_rows_never_reaches_the_solve(self, above, halvings):
+        # The bands leave an imposed node's column out, so its Jacobian entry is
+        # never read: that member steps unhalved, also beside a member that fails.
+        fields = assert_members_match_alone(lambda: self.nan_jacobian_members(*above))
+        assert [f.meta["step_halvings"] for f in fields] == halvings
 
     @pytest.mark.parametrize("owner, offset", [(0, -1), (1, 0)])  # either side of a block edge
     def test_zero_pivot_maps_to_the_member_owning_its_row(self, monkeypatch, owner, offset):
@@ -1007,17 +1089,17 @@ class TestBatchedMembers:
             solve_members([p, dataclasses.replace(p, eta=0.05), odd])
 
     def test_factor_cache_stays_bounded(self):
-        # One step-size record per (dt, floor), factored for a linear flux
-        # only; the least recently used is dropped first.
+        # One step-size record per dt, factored for a linear flux only; the
+        # least recently used is dropped first.
         problems = [heat_problem(), radial_heat_problem()]
         for flux in (LIN, pme(2.0)):
             batch = solver._Batch([dataclasses.replace(p, flux=flux) for p in problems])
-            first = batch.step(1e-3, 1e-8)
+            first = batch.step(1e-3)
             for k in range(10):
-                assert batch.step(1e-3, 1e-8) is first  # kept while recently used
-                batch.step(1e-3 * (2 + k), 1e-8)
+                assert batch.step(1e-3) is first  # kept while recently used
+                batch.step(1e-3 * (2 + k))
+            assert list(batch._steps) == [1e-3, 1e-3 * 11]
             assert len(batch._steps) == solver._LU_CACHE
-            assert batch.step(2e-3, 1e-8) is not batch.step(2e-3, 2e-8)
             assert (first.lu is not None) == (flux is LIN)
             assert np.array_equal(first.scale, 1e-3 / batch.rho)
 
@@ -1030,10 +1112,17 @@ class TestBatchedMembers:
             assert p.layout.free_local.dtype == old.dtype
         for members in (problems[:1], problems[2:3], problems, problems[::-1]):
             batch = solver._Batch(members)
-            ends = batch.starts + batch.sizes - 1
-            for new, old in ((batch._lo_zero, np.union1d(batch.dir, batch.starts)),
-                             (batch._up_zero, np.union1d(batch.dir, ends))):
+            rows = np.arange(batch.sizes.sum())
+            # A band is zero at an imposed row, at a block edge and beside an
+            # imposed row, whose column the bands leave out.
+            for new, edges, side, (beside, entry) in (
+                    (batch._lo_zero, batch.starts, 1, batch.beside[0]),
+                    (batch._up_zero, batch.starts + batch.sizes - 1, -1, batch.beside[1])):
+                kept = np.union1d(batch.dir, edges)
+                old = np.intersect1d(np.union1d(kept, batch.dir + side), rows)
                 assert np.array_equal(new, old) and new.dtype == old.dtype
+                assert np.array_equal(beside, np.setdiff1d(old, kept))
+                assert np.array_equal(batch.dir[entry], beside - side)
 
     def test_solve_error_names_the_failing_member(self):
         nan_trace = BoundaryData(
@@ -1274,20 +1363,23 @@ class TestTraceTable:
     def test_a_trace_is_evaluated_once_per_block(self, monkeypatch, block):
         # 30 outer steps, no halving: one evaluation per block of outer steps,
         # at all its end times at once, and the same answers whatever the block.
+        # A constant trace is evaluated the same way.
         monkeypatch.setattr(solver, "_TRACE_BLOCK", block)
-        calls = {"sine": [], "ramp": []}
+        calls = {"sine": [], "ramp": [], "constant": []}
 
         def make():
             sine = counted(BoundaryData.sine(0.2, 0.1, 2.0), calls["sine"])
             ramp = counted(BoundaryData.ramp(0.2, 1.0), calls["ramp"])
+            constant = counted(BoundaryData.constant(0.3), calls["constant"])
             return [pme_problem(33, flux=LIN, dt=1e-3, horizon=0.03, phi=sine),
                     pme_problem(17, flux=LIN, dt=1e-3, horizon=0.03, phi=ramp),
-                    pme_problem(21, dom=BALL, flux=LIN, dt=1e-3, horizon=0.03, phi=sine)]
+                    pme_problem(21, dom=BALL, flux=LIN, dt=1e-3, horizon=0.03, phi=sine),
+                    pme_problem(25, flux=LIN, dt=1e-3, horizon=0.03, phi=constant)]
 
         fields = solve_members(make())
-        assert [f.meta["step_halvings"] for f in fields] == [0, 0, 0]
+        assert [f.meta["step_halvings"] for f in fields] == [0, 0, 0, 0]
         blocks = [(min(block, 30 - s), 1) for s in range(0, 30, block)]
-        assert calls == {"sine": blocks, "ramp": blocks}
+        assert calls == {"sine": blocks, "ramp": blocks, "constant": blocks}
         assert_members_match_alone(make)
 
     def test_a_halved_step_adds_one_evaluation_per_level(self):
