@@ -9,11 +9,10 @@ assembled from the flux derivative floors it so the linear solve stays
 regular where the flux degenerates, while the residual (and therefore the
 converged answer) is the unregularized scheme.  There is no other scheme: a
 step is accepted only at the Newton tolerance, and a step that does not
-reach it is halved.  For a
-nonlinear flux, Newton starts each outer step at the extrapolation
-``2 u_n - u_(n-1)`` or ``3 (u_n - u_(n-1)) + u_(n-2)`` of the last outer
-states, and the sub-steps of a halved step at their current state; a linear
-flux needs no start.
+reach it is halved.  For a nonlinear flux, Newton starts each outer step at
+the extrapolation ``2 u_n - u_(n-1)`` or ``3 (u_n - u_(n-1)) + u_(n-2)`` of
+the last outer states, and the sub-steps of a halved step at their current
+state; a linear flux needs no start.
 
 The members of one solve are approximations of one problem: they share one
 flux object, one ``dt`` and one horizon, which ``solve_members`` checks, while
@@ -38,18 +37,18 @@ Nothing that is fixed for a whole step is computed inside the Newton call.
 The lifted traces are evaluated once per block of outer steps, at all their
 end times at once, and once per halved step and level, at all that level's
 sub-step ends; each distinct ``BoundaryData`` is called once per evaluation.
-What depends only on the step size, ``dt / rho`` and the stencil bands
-scaled by it, is kept per ``dt``.  So is the LU (LAPACK ``gttrf``) of a
-linear flux's step matrix ``A``, at its exact slope, where the Jacobian
-floor does not apply.  Its residual is ``A v - b``, with ``b`` the old
-state, the traces in the imposed rows and their couplings subtracted beside
-them, so a step is one solve ``u = A^-1 b`` with those factors (``gttrs``)
-and one residual that checks it; only a member that rounding leaves above
-the tolerance goes on by chord Newton on the same factors.  Every other flux
-assembles its Jacobian bands each iteration and solves them with ``gtsv``.
-The direct solve and Newton from a start agree to within the tolerance of
-each step, not bit for bit.  A non-finite residual or Newton update fails
-its member instead of freezing the state.
+What depends only on the step size is kept per ``dt``: ``dt / rho``, the
+stencil bands scaled by it and, for a linear flux, the ``L D L^T`` factors
+(LAPACK ``pttrf``) of its step matrix ``A`` at its exact slope, with rows
+scaled to the symmetric positive definite ``W A`` (see ``_StepSize``).  The
+residual is ``A v - b``, with ``b`` the old state, the traces in the imposed
+rows and their couplings subtracted beside them, so a step is one solve of
+``W A u = W b`` (``pttrs``) and one residual that checks it; only a member
+that rounding leaves above the tolerance goes on by chord Newton on the same
+factors.  Every other flux assembles its Jacobian bands each iteration and
+solves them with ``gtsv``.  The direct solve and Newton from a start agree
+to within the tolerance of each step, not bit for bit.  A non-finite
+residual or Newton update fails its member instead of freezing the state.
 
 The three LAPACK routines come from ``collar.tridiagonal``, which maps scipy's
 compiled wrapper when this module is imported.  ``parse_config`` imports this
@@ -68,12 +67,12 @@ from .errors import ConfigError, LinearSolveError, ShapeError, SolveError, StepE
 from .geometry import Grid, collar_decomposition
 from .models import BoundaryData, DensityModel, InitialData, Nonlinearity, global_bound
 from .operators import assemble_diffusion, stack_operators
-from .tridiagonal import factor_tridiagonal, solve_factored, solve_tridiagonal
+from .tridiagonal import factor_spd, solve_spd, solve_tridiagonal
 
 #: Step-size records one batch keeps, one per ``dt``; the least
 #: recently used is dropped first.  Rounding gives one lattice a few distinct
 #: ``dt`` values, but most steps share one, which two entries keep.
-_LU_CACHE = 2
+_STEP_CACHE = 2
 #: Outer steps whose traces one table holds, so a long run's tables stay small.
 _TRACE_BLOCK = 256
 #: Halvings of one outer step before a member's solve fails.
@@ -171,30 +170,21 @@ class ApproxProblem:
             raise ConfigError("time step and horizon must be positive and finite")
         if self.phi.horizon < self.horizon * (1.0 - 1e-12):
             raise ConfigError("boundary data horizon shorter than the solve horizon")
-        self._layout = self._build_layout()
-        self._window_op = assemble_diffusion(self.grid).window(self._layout.m0, self._layout.m1)
-        # Density values at strongly imposed rows never enter the scheme, and a
-        # power-law density is infinite at the boundary nodes: leave them at 1.
-        free = self._layout.free_local
-        self._rho_w = np.ones(self._layout.size)
-        self._rho_w[free] = self.rho.rho(self.grid.nodes[self._layout.m0 + free])
-        self._solo = None  # one-member batch of step_implicit, built on first use
-
-    def _build_layout(self) -> _Layout:
         grid = self.grid
         cls = collar_decomposition(grid, self.eps)
         m0, m1 = cls.window
-        dir_global = cls.interface
-        dir_local = dir_global - m0
+        dir_local = cls.interface - m0
         free_local = np.flatnonzero(~_index_mask(m1 - m0 + 1, dir_local))
         if free_local.size < 3:
             raise ConfigError("fewer than 3 interior unknowns at this collar level")
-        points = grid.domain.nearest_boundary_point(grid.nodes[dir_global])
-        return _Layout(m0, m1, dir_local, free_local, np.atleast_1d(points))
-
-    @property
-    def layout(self) -> _Layout:
-        return self._layout
+        points = np.atleast_1d(grid.domain.nearest_boundary_point(grid.nodes[m0 + dir_local]))
+        self.layout = lay = _Layout(m0, m1, dir_local, free_local, points)
+        self._window_op = assemble_diffusion(grid).window(m0, m1)
+        # Density values at strongly imposed rows never enter the scheme, and a
+        # power-law density is infinite at the boundary nodes: leave them at 1.
+        self._rho_w = np.ones(lay.size)
+        self._rho_w[free_local] = self.rho.rho(grid.nodes[m0 + free_local])
+        self._solo = None  # one-member batch of step_implicit, built on first use
 
     @property
     def bound_K(self) -> float:
@@ -204,7 +194,7 @@ class ApproxProblem:
 
     def initial_window(self) -> np.ndarray:
         full = blend_initial_data(self.initial, self.phi, self.eps, self.grid)
-        return full[self._layout.m0 : self._layout.m1 + 1] + self.eta
+        return full[self.layout.m0 : self.layout.m1 + 1] + self.eta
 
 
 @dataclass
@@ -266,7 +256,14 @@ def _all_finite(values: np.ndarray) -> bool:
 
 class _StepSize:
     """What one step size fixes: ``scale = dt / rho``, the stencil bands scaled by
-    it and, for a linear flux, the LU factors of ``batch.bands`` at its slope.
+    it and, for a linear flux at slope ``c``, row weights ``w = V rho / dt``
+    (1 at an imposed row) and the ``L D L^T`` factors of ``diag(w) A``.
+
+    ``A = I - c diag(scale) L`` is ``batch.bands`` at ``c``.  With ``L = V^-1 K``
+    and ``K`` symmetric, the free rows of ``diag(w) A`` are those of ``W - c K``,
+    symmetric and strictly dominant with a positive diagonal.  A Jacobian from
+    ``dg`` has no such scaling: at a zero ``dg`` (the floor may be 0) its column
+    is a unit vector while its row keeps its couplings.
 
     ``columns`` holds, for the rows below and then above an imposed row, those
     rows, the imposed row's entry in a row of traces and the coupling that
@@ -274,7 +271,7 @@ class _StepSize:
     subtracts coupling times trace from its right-hand side there.
     """
 
-    __slots__ = ("scale", "lo", "di", "up", "lu", "columns")
+    __slots__ = ("scale", "lo", "di", "up", "w", "ldl", "columns")
 
     def __init__(self, batch: "_Batch", dt: float):
         op = batch.op
@@ -282,10 +279,14 @@ class _StepSize:
         self.lo = -scale[1:] * op.lo[1:]
         self.di = scale * op.di
         self.up = -scale[:-1] * op.up[:-1]
-        self.lu = self.columns = None
+        self.w = self.ldl = self.columns = None
         slope = batch.flux.slope
         if slope is not None:
-            self.lu = factor_tridiagonal(*batch.bands(self, np.full(scale.size, slope)))
+            self.w = w = op.volumes * batch.rho / dt
+            d, e = w - slope * op.volumes * op.di, -slope * op.volumes * op.up
+            w[batch.dir] = d[batch.dir] = 1.0
+            e[batch._up_zero] = 0.0
+            self.ldl = factor_spd(d, e)
             (below, k_below), (above, k_above) = batch.beside
             self.columns = ((below, k_below, self.lo[below - 1] * slope),
                             (above, k_above, self.up[above] * slope))
@@ -382,7 +383,7 @@ class _Batch:
         size = self._steps.pop(dt, None)
         if size is None:
             size = _StepSize(self, dt)
-            if len(self._steps) >= _LU_CACHE:
+            if len(self._steps) >= _STEP_CACHE:
                 del self._steps[next(iter(self._steps))]  # the least recently used
         self._steps[dt] = size
         return size
@@ -397,8 +398,8 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
     A nonlinear batch starts Newton at ``start``, which it overwrites, and
     assembles its Jacobian bands from ``dg`` each iteration.  A linear batch
     never reads ``start``: its first iteration is one solve with the step's
-    LU factors, at the exact slope, and a member that rounding leaves above
-    the tolerance goes on by chord Newton on the same factors.  Returns
+    factors, at the exact slope, and a member that rounding leaves above the
+    tolerance goes on by chord Newton on the same factors.  Returns
     ``(state, iterations, residuals, errors)``: per member, the Newton
     iterations and the final scaled residual, and ``errors[k]``, the StepError
     member ``k`` would raise stepping alone, for each stepping member that
@@ -407,25 +408,22 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
     iteration; any other leaves it once it converges or fails.  Out of it, a
     member's right-hand side is zero, so its block solves to zero, and a block
     holding a non-finite Jacobian entry at a free row or a zero pivot becomes
-    identity rows first.
-    Only stepping members' rows of the returned state are a step.
+    identity rows first.  Only stepping members' rows of the returned state are a step.
     """
-    op, dir_rows, starts = batch.op, batch.dir, batch.starts
+    op, dir_rows, starts, tol = batch.op, batch.dir, batch.starts, scheme.newton_tol
     size = batch.step(dt)
     scale = size.scale
-    u_old = state
-    tol = scheme.newton_tol
 
     def residual(v):
         gv = np.asarray(batch.flux.g(v))
-        res = (v - u_old) - scale * op.apply(gv)
+        res = (v - state) - scale * op.apply(gv)
         res[dir_rows] = v[dir_rows] - bc
         norms = np.maximum.reduceat(np.abs(res), starts).tolist()
         if not all(map(math.isfinite, norms)):
             # A zero coupling times a non-finite flux value is NaN in the next
             # block: keep each non-finite value to its own member's rows.
             bad = ~np.isfinite(gv)
-            res = (v - u_old) - scale * op.apply(np.where(bad, 0.0, gv))
+            res = (v - state) - scale * op.apply(np.where(bad, 0.0, gv))
             res[dir_rows] = v[dir_rows] - bc
             res[bad] = np.nan
             norms = np.maximum.reduceat(np.abs(res), starts).tolist()
@@ -442,10 +440,10 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
 
     if batch.linear:
         # The residual is ``A v - b``, with ``b`` the old state and the traces in
-        # the imposed rows, so the LU of ``A`` settles the step in one solve.  A
+        # the imposed rows, so one solve of ``W A u = W b`` settles the step.  A
         # member that does not step, or whose ``b`` is not finite, takes a zero
         # right-hand side: its block solves to zero and leaks nothing.
-        b = u_old.copy()
+        b = state.copy()
         b[dir_rows] = bc
         for rows, k, coupling in size.columns:
             b[rows] -= coupling * bc[k]
@@ -455,7 +453,7 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
             direct = [s and ok for s, ok in zip(stepping, finite)]
         if not all(direct):
             b[batch.rows(np.logical_not(direct))] = 0.0
-        u = solve_factored(size.lu, b)
+        u = solve_spd(size.ldl, size.w * b)
         iters = [int(d) for d in direct]
     else:
         u = start
@@ -471,7 +469,7 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
         if not all(live):
             rhs[batch.rows(np.logical_not(live))] = 0.0
         if batch.linear:
-            delta = solve_factored(size.lu, rhs)
+            delta = solve_spd(size.ldl, size.w * rhs)
         else:
             gp = np.maximum(np.asarray(batch.flux.dg(u), dtype=float), scheme.jacobian_floor)
             bands = batch.bands(size, gp)

@@ -1,8 +1,8 @@
 """Tridiagonal solves through LAPACK, for the solver and the duality potential.
 
-``gtsv`` serves a one-off solve; ``gttrf`` once and ``gttrs`` per right-hand
-side serve a matrix that is reused.  Bands are full-length arrays as the
-stencil in ``collar.operators`` stores them.
+``gtsv`` serves a one-off solve; ``pttrf`` once and ``pttrs`` per right-hand
+side serve a reused symmetric positive definite matrix, a linear flux's scaled
+step matrix.  Bands are full-length arrays as ``collar.operators`` stores them.
 
 The three routines come from scipy's compiled LAPACK wrapper,
 ``scipy.linalg._flapack``, loaded straight from its file when this module is
@@ -63,7 +63,7 @@ def _load_lapack():
 
 
 _lapack = _load_lapack()
-dgtsv, dgttrf, dgttrs = _lapack.dgtsv, _lapack.dgttrf, _lapack.dgttrs
+dgtsv, dpttrf, dpttrs = _lapack.dgtsv, _lapack.dpttrf, _lapack.dpttrs
 
 
 def _check(info: int, routine: str) -> None:
@@ -81,15 +81,16 @@ def solve_tridiagonal(lo: np.ndarray, di: np.ndarray, up: np.ndarray, rhs: np.nd
     return x
 
 
-def factor_tridiagonal(lo: np.ndarray, di: np.ndarray, up: np.ndarray) -> tuple:
-    """LU factors of the tridiagonal matrix, for repeated ``solve_factored`` calls."""
-    *factors, info = dgttrf(lo[1:], di, up[:-1])
-    _check(info, "dgttrf")
+def factor_spd(di: np.ndarray, up: np.ndarray) -> tuple:
+    """``L D L^T`` factors of the symmetric tridiagonal matrix with diagonal ``di``
+    and off-diagonal ``up[:-1]``; ``LinearSolveError`` unless positive definite."""
+    *factors, info = dpttrf(di, up[:-1])
+    _check(info, "dpttrf")
     return tuple(factors)
 
 
-def solve_factored(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve with factors from ``factor_tridiagonal``; same pivots as ``solve_tridiagonal``."""
-    x, info = dgttrs(*factors, rhs)
-    _check(info, "dgttrs")
+def solve_spd(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve with factors from ``factor_spd``; bit for bit LAPACK's ``ptsv``."""
+    x, info = dpttrs(*factors, rhs)
+    _check(info, "dpttrs")
     return x

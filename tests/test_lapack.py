@@ -48,9 +48,8 @@ import numpy as np
 {first}
 {second}
 ops, lapack = collar.tridiagonal, scipy.linalg.lapack
-assert ops.dgtsv is lapack.dgtsv and ops.dgttrf is lapack.dgttrf and ops.dgttrs is lapack.dgttrs
+assert ops.dgtsv is lapack.dgtsv and ops.dpttrf is lapack.dpttrf and ops.dpttrs is lapack.dpttrs
 rng = np.random.default_rng(11)
-pivoted = 0
 for n in (5, 6, 17, 64, 201, 400, 801):
     for dominance in (1.0, 0.2):  # 0.2 forces row interchanges
         lo, up = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
@@ -58,15 +57,16 @@ for n in (5, 6, 17, 64, 201, 400, 801):
         rhs = rng.standard_normal(n)
         *_, x, info = lapack.dgtsv(lo[1:], di, up[:-1], rhs)
         assert info == 0 and np.array_equal(ops.solve_tridiagonal(lo, di, up, rhs), x)
-        *factors, info = lapack.dgttrf(lo[1:], di, up[:-1])
+    for margin in (1.0, 1e-4):  # diagonal over the off-diagonal sums
+        up = rng.uniform(-1.0, 1.0, n)
+        di = np.abs(up) + np.abs(np.roll(up, 1)) + margin * rng.uniform(0.1, 1.0, n)
+        *factors, info = lapack.dpttrf(di, up[:-1])
         assert info == 0
-        mine = ops.factor_tridiagonal(lo, di, up)
+        mine = ops.factor_spd(di, up)
         assert all(np.array_equal(a, b) for a, b in zip(mine, factors))
-        pivoted += bool(np.any(factors[-1] != np.arange(1, n + 1)))
-        for b in (rhs, rng.standard_normal(n)):
-            x, info = lapack.dgttrs(*factors, b)
-            assert info == 0 and np.array_equal(ops.solve_factored(mine, b), x)
-assert pivoted >= 7, pivoted
+        for b in (rng.standard_normal(n), rng.standard_normal(n)):
+            x, info = lapack.dpttrs(*factors, b)
+            assert info == 0 and np.array_equal(ops.solve_spd(mine, b), x)
 print("ok")
 """
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dptsv
 
 from collar import experiments, solver
 from collar.analysis import comparison_check
@@ -28,7 +29,7 @@ from collar.solver import (
     solve_members,
     step_implicit,
 )
-from collar.tridiagonal import factor_tridiagonal, solve_factored, solve_tridiagonal
+from collar.tridiagonal import factor_spd, solve_spd, solve_tridiagonal
 
 DOM = Domain.interval(0.0, 1.0)
 RHO1 = DensityModel.constant(1.0, DOM)
@@ -361,6 +362,15 @@ def random_tridiagonal(rng, n, dominance):
     return lo, di, up, rng.standard_normal(n)
 
 
+def random_spd(rng, n, margin):
+    """Diagonal, off-diagonal (full length) and right-hand side of a symmetric
+    positive definite tridiagonal matrix, diagonally dominant by ``margin``."""
+    up = rng.uniform(-1.0, 1.0, n)
+    up[-1] = 0.0
+    di = np.abs(up) + np.abs(np.roll(up, 1)) + margin * rng.uniform(0.1, 1.0, n)
+    return di, up, rng.standard_normal(n)
+
+
 class TestTridiagonal:
     @pytest.mark.parametrize("n", [2, 3, 17, 801])
     def test_matches_solve_banded_bit_for_bit(self, n):
@@ -371,20 +381,21 @@ class TestTridiagonal:
             ab[0, 1:], ab[1], ab[2, :-1] = up[:-1], di, lo[1:]
             assert np.array_equal(solve_tridiagonal(lo, di, up, rhs), solve_banded((1, 1), ab, rhs))
 
-    @pytest.mark.parametrize("dominance", [1.0, 0.2])  # 0.2 forces row interchanges
-    def test_factored_solve_matches_direct_solve(self, dominance):
-        rng = np.random.default_rng(7)
-        lo, di, up, rhs = random_tridiagonal(rng, 64, dominance)
-        lu = factor_tridiagonal(lo, di, up)
+    @pytest.mark.parametrize("margin", [1.0, 0.2])  # diagonal over the off-diagonal sums
+    def test_factored_solve_matches_direct_solve(self, margin):
+        di, up, rhs = random_spd(np.random.default_rng(7), 64, margin)
+        ldl = factor_spd(di, up)
         for b in (rhs, 2.0 * rhs):
-            assert np.array_equal(solve_factored(lu, b), solve_tridiagonal(lo, di, up, b))
+            assert np.array_equal(solve_spd(ldl, b), dptsv(di, up[:-1], b)[2])
 
     def test_inputs_left_untouched(self):
-        lo, di, up, rhs = random_tridiagonal(np.random.default_rng(3), 9, dominance=1.0)
-        before = [a.copy() for a in (lo, di, up, rhs)]
+        rng = np.random.default_rng(3)
+        inputs = (*random_tridiagonal(rng, 9, dominance=1.0), *random_spd(rng, 9, 1.0))
+        before = [a.copy() for a in inputs]
+        lo, di, up, rhs, spd_di, spd_up, spd_rhs = inputs
         solve_tridiagonal(lo, di, up, rhs)
-        solve_factored(factor_tridiagonal(lo, di, up), rhs)
-        assert all(np.array_equal(a, b) for a, b in zip((lo, di, up, rhs), before))
+        solve_spd(factor_spd(spd_di, spd_up), spd_rhs)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
 
     def test_singular_system_raises_typed_error(self):
         lo, di, up = np.ones(4), np.ones(4), np.array([1.0, 0.0, 1.0, 1.0])  # rows 0, 1 equal
@@ -392,8 +403,10 @@ class TestTridiagonal:
             solve_tridiagonal(lo, di, up, np.ones(4))
         assert err.value.info > 0
         assert isinstance(err.value, StepError)  # the stepper halves and retries on it
-        with pytest.raises(LinearSolveError):
-            factor_tridiagonal(lo, di, up)
+        # Symmetric but not positive definite: its leading 2 x 2 minor is 1 - 4.
+        with pytest.raises(LinearSolveError) as err:
+            factor_spd(np.ones(4), np.array([2.0, 0.5, 0.5, 0.0]))
+        assert err.value.info == 2
 
 
 def radial_heat_problem(nodes=65, dt=2e-3, horizon=0.04):
@@ -472,9 +485,9 @@ class TestPrefactoredLinearPath:
         row = int(p.layout.free_local[10])
         factors = []
 
-        def off_once(lu, rhs):
-            out = solve_factored(lu, rhs)
-            factors.append(lu)
+        def off_once(ldl, rhs):
+            out = solve_spd(ldl, rhs)
+            factors.append(ldl)
             if len(factors) == 1:
                 out[row] += 1e-6
             return out
@@ -486,13 +499,13 @@ class TestPrefactoredLinearPath:
             steps.append((out[1][0], out[2][0]))
             return out
 
-        monkeypatch.setattr(solver, "solve_factored", off_once)
+        monkeypatch.setattr(solver, "solve_spd", off_once)
         monkeypatch.setattr(solver, "_newton", spy)
         fld = solve_one(p)
         scheme = SolverScheme()
         (iters, norm), rest = steps[0], steps[1:]
         assert iters > 1 and norm <= scheme.newton_tol
-        assert all(lu is factors[0] for lu in factors[1:iters])  # chord on the same factors
+        assert all(ldl is factors[0] for ldl in factors[1:iters])  # chord on the same factors
         assert [it for it, _ in rest] == [1] * len(rest)
         assert fld.meta["newton_iterations"] == len(factors) == len(steps) + iters - 1
         assert fld.meta["step_halvings"] == 0
@@ -658,10 +671,11 @@ def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 
     extrapolation of the last outer states, in the solver's operation order;
     without it, at the current state.  Every step matrix has its imposed
     columns moved to the right-hand side.  A linear flux needs no start: its
-    first iteration is the direct solve with the bands at its exact slope, and
-    Newton goes on with those bands only while the residual is above the
-    tolerance.  Returns ``(times, values, meta)``, with the Newton iterations,
-    the largest accepted scaled residual and the halvings in ``meta``.
+    first iteration is the direct solve at its exact slope, with LAPACK
+    ``ptsv`` on the rows scaled to a symmetric matrix, and chord Newton goes
+    on with that solve only while the residual is above the tolerance.
+    Returns ``(times, values, meta)``, with the Newton iterations, the
+    largest accepted scaled residual and the halvings in ``meta``.
     """
     lay, op, tol = p.layout, p._window_op, scheme.newton_tol
 
@@ -708,15 +722,27 @@ def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 
                         band[row] = 0.0
             return lo, di, up
 
+        def symmetric(rhs):
+            """``A^-1 rhs`` at the linear slope, solved as ``(W A)^-1 W rhs``: the rows
+            of ``A`` scaled by ``w = V rho / dt`` are symmetric positive definite."""
+            w = op.volumes * p._rho_w / dt
+            w[lay.dir_local] = 1.0
+            d, e = w - p.flux.slope * op.volumes * op.di, -p.flux.slope * op.volumes * op.up
+            d[lay.dir_local] = 1.0
+            e[lay.dir_local] = 0.0
+            e[lay.dir_local[lay.dir_local > 0] - 1] = 0.0
+            return dptsv(d, e[:-1], w * rhs)[2]
+
         linear, iters = p.flux.slope is not None, 0
         if linear:
             b = state.copy()
             b[lay.dir_local] = bc
-            u = solve_tridiagonal(*bands(u, b), b)
+            bands(u, b)  # moves the imposed columns to ``b``
+            u = symmetric(b)
             iters = 1
         res, norm = residual(u)
         while norm > tol and iters < scheme.max_iterations:
-            delta = solve_tridiagonal(*bands(u), -res)
+            delta = symmetric(-res) if linear else solve_tridiagonal(*bands(u), -res)
             if not np.isfinite(delta).all():
                 raise StepError("Newton update is not finite")
             frac = 1.0
@@ -1099,8 +1125,8 @@ class TestBatchedMembers:
                 assert batch.step(1e-3) is first  # kept while recently used
                 batch.step(1e-3 * (2 + k))
             assert list(batch._steps) == [1e-3, 1e-3 * 11]
-            assert len(batch._steps) == solver._LU_CACHE
-            assert (first.lu is not None) == (flux is LIN)
+            assert len(batch._steps) == solver._STEP_CACHE
+            assert (first.ldl is not None) == (flux is LIN)
             assert np.array_equal(first.scale, 1e-3 / batch.rho)
 
     def test_index_sets_equal_numpy_set_operations(self):
@@ -1186,6 +1212,93 @@ class TestMemberProperties:
             return
         fields = assert_members_match_alone(make, scheme, stride)
         assert fields[0].meta["step_halvings"] >= halving
+
+
+@st.composite
+def linear_steps(draw):
+    """``(problems, dt)``: two or three linear members of one solve on one grid,
+    with distinct collar widths and their own lifts, and a step ``dt`` of
+    ``dt / h^2`` from 1e-2 to 1e4."""
+    kind = draw(st.sampled_from(["interval", "ball", "annulus"]))
+    if kind == "interval":
+        dom = Domain.interval(0.0, 1.0)
+    elif kind == "ball":
+        dom = Domain.ball(1.0, dim=draw(st.integers(2, 4)))
+    else:
+        dom = Domain.annulus(0.5, 1.5, dim=draw(st.integers(2, 4)))
+    density = draw(st.sampled_from(["constant", "power", "table"]))
+    if density == "constant":
+        rho = DensityModel.constant(draw(st.floats(0.5, 2.0)), dom)
+    elif density == "power":
+        rho = DensityModel.power_law(draw(st.floats(0.0, 3.0)), dom)
+    else:
+        values = draw(st.lists(st.floats(0.2, 5.0), min_size=5, max_size=5))
+        rho = DensityModel.from_table(np.linspace(dom.lo, dom.hi, 5), values, dom)
+    grid = build_grid(dom, draw(st.sampled_from([33, 65, 129])))
+    dt = 10.0 ** draw(st.floats(-2.0, 4.0)) * grid.h**2
+    cap = int(dom.collar_cap / grid.h + 1e-9)
+    steps = draw(st.lists(st.sampled_from([0, *range(2, cap + 1)]), min_size=2, max_size=3,
+                          unique=True))
+    flux = Nonlinearity.linear(draw(st.floats(0.5, 2.0)))
+    phi = BoundaryData.sine(draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.3)),
+                            draw(st.floats(0.5, 3.0)), horizon=max(1.0, dt))
+    initial = InitialData.sine(dom, draw(st.floats(-1.0, 1.0)), draw(st.integers(1, 3)),
+                               offset=draw(st.floats(0.0, 0.5)))
+    return [ApproxProblem(grid=grid, rho=rho, flux=flux, phi=phi, initial=initial,
+                          eps=m * grid.h, eta=draw(st.floats(0.0, 0.1)), eta_cap=0.1,
+                          horizon=dt, dt=dt)
+            for m in steps], dt
+
+
+def slope_solve(p: ApproxProblem, dt: float, state, bc):
+    """``p``'s linear step by ``gtsv`` on ``A = I - c (dt / rho) L``: identity rows at
+    the imposed nodes, whose columns move to the right-hand side."""
+    lay, op, c = p.layout, p._window_op, p.flux.slope
+    scale = dt / p._rho_w
+    lo, di, up = -c * scale * op.lo, 1.0 - c * scale * op.di, -c * scale * op.up
+    rhs = state.copy()
+    imposed = np.zeros(lay.size, dtype=bool)
+    imposed[lay.dir_local] = True
+    for k, row in enumerate(lay.dir_local):
+        for band, i in ((lo, row + 1), (up, row - 1)):
+            if 0 <= i < lay.size and not imposed[i]:
+                rhs[i] -= band[i] * bc[k]
+                band[i] = 0.0
+    lo[imposed] = up[imposed] = 0.0
+    di[imposed] = 1.0
+    rhs[imposed] = bc
+    return solve_tridiagonal(lo, di, up, rhs)
+
+
+class TestLinearStepProperties:
+    @given(linear_steps())
+    @settings(max_examples=60, deadline=None)
+    def test_direct_step_is_the_slope_solve(self, drawn):
+        problems, dt = drawn
+        batch = solver._Batch(problems)
+        scheme = SolverScheme()
+        state = np.concatenate([p.initial_window() for p in problems])
+        bc = batch.traces([dt])[0]
+        size = batch.step(dt)  # dpttrf's info > 0 would raise LinearSolveError here
+        assert np.all(size.ldl[0] > 0.0)  # D of L D L^T: positive definite
+        direct = []
+
+        def spy(ldl, rhs):
+            out = solve_spd(ldl, rhs)
+            direct.append(out.copy())
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "solve_spd", spy)
+            u, _, _, errors = solver._newton(batch, state, None, scheme, bc, dt,
+                                             [True] * len(problems))
+        assert errors == {}
+        assert np.array_equal(direct[0][batch.dir], bc)
+        for k, p in enumerate(problems):
+            rows = slice(batch.starts[k], batch.starts[k] + batch.sizes[k])
+            bc_rows = slice(batch.bc_starts[k], batch.bc_starts[k] + batch.bc_sizes[k])
+            slow = slope_solve(p, dt, state[rows], bc[bc_rows])
+            assert np.max(np.abs(u[rows] - slow)) <= scheme.newton_tol
 
 
 class TestPredictor:
