@@ -169,9 +169,6 @@ class AttainmentReport:
     attained: bool
     probe_offsets: list = field(default_factory=list)
 
-    def csv_rows(self):
-        return list(zip(self.eps_levels, self.sups))
-
 
 def check_attainment_levels(eps_list) -> None:
     """ConfigError unless there are at least 4 collar levels, strictly decreasing."""

@@ -12,9 +12,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+
+# collar's BLAS and LAPACK work is tridiagonal solves and small products, which
+# one thread does best; OpenBLAS worker threads only spin beside it.  OpenBLAS
+# reads this when numpy loads, so it is set before anything imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import EXPERIMENT_KINDS, parse_config_file
 from .errors import CollarError, ConfigError

@@ -13,13 +13,15 @@ that list and analyses the fields it returns.  ``barrier-certify`` gets
 
 Every run writes a top-level ``report.json`` embedding the fully resolved
 config, the verdicts with the tolerances they used, stage timings and, for
-the kinds that step, each member's solver totals; data files (CSV) are
+the kinds that step, each member's solver totals; data files (CSV, the
+``%.17g`` text of ``np.savetxt`` from ``csvfmt.write_csv``) are
 bit-reproducible for identical configs.
 
 At module level this imports only ``config``, ``errors``, ``geometry`` and
 ``models``.  Each function imports the modules it calls (``solver``,
-``analysis`` or ``barriers``) itself and calls through them, so a kind loads
-only what it runs; ``parse_config`` has already imported them by then.
+``analysis``, ``barriers`` or ``csvfmt``) itself and calls through them, so a
+kind loads only what it runs; ``parse_config`` has already imported them by
+then (``solver`` imports ``csvfmt``).
 """
 
 from __future__ import annotations
@@ -255,14 +257,13 @@ def _run_duality(cfg, m, out: Path):
 
 def _run_attainment(cfg, m, out: Path):
     from . import analysis
+    from .csvfmt import write_csv
 
     exp = cfg.sections["experiment"]
     fields = _solve(cfg, m)
     report = analysis.boundary_attainment(fields, m["phi"], exp["tau"], threshold=exp["threshold"])
     _write_json(out / "attainment.json", asdict(report))
-    rows = np.array(report.csv_rows())
-    np.savetxt(out / "attainment.csv", rows, delimiter=",", header="eps,sup_gap",
-               comments="", fmt="%.17g")
+    write_csv(out / "attainment.csv", "eps,sup_gap", report.eps_levels, report.sups)
     return report.attained, {"report": asdict(report), "members": _member_totals(fields)}
 
 
@@ -278,6 +279,7 @@ def _probe_diffs(fields_a, fields_b, coords, tau):
 
 def _run_dichotomy(cfg, m, out: Path):
     from . import analysis
+    from .csvfmt import write_csv
 
     exp = cfg.sections["experiment"]
     eps_list = exp["eps_list"]
@@ -312,12 +314,8 @@ def _run_dichotomy(cfg, m, out: Path):
             }
         )
     _write_json(out / "dichotomy.json", {"eps_list": list(eps_list), "rows": rows})
-    csv_rows = []
-    for r in rows:
-        for eps, d in zip(eps_list, r["probe_diffs"]):
-            csv_rows.append((r["alpha"], eps, d))
-    np.savetxt(out / "dichotomy.csv", np.array(csv_rows), delimiter=",",
-               header="alpha,eps,probe_diff", comments="", fmt="%.17g")
+    table = [(r["alpha"], eps, d) for r in rows for eps, d in zip(eps_list, r["probe_diffs"])]
+    write_csv(out / "dichotomy.csv", "alpha,eps,probe_diff", np.array(table))
     return True, {"rows": rows, "members": _member_totals(fields)}
 
 

@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvfmt import write_csv
 from .errors import ConfigError, LinearSolveError, ShapeError, SolveError, StepError
 from .geometry import Grid, collar_decomposition
 from .models import BoundaryData, DensityModel, InitialData, Nonlinearity, global_bound
@@ -220,13 +221,13 @@ class SpaceTimeField:
         )
 
     def to_csv(self, path) -> None:
-        """One line per stored time, the time first; the bytes of ``np.savetxt`` at
-        ``%.17g``, written a column at a time with no stacked table."""
-        line = ",".join(["%.17g"] * (self.grid.n + 1)) + "\n"
-        with open(path, "w") as out:
-            out.write("t," + ",".join(f"x_{i}" for i in range(self.grid.n)) + "\n")
-            for j, t in enumerate(self.times.tolist()):
-                out.write(line % (t, *self.values[:, j].tolist()))
+        """Writes a header line ``t,x_0,..`` and one line per stored time, the
+        time first: byte for byte what ``np.savetxt`` writes of the stacked table
+        at ``%.17g``.  ``csvfmt.write_csv`` stacks and formats a few rows at a
+        time in numpy, so neither the whole table nor a Python float per value
+        is built."""
+        header = "t," + ",".join(f"x_{i}" for i in range(self.grid.n))
+        write_csv(path, header, self.times, self.values.T)
 
 
 def _index_mask(size: int, *indices) -> np.ndarray:

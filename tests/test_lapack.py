@@ -92,6 +92,19 @@ def test_public_import_when_the_extension_file_is_missing(monkeypatch):
     assert info == 0 and np.array_equal(x, tridiagonal.solve_tridiagonal(lo, di, up, rhs))
 
 
+def test_cli_starts_openblas_with_one_thread_unless_the_user_chose(monkeypatch):
+    code = """
+        import os
+        from collar import cli
+        import numpy
+        print(os.environ["OPENBLAS_NUM_THREADS"])
+    """
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert run_python(code).strip() == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert run_python(code).strip() == "2"
+
+
 def test_import_leaves_scipy_package_inits_out():
     out = run_python("""
         import json, sys
@@ -228,7 +241,7 @@ def with_experiment(text: str, lines: str) -> str:
 # kind's parse adds: the modules its run calls, with what they import.
 CLI_MODULES = {"collar", "collar.cli", "collar.config", "collar.errors", "collar.experiments",
                "collar.geometry", "collar.models"}
-STEPPING = {"collar.solver", "collar.operators", "collar.tridiagonal"}
+STEPPING = {"collar.solver", "collar.operators", "collar.tridiagonal", "collar.csvfmt"}
 KINDS = {
     "solve": (with_experiment(FAMILY, "kind = solve\neps = 0.1\neta = 0.05"), STEPPING),
     "family": (FAMILY, STEPPING),

@@ -292,11 +292,18 @@ class TestSolve:
     def test_csv_bytes_equal_savetxt_of_the_stacked_table(self, tmp_path):
         fld = solve_one(heat_problem(nodes=65, horizon=0.01, eps=0.125, eta=0.05), store_stride=3)
         assert np.isnan(fld.values).all(axis=1).any()  # rows outside the window
-        fld.to_csv(tmp_path / "field.csv")
+        # Negative, tiny, huge and non-finite values, in both notations of %g.
+        rng = np.random.default_rng(5)
+        odd = -fld.values * 10.0 ** rng.integers(-8, 20, fld.values.shape)
+        odd[rng.random(odd.shape) < 0.05] = np.inf
+        odd[3, :4] = [-np.inf, -0.0, -1e-310, 1.5e300]
         header = "t," + ",".join(f"x_{i}" for i in range(fld.grid.n))
-        np.savetxt(tmp_path / "table.csv", np.column_stack([fld.times, fld.values.T]),
-                   delimiter=",", header=header, comments="", fmt="%.17g")
-        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+        for values in (fld.values, odd):
+            fld = dataclasses.replace(fld, values=values)
+            fld.to_csv(tmp_path / "field.csv")
+            np.savetxt(tmp_path / "table.csv", np.column_stack([fld.times, fld.values.T]),
+                       delimiter=",", header=header, comments="", fmt="%.17g")
+            assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
 
     def test_trajectory_csv_roundtrip(self, tmp_path):
         fld = solve_one(heat_problem(nodes=65, horizon=0.01, dt=1e-3), store_stride=5)
