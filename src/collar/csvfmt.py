@@ -155,14 +155,13 @@ def format_rows(table: np.ndarray) -> bytes:
     """The ``%.17g`` text of the rows of a 2-D float table: ``,`` within a row,
     ``\\n`` after each."""
     x = np.ascontiguousarray(table, dtype=np.float64)
-    rows, cols = x.shape
+    cols = x.shape[1]
     x = x.ravel()
     n = x.size
-    if n == 0:
-        return b"\n" * rows
     ax = np.abs(x)
-    # Values other than nan, inf and zeros that %g writes in scientific
-    # notation are written one at a time; all of them are laid out as 1.0 first.
+    # nan, inf, zeros and the values %g writes in scientific notation are laid
+    # out as 1.0 and written over: the first three as constants, the last one
+    # at a time by Python.
     other = np.flatnonzero(~((ax >= 1e-5) & (ax < 1e17)))
     ax[other] = 1.0
     integral = ax == np.floor(ax)
@@ -223,7 +222,7 @@ def write_csv(path, header: str, *columns) -> None:
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     rows = len(columns[0])
     width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-    step = max(1, _BLOCK_VALUES // max(width, 1))
+    step = max(1, _BLOCK_VALUES // width)
     with open(path, "wb") as out:
         out.write(header.encode() + b"\n")
         for j in range(0, rows, step):

@@ -96,7 +96,6 @@ def test_cli_starts_openblas_with_one_thread_unless_the_user_chose(monkeypatch):
     code = """
         import os
         from collar import cli
-        import numpy
         print(os.environ["OPENBLAS_NUM_THREADS"])
     """
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
