@@ -53,8 +53,8 @@ def test_any_rows_match_python(rows):
 
 def test_a_million_random_bit_patterns_match_python():
     rng = np.random.default_rng(20250)
-    # Biased exponents 1003..1083 span 1e-6..1e24, both sides of the fixed
-    # notation range; the last block draws every exponent.
+    # Biased exponents 1003..1083 span about 1e-6..2e18, both sides of the
+    # fixed notation range; the last block draws every exponent.
     for exponents in [(1003, 1084)] * 7 + [(0, 2048)]:
         values = random_doubles(rng, 1 << 17, exponents)
         assert_formats(values, cols=int(rng.integers(1, 40)))
