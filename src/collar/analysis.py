@@ -18,8 +18,8 @@ from .errors import ConfigError, HypothesisError, ShapeError, SourceError
 from .geometry import CORE, Grid, NodeClassification, collar_decomposition
 from .models import BoundaryData, Nonlinearity
 from .operators import assemble_diffusion
-from .solver import SpaceTimeField, _identity_rows
-from .tridiagonal import solve_tridiagonal
+from .solver import SpaceTimeField
+from .tridiagonal import solve_spd_once
 
 
 # ---------------------------------------------------------------------------
@@ -75,16 +75,20 @@ def solve_duality_potential(grid: Grid, eps: float, source: np.ndarray) -> Duali
     strictly inside the core at this collar level.  One-sided normal
     derivatives are reported at the interface nodes; the flux integral uses
     the conservative face fluxes, which balance the source mass exactly.
+    Scaled by the cell volumes to ``-K psi = V f``, with ``K = V L`` and
+    identity interface rows, the matrix is symmetric positive definite.
     """
     f = np.asarray(source, dtype=float)
     cls = check_duality_source(grid, eps, f)
     m0, m1 = cls.window
     op = assemble_diffusion(grid)
-    bands = tuple(band[m0 : m1 + 1].copy() for band in (op.lo, op.di, op.up))
-    rhs = -f[m0 : m1 + 1]
-    _identity_rows(bands, rhs, cls.interface - m0)
+    w, iface = slice(m0, m1 + 1), cls.interface - m0
+    vol = op.volumes[w]
+    d, e, rhs = -vol * op.di[w], -vol * op.up[w], vol * f[w]
+    d[iface], rhs[iface] = 1.0, 0.0
+    e[iface] = e[iface - 1] = 0.0  # e[-1] lies outside the matrix
     psi = np.full(grid.n, np.nan)
-    psi[m0 : m1 + 1] = solve_tridiagonal(*bands, rhs)
+    psi[w] = solve_spd_once(d, e, rhs)
 
     h = grid.h
     normal_derivs = []

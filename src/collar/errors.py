@@ -62,8 +62,8 @@ class StepError(CollarError):
 
 
 class LinearSolveError(StepError):
-    """A tridiagonal solve hit a zero pivot, a matrix that is not positive
-    definite or a bad argument (LAPACK ``info``)."""
+    """A tridiagonal solve met a matrix that is not positive definite or a bad
+    argument (LAPACK ``info``)."""
 
     def __init__(self, message: str, info: int):
         self.info = info

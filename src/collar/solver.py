@@ -4,15 +4,14 @@ Each approximation solves ``rho du/dt = Lap[G(u)]`` on the core of the
 domain at one collar level, with the lifted boundary trace imposed strongly
 at the interface nodes and the initial state blended between the interior
 data and the boundary trace across the collar.  Time stepping is implicit
-Euler with a damped Newton iteration on the tridiagonal system; a Jacobian
-assembled from the flux derivative floors it so the linear solve stays
-regular where the flux degenerates, while the residual (and therefore the
-converged answer) is the unregularized scheme.  There is no other scheme: a
-step is accepted only at the Newton tolerance, and a step that does not
-reach it is halved.  For a nonlinear flux, Newton starts each outer step at
-the extrapolation ``2 u_n - u_(n-1)`` or ``3 (u_n - u_(n-1)) + u_(n-2)`` of
-the last outer states, and the sub-steps of a halved step at their current
-state; a linear flux needs no start.
+Euler with a damped Newton iteration on the tridiagonal system; the Jacobian
+floors the flux derivative where it degenerates, while the residual (and
+therefore the converged answer) is the unregularized scheme.  There is no
+other scheme: a step is accepted only at the Newton tolerance, and a step
+that does not reach it is halved.  For a nonlinear flux, Newton starts each
+outer step at the extrapolation ``2 u_n - u_(n-1)`` or ``3 (u_n - u_(n-1)) +
+u_(n-2)`` of the last outer states, and the sub-steps of a halved step at
+their current state; a linear flux needs no start.
 
 The members of one solve are approximations of one problem: they share one
 flux object, one ``dt`` and one horizon, which ``solve_members`` checks, while
@@ -29,28 +28,30 @@ member that does not step at a level sits out with a zero right-hand side, so
 its block solves to zero, as a converged member's does.
 
 Every step matrix has one layout: an imposed row is an identity row and its
-column is moved to the right-hand side.  So LAPACK never interchanges an
-imposed row with its neighbour, each imposed row solves to its trace
-exactly, and a Jacobian entry at an imposed node never reaches a solve.
+column is moved to the right-hand side.  So the matrix stays symmetric, each
+imposed row solves to its trace exactly, and a Jacobian entry at an imposed
+node never reaches a solve.
 
 Nothing that is fixed for a whole step is computed inside the Newton call.
 The lifted traces are evaluated once per block of outer steps, at all their
 end times at once, and once per halved step and level, at all that level's
 sub-step ends; each distinct ``BoundaryData`` is called once per evaluation.
-What depends only on the step size is kept per ``dt``: ``dt / rho``, the
-stencil bands scaled by it and, for a linear flux, the ``L D L^T`` factors
-(LAPACK ``pttrf``) of its step matrix ``A`` at its exact slope, with rows
-scaled to the symmetric positive definite ``W A`` (see ``_StepSize``).  The
-residual is ``A v - b``, with ``b`` the old state, the traces in the imposed
-rows and their couplings subtracted beside them, so a step is one solve of
-``W A u = W b`` (``pttrs``) and one residual that checks it; only a member
-that rounding leaves above the tolerance goes on by chord Newton on the same
-factors.  Every other flux assembles its Jacobian bands each iteration and
-solves them with ``gtsv``.  The direct solve and Newton from a start agree
-to within the tolerance of each step, not bit for bit.  A non-finite
-residual or Newton update fails its member instead of freezing the state.
+Every Newton matrix is symmetric positive definite once its rows are scaled
+by ``W = diag(V rho / dt)`` and its columns by the inverse Jacobian diagonal
+(see ``_StepSize``).  What depends only on the step size is kept per ``dt``:
+``dt / rho``, ``W`` and, for a linear flux, the ``L D L^T`` factors (LAPACK
+``pttrf``) of its scaled step matrix ``W A`` at its exact slope, or else the
+stencil scaled by volume.  For a linear flux the residual is ``A v - b``, with
+``b`` the old state, the traces in the imposed rows and their couplings
+subtracted beside them, so a step is one solve of ``W A u = W b``
+(``pttrs``) and one residual that checks it; only a member that rounding
+leaves above the tolerance goes on by chord Newton on the same factors.
+Every other flux rebuilds only the diagonal each iteration and solves with
+one ``ptsv``.  The direct solve and Newton from a start agree to within the
+tolerance of each step, not bit for bit.  A non-finite Jacobian, residual or
+Newton update fails its member instead of freezing the state.
 
-The three LAPACK routines come from ``collar.tridiagonal``, which maps scipy's
+The LAPACK routines come from ``collar.tridiagonal``, which maps scipy's
 compiled wrapper when this module is imported.  ``parse_config`` imports this
 module for every kind that steps, so a first run finds LAPACK loaded.
 """
@@ -64,11 +65,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvfmt import write_csv
-from .errors import ConfigError, LinearSolveError, ShapeError, SolveError, StepError
+from .errors import ConfigError, ShapeError, SolveError, StepError
 from .geometry import Grid, collar_decomposition
 from .models import BoundaryData, DensityModel, InitialData, Nonlinearity, global_bound
 from .operators import assemble_diffusion, stack_operators
-from .tridiagonal import factor_spd, solve_spd, solve_tridiagonal
+from .tridiagonal import factor_spd, solve_spd, solve_spd_once
 
 #: Step-size records one batch keeps, one per ``dt``; the least
 #: recently used is dropped first.  Rounding gives one lattice a few distinct
@@ -80,6 +81,9 @@ _TRACE_BLOCK = 256
 _MAX_DEPTH = 10
 #: Clean outer steps after which a halved member relaxes one depth.
 _RELAX_STEPS = 20
+#: A Jacobian entry at most this times its row weight ``w`` counts as 0: ``w / gp``
+#: could overflow, and its column lies far below rounding in every row it enters.
+_ZERO_SLOPE = 2.0**-1020
 
 
 def collar_cutoff(distance, eps: float):
@@ -118,7 +122,9 @@ class SolverScheme:
     A step is accepted only once every member's scaled residual is at most
     ``newton_tol``; otherwise it fails within ``max_iterations`` and is halved.
     ``jacobian_floor`` applies only where the Jacobian is assembled from the
-    flux derivative ``dg``: a linear flux steps at its exact slope.
+    flux derivative ``dg``: a linear flux steps at its exact slope.  A floor
+    of 0 is exact, not singular: a vanishing ``dg`` makes its Jacobian column
+    a unit column, which the solve takes as it is.
     """
 
     newton_tol: float = 1e-10
@@ -243,54 +249,50 @@ def _index_mask(size: int, *indices) -> np.ndarray:
     return mask
 
 
-def _identity_rows(bands, rhs, rows) -> None:
-    """Turns ``rows`` into identity rows with a zero right-hand side, which solve to 0."""
-    j_lo, j_di, j_up = bands
-    j_lo[rows] = j_up[rows] = rhs[rows] = 0.0
-    j_di[rows] = 1.0
-
-
 def _all_finite(values: np.ndarray) -> bool:
     """No inf or NaN entry; a sum that overflows also reads False, so callers recheck."""
     return math.isfinite(np.add.reduce(values))
 
 
 class _StepSize:
-    """What one step size fixes: ``scale = dt / rho``, the stencil bands scaled by
-    it and, for a linear flux at slope ``c``, row weights ``w = V rho / dt``
-    (1 at an imposed row) and the ``L D L^T`` factors of ``diag(w) A``.
+    """What one step size fixes: ``scale = dt / rho``, row weights ``w = V rho / dt``
+    (1 at an imposed row) and the stencil scaled by volume, ``-K``, or for a
+    linear flux the ``L D L^T`` factors of its step matrix.
 
-    ``A = I - c diag(scale) L`` is ``batch.bands`` at ``c``.  With ``L = V^-1 K``
-    and ``K`` symmetric, the free rows of ``diag(w) A`` are those of ``W - c K``,
-    symmetric and strictly dominant with a positive diagonal.  A Jacobian from
-    ``dg`` has no such scaling: at a zero ``dg`` (the floor may be 0) its column
-    is a unit vector while its row keeps its couplings.
+    With ``L = V^-1 K`` and ``K`` symmetric, the Newton matrix ``I - diag(scale)
+    L diag(gp)`` scaled by ``w`` in its free rows and by ``1 / gp`` in its
+    columns is ``W / gp - K``: symmetric and strictly dominant with a positive
+    diagonal.  ``-K`` is kept as its diagonal ``kdi`` (0 at an imposed row) and
+    off-diagonal ``e`` (0 wherever every step matrix leaves a coupling out), so
+    an iteration only adds ``w / gp`` to ``kdi``; no ``gp`` above ``gp_zero``
+    counts as 0.  At slope ``c`` the matrix times ``c`` is ``W - c K``, factored
+    here once.
 
     ``columns`` holds, for the rows below and then above an imposed row, those
-    rows, the imposed row's entry in a row of traces and the coupling that
-    ``bands`` leaves out, the scaled stencil times the slope; a linear step
-    subtracts coupling times trace from its right-hand side there.
+    rows, the imposed row's entry in a row of traces and the coupling that the
+    step matrix leaves out, the stencil scaled by ``scale`` and the slope; a
+    linear step subtracts coupling times trace from its right-hand side there.
     """
 
-    __slots__ = ("scale", "lo", "di", "up", "w", "ldl", "columns")
+    __slots__ = ("scale", "w", "kdi", "e", "gp_zero", "ldl", "columns")
 
     def __init__(self, batch: "_Batch", dt: float):
         op = batch.op
         self.scale = scale = dt / batch.rho
-        self.lo = -scale[1:] * op.lo[1:]
-        self.di = scale * op.di
-        self.up = -scale[:-1] * op.up[:-1]
-        self.w = self.ldl = self.columns = None
+        self.w = w = op.volumes * batch.rho / dt
+        w[batch.dir] = 1.0
+        kdi, e = -op.volumes * op.di, -op.volumes * op.up
+        kdi[batch.dir] = 0.0
+        e[batch._up_zero] = 0.0
+        self.kdi = self.e = self.gp_zero = self.ldl = self.columns = None
         slope = batch.flux.slope
-        if slope is not None:
-            self.w = w = op.volumes * batch.rho / dt
-            d, e = w - slope * op.volumes * op.di, -slope * op.volumes * op.up
-            w[batch.dir] = d[batch.dir] = 1.0
-            e[batch._up_zero] = 0.0
-            self.ldl = factor_spd(d, e)
+        if slope is None:
+            self.kdi, self.e, self.gp_zero = kdi, e, _ZERO_SLOPE * float(w.max())
+        else:
+            self.ldl = factor_spd(w + slope * kdi, slope * e)
             (below, k_below), (above, k_above) = batch.beside
-            self.columns = ((below, k_below, self.lo[below - 1] * slope),
-                            (above, k_above, self.up[above] * slope))
+            self.columns = ((below, k_below, -scale[below] * op.lo[below] * slope),
+                            (above, k_above, -scale[above] * op.up[above] * slope))
 
 
 class _Batch:
@@ -299,7 +301,8 @@ class _Batch:
     Member ``k`` owns rows ``starts[k] .. starts[k] + sizes[k] - 1`` of every
     concatenated vector and entries ``bc_starts[k] .. bc_starts[k] +
     bc_sizes[k] - 1`` of a row of traces.  The members share one flux, which
-    is evaluated once on all rows.  ``bands`` leaves every imposed column out.
+    is evaluated once on all rows.  Every step matrix leaves the imposed
+    columns out: its off-diagonal is zero at ``_up_zero``.
     ``traces`` evaluates each distinct ``BoundaryData`` once per call, for a
     whole array of times, on all its interface points, whichever members
     step.  ``step`` keeps what one step size fixes, one record per ``dt``.
@@ -313,9 +316,9 @@ class _Batch:
         self.op = stack_operators([p._window_op for p in problems])
         self.rho = np.concatenate([p._rho_w for p in problems])
         self.dir = np.concatenate([p.layout.dir_local + s for p, s in zip(problems, self.starts)])
-        # A band is zero at an imposed row, wherever it would couple two blocks
-        # and, listed in ``beside`` with the imposed row's entry in a row of
-        # traces, wherever it would couple a row to an imposed one.
+        # A coupling is zero at an imposed row, wherever it would couple two
+        # blocks and, listed in ``beside`` with the imposed row's entry in a row
+        # of traces, wherever it would couple a row to an imposed one.
         total = int(self.sizes.sum())
         lo_zero = _index_mask(total, self.dir, self.starts)
         up_zero = _index_mask(total, self.dir, self.starts + self.sizes - 1)
@@ -325,8 +328,8 @@ class _Batch:
         below = np.flatnonzero(is_dir[:-1] & ~lo_zero[1:]) + 1
         above = np.flatnonzero(is_dir[1:] & ~up_zero[:-1])
         self.beside = ((below, entry[below - 1]), (above, entry[above + 1]))
-        lo_zero[below] = up_zero[above] = True
-        self._lo_zero, self._up_zero = np.flatnonzero(lo_zero), np.flatnonzero(up_zero)
+        up_zero[above] = True
+        self._up_zero = np.flatnonzero(up_zero)
         self.flux = problems[0].flux
         self.linear = self.flux.slope is not None
         traces = {}  # id(phi) -> (phi, rows of a trace row, interface points, lifts)
@@ -351,34 +354,6 @@ class _Batch:
         """Row mask of a member mask."""
         return np.repeat(members, self.sizes)
 
-    def solve(self, bands, rhs, live: list, errors: dict) -> np.ndarray:
-        """The shared solve; a zero pivot's block turns to identity rows, failing its member if live."""
-        while True:
-            try:
-                return solve_tridiagonal(*bands, rhs)
-            except LinearSolveError as err:
-                if err.info <= 0:
-                    raise
-                # LAPACK's info is the 1-based row of the zero pivot.
-                k = int(np.searchsorted(self.starts, err.info - 1, side="right")) - 1
-                if live[k]:
-                    errors[k] = err
-                    live[k] = False
-                _identity_rows(bands, rhs, slice(self.starts[k], self.starts[k] + self.sizes[k]))
-
-    def bands(self, size: _StepSize, gp):
-        """Bands of ``I - diag(scale) L diag(gp)`` with identity rows at imposed nodes
-        and their columns left out, so ``gp`` at an imposed node is never read."""
-        j_lo = np.zeros(gp.size)
-        j_up = np.zeros(gp.size)
-        np.multiply(size.lo, gp[:-1], out=j_lo[1:])
-        np.multiply(size.up, gp[1:], out=j_up[:-1])
-        j_di = 1.0 - size.di * gp
-        j_lo[self._lo_zero] = 0.0
-        j_up[self._up_zero] = 0.0
-        j_di[self.dir] = 1.0
-        return j_lo, j_di, j_up
-
     def step(self, dt: float) -> _StepSize:
         """The record of step size ``dt``, built on first use."""
         size = self._steps.pop(dt, None)
@@ -397,19 +372,21 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
     ``bc`` is the row of ``batch.traces`` at the step's end, which the caller
     evaluates; what the step size ``dt`` fixes comes from ``batch.step``.
     A nonlinear batch starts Newton at ``start``, which it overwrites, and
-    assembles its Jacobian bands from ``dg`` each iteration.  A linear batch
-    never reads ``start``: its first iteration is one solve with the step's
-    factors, at the exact slope, and a member that rounding leaves above the
-    tolerance goes on by chord Newton on the same factors.  Returns
+    solves its scaled Newton matrix (see ``_StepSize``) with one ``ptsv`` each
+    iteration.  A linear batch never reads ``start``: its first iteration is
+    one solve with the step's factors, at the exact slope, and a member that
+    rounding leaves above the tolerance goes on by chord Newton on the same
+    factors.  Returns
     ``(state, iterations, residuals, errors)``: per member, the Newton
     iterations and the final scaled residual, and ``errors[k]``, the StepError
     member ``k`` would raise stepping alone, for each stepping member that
     failed.  Members iterate in lockstep, each with its own convergence test
     and line search.  A member that does not step starts out of the
     iteration; any other leaves it once it converges or fails.  Out of it, a
-    member's right-hand side is zero, so its block solves to zero, and a block
-    holding a non-finite Jacobian entry at a free row or a zero pivot becomes
-    identity rows first.  Only stepping members' rows of the returned state are a step.
+    member's right-hand side is zero, so its block solves to zero; a
+    non-finite Jacobian entry at a free row fails its member, and every row
+    out of the iteration takes a unit Jacobian before the solve.  Only
+    stepping members' rows of the returned state are a step.
     """
     op, dir_rows, starts, tol = batch.op, batch.dir, batch.starts, scheme.newton_tol
     size = batch.step(dt)
@@ -473,17 +450,28 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
             delta = solve_spd(size.ldl, size.w * rhs)
         else:
             gp = np.maximum(np.asarray(batch.flux.dg(u), dtype=float), scheme.jacobian_floor)
-            bands = batch.bands(size, gp)
-            delta = batch.solve(bands, rhs, live, errors)
-            if not _all_finite(delta):
-                gp[dir_rows] = 0.0  # the bands never read the Jacobian at an imposed row
-                if not np.isfinite(gp).all():
-                    # A non-finite Jacobian gives its member a non-finite update,
-                    # and the elimination carries it into the next block: solve
-                    # again without the members it belongs to.
-                    fail_non_finite(gp)
-                    _identity_rows(bands, rhs, batch.rows(np.logical_not(live)))
-                    delta = batch.solve(bands, rhs, live, errors)
+            gp[dir_rows] = 1.0  # never read: an imposed row's diagonal is 1 / 1 + 0
+            if not _all_finite(gp):
+                # The elimination would carry a non-finite entry into the next
+                # block: fail its member and solve every row out at slope 1.
+                fail_non_finite(gp)
+                out = batch.rows(np.logical_not(live))
+                gp[out], rhs[out] = 1.0, 0.0
+            b, e = size.w * rhs, size.e
+            zero = ()
+            if scheme.jacobian_floor <= size.gp_zero:  # only a floor near 0 lets gp vanish
+                zero = np.flatnonzero(gp <= _ZERO_SLOPE * size.w)
+            if len(zero):
+                # At ``gp_j = 0`` column j is a unit column, so ``delta_j`` sits in
+                # row j alone: row j solves as an identity row to ``z_j = 0``, and
+                # ``delta_j`` comes from row j of the unscaled matrix afterwards.
+                gp[zero], b[zero] = 1.0, 0.0
+                e = e.copy()
+                e[zero] = e[zero - 1] = 0.0  # e[-1] lies outside the matrix
+            z = solve_spd_once(size.w / gp + size.kdi, e, b)
+            delta = z / gp
+            if len(zero):
+                delta[zero] = rhs[zero] + scale[zero] * op.apply(z)[zero]
         if not _all_finite(delta):
             fail_non_finite(delta)
         if not any(live):

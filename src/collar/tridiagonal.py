@@ -1,8 +1,8 @@
 """Tridiagonal solves through LAPACK, for the solver and the duality potential.
 
-``gtsv`` serves a one-off solve; ``pttrf`` once and ``pttrs`` per right-hand
-side serve a reused symmetric positive definite matrix, a linear flux's scaled
-step matrix.  Bands are full-length arrays as ``collar.operators`` stores them.
+Each matrix is symmetric positive definite as its caller scales it: ``ptsv``
+serves a one-off solve, ``pttrf`` once and ``pttrs`` per right-hand side a
+reused one.  Bands are full-length arrays as ``collar.operators`` stores them.
 
 The three routines come from scipy's compiled LAPACK wrapper,
 ``scipy.linalg._flapack``, loaded straight from its file when this module is
@@ -63,7 +63,7 @@ def _load_lapack():
 
 
 _lapack = _load_lapack()
-dgtsv, dpttrf, dpttrs = _lapack.dgtsv, _lapack.dpttrf, _lapack.dpttrs
+dptsv, dpttrf, dpttrs = _lapack.dptsv, _lapack.dpttrf, _lapack.dpttrs
 
 
 def _check(info: int, routine: str) -> None:
@@ -71,13 +71,12 @@ def _check(info: int, routine: str) -> None:
         raise LinearSolveError(f"LAPACK {routine} failed with info = {info}", info=info)
 
 
-def solve_tridiagonal(lo: np.ndarray, di: np.ndarray, up: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with the given bands (full-length arrays).
-
-    ``lo[0]`` and ``up[-1]`` lie outside the matrix and are ignored.
-    """
-    *_, x, info = dgtsv(lo[1:], di, up[:-1], rhs)
-    _check(info, "dgtsv")
+def solve_spd_once(di: np.ndarray, up: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric positive definite matrix with diagonal ``di`` and
+    off-diagonal ``up[:-1]`` in one ``ptsv`` call, which overwrites ``di`` and
+    ``rhs``; ``LinearSolveError`` unless positive definite."""
+    _, _, x, info = dptsv(di, up[:-1], rhs, overwrite_d=1, overwrite_b=1)
+    _check(info, "dptsv")
     return x
 
 

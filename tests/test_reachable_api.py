@@ -31,8 +31,9 @@ ALLOWED = {
     "solver.step_implicit": "the layer sweep of bench/layers.py times it",
     "solver._newton.<locals>.fail_non_finite": "a non-finite Jacobian or Newton update, "
     "which test_solver.py::TestNonFinite drives",
-    "errors.LinearSolveError.__init__": "a zero LAPACK pivot, which "
-    "test_solver.py::TestTridiagonal drives",
+    "errors.LinearSolveError.__init__": "a pivot of factor_spd or solve_spd_once that is not "
+    "positive, which test_solver.py::TestTridiagonal::test_singular_system_raises_typed_error "
+    "drives",
     "errors.RangeError.__init__": "a table flux inverted outside its range, which "
     "test_models.py drives",
 }

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dgtsv, dptsv
 
 from collar import experiments, solver
 from collar.analysis import comparison_check
@@ -29,7 +29,7 @@ from collar.solver import (
     solve_members,
     step_implicit,
 )
-from collar.tridiagonal import factor_spd, solve_spd, solve_tridiagonal
+from collar.tridiagonal import factor_spd, solve_spd, solve_spd_once
 
 DOM = Domain.interval(0.0, 1.0)
 RHO1 = DensityModel.constant(1.0, DOM)
@@ -37,7 +37,7 @@ LIN = Nonlinearity.linear(1.0)
 
 
 def generic(flux: Nonlinearity) -> Nonlinearity:
-    """The same flux with no slope, so it steps by Newton on bands assembled from ``dg``."""
+    """The same flux with no slope, so it steps by Newton on a matrix assembled from ``dg``."""
     return Nonlinearity(flux.g, flux.dg, flux.g_inv, flux.alpha0)
 
 
@@ -362,6 +362,15 @@ class TestDecayRule:
         assert diag.as_dict()["eps_converged"] is False
 
 
+def gtsv(lo, di, up, rhs):
+    """The tridiagonal solve with full-length bands (``lo[0]`` and ``up[-1]`` lie
+    outside the matrix) by ``solve_banded``: LAPACK ``gtsv``, the solve each
+    Newton step on a Jacobian from ``dg`` took before it was scaled."""
+    ab = np.zeros((3, di.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = up[:-1], di, lo[1:]
+    return solve_banded((1, 1), ab, rhs, check_finite=False)
+
+
 def random_tridiagonal(rng, n, dominance):
     lo = rng.uniform(-1.0, 1.0, n)
     up = rng.uniform(-1.0, 1.0, n)
@@ -381,12 +390,13 @@ def random_spd(rng, n, margin):
 class TestTridiagonal:
     @pytest.mark.parametrize("n", [2, 3, 17, 801])
     def test_matches_solve_banded_bit_for_bit(self, n):
+        # The reference's unscaled Jacobian is solved by ``solve_banded``: it
+        # must be LAPACK's ``gtsv`` bit for bit to stand for that arithmetic.
         rng = np.random.default_rng(n)
         for _ in range(5):
             lo, di, up, rhs = random_tridiagonal(rng, n, dominance=1.0)
-            ab = np.zeros((3, n))
-            ab[0, 1:], ab[1], ab[2, :-1] = up[:-1], di, lo[1:]
-            assert np.array_equal(solve_tridiagonal(lo, di, up, rhs), solve_banded((1, 1), ab, rhs))
+            *_, x, info = dgtsv(lo[1:], di, up[:-1], rhs)
+            assert info == 0 and np.array_equal(gtsv(lo, di, up, rhs), x)
 
     @pytest.mark.parametrize("margin", [1.0, 0.2])  # diagonal over the off-diagonal sums
     def test_factored_solve_matches_direct_solve(self, margin):
@@ -394,25 +404,29 @@ class TestTridiagonal:
         ldl = factor_spd(di, up)
         for b in (rhs, 2.0 * rhs):
             assert np.array_equal(solve_spd(ldl, b), dptsv(di, up[:-1], b)[2])
+            assert np.array_equal(solve_spd_once(di.copy(), up, b.copy()), solve_spd(ldl, b))
 
     def test_inputs_left_untouched(self):
+        # ``solve_spd_once`` may overwrite its diagonal and right-hand side, but
+        # not the off-diagonal, which a step-size record keeps for every solve.
         rng = np.random.default_rng(3)
-        inputs = (*random_tridiagonal(rng, 9, dominance=1.0), *random_spd(rng, 9, 1.0))
+        inputs = random_spd(rng, 9, 1.0)
         before = [a.copy() for a in inputs]
-        lo, di, up, rhs, spd_di, spd_up, spd_rhs = inputs
-        solve_tridiagonal(lo, di, up, rhs)
-        solve_spd(factor_spd(spd_di, spd_up), spd_rhs)
+        di, up, rhs = inputs
+        solve_spd(factor_spd(di, up), rhs)
         assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+        solve_spd_once(di.copy(), up, rhs.copy())
+        assert np.array_equal(up, before[1])
 
     def test_singular_system_raises_typed_error(self):
-        lo, di, up = np.ones(4), np.ones(4), np.array([1.0, 0.0, 1.0, 1.0])  # rows 0, 1 equal
-        with pytest.raises(LinearSolveError) as err:
-            solve_tridiagonal(lo, di, up, np.ones(4))
-        assert err.value.info > 0
-        assert isinstance(err.value, StepError)  # the stepper halves and retries on it
         # Symmetric but not positive definite: its leading 2 x 2 minor is 1 - 4.
+        up = np.array([2.0, 0.5, 0.5, 0.0])
         with pytest.raises(LinearSolveError) as err:
-            factor_spd(np.ones(4), np.array([2.0, 0.5, 0.5, 0.0]))
+            factor_spd(np.ones(4), up)
+        assert err.value.info == 2
+        assert isinstance(err.value, StepError)
+        with pytest.raises(LinearSolveError) as err:
+            solve_spd_once(np.ones(4), up, np.ones(4))
         assert err.value.info == 2
 
 
@@ -525,9 +539,9 @@ class TestPrefactoredLinearPath:
 
         def counted(*args):
             calls.append(args)
-            return solve_tridiagonal(*args)
+            return solve_spd_once(*args)
 
-        monkeypatch.setattr(solver, "solve_tridiagonal", counted)
+        monkeypatch.setattr(solver, "solve_spd_once", counted)
         solve_one(heat_problem(horizon=0.01))
         assert calls == []
         solve_one(dataclasses.replace(heat_problem(horizon=0.01), flux=generic(LIN)))
@@ -671,18 +685,20 @@ class TestProperties:
 
 
 def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 1,
-                    predict: bool = True):
+                    predict: bool = True, unscaled: bool = False):
     """One problem stepped alone, as the solver did before members were batched.
 
     With ``predict``, each unhalved outer step starts Newton at the
     extrapolation of the last outer states, in the solver's operation order;
     without it, at the current state.  Every step matrix has its imposed
     columns moved to the right-hand side.  A linear flux needs no start: its
-    first iteration is the direct solve at its exact slope, with LAPACK
-    ``ptsv`` on the rows scaled to a symmetric matrix, and chord Newton goes
-    on with that solve only while the residual is above the tolerance.
-    Returns ``(times, values, meta)``, with the Newton iterations, the
-    largest accepted scaled residual and the halvings in ``meta``.
+    first iteration is the direct solve at its exact slope, and chord Newton
+    goes on with that solve only while the residual is above the tolerance.
+    Every solve is LAPACK ``ptsv`` on the matrix scaled to a symmetric one;
+    with ``unscaled``, a Jacobian from ``dg`` is instead solved as it stands,
+    by ``gtsv``, which is how the solver once took it.  Returns ``(times,
+    values, meta)``, with the Newton iterations, the largest accepted scaled
+    residual and the halvings in ``meta``.
     """
     lay, op, tol = p.layout, p._window_op, scheme.newton_tol
 
@@ -729,16 +745,38 @@ def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 
                         band[row] = 0.0
             return lo, di, up
 
-        def symmetric(rhs):
-            """``A^-1 rhs`` at the linear slope, solved as ``(W A)^-1 W rhs``: the rows
-            of ``A`` scaled by ``w = V rho / dt`` are symmetric positive definite."""
+        def symmetric(rhs, v=None):
+            """``A^-1 rhs`` for the Newton matrix ``A`` at ``v``, or at the linear slope
+            without ``v``.  The rows of ``A`` scaled by ``w = V rho / dt`` and its
+            columns by ``1 / gp`` are symmetric positive definite, so it is solved
+            as ``z = (W A D^-1)^-1 W rhs`` and ``D^-1 z``; at the slope ``c`` the
+            columns multiply back to ``W A = W - c K``.  Where ``gp_j`` is 0 (to
+            ``solver._ZERO_SLOPE``), column j is a unit column: row j solves as an
+            identity row, and ``delta_j`` comes from row j of ``A``."""
             w = op.volumes * p._rho_w / dt
             w[lay.dir_local] = 1.0
-            d, e = w - p.flux.slope * op.volumes * op.di, -p.flux.slope * op.volumes * op.up
+            b = w * rhs
+            if v is None:
+                c = p.flux.slope
+                d, e = w - c * (op.volumes * op.di), -c * (op.volumes * op.up)
+            else:
+                gp = np.maximum(np.asarray(p.flux.dg(v), dtype=float), scheme.jacobian_floor)
+                gp[lay.dir_local] = 1.0
+                if not np.isfinite(gp).all():
+                    raise StepError("Newton update is not finite")
+                zero = np.flatnonzero(gp <= solver._ZERO_SLOPE * w)
+                gp[zero], b[zero] = 1.0, 0.0
+                d, e = w / gp - op.volumes * op.di, -op.volumes * op.up
+                e[zero] = e[zero - 1] = 0.0  # e[-1] lies outside the matrix
             d[lay.dir_local] = 1.0
             e[lay.dir_local] = 0.0
             e[lay.dir_local[lay.dir_local > 0] - 1] = 0.0
-            return dptsv(d, e[:-1], w * rhs)[2]
+            z = dptsv(d, e[:-1], b)[2]
+            if v is None:
+                return z
+            delta = z / gp
+            delta[zero] = rhs[zero] + scale[zero] * op.apply(z)[zero]
+            return delta
 
         linear, iters = p.flux.slope is not None, 0
         if linear:
@@ -749,7 +787,15 @@ def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 
             iters = 1
         res, norm = residual(u)
         while norm > tol and iters < scheme.max_iterations:
-            delta = symmetric(-res) if linear else solve_tridiagonal(*bands(u), -res)
+            if linear:
+                delta = symmetric(-res)
+            elif unscaled:
+                try:
+                    delta = gtsv(*bands(u), -res)
+                except np.linalg.LinAlgError:
+                    raise StepError("zero pivot") from None
+            else:
+                delta = symmetric(-res, u)
             if not np.isfinite(delta).all():
                 raise StepError("Newton update is not finite")
             frac = 1.0
@@ -903,30 +949,37 @@ def nan_once_members(m, horizon):
                                 (21, BALL, BoundaryData.sine(0.2, 0.1, 2.0)))]
 
 
-def inject_zero_pivot(monkeypatch, when):
-    """Arms one zero pivot at the first ``_newton`` call for which ``when(batch,
-    dt, stepping)`` returns a row, and raises it in the next linear solve.
+def inject_nan_jacobian(monkeypatch, when, call=1):
+    """Arms one NaN Jacobian entry at the first ``_newton`` call for which ``when(batch,
+    dt, stepping)`` returns a row, and puts it at that row in the ``call``-th
+    evaluation of the batch's ``dg`` from then on.
 
     Returns a log: the row, the ``stepping`` masks of the ``_newton`` calls
-    from the armed one on, and the number of those calls when it fired.
+    from the armed one on, the ``dg`` evaluations and the number of those
+    ``_newton`` calls when it fired.
     """
-    newton, log = solver._newton, {"row": None, "masks": [], "fired_in": None}
+    newton, log = solver._newton, {"row": None, "masks": [], "calls": 0, "fired_in": None}
 
     def spy(batch, state, start, scheme, bc, dt, stepping):
         if log["row"] is None:
             log["row"] = when(batch, dt, stepping)
+            if log["row"] is not None:
+                flux = batch.flux
+
+                def dg(u):
+                    out = np.array(flux.dg(u), dtype=float)
+                    log["calls"] += 1
+                    if log["calls"] == call:
+                        log["fired_in"] = len(log["masks"])
+                        out[log["row"]] = np.nan
+                    return out
+
+                batch.flux = Nonlinearity(flux.g, dg, flux.g_inv, flux.alpha0)
         if log["row"] is not None:
             log["masks"].append(list(stepping))
         return newton(batch, state, start, scheme, bc, dt, stepping)
 
-    def singular_once(lo, di, up, rhs):
-        if log["row"] is not None and log["fired_in"] is None:
-            log["fired_in"] = len(log["masks"])
-            raise LinearSolveError("zero pivot", info=log["row"] + 1)  # LAPACK counts from 1
-        return solve_tridiagonal(lo, di, up, rhs)
-
     monkeypatch.setattr(solver, "_newton", spy)
-    monkeypatch.setattr(solver, "solve_tridiagonal", singular_once)
     return log
 
 
@@ -956,9 +1009,9 @@ class TestBatchedMembers:
         assert built == [3]
 
     def test_member_failing_mid_substeps_leaves_its_level_stepping(self, monkeypatch):
-        # Members 1 and 2 are equal and halve together; a zero pivot fails
-        # member 2 in a sub-step that is neither the first nor the last of a
-        # halved step, and member 1 steps on through the next sub-step.
+        # Members 1 and 2 are equal and halve together; a NaN Jacobian entry
+        # fails member 2 in a sub-step that is neither the first nor the last
+        # of a halved step, and member 1 steps on through the next sub-step.
         def make():
             return [pme_problem(n) for n in (17, 65, 65)]
 
@@ -973,27 +1026,27 @@ class TestBatchedMembers:
             if both:
                 run.append(dt)
             if 1 < len(run) < round(0.5 / dt):  # neither the first nor the last sub-step
-                return int(batch.starts[2])
+                return int(batch.starts[2]) + 1  # a free row
             return None
 
         alone = [solve_one(p) for p in make()]
-        log = inject_zero_pivot(monkeypatch, mid_substep)
+        log = inject_nan_jacobian(monkeypatch, mid_substep)
         fields = solve_members(make())
         assert log["fired_in"] == 1
         assert log["masks"][:2] == [[False, True, True], [False, True, False]]
         assert fields[2].meta["step_halvings"] == alone[2].meta["step_halvings"] + 1
         assert_match(fields, alone, (0, 1))
 
-    def test_zero_pivot_in_a_member_sitting_out_fails_nobody(self, monkeypatch):
-        # Member 0 sits out while member 1 sub-steps; the zero pivot is in its block.
+    def test_non_finite_jacobian_in_a_member_sitting_out_fails_nobody(self, monkeypatch):
+        # Member 0 sits out while member 1 sub-steps; the NaN is at a free row of its block.
         def make():
             return [pme_problem(33), pme_problem(65)]
 
         def sitting_out(batch, dt, stepping):
-            return 0 if stepping == [False, True] else None
+            return 1 if stepping == [False, True] else None
 
         alone = [solve_one(p) for p in make()]
-        log = inject_zero_pivot(monkeypatch, sitting_out)
+        log = inject_nan_jacobian(monkeypatch, sitting_out)
         fields = solve_members(make())
         assert log["fired_in"] == 1
         assert [f.meta["step_halvings"] for f in fields] == [0, 5]
@@ -1040,46 +1093,33 @@ class TestBatchedMembers:
         fields = assert_members_match_alone(lambda: self.nan_jacobian_members(*above))
         assert [f.meta["step_halvings"] for f in fields] == halvings
 
-    @pytest.mark.parametrize("owner, offset", [(0, -1), (1, 0)])  # either side of a block edge
-    def test_zero_pivot_maps_to_the_member_owning_its_row(self, monkeypatch, owner, offset):
+    # The free rows nearest either side of a block edge; each block ends in an imposed row.
+    @pytest.mark.parametrize("owner, offset", [(0, -2), (1, 1)])
+    def test_non_finite_jacobian_maps_to_the_member_owning_its_row(self, monkeypatch, owner,
+                                                                   offset):
         def make():
             return [pme_problem(n, m=2.0, dt=0.05, horizon=0.2) for n in (17, 33, 25)]
 
         alone = [solve_one(p) for p in make()]
         row = make()[0].layout.size + offset
-        calls = []
-
-        def singular_once(lo, di, up, rhs):
-            calls.append(None)
-            if len(calls) == 1:
-                raise LinearSolveError("zero pivot", info=row + 1)  # LAPACK counts from 1
-            return solve_tridiagonal(lo, di, up, rhs)
-
-        monkeypatch.setattr(solver, "solve_tridiagonal", singular_once)
+        log = inject_nan_jacobian(monkeypatch, lambda batch, dt, stepping: row)
         fields = solve_members(make())
+        assert log["fired_in"] == 1
         assert [f.meta["step_halvings"] for f in fields] == [int(k == owner) for k in range(3)]
         assert_match(fields, alone, {0, 1, 2} - {owner})
 
     @pytest.mark.parametrize("call", [1, 30, 200])
-    def test_zero_pivot_in_a_member_not_iterating_fails_nobody(self, monkeypatch, call):
+    def test_non_finite_jacobian_in_a_member_not_iterating_fails_nobody(self, monkeypatch, call):
         # Member 0 stays at its zero trace with a zero residual, so alone it
-        # makes no linear solve; a zero pivot in its block is not its failure.
+        # makes no linear solve; a NaN Jacobian entry in its block is not its failure.
         def make():
             return [pme_problem(17, phi=BoundaryData.constant(0.0, horizon=2.0)), pme_problem(65)]
 
         alone = [solve_one(p) for p in make()]
         assert alone[0].meta["newton_iterations"] == 0
-        calls = []
-
-        def singular_at_row_0(lo, di, up, rhs):
-            calls.append(None)
-            if len(calls) == call:
-                raise LinearSolveError("zero pivot", info=1)
-            return solve_tridiagonal(lo, di, up, rhs)
-
-        monkeypatch.setattr(solver, "solve_tridiagonal", singular_at_row_0)
+        log = inject_nan_jacobian(monkeypatch, lambda batch, dt, stepping: 1, call)
         fields = solve_members(make())
-        assert len(calls) > call
+        assert log["calls"] > call
         assert_match(fields, alone, (0, 1))
 
     @pytest.mark.parametrize("m", [None, 2.0])  # prefactored and assembled Jacobians
@@ -1146,16 +1186,21 @@ class TestBatchedMembers:
         for members in (problems[:1], problems[2:3], problems, problems[::-1]):
             batch = solver._Batch(members)
             rows = np.arange(batch.sizes.sum())
-            # A band is zero at an imposed row, at a block edge and beside an
-            # imposed row, whose column the bands leave out.
-            for new, edges, side, (beside, entry) in (
-                    (batch._lo_zero, batch.starts, 1, batch.beside[0]),
-                    (batch._up_zero, batch.starts + batch.sizes - 1, -1, batch.beside[1])):
+            # A coupling is zero at an imposed row, at a block edge and beside an
+            # imposed row, whose column every step matrix leaves out.
+            zero = {}
+            for edges, side, (beside, entry) in (
+                    (batch.starts, 1, batch.beside[0]),
+                    (batch.starts + batch.sizes - 1, -1, batch.beside[1])):
                 kept = np.union1d(batch.dir, edges)
-                old = np.intersect1d(np.union1d(kept, batch.dir + side), rows)
-                assert np.array_equal(new, old) and new.dtype == old.dtype
-                assert np.array_equal(beside, np.setdiff1d(old, kept))
+                zero[side] = np.intersect1d(np.union1d(kept, batch.dir + side), rows)
+                assert np.array_equal(beside, np.setdiff1d(zero[side], kept))
                 assert np.array_equal(batch.dir[entry], beside - side)
+            # Coupling i joins rows i and i + 1, so it is zero on both sides alike.
+            assert np.array_equal(batch._up_zero, zero[-1])
+            inside = batch._up_zero[batch._up_zero < rows[-1]]
+            assert np.array_equal(inside + 1, zero[1][zero[1] > 0])
+            assert batch._up_zero.dtype == zero[-1].dtype
 
     def test_solve_error_names_the_failing_member(self):
         nan_trace = BoundaryData(
@@ -1173,7 +1218,8 @@ def member_sets(draw):
     """``(make, scheme, stride, halving)``: ``make`` builds the members of one solve afresh.
 
     The members share sine and ramp traces; with ``halving``, member 0's trace
-    is NaN once at an outer time, so that member halves.
+    is NaN once at an outer time, so that member halves.  A Jacobian floor of
+    0 lets a porous-medium flux's ``dg`` vanish at a zero state.
     """
     m = draw(st.one_of(st.none(), st.floats(1.5, 3.0)))
     flux = LIN if m is None else Nonlinearity.porous_medium(m)
@@ -1203,7 +1249,8 @@ def member_sets(draw):
                   for kind, offset, amplitude, frequency in specs] + [nan_once(t_nan)]
         return [ApproxProblem(**dict(kw, phi=traces[kw["phi"]])) for kw in members]
 
-    return make, SolverScheme(), draw(st.integers(1, 3)), halving
+    scheme = SolverScheme(jacobian_floor=draw(st.sampled_from([0.0, 1e-8])))
+    return make, scheme, draw(st.integers(1, 3)), halving
 
 
 class TestMemberProperties:
@@ -1219,6 +1266,42 @@ class TestMemberProperties:
             return
         fields = assert_members_match_alone(make, scheme, stride)
         assert fields[0].meta["step_halvings"] >= halving
+
+
+class TestScaledNewton:
+    """Newton on a Jacobian from ``dg`` solves the matrix scaled to ``W / gp - K``
+    (see ``solver._StepSize``); the unscaled Jacobian it replaced, solved by
+    ``gtsv``, must reach the same accepted states within the Newton budget."""
+
+    @staticmethod
+    def assert_agrees_with_unscaled(fld, p: ApproxProblem, scheme: SolverScheme):
+        _, values, _ = reference_solve(p, scheme, unscaled=True)
+        n_outer = fld.times.size - 1
+        finite = np.isfinite(fld.values) & np.isfinite(values)
+        assert np.array_equal(finite, np.isfinite(fld.values))
+        assert np.all(np.abs(fld.values - values)[finite] <= n_outer * scheme.newton_tol)
+
+    @pytest.mark.parametrize("m", [2.0, 3.0])
+    def test_zero_slope_rows_step_exactly(self, m):
+        # From u0 = 0 under a floor of 0, G'(0) = 0 makes every free column
+        # that the front has not reached a unit column: those rows solve as
+        # identity rows and take their updates from their own rows.
+        scheme = SolverScheme(jacobian_floor=0.0)
+        fields = assert_members_match_alone(lambda: [pme_problem(33, m=m), pme_problem(65, m=m)],
+                                            scheme)
+        fld = fields[1]
+        assert fld.meta["newton_iterations"] > 0
+        assert fld.meta["max_scaled_residual"] <= scheme.newton_tol
+        self.assert_agrees_with_unscaled(fld, pme_problem(65, m=m), scheme)
+
+    @given(max_principle_problems(), st.sampled_from([0.0, 1e-8]))
+    @settings(max_examples=40, deadline=None)
+    def test_accepted_states_agree_with_the_unscaled_jacobian(self, p, floor):
+        # A linear flux without its slope takes the same Newton path, at gp = c.
+        if p.flux.slope is not None:
+            p = dataclasses.replace(p, flux=generic(p.flux))
+        scheme = SolverScheme(jacobian_floor=floor)
+        self.assert_agrees_with_unscaled(solve_one(p, scheme), p, scheme)
 
 
 @st.composite
@@ -1274,7 +1357,7 @@ def slope_solve(p: ApproxProblem, dt: float, state, bc):
     lo[imposed] = up[imposed] = 0.0
     di[imposed] = 1.0
     rhs[imposed] = bc
-    return solve_tridiagonal(lo, di, up, rhs)
+    return gtsv(lo, di, up, rhs)
 
 
 class TestLinearStepProperties:
