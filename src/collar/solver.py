@@ -450,7 +450,7 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
             delta = solve_spd(size.ldl, size.w * rhs)
         else:
             gp = np.maximum(np.asarray(batch.flux.dg(u), dtype=float), scheme.jacobian_floor)
-            gp[dir_rows] = 1.0  # never read: an imposed row's diagonal is 1 / 1 + 0
+            gp[dir_rows] = 1.0  # so an imposed row's diagonal is 1 / 1 + 0, whatever dg is
             if not _all_finite(gp):
                 # The elimination would carry a non-finite entry into the next
                 # block: fail its member and solve every row out at slope 1.
