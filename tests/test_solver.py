@@ -949,10 +949,10 @@ def nan_once_members(m, horizon):
                                 (21, BALL, BoundaryData.sine(0.2, 0.1, 2.0)))]
 
 
-def inject_nan_jacobian(monkeypatch, when, call=1):
-    """Arms one NaN Jacobian entry at the first ``_newton`` call for which ``when(batch,
-    dt, stepping)`` returns a row, and puts it at that row in the ``call``-th
-    evaluation of the batch's ``dg`` from then on.
+def inject_jacobian_entry(monkeypatch, when, call=1, value=np.nan):
+    """Arms one Jacobian entry ``value`` at the first ``_newton`` call for which
+    ``when(batch, dt, stepping)`` returns a row, and puts it at that row in the
+    ``call``-th evaluation of the batch's ``dg`` from then on.
 
     Returns a log: the row, the ``stepping`` masks of the ``_newton`` calls
     from the armed one on, the ``dg`` evaluations and the number of those
@@ -971,7 +971,7 @@ def inject_nan_jacobian(monkeypatch, when, call=1):
                     log["calls"] += 1
                     if log["calls"] == call:
                         log["fired_in"] = len(log["masks"])
-                        out[log["row"]] = np.nan
+                        out[log["row"]] = value
                     return out
 
                 batch.flux = Nonlinearity(flux.g, dg, flux.g_inv, flux.alpha0)
@@ -1030,7 +1030,7 @@ class TestBatchedMembers:
             return None
 
         alone = [solve_one(p) for p in make()]
-        log = inject_nan_jacobian(monkeypatch, mid_substep)
+        log = inject_jacobian_entry(monkeypatch, mid_substep)
         fields = solve_members(make())
         assert log["fired_in"] == 1
         assert log["masks"][:2] == [[False, True, True], [False, True, False]]
@@ -1046,7 +1046,7 @@ class TestBatchedMembers:
             return 1 if stepping == [False, True] else None
 
         alone = [solve_one(p) for p in make()]
-        log = inject_nan_jacobian(monkeypatch, sitting_out)
+        log = inject_jacobian_entry(monkeypatch, sitting_out)
         fields = solve_members(make())
         assert log["fired_in"] == 1
         assert [f.meta["step_halvings"] for f in fields] == [0, 5]
@@ -1102,7 +1102,7 @@ class TestBatchedMembers:
 
         alone = [solve_one(p) for p in make()]
         row = make()[0].layout.size + offset
-        log = inject_nan_jacobian(monkeypatch, lambda batch, dt, stepping: row)
+        log = inject_jacobian_entry(monkeypatch, lambda batch, dt, stepping: row)
         fields = solve_members(make())
         assert log["fired_in"] == 1
         assert [f.meta["step_halvings"] for f in fields] == [int(k == owner) for k in range(3)]
@@ -1117,9 +1117,38 @@ class TestBatchedMembers:
 
         alone = [solve_one(p) for p in make()]
         assert alone[0].meta["newton_iterations"] == 0
-        log = inject_nan_jacobian(monkeypatch, lambda batch, dt, stepping: 1, call)
+        log = inject_jacobian_entry(monkeypatch, lambda batch, dt, stepping: 1, call)
         fields = solve_members(make())
         assert log["calls"] > call
+        assert_match(fields, alone, (0, 1))
+
+    @pytest.mark.parametrize("call", [1, 30, 200])
+    def test_zero_pivot_in_a_member_not_iterating_fails_nobody(self, monkeypatch, call):
+        # With no Jacobian floor, a zero slope ``gp_j = 0`` is a zero pivot of the
+        # column scaling ``D``: column j of the Newton matrix is a unit column and
+        # row j solves as an identity row.  Member 0 rests at its constant trace
+        # with a zero residual, so alone it makes no linear solve; a zero slope
+        # in its block is not its failure.
+        scheme = SolverScheme(jacobian_floor=0.0)
+
+        def make():
+            return [pme_problem(17, phi=BoundaryData.constant(0.5, horizon=2.0),
+                                initial=InitialData.constant(0.5)), pme_problem(65)]
+
+        alone = [solve_one(p, scheme) for p in make()]
+        assert alone[0].meta["newton_iterations"] == 0
+        log = inject_jacobian_entry(monkeypatch, lambda batch, dt, stepping: 1, call, value=0.0)
+        solve, couplings = solver.solve_spd_once, []
+
+        def spy(di, up, rhs):
+            if log["fired_in"] is not None and not couplings:
+                couplings.append(up[:2].copy())  # the solve of the zero slope's iteration
+            return solve(di, up, rhs)
+
+        monkeypatch.setattr(solver, "solve_spd_once", spy)
+        fields = solve_members(make(), scheme)
+        assert log["calls"] > call
+        assert np.array_equal(couplings, [[0.0, 0.0]])  # row 1 decoupled from rows 0 and 2
         assert_match(fields, alone, (0, 1))
 
     @pytest.mark.parametrize("m", [None, 2.0])  # prefactored and assembled Jacobians
