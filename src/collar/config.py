@@ -274,12 +274,14 @@ def build_grid_from(cfg: ExperimentConfig, domain: Domain) -> Grid:
 
 def _load_table(path: str):
     try:
-        data = np.loadtxt(path)
+        data = np.loadtxt(path, ndmin=2)
     except OSError as exc:
         raise ConfigParseError(f"table file {path!r} cannot be read: {exc}")
     except ValueError as exc:
         raise ConfigParseError(f"table file {path!r} is not a numeric table: {exc}")
-    if data.ndim != 2 or data.shape[1] != 2:
+    if data.shape[0] < 2:
+        raise ConfigParseError(f"table file {path!r} must have at least two rows")
+    if data.shape[1] != 2:
         raise ConfigParseError(f"table file {path!r} must have two numeric columns")
     if not np.isfinite(data).all():
         raise ConfigParseError(f"table file {path!r} has an entry that is not finite")

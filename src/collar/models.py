@@ -188,6 +188,10 @@ class DensityModel:
             raise ModelError("density table needs a strictly increasing coordinate column")
         if v.shape != k.shape:
             raise ModelError("density table needs one value per coordinate")
+        tol = 1e-12 * max(1.0, domain.width)  # as in ``Domain.contains``
+        if k[0] > domain.lo + tol or k[-1] < domain.hi - tol:
+            raise ModelError(f"density table covers [{k[0]:.6g}, {k[-1]:.6g}], "
+                             f"not the whole domain [{domain.lo:.6g}, {domain.hi:.6g}]")
         if np.any(v <= 0.0) or np.any(~np.isfinite(v)):
             raise ModelError("density table values must be positive and finite")
         # The majorant: the worst tabulated value at each boundary distance.

@@ -30,7 +30,9 @@ its block solves to zero, as a converged member's does.
 Every step matrix has one layout: an imposed row is an identity row and its
 column is moved to the right-hand side.  So the matrix stays symmetric, each
 imposed row solves to its trace exactly, and a Jacobian entry at an imposed
-node never reaches a solve.
+node never reaches a solve.  Imposed rows end their blocks (a ball's block
+starts at its free centre), so each couples to one row only: its inner
+neighbour, which ``collar_decomposition`` names.
 
 Nothing that is fixed for a whole step is computed inside the Newton call.
 The lifted traces are evaluated once per block of outer steps, at all their
@@ -147,6 +149,7 @@ class _Layout:
     m0: int
     m1: int
     dir_local: np.ndarray
+    inner_local: np.ndarray
     free_local: np.ndarray
     dir_points: np.ndarray
 
@@ -181,11 +184,12 @@ class ApproxProblem:
         cls = collar_decomposition(grid, self.eps)
         m0, m1 = cls.window
         dir_local = cls.interface - m0
-        free_local = np.flatnonzero(~_index_mask(m1 - m0 + 1, dir_local))
+        free_local = np.arange(int(dir_local[0] == 0), m1 - m0)  # the rows between imposed ends
         if free_local.size < 3:
             raise ConfigError("fewer than 3 interior unknowns at this collar level")
         points = np.atleast_1d(grid.domain.nearest_boundary_point(grid.nodes[m0 + dir_local]))
-        self.layout = lay = _Layout(m0, m1, dir_local, free_local, points)
+        self.layout = lay = _Layout(m0, m1, dir_local, cls.inner_neighbours - m0, free_local,
+                                    points)
         self._window_op = assemble_diffusion(grid).window(m0, m1)
         # Density values at strongly imposed rows never enter the scheme, and a
         # power-law density is infinite at the boundary nodes: leave them at 1.
@@ -236,19 +240,6 @@ class SpaceTimeField:
         write_csv(path, header, self.times, self.values.T)
 
 
-def _index_mask(size: int, *indices) -> np.ndarray:
-    """Boolean mask of ``range(size)`` marking every index in ``indices``.
-
-    Set operations on index arrays go through it, not ``np.setdiff1d`` or
-    ``np.union1d``: those sort via ``np.unique``, whose first call imports
-    ``numpy.ma``.
-    """
-    mask = np.zeros(size, dtype=bool)
-    for idx in indices:
-        mask[idx] = True
-    return mask
-
-
 def _all_finite(values: np.ndarray) -> bool:
     """No inf or NaN entry; a sum that overflows also reads False, so callers recheck."""
     return math.isfinite(np.add.reduce(values))
@@ -263,15 +254,15 @@ class _StepSize:
     L diag(gp)`` scaled by ``w`` in its free rows and by ``1 / gp`` in its
     columns is ``W / gp - K``: symmetric and strictly dominant with a positive
     diagonal.  ``-K`` is kept as its diagonal ``kdi`` (0 at an imposed row) and
-    off-diagonal ``e`` (0 wherever every step matrix leaves a coupling out), so
-    an iteration only adds ``w / gp`` to ``kdi``; no ``gp`` above ``gp_zero``
-    counts as 0.  At slope ``c`` the matrix times ``c`` is ``W - c K``, factored
-    here once.
+    off-diagonal ``e`` (0 on both sides of an imposed row, and across a block
+    edge from ``stack_operators``), so an iteration only adds ``w / gp`` to
+    ``kdi``; no ``gp`` above ``gp_zero`` counts as 0.  At slope ``c`` the matrix
+    times ``c`` is ``W - c K``, factored here once.
 
-    ``columns`` holds, for the rows below and then above an imposed row, those
-    rows, the imposed row's entry in a row of traces and the coupling that the
-    step matrix leaves out, the stencil scaled by ``scale`` and the slope; a
-    linear step subtracts coupling times trace from its right-hand side there.
+    An imposed row ends its block, so its column couples to its ``inner`` row
+    only.  ``columns`` holds, aligned with a row of traces, that coupling: the
+    stencil scaled by ``scale`` and the slope.  A linear step subtracts
+    coupling times trace from its right-hand side at the ``inner`` rows.
     """
 
     __slots__ = ("scale", "w", "kdi", "e", "gp_zero", "ldl", "columns")
@@ -280,19 +271,19 @@ class _StepSize:
         op = batch.op
         self.scale = scale = dt / batch.rho
         self.w = w = op.volumes * batch.rho / dt
-        w[batch.dir] = 1.0
+        dir_rows, inner = batch.dir, batch.inner
+        w[dir_rows] = 1.0
         kdi, e = -op.volumes * op.di, -op.volumes * op.up
-        kdi[batch.dir] = 0.0
-        e[batch._up_zero] = 0.0
+        kdi[dir_rows] = 0.0
+        e[dir_rows] = e[dir_rows - 1] = 0.0  # e[-1] lies outside the matrix
         self.kdi = self.e = self.gp_zero = self.ldl = self.columns = None
         slope = batch.flux.slope
         if slope is None:
             self.kdi, self.e, self.gp_zero = kdi, e, _ZERO_SLOPE * float(w.max())
         else:
             self.ldl = factor_spd(w + slope * kdi, slope * e)
-            (below, k_below), (above, k_above) = batch.beside
-            self.columns = ((below, k_below, -scale[below] * op.lo[below] * slope),
-                            (above, k_above, -scale[above] * op.up[above] * slope))
+            coupling = np.where(inner > dir_rows, op.lo[inner], op.up[inner])
+            self.columns = -scale[inner] * coupling * slope
 
 
 class _Batch:
@@ -301,8 +292,9 @@ class _Batch:
     Member ``k`` owns rows ``starts[k] .. starts[k] + sizes[k] - 1`` of every
     concatenated vector and entries ``bc_starts[k] .. bc_starts[k] +
     bc_sizes[k] - 1`` of a row of traces.  The members share one flux, which
-    is evaluated once on all rows.  Every step matrix leaves the imposed
-    columns out: its off-diagonal is zero at ``_up_zero``.
+    is evaluated once on all rows.  Imposed rows ``dir`` end their blocks, and
+    each couples to its ``inner`` row only, aligned with it; every step matrix
+    leaves the imposed columns out.
     ``traces`` evaluates each distinct ``BoundaryData`` once per call, for a
     whole array of times, on all its interface points, whichever members
     step.  ``step`` keeps what one step size fixes, one record per ``dt``.
@@ -316,20 +308,8 @@ class _Batch:
         self.op = stack_operators([p._window_op for p in problems])
         self.rho = np.concatenate([p._rho_w for p in problems])
         self.dir = np.concatenate([p.layout.dir_local + s for p, s in zip(problems, self.starts)])
-        # A coupling is zero at an imposed row, wherever it would couple two
-        # blocks and, listed in ``beside`` with the imposed row's entry in a row
-        # of traces, wherever it would couple a row to an imposed one.
-        total = int(self.sizes.sum())
-        lo_zero = _index_mask(total, self.dir, self.starts)
-        up_zero = _index_mask(total, self.dir, self.starts + self.sizes - 1)
-        is_dir = _index_mask(total, self.dir)
-        entry = np.zeros(total, dtype=int)
-        entry[self.dir] = np.arange(self.dir.size)
-        below = np.flatnonzero(is_dir[:-1] & ~lo_zero[1:]) + 1
-        above = np.flatnonzero(is_dir[1:] & ~up_zero[:-1])
-        self.beside = ((below, entry[below - 1]), (above, entry[above + 1]))
-        up_zero[above] = True
-        self._up_zero = np.flatnonzero(up_zero)
+        self.inner = np.concatenate([p.layout.inner_local + s
+                                     for p, s in zip(problems, self.starts)])
         self.flux = problems[0].flux
         self.linear = self.flux.slope is not None
         traces = {}  # id(phi) -> (phi, rows of a trace row, interface points, lifts)
@@ -423,8 +403,7 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
         # right-hand side: its block solves to zero and leaks nothing.
         b = state.copy()
         b[dir_rows] = bc
-        for rows, k, coupling in size.columns:
-            b[rows] -= coupling * bc[k]
+        b[batch.inner] -= size.columns * bc
         direct = stepping
         if not _all_finite(b):
             finite = np.logical_and.reduceat(np.isfinite(b), starts).tolist()
@@ -791,10 +770,8 @@ def flux_balance_defect(fieldobj: SpaceTimeField, problem: ApproxProblem) -> flo
     # One contiguous row per step, so each sums in the order of a 1-D sum.
     du = np.ascontiguousarray((u[free, 1:] - u[free, :-1]).T)
     mass_change = np.sum(rho_vals * du * op.volumes[free], axis=1)
-    flux_in = np.zeros(fieldobj.times.size - 1)
-    if f1 < lay.size - 1:
-        g = np.asarray(problem.flux.g(u[f1 : f1 + 2, 1:]))
-        flux_in += op.face_areas[f1] * (g[1] - g[0]) / h
+    g = np.asarray(problem.flux.g(u[f1 : f1 + 2, 1:]))  # the last row is always imposed
+    flux_in = op.face_areas[f1] * (g[1] - g[0]) / h
     if f0 > 0:  # a ball's window starts at its centre, not at an interface row
         g = np.asarray(problem.flux.g(u[f0 - 1 : f0 + 1, 1:]))
         flux_in -= op.face_areas[f0 - 1] * (g[1] - g[0]) / h

@@ -108,7 +108,8 @@ def _heat(experiment: str, nodes: int = 101) -> str:
 
 
 # Each config mistake, the subcommand that runs it, and the config; {table}
-# names a density table with a zero value, {table3} one with three columns.
+# names a density table with a zero value, {table3} one with three columns and
+# {short} one that stops at 0.5, short of b = 1.
 CONFIG_MISTAKES = {
     "negative-c": ("solve", MINIMAL_HEAT.replace("c = 1.0", "c = -1")),
     "negative-slope": ("solve", MINIMAL_HEAT.replace("kind = linear", "kind = linear\nslope = -1")),
@@ -202,6 +203,8 @@ CONFIG_MISTAKES = {
         "assert_convergence = maybe"))),
     "three-column-table": ("solve", MINIMAL_HEAT.replace("kind = constant\nc = 1.0",
                                                          "kind = table\nfile = {table3}")),
+    "table-short-of-b": ("solve", MINIMAL_HEAT.replace("kind = constant\nc = 1.0",
+                                                       "kind = table\nfile = {short}")),
 }
 
 
@@ -685,17 +688,23 @@ class TestCli:
 
     @pytest.mark.parametrize("model", ["kind = constant\nc = 1.0", "kind = linear"],
                              ids=["density", "nonlinearity"])
-    @pytest.mark.parametrize("content", [
-        None, "0.0 1.0\n0.5 abc\n", "0.0 0.0\n0.5 nan\n1.0 2.0\n", "0.0 0.0\n0.5 inf\n1.0 2.0\n",
-        "0.0 1.0\nnan 1.0\n1.0 1.0\n", "0.0 1.0\ninf 1.0\n1.0 1.0\n",
-    ], ids=["missing", "malformed", "nan-value", "inf-value", "nan-coordinate", "inf-coordinate"])
-    def test_unreadable_table_is_a_config_error(self, tmp_path, capsys, model, content):
+    @pytest.mark.parametrize("content, reason", [
+        (None, "cannot be read"),
+        ("0.0 1.0\n0.5 abc\n", "is not a numeric table"),
+        ("0.0 0.0\n0.5 nan\n1.0 2.0\n", "has an entry that is not finite"),
+        ("0.0 0.0\n0.5 inf\n1.0 2.0\n", "has an entry that is not finite"),
+        ("0.0 1.0\nnan 1.0\n1.0 1.0\n", "has an entry that is not finite"),
+        ("0.0 1.0\ninf 1.0\n1.0 1.0\n", "has an entry that is not finite"),
+        ("0.0 1.0\n", "must have at least two rows"),  # np.loadtxt reads one row as 1-D
+    ], ids=["missing", "malformed", "nan-value", "inf-value", "nan-coordinate", "inf-coordinate",
+            "one-row"])
+    def test_unreadable_table_is_a_config_error(self, tmp_path, capsys, model, content, reason):
         table = tmp_path / "table.txt"
         if content is not None:
             table.write_text(content)
         cfg = self._write(tmp_path, MINIMAL_HEAT.replace(model, f"kind = table\nfile = {table}"))
         assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
-        assert f"config error: table file {str(table)!r}" in capsys.readouterr().err
+        assert f"config error: table file {str(table)!r} {reason}" in capsys.readouterr().err
         assert cli_main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
         report = json.loads((tmp_path / "s/report.json").read_text())
         assert report["verdict"] == "error"
@@ -714,10 +723,12 @@ class TestCli:
     @pytest.mark.parametrize("command, doc", CONFIG_MISTAKES.values(), ids=list(CONFIG_MISTAKES))
     def test_config_mistakes_exit_2_under_validate_and_the_run(self, tmp_path, command, doc):
         # Each used to pass validate, or to exit 1, 3 or even 0 under one of the two.
-        table, table3 = tmp_path / "rho.txt", tmp_path / "rho3.txt"
+        table, table3, short = tmp_path / "rho.txt", tmp_path / "rho3.txt", tmp_path / "short.txt"
         np.savetxt(table, [[0.0, 1.0], [0.5, 0.0], [1.0, 1.0]])
         np.savetxt(table3, [[0.0, 1.0, 2.0], [1.0, 1.0, 2.0]])
-        doc = doc.replace("{table}", str(table)).replace("{table3}", str(table3))
+        np.savetxt(short, [[0.0, 1.0], [0.5, 1.0]])
+        for name, path in (("{table}", table), ("{table3}", table3), ("{short}", short)):
+            doc = doc.replace(name, str(path))
         cfg = self._write(tmp_path, doc)
         assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
         assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

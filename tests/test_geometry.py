@@ -186,6 +186,10 @@ class TestCollarLevels:
         cls = collar_decomposition(grid, eps)
         lo, hi = cls.window
         assert np.array_equal(cls.computational, np.arange(lo, hi + 1))
+        # The solver relies on this: imposed rows end the window, whose first row
+        # on a ball is its free centre.
+        ends = [hi] if kind == "ball" else [lo, hi]
+        assert cls.interface.tolist() == ends
         inner = cls.inner_neighbours
         assert inner.size == cls.interface.size == len(DOMAINS[kind].boundary_points())
         assert np.all(np.abs(inner - cls.interface) == 1)

@@ -144,6 +144,22 @@ class TestDensityModel:
         with pytest.raises(ModelError, match="one value per coordinate"):
             DensityModel.from_table([0.0, 0.5, 1.0], values, Domain.interval(0.0, 1.0))
 
+    @pytest.mark.parametrize("dom, coords", [
+        (Domain.interval(0.0, 2.0), [0.0, 0.5, 1.0]),
+        (Domain.interval(0.0, 1.0), [1e-6, 0.5, 1.0]),
+        (Domain.ball(1.0, dim=3), [0.1, 0.5, 1.0]),
+        (Domain.annulus(1.0, 2.0, dim=2), [1.0, 1.5, 2.0 - 1e-9]),
+    ], ids=["short-of-b", "short-of-a", "ball-centre", "annulus-outer"])
+    def test_table_must_cover_the_domain(self, dom, coords):
+        # np.interp would hold the last tabulated value out to the boundary.
+        with pytest.raises(ModelError, match=r"density table covers \[.*\], not the whole domain"):
+            DensityModel.from_table(coords, [1.0, 1.0, 1.0], dom)
+
+    def test_table_ends_within_rounding_of_the_boundary_cover_it(self):
+        dom = Domain.interval(0.0, 2.0)
+        rho = DensityModel.from_table([1e-13, 1.0, 2.0 - 1e-13], [1.0, 2.0, 3.0], dom)
+        assert rho.rho(2.0) == pytest.approx(3.0)
+
 
 
 #: Inputs a piecewise-linear majorant rejects: its interpolant must be positive

@@ -1217,19 +1217,21 @@ class TestBatchedMembers:
             rows = np.arange(batch.sizes.sum())
             # A coupling is zero at an imposed row, at a block edge and beside an
             # imposed row, whose column every step matrix leaves out.
-            zero = {}
-            for edges, side, (beside, entry) in (
-                    (batch.starts, 1, batch.beside[0]),
-                    (batch.starts + batch.sizes - 1, -1, batch.beside[1])):
+            zero, beside = {}, {}
+            for edges, side in ((batch.starts, 1), (batch.starts + batch.sizes - 1, -1)):
                 kept = np.union1d(batch.dir, edges)
                 zero[side] = np.intersect1d(np.union1d(kept, batch.dir + side), rows)
-                assert np.array_equal(beside, np.setdiff1d(zero[side], kept))
-                assert np.array_equal(batch.dir[entry], beside - side)
+                beside[side] = np.setdiff1d(zero[side], kept)
+            # Each imposed row couples to the one row beside it within its block.
+            inner = np.where(np.isin(batch.dir + 1, beside[1]), batch.dir + 1, batch.dir - 1)
+            assert np.array_equal(batch.inner, inner)
+            assert np.array_equal(np.sort(batch.inner), np.union1d(beside[1], beside[-1]))
+            assert batch.inner.dtype == inner.dtype
             # Coupling i joins rows i and i + 1, so it is zero on both sides alike.
-            assert np.array_equal(batch._up_zero, zero[-1])
-            inside = batch._up_zero[batch._up_zero < rows[-1]]
+            up_zero = np.flatnonzero(batch.step(1e-3).e == 0.0)
+            assert np.array_equal(up_zero, zero[-1])
+            inside = up_zero[up_zero < rows[-1]]
             assert np.array_equal(inside + 1, zero[1][zero[1] > 0])
-            assert batch._up_zero.dtype == zero[-1].dtype
 
     def test_solve_error_names_the_failing_member(self):
         nan_trace = BoundaryData(
