@@ -19,6 +19,7 @@ parses before it runs, so a first run pays no import cost.
 from __future__ import annotations
 
 import importlib
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -274,7 +275,9 @@ def build_grid_from(cfg: ExperimentConfig, domain: Domain) -> Grid:
 
 def _load_table(path: str):
     try:
-        data = np.loadtxt(path, ndmin=2)
+        with warnings.catch_warnings():  # an empty file is reported below, not warned of
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, ndmin=2)
     except OSError as exc:
         raise ConfigParseError(f"table file {path!r} cannot be read: {exc}")
     except ValueError as exc:

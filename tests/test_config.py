@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -710,6 +711,19 @@ class TestCli:
         assert report["verdict"] == "error"
         assert report["error"]["type"] == "ConfigParseError"
         assert str(table) in report["error"]["message"]
+
+    @pytest.mark.parametrize("content", ["", "# no rows\n"], ids=["empty", "comment-only"])
+    def test_empty_table_file_prints_only_the_config_error(self, tmp_path, capsys, content):
+        # np.loadtxt warns of a file without data; the config error says it alone.
+        table = tmp_path / "table.txt"
+        table.write_text(content)
+        cfg = self._write(tmp_path, MINIMAL_HEAT.replace("kind = linear",
+                                                         f"kind = table\nfile = {table}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: table file {str(table)!r} must have at least two rows\n")
 
     def test_non_finite_initial_data_is_a_config_error(self, tmp_path, capsys):
         # This used to exit 3 with a SolveError; TestNonFinite covers the

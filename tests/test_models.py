@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,9 @@ class TestCheckHypotheses:
         assert report.h5_nondegenerate
         assert report.compat_initial_boundary  # sine vanishes at the ends
         assert report.h4_majorant_dominates
+        # A linear flux increases on the whole line, which JSON writes as null.
+        assert report.evidence["h2"]["increasing_on"] == [None, None]
+        json.dumps(report.evidence, allow_nan=False)
 
     def test_degenerate_flux_fails_h5(self):
         dom = Domain.interval(0.0, 1.0)
@@ -287,17 +292,65 @@ class TestCheckHypotheses:
         )
         assert report.positivity_route
 
-    def test_discontinuous_initial_fails_h3(self):
+    def test_infinite_initial_node_fails_h3(self):
         dom = Domain.interval(0.0, 1.0)
-        grid = build_grid(dom, 64)
+        grid = build_grid(dom, 65)
+        node = grid.nodes[32]
         report = check_hypotheses(
             DensityModel.constant(1.0, dom),
             Nonlinearity.linear(1.0),
             BoundaryData.constant(0.0, horizon=1.0),
-            InitialData(lambda x: np.where(np.asarray(x) < 0.5, 0.0, 1.0)),
+            InitialData(lambda x: np.where(np.asarray(x) == node, np.inf, 0.0)),
             grid,
         )
-        assert not report.h3_initial_bounded
+        assert not report.h3_initial_bounded and not report.core_ok
+        assert report.evidence["h3"]["sup"] is None
+        json.dumps(report.evidence, allow_nan=False)
+
+    @pytest.mark.parametrize("knots, data, monotone", [
+        # G is flat below 0, where no state goes: h2 holds on the data.
+        ([0.0, 1.0, 2.0], 0.5, True),
+        # G is flat above 5, and the data reach 6.
+        ([-5.0, 0.0, 5.0], 6.0, False),
+        ([-5.0, 0.0, 5.0], 5.0, True),
+    ], ids=["flat-below-the-data", "data-above-the-knots", "data-at-the-last-knot"])
+    def test_table_flux_is_judged_on_the_data_range(self, knots, data, monotone):
+        dom = Domain.interval(0.0, 1.0)
+        report = check_hypotheses(
+            DensityModel.constant(1.0, dom),
+            Nonlinearity.from_table(knots, [2.0 * k for k in knots]),
+            BoundaryData.constant(data, horizon=1.0),
+            InitialData.constant(data),
+            build_grid(dom, 33),
+        )
+        assert report.h2_flux_monotone is monotone
+        assert report.evidence["h2"]["increasing_on"] == [knots[0], knots[-1]]
+        assert report.evidence["h2"]["data_range"] == [data, data]
+
+    def test_flux_must_vanish_at_zero(self):
+        dom = Domain.interval(0.0, 1.0)
+        report = check_hypotheses(
+            DensityModel.constant(1.0, dom),
+            Nonlinearity.from_table([-1.0, 1.0], [-0.5, 1.5]),
+            BoundaryData.constant(0.5, horizon=1.0),
+            InitialData.constant(0.5),
+            build_grid(dom, 33),
+        )
+        assert not report.h2_flux_monotone
+        assert report.evidence["h2"]["g_at_zero"] == 0.5
+
+    def test_constant_sine_trace_is_not_time_dependent(self):
+        # With frequency 0 the sine trace is its offset at every time.
+        dom = Domain.interval(0.0, 1.0)
+        report = check_hypotheses(
+            DensityModel.constant(1.0, dom),
+            Nonlinearity.porous_medium(2.0),
+            BoundaryData.sine(0.6, 0.15, 0.0, horizon=1.0),
+            InitialData.constant(0.6),
+            build_grid(dom, 64),
+        )
+        assert report.compat_initial_boundary
+        assert report.notes == []
 
 
 class TestDataObjects:
@@ -314,6 +367,29 @@ class TestDataObjects:
         assert sided.phi(1.0, 0.3) == pytest.approx(-1.0)
         sine = BoundaryData.sine(0.5, 0.25, 1.0, horizon=1.0)
         assert sine.sup_norm(dom) == pytest.approx(0.75, abs=1e-3)
+        assert sine.time_dependent
+        assert not BoundaryData.sine(0.5, 0.25, 0.0, horizon=1.0).time_dependent
+        assert not BoundaryData.sine(0.5, 0.0, 1.0, horizon=1.0).time_dependent
+
+    @given(st.sampled_from(["constant", "ramp", "sine", "sided"]),
+           st.sampled_from([Domain.interval(-0.5, 1.5), Domain.ball(1.0, dim=3),
+                            Domain.annulus(1.0, 2.0, dim=2)]),
+           st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+           st.floats(1e-3, 1e2))
+    @settings(max_examples=200, deadline=None)
+    def test_sup_norm_is_the_sampled_sup_bit_for_bit(self, kind, dom, a, horizon):
+        phi = {
+            "constant": lambda: BoundaryData.constant(a[0], horizon),
+            "ramp": lambda: BoundaryData.ramp(a[0], a[1], horizon),
+            "sine": lambda: BoundaryData.sine(a[0], a[1], a[2] / 100.0, horizon),
+            "sided": lambda: BoundaryData.sided(a[0], a[1], dom, horizon),
+        }[kind]()
+        ts = np.linspace(0.0, horizon, 512)
+        sampled = float(max(np.max(np.abs(phi.phi(b, ts))) for b in dom.boundary_points()))
+        assert phi.sup_norm(dom).hex() == sampled.hex()
+        lo, hi = phi.extremes(dom)
+        values = [phi.phi(b, ts) for b in dom.boundary_points()]
+        assert (lo, hi) == (float(np.min(values)), float(np.max(values)))
 
     def test_initial_sup_norm(self):
         dom = Domain.interval(0.0, 1.0)
