@@ -462,6 +462,9 @@ def build_barriers(
         eta_cap=eta_cap, bound_K=global_bound(initial.sup_norm(grid), phi_sup, eta_cap),
         dim=domain.dim, pot_edge=pot_edge, safety=safety,
     )
+    K, (lo, hi) = inputs["bound_K"], flux.g_inv(flux.g_range)
+    if not lo <= -K <= K <= hi:  # the constants read G on [-K, K]; past a table's knots it is flat
+        raise ConfigError(f"flux table covers [{lo:.6g}, {hi:.6g}], not [-K, K] for K = {K:.6g}")
     built = []
     for side in sides:
         barrier = Barrier(

@@ -276,7 +276,7 @@ def build_grid_from(cfg: ExperimentConfig, domain: Domain) -> Grid:
 def _load_table(path: str):
     try:
         with warnings.catch_warnings():  # an empty file is reported below, not warned of
-            warnings.simplefilter("ignore", UserWarning)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             data = np.loadtxt(path, ndmin=2)
     except OSError as exc:
         raise ConfigParseError(f"table file {path!r} cannot be read: {exc}")

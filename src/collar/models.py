@@ -449,13 +449,13 @@ def check_hypotheses(rho: DensityModel, flux: Nonlinearity, phi: BoundaryData,
                      initial: InitialData, grid: Grid) -> HypothesisReport:
     """Decide the model hypotheses on the scheme's grid and the range of the data.
 
-    h1: rho is positive on the interior nodes.  h3: u0 is finite on every
-    node; constant and sine data are continuous by construction.  h2: G(0) = 0,
-    and the finite data range (u0 on the nodes, the trace extremes) lies in
-    ``flux.g_inv(flux.g_range)``, where the constructor makes G strictly
-    increasing.  h5 is the constructor's ``alpha0``.  Majorant dominance,
-    compatibility and positivity are checked on samples near the boundary.
-    The evidence dict records each method and what it read.
+    h1: rho > 0 on the interior nodes.  h3: u0 finite on every node; constant
+    and sine data are continuous by construction.  h2: G(0) = 0, and the data
+    range (u0 on the nodes, the trace extremes) lies in ``flux.g_inv(flux.g_range)``,
+    where the constructor makes G strictly increasing; a lift or barrier reading
+    G past it is a ConfigError where built.  h5 is the constructor's ``alpha0``.
+    Majorant dominance, compatibility and positivity are checked on samples
+    near the boundary.  The evidence dict records each method and what it read.
     """
     dom = grid.domain
     phi_lo, phi_hi = phi.extremes(dom)

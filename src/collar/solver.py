@@ -181,6 +181,14 @@ class ApproxProblem:
         if self.phi.horizon < self.horizon * (1.0 - 1e-12):
             raise ConfigError("boundary data horizon shorter than the solve horizon")
         grid = self.grid
+        # A member's states lie in its data range lifted by eta; G is flat past a table's knots.
+        lo, hi = self.flux.g_inv(self.flux.g_range)
+        if lo > -math.inf or hi < math.inf:  # a table: other fluxes cover the line
+            u0, (t_lo, t_hi) = self.initial.u0(grid.nodes), self.phi.extremes(grid.domain)
+            reach = min(np.min(u0), t_lo) + self.eta, max(np.max(u0), t_hi) + self.eta
+            if not lo <= reach[0] <= reach[1] <= hi:
+                raise ConfigError(f"flux table covers [{lo:.6g}, {hi:.6g}], not [{reach[0]:.6g}, "
+                                  f"{reach[1]:.6g}], the data range lifted by eta = {self.eta:.6g}")
         cls = collar_decomposition(grid, self.eps)
         m0, m1 = cls.window
         dir_local = cls.interface - m0

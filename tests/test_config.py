@@ -209,6 +209,30 @@ CONFIG_MISTAKES = {
 }
 
 
+def _flux_table(doc: str, trace: float, initial: float) -> str:
+    """``doc`` with the flux table {flux}, a constant trace and constant initial data."""
+    return doc.replace("kind = linear", "kind = table\nfile = {flux}").replace(
+        "kind = constant\nvalue = 0.0", f"kind = constant\nvalue = {trace}").replace(
+        "kind = sine\namplitude = 1.0", f"kind = constant\nvalue = {initial}")
+
+
+# Runs whose data lie on the knots of a flux table from -1 to 1, so h2 holds,
+# but which read G past its last knot, where it is flat: the subcommand, the
+# config with {flux}, and the states the run reads.
+FLUX_TABLE_SHORT = {
+    "family-lifts": ("family", _flux_table(_heat(
+        "kind = family\neps_list = 0.2, 0.1, 0.05, 0.025\neta_list = 0.1, 0.05, 0.025", 129),
+        1.0, 0.5), "[0.525, 1.025], the data range lifted by eta = 0.025"),
+    "solve-lift": ("solve", _flux_table(MINIMAL_HEAT.replace(
+        "kind = solve", "kind = solve\neta = 0.05"), 1.0, 0.5),
+        "[0.55, 1.05], the data range lifted by eta = 0.05"),
+    "sweep-conflict-offset": ("dichotomy-sweep", _flux_table(MINIMAL_HEAT.replace(
+        "kind = solve", _SWEEP), 0.75, 0.5), "[0.5, 1.25], the data range lifted by eta = 0"),
+    "barrier-bound": ("barrier-certify", BARRIER_CERTIFY.replace(
+        "kind = linear", "kind = table\nfile = {flux}"), "[-K, K] for K = 1.1"),
+}
+
+
 @st.composite
 def barrier_configs(draw):
     """A barrier-certify config over the domains, models and keys a config can name."""
@@ -724,6 +748,25 @@ class TestCli:
             assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
         assert capsys.readouterr().err == (
             f"config error: table file {str(table)!r} must have at least two rows\n")
+
+    @pytest.mark.parametrize("command, doc, states", FLUX_TABLE_SHORT.values(),
+                             ids=list(FLUX_TABLE_SHORT))
+    def test_flux_table_short_of_what_the_run_reads(self, tmp_path, capsys, command, doc,
+                                                    states):
+        us = np.linspace(-2.0, 2.0, 41)
+        table = np.column_stack([us, us + 0.1 * us**3])
+        wide, short = tmp_path / "wide.txt", tmp_path / "short.txt"
+        np.savetxt(wide, table)
+        np.savetxt(short, table[10:31])  # knots -1 to 1
+        cfg = self._write(tmp_path, doc.replace("{flux}", str(wide)))
+        assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 0
+        capsys.readouterr()
+        cfg = self._write(tmp_path, doc.replace("{flux}", str(short)))
+        assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+        assert capsys.readouterr().err == f"config error: flux table covers [-1, 1], not {states}\n"
+        assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        report = json.loads((tmp_path / "r/report.json").read_text())
+        assert report["error"]["type"] == "ConfigError"
 
     def test_non_finite_initial_data_is_a_config_error(self, tmp_path, capsys):
         # This used to exit 3 with a SolveError; TestNonFinite covers the
