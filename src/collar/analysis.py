@@ -1,11 +1,10 @@
-"""Duality, uniqueness, boundary-attainment, and ordering diagnostics.
+"""Duality and boundary-attainment diagnostics.
 
-The uniqueness machinery tests pairs of trajectories against the potential
-of a fixed interior source: the potential solves the discrete Poisson
-problem with zero trace on the interface, its boundary flux is controlled
-exactly by the source mass (the conservative stencil telescopes), and the
-weighted functional of two convergent approximations of the same problem
-must vanish within quadrature plus solver tolerance.
+The duality potential solves the discrete Poisson problem driven by a fixed
+interior source, with zero trace on the interface; its boundary flux is
+controlled exactly by the source mass, because the conservative stencil
+telescopes.  The attainment report measures how closely each collar level
+tracks the boundary data one node inside its interface late in time.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, HypothesisError, ShapeError, SourceError
-from .geometry import CORE, Grid, NodeClassification, collar_decomposition
-from .models import BoundaryData, Nonlinearity
+from .errors import ConfigError, ShapeError, SourceError
+from .geometry import Grid, NodeClassification, collar_decomposition
+from .models import BoundaryData
 from .operators import assemble_diffusion
 from .solver import SpaceTimeField
 from .tridiagonal import solve_spd_once
@@ -124,40 +123,6 @@ def unit_bump_source(grid: Grid, center: float | None = None, width: float | Non
 
 
 # ---------------------------------------------------------------------------
-# Uniqueness functional
-# ---------------------------------------------------------------------------
-
-
-def uniqueness_functional(
-    u1: SpaceTimeField,
-    u2: SpaceTimeField,
-    source: np.ndarray,
-    flux: Nonlinearity,
-) -> float:
-    """Space-time integral of ``[G(u1) - G(u2)] * source`` by trapezoid rule.
-
-    For two convergent approximations of the same problem the value must
-    vanish within quadrature plus solver tolerance; a persistent gap is the
-    uniqueness alarm.
-    """
-    if not u1.same_grid(u2):
-        raise ShapeError("fields live on different grids")
-    if not u1.times_match(u2):
-        raise ShapeError("fields store different time stamps")
-    f = np.asarray(source, dtype=float)
-    if f.shape != (u1.grid.n,):
-        raise ShapeError("source shape does not match the grid")
-    support = f > 0.0
-    if np.any(np.isnan(u1.values[support, :])) or np.any(np.isnan(u2.values[support, :])):
-        raise ShapeError("source support leaves a field's computational window")
-
-    op = assemble_diffusion(u1.grid)
-    gap = np.asarray(flux.g(u1.values[support, :])) - np.asarray(flux.g(u2.values[support, :]))
-    space = (f[support] * op.volumes[support]) @ gap
-    return float(np.trapezoid(space, u1.times))
-
-
-# ---------------------------------------------------------------------------
 # Boundary attainment
 # ---------------------------------------------------------------------------
 
@@ -231,92 +196,3 @@ def boundary_attainment(
         probe_offsets=offsets,
     )
 
-
-# ---------------------------------------------------------------------------
-# Ordering checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class OrderingVerdict:
-    passed: bool
-    worst_gap: float
-    worst_x: float | None
-    worst_t: float | None
-    detail: str = ""
-
-
-def comparison_check(
-    u_low: SpaceTimeField,
-    u_high: SpaceTimeField,
-    *,
-    tau: float,
-    eps_range: list[float],
-    tol: float = 1e-8,
-) -> OrderingVerdict:
-    """Discrete comparison: ordered interface data must order the core values.
-
-    First certifies the hypothesis (ordering at the interface nodes of every
-    level in ``eps_range`` for times past tau); a violated hypothesis raises
-    HypothesisError rather than returning a failed verdict.
-    """
-    if not (u_low.same_grid(u_high) and u_low.times_match(u_high)):
-        raise ShapeError("comparison requires a shared grid and time stamps")
-    grid = u_low.grid
-    tmask = u_low.times > tau
-    if not np.any(tmask):
-        raise ConfigError("no stored times past tau")
-    for e in eps_range:
-        rows = collar_decomposition(grid, e).interface
-        gap = u_low.values[rows][:, tmask] - u_high.values[rows][:, tmask]
-        if np.nanmax(gap) > tol:
-            raise HypothesisError(
-                f"interface ordering fails at collar level {e}: gap {np.nanmax(gap):.3e}"
-            )
-
-    core = collar_decomposition(grid, max(eps_range)).labels == CORE
-    both = core & u_low.mask & u_high.mask
-    gap = u_low.values[both, :] - u_high.values[both, :]
-    worst = float(np.nanmax(gap))
-    if worst <= tol:
-        return OrderingVerdict(True, worst, None, None, "core ordering holds")
-    flat = np.nanargmax(gap)
-    i, j = np.unravel_index(flat, gap.shape)
-    xs = grid.nodes[both]
-    return OrderingVerdict(
-        False,
-        worst,
-        float(xs[i]),
-        float(u_low.times[j]),
-        "core ordering violated",
-    )
-
-
-def maximality_check(
-    candidate: SpaceTimeField,
-    alternates: list[SpaceTimeField],
-    *,
-    tol: float = 1e-6,
-) -> OrderingVerdict:
-    """The lifted-limit candidate must dominate every admissible variation."""
-    worst = -np.inf
-    worst_x = worst_t = None
-    for alt in alternates:
-        if not (candidate.same_grid(alt) and candidate.times_match(alt)):
-            raise ShapeError("maximality requires shared grids and time stamps")
-        both = candidate.mask & alt.mask
-        gap = alt.values[both, :] - candidate.values[both, :]
-        g = float(np.nanmax(gap))
-        if g > worst:
-            worst = g
-            flat = np.nanargmax(gap)
-            i, j = np.unravel_index(flat, gap.shape)
-            worst_x = float(candidate.grid.nodes[both][i])
-            worst_t = float(candidate.times[j])
-    return OrderingVerdict(
-        passed=bool(worst <= tol),
-        worst_gap=worst,
-        worst_x=worst_x,
-        worst_t=worst_t,
-        detail="candidate dominates" if worst <= tol else "an alternate exceeds the candidate",
-    )

@@ -71,17 +71,7 @@ def main(argv=None) -> int:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
 
-    out_dir = args.out or "out"
-
-    if args.command == "validate":
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        payload = asdict(report)
-        _write_json(out / "hypothesis.json", payload)
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0 if report.core_ok else 1
-
-    if cfg.kind != args.command:
+    if args.command != "validate" and cfg.kind != args.command:
         print(
             f"config declares experiment kind {cfg.kind!r} but subcommand is "
             f"{args.command!r}",
@@ -89,8 +79,21 @@ def main(argv=None) -> int:
         )
         return EXIT_CONFIG_ERROR
 
-    code = run_experiment(cfg, out_dir)
-    report_path = Path(out_dir) / "report.json"
+    out = Path(args.out or "out")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create output directory {out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+
+    if args.command == "validate":
+        payload = asdict(report)
+        _write_json(out / "hypothesis.json", payload)
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return 0 if report.core_ok else 1
+
+    code = run_experiment(cfg, out)
+    report_path = out / "report.json"
     if report_path.exists():
         print(report_path)
     return code

@@ -79,8 +79,4 @@ class SourceError(ConfigError):
 
 
 class ShapeError(CollarError):
-    """Two fields that must share grid and time stamps do not."""
-
-
-class HypothesisError(CollarError):
-    """The ordering hypothesis of a comparison check is itself violated."""
+    """A field lacks the rows or the stored steps an operation reads."""

@@ -107,7 +107,7 @@ class Domain:
         else:
             d = np.minimum(x - self.lo, self.hi - x)
         d = np.maximum(d, 0.0)
-        return float(d) if np.isscalar(x) or d.ndim == 0 else d
+        return float(d) if d.ndim == 0 else d
 
     def into(self, b, distances) -> np.ndarray:
         """Points ``distances`` into the domain from boundary points ``b``, broadcast.

@@ -361,6 +361,8 @@ class BoundaryData:
     @classmethod
     def sided(cls, left: float, right: float, domain: Domain, horizon: float = 1.0,
               positivity_floor: float = 0.0):
+        if len(domain.boundary_points()) == 1:
+            raise ModelError("a sided trace needs two boundary points; a ball has one")
         mid = 0.5 * (domain.lo + domain.hi)
 
         def f(x, t):

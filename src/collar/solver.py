@@ -225,18 +225,7 @@ class SpaceTimeField:
     eta: float
     times: np.ndarray
     values: np.ndarray
-    mask: np.ndarray
     meta: dict = field(default_factory=dict)
-
-    def times_match(self, other: "SpaceTimeField", tol: float = 1e-10) -> bool:
-        return self.times.size == other.times.size and bool(
-            np.all(np.abs(self.times - other.times) <= tol * max(1.0, float(self.times[-1])))
-        )
-
-    def same_grid(self, other: "SpaceTimeField") -> bool:
-        return self.grid.n == other.grid.n and bool(
-            np.allclose(self.grid.nodes, other.grid.nodes, rtol=0.0, atol=1e-14)
-        )
 
     def to_csv(self, path) -> None:
         """Writes a header line ``t,x_0,..`` and one line per stored time, the
@@ -568,7 +557,7 @@ class _Member:
         The discrete maximum principle holds when every stored state lies
         between the extremes of the initial window and of those traces.
         """
-        p, lay = self.problem, self.problem.layout
+        p = self.problem
         start = self.window[:, 0]
         hi = max(float(start.max()), float(trace_hi[self.bc_rows].max()))
         lo = min(float(start.min()), float(trace_lo[self.bc_rows].min()))
@@ -584,10 +573,8 @@ class _Member:
             "max_principle_ok": max_ok,
             "store_stride": store_stride,
         }
-        mask = np.zeros(p.grid.n, dtype=bool)
-        mask[lay.m0 : lay.m1 + 1] = True
         return SpaceTimeField(grid=p.grid, eps=p.eps, eta=p.eta, times=times.copy(),
-                              values=self.values, mask=mask, meta=meta)
+                              values=self.values, meta=meta)
 
 
 def _extrapolate(state, history):

@@ -11,13 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from collar.analysis import (
-    boundary_attainment,
-    maximality_check,
-    solve_duality_potential,
-    uniqueness_functional,
-    unit_bump_source,
-)
+from collar.analysis import boundary_attainment, solve_duality_potential, unit_bump_source
 from collar.barriers import build_barriers, verify_barrier_residual
 from collar.config import parse_config
 from collar.experiments import run_experiment
@@ -30,6 +24,7 @@ from collar.models import (
     PowerMajorant,
     h4_integral,
 )
+from collar.operators import assemble_diffusion
 from collar.solver import ApproxProblem, SolverScheme, solve_members
 
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(32)
@@ -178,7 +173,7 @@ def test_criterion_05_barrier_sandwich():
     lo, hi = build_barriers("potential-timed", ("lower", "upper"), grid, rho, flux, phi, u0,
                             anchor="left", t0=0.5, sigma=sigma, eta=eta, eta_cap=eta_cap,
                             safety=1.05, curvature_margin=2.0, dt=dt)
-    region = lo.region_node_mask(grid) & fld.mask
+    region = lo.region_node_mask(grid) & np.isfinite(fld.values[:, 0])
     xs = grid.nodes[region]
     t_lo, t_hi = lo.t_window
     worst_low = worst_high = -np.inf
@@ -241,10 +236,11 @@ def test_criterion_07_lift_monotonicity_and_maximality():
         float(np.max(f_low.values - f_mid.values)) <= 1e-8
         and float(np.max(f_mid.values - f_high.values)) <= 1e-8
     )
-    verdict = maximality_check(f_low, [direct], tol=1e-6)
-    ok = mono and verdict.passed
+    # With eps = 0 the window is the whole grid: no value is NaN.
+    dominates = float(np.max(direct.values - f_low.values)) <= 1e-6
+    ok = mono and dominates
     _report(7, "lift monotonicity and maximality", ok, 30.0, time.perf_counter() - t0,
-            f"monotone={mono} dominates={verdict.passed}")
+            f"monotone={mono} dominates={dominates}")
 
 
 ATTAINMENT_CFG = """
@@ -313,12 +309,15 @@ def test_criterion_09_uniqueness_functional():
 
     u1 = schedule(4e-5, 5e-5, 200)
     u2 = schedule(0.0, 2.5e-5, 400)
-    source = unit_bump_source(grid)
-    value = uniqueness_functional(u1, u2, source, flux)
+    assert np.allclose(u1.times, u2.times, rtol=0.0, atol=1e-12)
+    # The space-time integral of |G(u1) - G(u2)| against the source, which bounds
+    # the signed one; with eps = 0 both windows are the whole grid.
+    weights = unit_bump_source(grid) * assemble_diffusion(grid).volumes
+    value = float(np.trapezoid(weights @ np.abs(flux.g(u1.values) - flux.g(u2.values)), u1.times))
     budget = 1e-4 * 1.0 * T  # unit source mass
-    ok = abs(value) < budget
-    _report(9, "uniqueness functional on two schedules", ok, 60.0,
-            time.perf_counter() - t0, f"|value|={abs(value):.2e} < {budget:.1e}")
+    ok = value < budget
+    _report(9, "source-weighted L1 gap of G between two schedules", ok, 60.0,
+            time.perf_counter() - t0, f"value={value:.2e} < {budget:.1e}")
 
 
 DICHOTOMY_CFG = """

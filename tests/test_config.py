@@ -191,6 +191,10 @@ CONFIG_MISTAKES = {
         "kind = attainment\neps_list = 0.2, 0.1, 0.05, 0.01\nscale_nodes_with_eps = false")),
     "dichotomy-level-above-cap": ("dichotomy-sweep", _heat(
         f"kind = dichotomy-sweep\n{_LEVELS_ABOVE_CAP}\nalpha_list = 1.0")),
+    # A ball has one boundary sphere, so a sided trace used to drop its left value.
+    "sided-trace-on-a-ball": ("solve", MINIMAL_HEAT.replace(_HEAT_INTERVAL, RADIAL_DOMAINS["ball"])
+                              .replace("kind = constant\nvalue = 0.0",
+                                       "kind = sided\nleft = 5.0\nright = 0.5")),
     # Parse errors no other test reaches.
     "duplicate-section": ("solve", MINIMAL_HEAT + "\n[experiment]\nkind = solve\n"),
     "key-outside-section": ("solve", "dt = 0.001\n" + MINIMAL_HEAT),
@@ -548,6 +552,15 @@ class TestCli:
             code = cli_main([command, "--config", str(tmp_path / "nope.cfg")])
             assert code == 2
             assert "config error: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_output_directory_that_cannot_be_made(self, tmp_path, capsys, command):
+        # It used to end in a NotADirectoryError traceback and exit 1, a failed verdict.
+        cfg = self._write(tmp_path, MINIMAL_HEAT)
+        (tmp_path / "file").write_text("")
+        code = cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "file" / "x")])
+        assert code == 2
+        assert "config error: cannot create output directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "solve"])
     @pytest.mark.parametrize("kind", ["directory", "not-utf8"])

@@ -11,7 +11,6 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv, dptsv
 
 from collar import experiments, solver
-from collar.analysis import comparison_check
 from collar.config import parse_config
 from collar.errors import ConfigError, LinearSolveError, ShapeError, SolveError, StepError
 from collar.experiments import run_experiment
@@ -203,7 +202,7 @@ class TestSolve:
             eps=0.125, eta=0.05, eta_cap=0.1, horizon=0.2, dt=1e-2,
         )
         fld = solve_one(p)
-        window = fld.values[fld.mask, :]
+        window = fld.values[np.isfinite(fld.values[:, 0])]
         assert np.max(np.abs(window - 0.35)) <= 1e-9
 
     def test_maximum_principle_metadata(self):
@@ -247,8 +246,9 @@ class TestSolve:
             solve_one(heat_problem(nodes=65, horizon=0.05, dt=1e-3, eta=eta), store_stride=5)
             for eta in (0.025, 0.05, 0.1)
         ]
+        window = np.isfinite(fields[0].values[:, 0])
         for lower, higher in zip(fields[:-1], fields[1:]):
-            gap = lower.values[lower.mask, :] - higher.values[higher.mask, :]
+            gap = lower.values[window] - higher.values[window]
             assert np.max(gap) <= 1e-8
 
     def test_flux_balance(self):
@@ -638,6 +638,64 @@ def max_principle_problems(draw, alphas=st.floats(0.0, 3.0)):
 ALPHA_REGIMES = {"finite": st.floats(0.0, 1.9), "divergent": st.floats(2.0, 3.0)}
 
 
+#: An interval, a ball or an annulus, each of width 1; the radial ones in 2 to 4 dimensions.
+DOMAINS = st.one_of(st.just(DOM), st.integers(2, 4).map(lambda d: Domain.ball(1.0, dim=d)),
+                    st.integers(2, 4).map(lambda d: Domain.annulus(0.5, 1.5, dim=d)))
+
+
+def densities(dom, alphas=st.floats(0.0, 3.0), values=st.floats(0.2, 5.0)):
+    """Constant, power-law and five-knot table densities on ``dom``."""
+    return st.one_of(
+        st.floats(0.5, 2.0).map(lambda c: DensityModel.constant(c, dom)),
+        alphas.map(lambda alpha: DensityModel.power_law(alpha, dom)),
+        st.lists(values, min_size=5, max_size=5).map(
+            lambda v: DensityModel.from_table(np.linspace(dom.lo, dom.hi, 5), v, dom)))
+
+
+@st.composite
+def contraction_members(draw):
+    """Three members of one solve on one grid, collar level, trace and flux.
+
+    ``a`` and ``b`` share their lift and differ in initial data; ``c`` starts at
+    or above both, with a lift no lower than theirs.  The data are piecewise
+    linear on 13 knots: rough data are slow to contract, so they show a wrong
+    weight or stencil in more draws than smooth data do.
+    """
+    dom = draw(DOMAINS)
+    rho = draw(densities(dom, st.floats(1.0, 3.0), st.floats(0.1, 10.0)))
+    flux = draw(st.sampled_from(["linear", "porous-medium", "table"]))
+    if flux == "linear":
+        flux = Nonlinearity.linear(draw(st.floats(0.5, 2.0)))
+    elif flux == "porous-medium":
+        flux = Nonlinearity.porous_medium(draw(st.floats(1.5, 3.0)))
+    else:
+        knots = np.linspace(-3.0, 3.0, 13)
+        flux = Nonlinearity.from_table(knots, knots + draw(st.floats(0.0, 0.5)) * knots**3)
+    traces = [BoundaryData.sine(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.0, 0.3)),
+                                draw(st.floats(0.5, 3.0)), horizon=1.0)]
+    if len(dom.boundary_points()) == 2:  # a sided trace needs two
+        traces.append(BoundaryData.sided(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)),
+                                         dom))
+    phi = draw(st.sampled_from(traces))
+    knots = np.linspace(dom.lo, dom.hi, 13)
+
+    def rough():
+        values = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=13, max_size=13)))
+        return InitialData(functools.partial(np.interp, xp=knots, fp=values))
+
+    u_a, u_b = rough(), rough()
+    above = draw(st.floats(0.0, 0.5))
+    u_c = InitialData(lambda x: np.maximum(u_a.u0(x), u_b.u0(x)) + above)
+    eta = draw(st.floats(0.0, 0.05))
+    p = ApproxProblem(
+        grid=build_grid(dom, draw(st.sampled_from([17, 25, 33]))), rho=rho, flux=flux, phi=phi,
+        initial=u_a, eps=draw(st.sampled_from([0.0, 0.125, 0.25])), eta=eta, eta_cap=0.1,
+        horizon=0.1, dt=draw(st.sampled_from([5e-3, 1e-2, 2e-2])),
+    )
+    return [p, dataclasses.replace(p, initial=u_b),
+            dataclasses.replace(p, initial=u_c, eta=draw(st.floats(eta, 0.1)))]
+
+
 class TestProperties:
     @given(max_principle_problems())
     @settings(max_examples=40, deadline=None)
@@ -672,16 +730,33 @@ class TestProperties:
         assert defect <= scheme.newton_tol * np.sum(weights)
         assert defect == loop_flux_balance_defect(fld, p)
 
-    @pytest.mark.parametrize("regime", ALPHA_REGIMES)
-    @given(data=st.data())
-    @settings(max_examples=20, deadline=None)
-    def test_ordered_lifts_pass_comparison(self, regime, data):
-        p = data.draw(max_principle_problems(ALPHA_REGIMES[regime]))
-        etas = sorted(data.draw(st.lists(st.floats(0.0, 0.1), min_size=2, max_size=2)))
-        low, high = solve_members([dataclasses.replace(p, eta=eta) for eta in etas])
-        levels = [e for e in (0.125, 0.25) if e >= p.eps]
-        verdict = comparison_check(low, high, tau=p.horizon / 2, eps_range=levels)
-        assert verdict.passed, verdict
+    @given(contraction_members())
+    @settings(max_examples=150, deadline=None)
+    def test_weighted_l1_contraction_and_comparison(self, members):
+        # Implicit Euler on the conservative stencil contracts sum_free rho V (u - v)^+
+        # when G is increasing and u's trace is at most v's: each step's growth is
+        # at most both members' Newton residuals, newton_tol apiece, weighted by
+        # rho V over the free rows.  Equal traces give the |u - v| sum too; ordered
+        # data and traces start the positive part at 0, which is comparison.
+        scheme = SolverScheme()
+        a, b, c = fields = solve_members(members, scheme)
+        # The claims compare one scheme on one time lattice; these draws never halve.
+        assert [f.meta["step_halvings"] for f in fields] == [0, 0, 0]
+        p = members[0]
+        free = p.layout.m0 + p.layout.free_local
+        weights = p.rho.rho(p.grid.nodes[free]) * assemble_diffusion(p.grid).volumes[free]
+        growth = 2.0 * scheme.newton_tol * np.sum(weights)
+
+        def distance(u, v, part):
+            d = weights @ part(u.values[free] - v.values[free])
+            assert np.all(np.diff(d) <= growth), np.max(np.diff(d)) / growth
+            return d
+
+        positive = functools.partial(np.maximum, 0.0)
+        for u, v, part in [(a, b, positive), (b, a, positive), (a, b, np.abs)]:
+            distance(u, v, part)
+        for u in (a, b):
+            assert distance(u, c, positive)[0] == 0.0
 
 
 def reference_solve(p: ApproxProblem, scheme: SolverScheme, store_stride: int = 1,
@@ -1340,21 +1415,8 @@ def linear_steps(draw):
     """``(problems, dt)``: two or three linear members of one solve on one grid,
     with distinct collar widths and their own lifts, and a step ``dt`` of
     ``dt / h^2`` from 1e-2 to 1e4."""
-    kind = draw(st.sampled_from(["interval", "ball", "annulus"]))
-    if kind == "interval":
-        dom = Domain.interval(0.0, 1.0)
-    elif kind == "ball":
-        dom = Domain.ball(1.0, dim=draw(st.integers(2, 4)))
-    else:
-        dom = Domain.annulus(0.5, 1.5, dim=draw(st.integers(2, 4)))
-    density = draw(st.sampled_from(["constant", "power", "table"]))
-    if density == "constant":
-        rho = DensityModel.constant(draw(st.floats(0.5, 2.0)), dom)
-    elif density == "power":
-        rho = DensityModel.power_law(draw(st.floats(0.0, 3.0)), dom)
-    else:
-        values = draw(st.lists(st.floats(0.2, 5.0), min_size=5, max_size=5))
-        rho = DensityModel.from_table(np.linspace(dom.lo, dom.hi, 5), values, dom)
+    dom = draw(DOMAINS)
+    rho = draw(densities(dom))
     grid = build_grid(dom, draw(st.sampled_from([33, 65, 129])))
     dt = 10.0 ** draw(st.floats(-2.0, 4.0)) * grid.h**2
     cap = int(dom.collar_cap / grid.h + 1e-9)
