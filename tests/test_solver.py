@@ -14,7 +14,7 @@ from collar import experiments, solver
 from collar.config import parse_config
 from collar.errors import ConfigError, LinearSolveError, ShapeError, SolveError, StepError
 from collar.experiments import run_experiment
-from collar.geometry import Domain, build_grid
+from collar.geometry import CORE, Domain, build_grid, collar_decomposition
 from collar.models import BoundaryData, DensityModel, InitialData, Nonlinearity
 from collar.operators import assemble_diffusion
 from collar.solver import (
@@ -729,6 +729,26 @@ class TestProperties:
         defect = flux_balance_defect(fld, p)
         assert defect <= scheme.newton_tol * np.sum(weights)
         assert defect == loop_flux_balance_defect(fld, p)
+
+    @pytest.mark.parametrize("regime", ALPHA_REGIMES)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_ordered_lifts_pass_comparison(self, regime, data):
+        # Ordered lifts order the values at every collar level's interface past
+        # tau, which is comparison's hypothesis, and so the core values too.
+        p = data.draw(max_principle_problems(ALPHA_REGIMES[regime]))
+        etas = sorted(data.draw(st.lists(st.floats(0.0, 0.1), min_size=2, max_size=2)))
+        low, high = solve_members([dataclasses.replace(p, eta=eta) for eta in etas])
+        levels = [e for e in (0.125, 0.25) if e >= p.eps]
+        past_tau = low.times > p.horizon / 2
+        assert np.any(past_tau)
+        for e in levels:
+            rows = collar_decomposition(p.grid, e).interface
+            gap = low.values[rows][:, past_tau] - high.values[rows][:, past_tau]
+            assert np.nanmax(gap) <= 1e-8, (e, np.nanmax(gap))
+        core = collar_decomposition(p.grid, max(levels)).labels == CORE
+        gap = low.values[core] - high.values[core]
+        assert np.nanmax(gap) <= 1e-8, np.nanmax(gap)
 
     @given(contraction_members())
     @settings(max_examples=150, deadline=None)
