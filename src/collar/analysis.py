@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, SourceError
+from .errors import ConfigError, SourceError
 from .geometry import Grid, NodeClassification, collar_decomposition
 from .models import BoundaryData
 from .operators import assemble_diffusion
@@ -170,13 +170,10 @@ def boundary_attainment(
     for f in fields:
         grid = f.grid
         cls = collar_decomposition(grid, f.eps)
-        rows = cls.interface
-        if rows.size == 0:
-            raise ShapeError(f"collar level {f.eps} has no interface rows to probe")
         tmask = f.times >= tau - 1e-12
         level_sup = 0.0
         level_offset = 0.0
-        for i, probe in zip(rows, cls.inner_neighbours):
+        for i, probe in zip(cls.interface, cls.inner_neighbours):
             b = grid.domain.nearest_boundary_point(grid.nodes[i])
             target = np.asarray(phi.phi(b, f.times[tmask]))
             gap = np.abs(f.values[probe, tmask] - target)

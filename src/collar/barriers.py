@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ModelError, RegimeError
+from .errors import ConfigError, ModelError, RangeError, RegimeError
 from .geometry import ANNULUS, BALL, Domain, Grid
 from .models import (
     BoundaryData,
@@ -408,8 +408,8 @@ class Barrier:
     def side(self) -> str:
         return self.constants.side
 
-    def evaluate(self, x, t: float | None = None):
-        """Barrier value at nodes ``x`` and time ``t`` (ignored if stationary)."""
+    def argument(self, x, t: float | None = None):
+        """``G`` of the barrier value at nodes ``x`` and time ``t`` (ignored if stationary)."""
         c = self.constants
         if isinstance(self.potential, MillerBarrier):
             profile = self.potential.evaluate(x)
@@ -421,7 +421,11 @@ class Barrier:
             arg = arg + s * c.lam * (t - self.anchor_t) ** 2
         if c.beta is not None:
             arg = arg + s * c.beta * (np.asarray(x, float) - self.anchor_x) ** 2
-        return self.flux.g_inv(arg)
+        return arg
+
+    def evaluate(self, x, t: float | None = None):
+        """Barrier value at nodes ``x`` and time ``t`` (ignored if stationary)."""
+        return self.flux.g_inv(self.argument(x, t))
 
     def region_node_mask(self, grid: Grid) -> np.ndarray:
         near = np.abs(grid.nodes - self.anchor_x) <= self.delta * (1.0 + 1e-12)
@@ -438,7 +442,7 @@ def build_barriers(
     ``anchor`` is ``left`` or ``right``, the end of the domain the barriers
     sit at; a ball's one boundary is its outer sphere.  ``t0`` is the anchor
     time of a time-localized case, which a stationary case ignores.  Raises a
-    ConfigError when the config admits no such barrier on this grid.
+    ConfigError when the config admits no such barrier on this grid or flux table.
     """
     domain = grid.domain
     x0 = domain.lo if anchor == "left" and domain.kind != BALL else domain.hi
@@ -474,7 +478,17 @@ def build_barriers(
             base_level=float(flux.g(phi.phi(x0, t0 if timed else 0.0) + eta)),
             t_window=(t0 - delta, min(t0 + delta, phi.horizon)) if timed else (0.0, phi.horizon),
         )
-        check_barrier_region(barrier, grid, dt)
+        idx = check_barrier_region(barrier, grid, dt)
+        if np.all(np.isfinite(flux.g_range)):  # a table flux: the residual check inverts G on
+            # the region and two nodes either side, and the time term peaks at a window end
+            arg = barrier.argument(grid.nodes[max(idx[0] - 2, 0) : idx[-1] + 3],
+                                   np.array(barrier.t_window)[:, None])
+            try:
+                flux.g_inv(arg)
+            except RangeError:
+                raise ConfigError(f"the {side} barrier takes G on [{np.min(arg):.6g}, "
+                                  f"{np.max(arg):.6g}], past the flux table's values "
+                                  f"[{flux.g_range[0]:.6g}, {flux.g_range[1]:.6g}]") from None
         built.append(barrier)
     return built
 

@@ -77,6 +77,3 @@ class SolveError(CollarError):
 class SourceError(ConfigError):
     """A duality source term is invalid (negative entries, empty support)."""
 
-
-class ShapeError(CollarError):
-    """A field lacks the rows or the stored steps an operation reads."""

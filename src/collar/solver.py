@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvfmt import write_csv
-from .errors import ConfigError, ShapeError, SolveError, StepError
+from .errors import ConfigError, SolveError, StepError
 from .geometry import Grid, collar_decomposition
 from .models import BoundaryData, DensityModel, InitialData, Nonlinearity, global_bound
 from .operators import assemble_diffusion, stack_operators
@@ -740,37 +740,6 @@ def solve_members(
                 raise ConfigError(f"member {i} has another {name} than member 0; "
                                   "the members of one solve share one flux, dt and horizon")
     return _advance(problems, scheme or SolverScheme(), store_stride)
-
-
-def flux_balance_defect(fieldobj: SpaceTimeField, problem: ApproxProblem) -> float:
-    """Worst per-step defect of mass change against boundary flux of the flux.
-
-    The conservative stencil telescopes exactly, so the defect measures only
-    the Newton tolerance, far below the ``C (h + dt)`` budget.  Every pair of
-    consecutive stored times is checked in one pass; a non-finite defect is
-    returned as NaN, not skipped.  The field must store every step: with a
-    store stride above 1, a stored pair spans several steps while the flux is
-    read at one of them, so a strided field raises ``ShapeError``.
-    """
-    stride = fieldobj.meta.get("store_stride")
-    if stride != 1:
-        raise ShapeError(f"flux balance needs every step stored, got store_stride = {stride}")
-    lay = problem.layout
-    op = problem._window_op  # window-local: node m0 is row 0, face i joins rows i and i + 1
-    free = lay.free_local
-    f0, f1 = free[0], free[-1]
-    h = problem.grid.h
-    u = fieldobj.values[lay.m0 : lay.m1 + 1]
-    rho_vals = np.asarray(problem.rho.rho(problem.grid.nodes[lay.m0 + free]))
-    # One contiguous row per step, so each sums in the order of a 1-D sum.
-    du = np.ascontiguousarray((u[free, 1:] - u[free, :-1]).T)
-    mass_change = np.sum(rho_vals * du * op.volumes[free], axis=1)
-    g = np.asarray(problem.flux.g(u[f1 : f1 + 2, 1:]))  # the last row is always imposed
-    flux_in = op.face_areas[f1] * (g[1] - g[0]) / h
-    if f0 > 0:  # a ball's window starts at its centre, not at an interface row
-        g = np.asarray(problem.flux.g(u[f0 - 1 : f0 + 1, 1:]))
-        flux_in -= op.face_areas[f0 - 1] * (g[1] - g[0]) / h
-    return float(np.max(np.abs(mass_change - np.diff(fieldobj.times) * flux_in), initial=0.0))
 
 
 @dataclass

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from collar.analysis import boundary_attainment, solve_duality_potential, unit_bump_source
-from collar.errors import ShapeError, SourceError
-from collar.geometry import CORE, Domain, NodeClassification, build_grid
+from collar.errors import SourceError
+from collar.geometry import Domain, build_grid
 from collar.models import BoundaryData, DensityModel, InitialData, Nonlinearity
 from collar.solver import ApproxProblem, solve_members
 
@@ -110,20 +110,13 @@ class TestBoundaryAttainment:
         rep = boundary_attainment(fields, phi, tau=0.02, threshold=0.06)
         assert rep.sups == pytest.approx([0.05] * 4, abs=1e-9)
 
-    def test_probe_offsets_and_missing_interface_rows(self, monkeypatch):
-        import collar.analysis as analysis
-
+    def test_probe_offsets(self):
         phi = BoundaryData.constant(0.0, horizon=1.0)
         fields = attainment_fields([0.2, 0.1, 0.05, 0.025], phi,
                                    InitialData.sine(DOM, 1.0), RHO1, horizon=0.1)
         rep = boundary_attainment(fields, phi, tau=0.05)
         # factor 4: the interface row sits 4 spacings in, its probe one further
         assert rep.probe_offsets == pytest.approx([1.25 * e for e in (0.2, 0.1, 0.05, 0.025)])
-
-        all_core = NodeClassification(0.2, np.full(fields[0].grid.n, CORE))
-        monkeypatch.setattr(analysis, "collar_decomposition", lambda grid, eps: all_core)
-        with pytest.raises(ShapeError, match="no interface rows"):
-            boundary_attainment(fields, phi, tau=0.05)
 
 
 class TestDivergentRegime:

@@ -109,8 +109,9 @@ def _heat(experiment: str, nodes: int = 101) -> str:
 
 
 # Each config mistake, the subcommand that runs it, and the config; {table}
-# names a density table with a zero value, {table3} one with three columns and
-# {short} one that stops at 0.5, short of b = 1.
+# names a density table with a zero value, {table3} one with three columns,
+# {short} one that stops at 0.5, short of b = 1, and {flux} the flux table
+# u + 0.1 u^3 on knots -2 to 2.
 CONFIG_MISTAKES = {
     "negative-c": ("solve", MINIMAL_HEAT.replace("c = 1.0", "c = -1")),
     "negative-slope": ("solve", MINIMAL_HEAT.replace("kind = linear", "kind = linear\nslope = -1")),
@@ -210,6 +211,9 @@ CONFIG_MISTAKES = {
                                                          "kind = table\nfile = {table3}")),
     "table-short-of-b": ("solve", MINIMAL_HEAT.replace("kind = constant\nc = 1.0",
                                                        "kind = table\nfile = {short}")),
+    # The table covers [-K, K], but the barrier's own G-values leave it: this exited 3.
+    "barrier-past-flux-table": ("barrier-certify", BARRIER_CERTIFY.replace(
+        "kind = linear", "kind = table\nfile = {flux}")),
 }
 
 
@@ -237,6 +241,13 @@ FLUX_TABLE_SHORT = {
 }
 
 
+def write_flux_table(path: Path) -> Path:
+    """The flux table u + 0.1 u^3 on knots -2 to 2, written to ``path``."""
+    us = np.linspace(-2.0, 2.0, 41)
+    np.savetxt(path, np.column_stack([us, us + 0.1 * us**3]))
+    return path
+
+
 @st.composite
 def barrier_configs(draw):
     """A barrier-certify config over the domains, models and keys a config can name."""
@@ -250,7 +261,7 @@ def barrier_configs(draw):
     density = draw(st.one_of(st.just("kind = constant"),
                              st.builds("kind = power\nalpha = {!r}".format, st.floats(-1.0, 2.5))))
     pick = lambda *values: draw(st.sampled_from(values))  # noqa: E731
-    flux = pick("kind = linear", "kind = porous-medium\nm = 2.0")
+    flux = pick("kind = linear", "kind = porous-medium\nm = 2.0", "kind = table\nfile = {flux}")
     trace = pick("kind = constant\nvalue = 1.0", "kind = ramp\nvalue = 0.5\nrate = 1.0",
                  "kind = sine\noffset = 1.0\namplitude = 0.5\nfrequency = 1.0")
     initial = pick("kind = constant\nvalue = 1.0", "kind = sine\namplitude = 0.5\noffset = 1.0")
@@ -766,13 +777,14 @@ class TestCli:
                              ids=list(FLUX_TABLE_SHORT))
     def test_flux_table_short_of_what_the_run_reads(self, tmp_path, capsys, command, doc,
                                                     states):
-        us = np.linspace(-2.0, 2.0, 41)
+        us = np.linspace(-5.0, 5.0, 101)
         table = np.column_stack([us, us + 0.1 * us**3])
         wide, short = tmp_path / "wide.txt", tmp_path / "short.txt"
         np.savetxt(wide, table)
-        np.savetxt(short, table[10:31])  # knots -1 to 1
+        np.savetxt(short, table[40:61])  # knots -1 to 1
         cfg = self._write(tmp_path, doc.replace("{flux}", str(wide)))
         assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 0
+        assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
         capsys.readouterr()
         cfg = self._write(tmp_path, doc.replace("{flux}", str(short)))
         assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
@@ -797,7 +809,9 @@ class TestCli:
         np.savetxt(table, [[0.0, 1.0], [0.5, 0.0], [1.0, 1.0]])
         np.savetxt(table3, [[0.0, 1.0, 2.0], [1.0, 1.0, 2.0]])
         np.savetxt(short, [[0.0, 1.0], [0.5, 1.0]])
-        for name, path in (("{table}", table), ("{table3}", table3), ("{short}", short)):
+        flux = write_flux_table(tmp_path / "flux.txt")
+        for name, path in (("{table}", table), ("{table3}", table3), ("{short}", short),
+                           ("{flux}", flux)):
             doc = doc.replace(name, str(path))
         cfg = self._write(tmp_path, doc)
         assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
@@ -810,7 +824,7 @@ class TestCli:
         # builds the barriers the run builds, so both reject the same configs.
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "exp.cfg"
-            cfg.write_text(doc)
+            cfg.write_text(doc.replace("{flux}", str(write_flux_table(Path(tmp) / "flux.txt"))))
             checked = cli_main(["validate", "--config", str(cfg), "--out", f"{tmp}/v"])
             run = cli_main(["barrier-certify", "--config", str(cfg), "--out", f"{tmp}/r"])
         assert 3 not in (checked, run)

@@ -22,7 +22,6 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 ALLOWED = {
-    "solver.flux_balance_defect": "ROADMAP item 1: the per-step trace replaces it",
     "solver.step_implicit": "the layer sweep of bench/layers.py times it",
     "solver._newton.<locals>.fail_non_finite": "a non-finite Jacobian or Newton update, "
     "which test_solver.py::TestNonFinite drives",
