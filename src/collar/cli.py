@@ -5,7 +5,8 @@ the run builds (its members, barriers and duality source) without stepping,
 so it exits 2 on every config the run rejects, then writes the hypothesis
 report to ``hypothesis.json`` and exits 1 when a core hypothesis fails.
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 configuration error,
-3 numerical failure.
+3 numerical failure; an exit 2 or 3 says why on stderr, in one line that
+starts ``config error:`` or ``numerical error:``.
 """
 
 from __future__ import annotations
@@ -23,14 +24,9 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import EXPERIMENT_KINDS, parse_config_file
-from .errors import CollarError, ConfigError
+from .errors import CollarError
 from .experiments import (
-    EXIT_CONFIG_ERROR,
-    EXIT_NUMERICAL_ERROR,
-    _hypotheses,
-    _models,
-    _write_json,
-    run_experiment,
+    EXIT_CONFIG_ERROR, _hypotheses, _models, _write_json, report_failure, run_experiment,
 )
 
 
@@ -64,12 +60,8 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     except CollarError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_ERROR
+        return report_failure(exc)
 
     if args.command != "validate" and cfg.kind != args.command:
         print(

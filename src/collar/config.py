@@ -3,11 +3,13 @@
 The format is a plain key-value document with bracketed sections.  Parsing
 is strict: unknown sections or keys, type mismatches, and out-of-range
 values fail with the offending line, because a silently misconfigured
-numerical experiment is worse than a loud one.  Every default is filled in
-at parse time, so the parsed sections are the whole config a run uses.
-The third field of each schema entry states the key's admissible values, a
-bound or a string's choices, checked as its line is read; only the checks
-that relate two keys wait until every default is filled in.
+numerical experiment is worse than a loud one.  In every section, a key
+that only other kinds than the section's take is rejected too, and only a
+key that applies gets its default, so no parsed section holds a key its
+kind ignores.  The third field of each schema entry states the key's
+admissible values, a bound or a string's choices (a section's kinds among
+them), checked as its line is read; only the checks that relate two keys
+wait until every default is filled in.
 
 Parsing also loads what the experiment kind runs, and nothing more: this
 module imports only ``errors``, ``geometry`` and ``models``, and
@@ -32,6 +34,34 @@ from .models import BoundaryData, DensityModel, InitialData, Nonlinearity
 #: Barrier cases the certifier builds; ``collar.barriers`` takes them from here.
 CASES = ("potential-timed", "miller-timed", "potential-stationary", "miller-stationary")
 
+# Each section's kinds and the keys each kind takes; a key marked ``*`` is one
+# the kind requires.  In every section, a key that some kind lists is rejected
+# under the others, and a key no kind lists (``collar_cap``, ``eps``) applies
+# to every kind.
+_ATTAINMENT = ("eta", "eta_cap", "eps_list*", "scale_nodes_with_eps", "tau", "threshold")
+_KINDS: dict[str, dict[str, tuple[str, ...]]] = {
+    "domain": {
+        "interval": ("a*", "b*"), "ball": ("r_out*", "dim*"),
+        "annulus": ("r_in*", "r_out*", "dim*"),
+    },
+    "density": {"constant": ("c",), "power": ("alpha*", "coef"), "table": ("file*",)},
+    "nonlinearity": {"linear": ("slope",), "porous-medium": ("m*",), "table": ("file*",)},
+    "boundary": {
+        "constant": ("value",), "ramp": ("value", "rate"),
+        "sine": ("offset", "amplitude", "frequency"), "sided": ("left", "right"),
+    },
+    "initial": {"constant": ("value",), "sine": ("amplitude", "mode", "offset")},
+    "experiment": {
+        "solve": ("eta", "eta_cap"),
+        "family": ("eta", "eta_cap", "eps_list*", "eta_list*", "assert_convergence"),
+        "barrier-certify": ("eta", "eta_cap", "t0", "anchor", "sigma", "barrier_case",
+                            "barrier_side", "safety", "curvature_margin"),
+        "duality": ("eps_list", "source_center", "source_width"), "attainment": _ATTAINMENT,
+        "dichotomy-sweep": _ATTAINMENT + ("alpha_list*", "conflict_offset"),
+        "hypothesis-report": (),
+    },
+}
+
 # Each key maps to its type tag (f float, i int, s string, l nonempty list of
 # floats, b bool), its default and its admissible values.  The default is
 # ``...`` for a key every config must set, None for one that stays absent
@@ -40,27 +70,27 @@ CASES = ("potential-timed", "miller-timed", "potential-stationary", "miller-stat
 # string's choices, or None; every float and list entry must also be finite.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "domain": {
-        "kind": ("s", ..., None), "a": ("f", None, None), "b": ("f", None, None),
-        "r_in": ("f", None, "> 0"), "r_out": ("f", None, "> 0"), "dim": ("i", None, ">= 2"),
-        "collar_cap": ("f", None, "> 0"),
+        "kind": ("s", ..., tuple(_KINDS["domain"])), "a": ("f", None, None),
+        "b": ("f", None, None), "r_in": ("f", None, "> 0"), "r_out": ("f", None, "> 0"),
+        "dim": ("i", None, ">= 2"), "collar_cap": ("f", None, "> 0"),
     },
     "density": {
-        "kind": ("s", ..., None), "c": ("f", 1.0, "> 0"), "alpha": ("f", None, None),
-        "coef": ("f", 1.0, "> 0"), "file": ("s", None, None),
+        "kind": ("s", ..., tuple(_KINDS["density"])), "c": ("f", 1.0, "> 0"),
+        "alpha": ("f", None, None), "coef": ("f", 1.0, "> 0"), "file": ("s", None, None),
     },
     "nonlinearity": {
-        "kind": ("s", ..., None), "slope": ("f", 1.0, "> 0"), "m": ("f", None, "> 1"),
-        "file": ("s", None, None),
+        "kind": ("s", ..., tuple(_KINDS["nonlinearity"])), "slope": ("f", 1.0, "> 0"),
+        "m": ("f", None, "> 1"), "file": ("s", None, None),
     },
     "boundary": {
-        "kind": ("s", ..., None), "value": ("f", 0.0, None), "rate": ("f", 0.0, None),
-        "offset": ("f", 0.0, None), "amplitude": ("f", 0.0, None),
+        "kind": ("s", ..., tuple(_KINDS["boundary"])), "value": ("f", 0.0, None),
+        "rate": ("f", 0.0, None), "offset": ("f", 0.0, None), "amplitude": ("f", 0.0, None),
         "frequency": ("f", 1.0, None), "left": ("f", 0.0, None), "right": ("f", 0.0, None),
         "positivity_floor": ("f", 0.0, ">= 0"),
     },
     "initial": {
-        "kind": ("s", ..., None), "value": ("f", 0.0, None), "amplitude": ("f", 1.0, None),
-        "mode": ("i", 1, None), "offset": ("f", 0.0, None),
+        "kind": ("s", ..., tuple(_KINDS["initial"])), "value": ("f", 0.0, None),
+        "amplitude": ("f", 1.0, None), "mode": ("i", 1, None), "offset": ("f", 0.0, None),
     },
     "numerics": {
         "nodes": ("i", ..., f">= {MIN_NODES}"), "dt": ("f", ..., "> 0"),
@@ -69,8 +99,8 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "store_stride": ("i", 1, ">= 1"),
     },
     "experiment": {
-        "kind": ("s", ..., None), "eps": ("f", 0.0, None), "eta": ("f", 0.0, ">= 0"),
-        "eta_cap": ("f", 0.1, "> 0"), "eps_list": ("l", None, "> 0"),
+        "kind": ("s", ..., tuple(_KINDS["experiment"])), "eps": ("f", 0.0, None),
+        "eta": ("f", 0.0, ">= 0"), "eta_cap": ("f", 0.1, "> 0"), "eps_list": ("l", None, "> 0"),
         "eta_list": ("l", None, "> 0"), "alpha_list": ("l", None, None),
         "tau": ("f", lambda s: s["numerics"]["t_final"] / 10.0, None),
         "threshold": ("f", 0.05, "> 0"), "sigma": ("f", 0.1, "> 0"),
@@ -82,27 +112,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "safety": ("f", 1.05, ">= 1"), "source_center": ("f", None, None),
         "source_width": ("f", None, "> 0"), "assert_convergence": ("b", True, None),
         "scale_nodes_with_eps": ("b", True, None),
-    },
-}
-
-# Each section's kinds and the keys each kind takes, required if they have no
-# default.  Outside [experiment], a key that some kind lists is rejected under
-# the others, and a key no kind lists (``collar_cap``) applies to every kind.
-_KINDS: dict[str, dict[str, tuple[str, ...]]] = {
-    "domain": {
-        "interval": ("a", "b"), "ball": ("r_out", "dim"), "annulus": ("r_in", "r_out", "dim"),
-    },
-    "density": {"constant": ("c",), "power": ("alpha", "coef"), "table": ("file",)},
-    "nonlinearity": {"linear": ("slope",), "porous-medium": ("m",), "table": ("file",)},
-    "boundary": {
-        "constant": ("value",), "ramp": ("value", "rate"),
-        "sine": ("offset", "amplitude", "frequency"), "sided": ("left", "right"),
-    },
-    "initial": {"constant": ("value",), "sine": ("amplitude", "mode", "offset")},
-    "experiment": {
-        "solve": (), "family": ("eps_list", "eta_list"), "barrier-certify": (), "duality": (),
-        "attainment": ("eps_list",), "dichotomy-sweep": ("eps_list", "alpha_list"),
-        "hypothesis-report": (),
     },
 }
 
@@ -162,7 +171,7 @@ def _convert(key: str, raw: str, spec: tuple, line: int):
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; ``sections`` holds every default, resolved."""
+    """Validated experiment description; ``sections`` holds every key the run reads."""
 
     sections: dict
 
@@ -207,21 +216,31 @@ def parse_config(text: str) -> ExperimentConfig:
         if sec not in sections:
             raise ConfigParseError(f"missing section [{sec}]")
         values = sections[sec]
-        kinds = {} if sec == "experiment" else _KINDS.get(sec, {})
-        own = kinds.get(values.get("kind"), values)  # an unknown kind fails in _validate
-        for key in values:
-            if key not in own and any(key in taken for taken in kinds.values()):
-                msg = f"key {key!r} does not apply to {sec} kind {values['kind']!r}"
-                raise ConfigParseError(msg, lines[sec, key])
+        kinds = _KINDS.get(sec, {})
+        # ``kind`` comes first in its section, so a missing kind fails before these are read.
+        own = {key.rstrip("*"): key.endswith("*") for key in kinds.get(values.get("kind"), ())}
+        listed = {key.rstrip("*") for taken in kinds.values() for key in taken}
         for key, (_, default, _) in keys.items():
-            if key in values or default is None:
+            if key in listed and key not in own:
+                if key in values:
+                    msg = f"key {key!r} does not apply to {sec} kind {values['kind']!r}"
+                    raise ConfigParseError(msg, lines[sec, key])
+            elif key in values:
                 continue
-            if default is ...:
+            elif default is ... or own.get(key):
                 raise ConfigParseError(f"missing key {key!r} in [{sec}]")
-            values[key] = default(sections) if callable(default) else default
+            elif default is not None:
+                values[key] = default(sections) if callable(default) else default
 
+    # The checks that relate two keys, where the kind takes them.
+    exp, t_final = sections["experiment"], sections["numerics"]["t_final"]
+    if "tau" in exp and not 0.0 < exp["tau"] < t_final:
+        raise ConfigParseError("tau must lie in (0, t_final)")
+    if "t0" in exp and exp["t0"] > t_final:
+        raise ConfigParseError(f"t0 = {exp['t0']} exceeds t_final = {t_final}")
+    if "eta" in exp and exp["eta"] > exp["eta_cap"]:
+        raise ConfigParseError(f"eta = {exp['eta']} exceeds eta_cap = {exp['eta_cap']}")
     cfg = ExperimentConfig(sections)
-    _validate(cfg)
     for name in _KIND_MODULES[cfg.kind]:
         importlib.import_module(f"{__package__}.{name}")
     return cfg
@@ -229,26 +248,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def parse_config_file(path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
-
-
-def _validate(cfg: ExperimentConfig):
-    s = cfg.sections
-    for sec, kinds in _KINDS.items():
-        kind = s[sec]["kind"]
-        if kind not in kinds:
-            raise ConfigParseError(f"{sec} kind {kind!r} not one of {'/'.join(kinds)}")
-        for key in kinds[kind]:
-            if key not in s[sec]:
-                raise ConfigParseError(f"{kind} {sec} needs key {key!r}")
-
-    t_final = s["numerics"]["t_final"]
-    exp = s["experiment"]
-    if not 0.0 < exp["tau"] < t_final:
-        raise ConfigParseError("tau must lie in (0, t_final)")
-    if exp["t0"] > t_final:
-        raise ConfigParseError(f"t0 = {exp['t0']} exceeds t_final = {t_final}")
-    if exp["eta"] > exp["eta_cap"]:
-        raise ConfigParseError(f"eta = {exp['eta']} exceeds eta_cap = {exp['eta_cap']}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ boundary traces.  Each of these runners makes one ``solve_members`` call on
 that list and analyses the fields it returns.  ``barrier-certify`` gets
 ``m["barriers"]`` and ``duality`` its levels and source the same way.
 
-Every run writes a top-level ``report.json`` embedding the fully resolved
-config, the verdicts with the tolerances they used, stage timings and, for
-the kinds that step, each member's solver totals; data files (CSV, the
-``%.17g`` text of ``np.savetxt`` from ``csvfmt.write_csv``) are
-bit-reproducible for identical configs.
+Every run writes a top-level ``report.json`` embedding the resolved config
+(each key that applies to its section's kind, with its default filled in),
+the verdicts with the tolerances they used, stage timings and, for the kinds
+that step, each member's solver totals; data files (CSV, the ``%.17g`` text
+of ``np.savetxt`` from ``csvfmt.write_csv``) are bit-reproducible for
+identical configs.
 
 At module level this imports only ``config``, ``errors``, ``geometry`` and
 ``models``.  Each function imports the modules it calls (``solver``,
@@ -27,6 +28,7 @@ then (``solver`` imports ``csvfmt``).
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -51,6 +53,13 @@ EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
+
+
+def report_failure(exc: CollarError) -> int:
+    """Print why ``exc`` ended a command, one line on stderr, and return its exit code."""
+    config = isinstance(exc, ConfigError)
+    print(f"{'config' if config else 'numerical'} error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG_ERROR if config else EXIT_NUMERICAL_ERROR
 
 
 def _write_json(path: Path, payload: dict):
@@ -355,7 +364,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     except CollarError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         report["verdict"] = "error"
-        code = EXIT_CONFIG_ERROR if isinstance(exc, ConfigError) else EXIT_NUMERICAL_ERROR
+        code = report_failure(exc)
     report["timings"] = stage.timings
     _write_json(out / "report.json", report)
     return code

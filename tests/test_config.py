@@ -100,6 +100,7 @@ _HEAT_INTERVAL = "kind = interval\na = 0.0\nb = 1.0"
 _CERTIFY_INTERVAL = "kind = interval\na = 0.0\nb = 2.0\ncollar_cap = 0.6"
 _MILLER = "barrier_case = miller-stationary"
 _LEVELS_ABOVE_CAP = "eps_list = 0.4, 0.2, 0.1, 0.05"
+_LEVELS = "eps_list = 0.2, 0.1, 0.05, 0.025"
 
 
 def _heat(experiment: str, nodes: int = 101) -> str:
@@ -202,7 +203,7 @@ CONFIG_MISTAKES = {
     "line-without-equals": ("solve", MINIMAL_HEAT.replace("kind = solve", "kind = solve\nverbose")),
     "missing-nodes": ("solve", MINIMAL_HEAT.replace("nodes = 65\n", "")),
     "unknown-initial-kind": ("solve", MINIMAL_HEAT.replace("kind = sine", "kind = cosine")),
-    "tau-at-t-final": ("solve", MINIMAL_HEAT.replace("kind = solve", "kind = solve\ntau = 0.05")),
+    "tau-at-t-final": ("attainment", _heat(f"kind = attainment\n{_LEVELS}\ntau = 0.05")),
     "fractional-nodes": ("solve", MINIMAL_HEAT.replace("nodes = 65", "nodes = 10.5")),
     "bool-not-a-word": ("family", MINIMAL_HEAT.replace("kind = solve", (
         "kind = family\neps_list = 0.2, 0.1, 0.05, 0.025\neta_list = 0.1, 0.05, 0.025\n"
@@ -211,6 +212,12 @@ CONFIG_MISTAKES = {
                                                          "kind = table\nfile = {table3}")),
     "table-short-of-b": ("solve", MINIMAL_HEAT.replace("kind = constant\nc = 1.0",
                                                        "kind = table\nfile = {short}")),
+    # Keys the kind does not read, which it used to accept and ignore.
+    "eps-list-under-solve": ("solve", _heat("kind = solve\neps_list = 0.3, 0.1")),
+    "threshold-under-barrier-certify": ("barrier-certify", BARRIER_CERTIFY.replace(
+        "t0 = 0.5", "t0 = 0.5\nthreshold = 7")),
+    "barrier-case-under-solve": ("solve", _heat("kind = solve\nbarrier_case = miller-timed")),
+    "eta-under-duality": ("duality", _heat("kind = duality\neps = 0.125\neta = 0.05")),
     # The table covers [-K, K], but the barrier's own G-values leave it: this exited 3.
     "barrier-past-flux-table": ("barrier-certify", BARRIER_CERTIFY.replace(
         "kind = linear", "kind = table\nfile = {flux}")),
@@ -292,19 +299,33 @@ eta = {pick(0.0, 0.05)}
 
 # Values that keep the config valid where 1.0 would not.
 VALID = {"a": "0.0", "r_out": "2.0", "dim": "2", "m": "2.0", "eta": "0.05", "tau": "0.01",
-         "t0": "0.02", "eps_list": "0.2, 0.1, 0.05, 0.025", "eta_list": "0.1, 0.05, 0.025"}
+         "t0": "0.02", "eps_list": "0.2, 0.1, 0.05, 0.025", "eta_list": "0.1, 0.05, 0.025",
+         "anchor": "right", "barrier_case": "miller-timed", "barrier_side": "lower",
+         "assert_convergence": "false", "scale_nodes_with_eps": "false"}
 
 
-def with_setting(sec: str, key: str, value: str) -> str:
-    """MINIMAL_HEAT with ``key = value`` last in [sec], under a kind that takes the key."""
+def own_keys(sec: str, kind: str) -> set:
+    """The keys ``kind`` of [sec] lists, without their required-key marker."""
+    return {key.rstrip("*") for key in _KINDS[sec][kind]}
+
+
+def takes(sec: str, kind: str) -> set:
+    """The keys of [sec] that apply under ``kind``: its own and those no kind lists."""
+    listed = set().union(*(own_keys(sec, k) for k in _KINDS[sec]))
+    return set(_SCHEMA[sec]) - listed | own_keys(sec, kind)
+
+
+def with_setting(sec: str, key: str, value: str, kind: str | None = None) -> str:
+    """MINIMAL_HEAT with ``key = value`` last in [sec], under ``kind`` and the keys it
+    requires, or else under a kind that lists the key."""
     sections = dict(re.findall(r"\[(\w+)\]\n((?:.+\n)*)", MINIMAL_HEAT))
-    kinds = {} if sec == "experiment" else _KINDS.get(sec, {})
-    kind = next((k for k, keys in kinds.items() if key in keys), None)
+    kinds = _KINDS.get(sec, {})
+    kind = kind or next((k for k in kinds if key in own_keys(sec, k)), None)
     if kind is None:
         body = [ln for ln in sections[sec].splitlines() if not ln.startswith(f"{key} =")]
     else:
-        body = [f"kind = {kind}"] + [f"{k} = {VALID.get(k, '1.0')}"
-                                     for k in kinds[kind] if k != key]
+        body = [f"kind = {kind}"] + [f"{k[:-1]} = {VALID.get(k[:-1], '1.0')}"
+                                     for k in kinds[kind] if k.endswith("*") and k[:-1] != key]
     sections[sec] = "\n".join(body + [f"{key} = {value}"]) + "\n"
     return "".join(f"[{name}]\n{text}\n" for name, text in sections.items())
 
@@ -317,8 +338,11 @@ class TestParsing:
     def test_minimal_document_with_defaults(self):
         cfg = parse_config(MINIMAL_HEAT)
         assert cfg.kind == "solve"
-        assert cfg.sections["experiment"]["tau"] == pytest.approx(0.005)  # t_final / 10
-        assert cfg.sections["experiment"]["eta_cap"] == pytest.approx(0.1)
+        assert cfg.sections["experiment"] == {"kind": "solve", "eps": 0.0, "eta": 0.0,
+                                              "eta_cap": 0.1}
+        exp = parse_config(with_setting("experiment", "threshold", "0.1")).sections["experiment"]
+        assert exp["kind"] == "attainment"
+        assert exp["tau"] == pytest.approx(0.005)  # t_final / 10
 
     def test_unknown_key_reports_line(self):
         bad = MINIMAL_HEAT.replace("value = 0.0", "value = 0.0\nwavelength = 3")
@@ -382,12 +406,35 @@ class TestParsing:
         assert err.value.line == doc.splitlines().index(new.splitlines()[1]) + 1
 
     def test_bool_words(self):
-        doc = MINIMAL_HEAT.replace("kind = solve", (
-            "kind = family\neps_list = 0.2, 0.1, 0.05, 0.025\neta_list = 0.1, 0.05, 0.025\n"
-            "assert_convergence = no\nscale_nodes_with_eps = yes"))
-        exp = parse_config(doc).sections["experiment"]
-        assert exp["assert_convergence"] is False
-        assert exp["scale_nodes_with_eps"] is True
+        for key, word, value in [("assert_convergence", "no", False),
+                                 ("scale_nodes_with_eps", "yes", True)]:
+            exp = parse_config(with_setting("experiment", key, word)).sections["experiment"]
+            assert exp[key] is value
+
+    @pytest.mark.parametrize("kind", list(_KINDS["experiment"]))
+    def test_experiment_keys_apply_per_kind(self, tmp_path, capsys, kind):
+        # [experiment] used to accept every key under every kind and ignore
+        # the ones the kind does not read.
+        accepted = set()
+        for key in set(_SCHEMA["experiment"]) - {"kind"}:
+            doc = with_setting("experiment", key, VALID.get(key, "1.0"), kind)
+            if key in takes("experiment", kind):
+                parse_config(doc)
+                accepted.add(key)
+                continue
+            path = tmp_path / "exp.cfg"
+            path.write_text(doc)
+            line = doc.splitlines().index(f"{key} = {VALID.get(key, '1.0')}") + 1
+            message = f"config error: key {key!r} does not apply to experiment kind {kind!r} "
+            for command in ("validate", kind):
+                assert cli_main([command, "--config", str(path),
+                                 "--out", str(tmp_path / "out")]) == 2, (key, command)
+                assert capsys.readouterr().err == f"{message}(line {line})\n"
+            assert not (tmp_path / "out").exists()
+        assert accepted == own_keys("experiment", kind) | {"eps"}
+
+    def test_forty_experiment_keys_are_settable(self):
+        assert sum(len(takes("experiment", kind) - {"kind"}) for kind in _KINDS["experiment"]) == 40
 
     def test_keys_of_every_kind_accepted(self):
         doc = MINIMAL_HEAT.replace("b = 1.0", "b = 1.0\ncollar_cap = 0.2").replace(
@@ -397,7 +444,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("value", [",", " , ,", ""])
     def test_empty_list_reports_line(self, value):
-        doc = MINIMAL_HEAT.replace("kind = solve", f"kind = solve\neps_list = {value}")
+        doc = MINIMAL_HEAT.replace("kind = solve", f"kind = family\neps_list = {value}")
         with pytest.raises(ConfigParseError, match="eps_list") as err:
             parse_config(doc)
         assert err.value.line == doc.splitlines().index(f"eps_list = {value}") + 1
@@ -450,17 +497,19 @@ class TestRunExperiment:
         assert (tmp_path / "trajectory.csv").exists()
 
     def test_report_embeds_every_default(self, tmp_path):
-        assert run_experiment(parse_config(MINIMAL_HEAT), tmp_path) == 0
-        config = json.loads((tmp_path / "report.json").read_text())["config"]
-        for sec, keys in _SCHEMA.items():
-            assert {key for key, spec in keys.items() if spec[1] is not None} <= set(
-                config[sec]), sec
-        assert "collar_cap" not in config["domain"]
+        # Every default of every key that applies, and no key that does not.
+        for doc in (MINIMAL_HEAT, BARRIER_CERTIFY.replace("t0 = 0.5\n", "")):
+            out = tmp_path / parse_config(doc).kind
+            assert run_experiment(parse_config(doc), out) == 0
+            config = json.loads((out / "report.json").read_text())["config"]
+            written = set(re.findall(r"^(\w+) =", doc, flags=re.M))
+            for sec, keys in _SCHEMA.items():
+                kind = config[sec].get("kind")
+                applies = takes(sec, kind) if kind else set(keys)
+                assert set(config[sec]) == {key for key in applies
+                                            if keys[key][1] is not None or key in written}, sec
         assert config["numerics"]["newton_tol"] == 1e-10
-        assert config["numerics"]["store_stride"] == 1
-        assert config["experiment"]["threshold"] == 0.05
-        assert config["experiment"]["tau"] == pytest.approx(0.005)  # t_final / 10
-        assert config["experiment"]["t0"] == pytest.approx(0.025)  # t_final / 2
+        assert config["experiment"]["t0"] == pytest.approx(0.5)  # t_final / 2
 
     def test_identical_configs_write_identical_csv(self, tmp_path):
         cfg = parse_config(MINIMAL_HEAT)
@@ -803,8 +852,10 @@ class TestCli:
         assert not (tmp_path / "out/report.json").exists()
 
     @pytest.mark.parametrize("command, doc", CONFIG_MISTAKES.values(), ids=list(CONFIG_MISTAKES))
-    def test_config_mistakes_exit_2_under_validate_and_the_run(self, tmp_path, command, doc):
-        # Each used to pass validate, or to exit 1, 3 or even 0 under one of the two.
+    def test_config_mistakes_exit_2_under_validate_and_the_run(self, tmp_path, capsys, command,
+                                                               doc):
+        # Each used to pass validate, or to exit 1, 3 or even 0 under one of the two;
+        # a run that met the error after parsing printed nothing to say why.
         table, table3, short = tmp_path / "rho.txt", tmp_path / "rho3.txt", tmp_path / "short.txt"
         np.savetxt(table, [[0.0, 1.0], [0.5, 0.0], [1.0, 1.0]])
         np.savetxt(table3, [[0.0, 1.0, 2.0], [1.0, 1.0, 2.0]])
@@ -815,7 +866,10 @@ class TestCli:
             doc = doc.replace(name, str(path))
         cfg = self._write(tmp_path, doc)
         assert cli_main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+        checked = capsys.readouterr().err.splitlines()[0]
         assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == checked
+        assert checked.startswith("config error: ")
 
     @given(barrier_configs())
     @settings(max_examples=100, deadline=None)

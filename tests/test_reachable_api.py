@@ -1,4 +1,5 @@
-"""Every function the package defines is one a command-line run calls.
+"""Every function the package defines is one a command-line run calls, and
+every ``[experiment]`` key a kind takes is one its run reads.
 
 A fresh interpreter installs a profile hook before it imports ``collar.cli``,
 then runs ``cli.main`` under ``validate`` and under the run on small configs
@@ -8,6 +9,10 @@ package that no call reached must equal ``ALLOWED``, each kept for a stated
 reason; the match is exact, so an entry goes stale as soon as a run reaches
 it or it is deleted.  A function no package code names is never called, so
 this catches everything a walk over the names in the source would.
+
+The same calls record each ``[experiment]`` key read after parsing.  For each
+kind, the keys read must equal the keys ``config._KINDS`` lists for it, plus
+``eps``, which every kind reads to build its grid.
 """
 
 import json
@@ -18,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from collar.config import _KINDS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -55,6 +62,7 @@ _ANNULUS = "kind = annulus\nr_in = 1.0\nr_out = 2.0\ndim = 2"
 _WIDE = "kind = interval\na = 0.0\nb = 2.0\ncollar_cap = 0.6"
 _PME = "kind = porous-medium\nm = 2.0"
 _LEVELS = "eps_list = 0.2, 0.1, 0.05, 0.025"
+_ETAS = "eta_list = 0.1, 0.05, 0.025"
 _BASE = dict(domain="kind = interval\na = 0.0\nb = 1.0", density="kind = constant",
              flux="kind = linear", boundary="kind = constant\nvalue = 0.0",
              initial="kind = sine", numerics="nodes = 33\ndt = 0.01\nt_final = 0.02",
@@ -63,7 +71,8 @@ _BASE = dict(domain="kind = interval\na = 0.0\nb = 1.0", density="kind = constan
 # Each config differs from _BASE in the keys it names; ``codes`` are its exit
 # codes under validate and under the run.  Together they take every kind of
 # every section, the Miller, numeric-potential and closed-form-potential
-# barriers, a config error and a solve that fails.  {density_table} and
+# barriers, a family that does not converge, a config error and a solve that
+# fails.  {density_table} and
 # {flux_table} name files the test writes.
 CONFIGS = [dict(_BASE, **config) for config in [
     dict(kind="solve"),
@@ -75,7 +84,12 @@ CONFIGS = [dict(_BASE, **config) for config in [
     dict(kind="family", domain=_BALL, density="kind = power\nalpha = 0.5", flux=_PME,
          boundary="kind = ramp\nvalue = 0.5\nrate = 1.0", initial="kind = constant\nvalue = 0.5",
          numerics="nodes = 81\ndt = 0.01\nt_final = 0.02",
-         experiment=f"{_LEVELS}\neta_list = 0.1, 0.05, 0.025"),
+         experiment=f"{_LEVELS}\n{_ETAS}"),
+    # Its lift differences grow, so the family does not converge, which it may.
+    dict(kind="family", flux="kind = porous-medium\nm = 4.0",
+         boundary="kind = sided\nleft = 1.0\nright = 0.0", initial="kind = constant\nvalue = 0.0",
+         numerics="nodes = 81\ndt = 0.1\nt_final = 0.2",
+         experiment=f"{_LEVELS}\n{_ETAS}\nassert_convergence = false"),
     dict(kind="attainment", domain=_ANNULUS, density="kind = table\nfile = {density_table}",
          flux="kind = table\nfile = {flux_table}",
          boundary="kind = sided\nleft = 1.0\nright = 0.5",
@@ -108,6 +122,7 @@ import contextlib, io, json, os, sys, types
 import numpy  # noqa: F401  (imported before the hook, which it would slow down)
 
 reached = set()
+reads = {}
 
 
 def hook(frame, event, arg):
@@ -115,9 +130,26 @@ def hook(frame, event, arg):
         reached.add(frame.f_code)
 
 
+class Recorded(dict):  # an [experiment] section that records each key read from it
+    def __getitem__(self, key):
+        self.get(key)
+        return dict.__getitem__(self, key)
+
+    def get(self, key, default=None):  # an optional key that is absent is read too
+        reads.setdefault(dict.__getitem__(self, "kind"), set()).add(key)
+        return dict.get(self, key, default)
+
+
+def parse_recorded(path):
+    cfg = parse(path)
+    cfg.sections["experiment"] = Recorded(cfg.sections["experiment"])
+    return cfg
+
+
 sys.setprofile(hook)
 from collar import cli
 
+parse, cli.parse_config_file = cli.parse_config_file, parse_recorded
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
@@ -136,11 +168,15 @@ while stack:
                 stem = os.path.splitext(os.path.basename(const.co_filename))[0]
                 never.append(f"{stem}.{const.co_qualname}")
 stems = [os.path.splitext(os.path.basename(c.co_filename))[0] for c in modules]
-print(json.dumps({"codes": codes, "modules": sorted(stems), "never": sorted(never)}))
+reads = {kind: sorted(keys) for kind, keys in reads.items()}
+print(json.dumps({"codes": codes, "modules": sorted(stems), "never": sorted(never),
+                  "reads": reads}))
 """
 
 
-def _run(tmp_path: Path) -> dict:
+@pytest.fixture(scope="module")
+def result(tmp_path_factory) -> dict:
+    tmp_path = tmp_path_factory.mktemp("runs")
     xs = np.linspace(0.0, 2.0, 41)
     density_table = tmp_path / "density.txt"
     np.savetxt(density_table, np.column_stack([xs, 1.0 + 0.2 * np.sin(xs)]))
@@ -163,8 +199,14 @@ def _run(tmp_path: Path) -> dict:
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="needs code objects' co_qualname")
-def test_every_function_is_reached_by_a_cli_run(tmp_path):
-    result = _run(tmp_path)
+def test_every_function_is_reached_by_a_cli_run(result):
     assert result["codes"] == [code for config in CONFIGS for code in config["codes"]]
     assert result["modules"] == sorted(path.stem for path in (SRC / "collar").glob("*.py"))
     assert set(result["never"]) == set(ALLOWED)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="needs code objects' co_qualname")
+@pytest.mark.parametrize("kind", list(_KINDS["experiment"]))
+def test_every_experiment_key_a_kind_takes_is_read(result, kind):
+    listed = {key.rstrip("*") for key in _KINDS["experiment"][kind]}
+    assert set(result["reads"][kind]) == listed | {"eps", "kind"}

@@ -1413,6 +1413,13 @@ class TestScaledNewton:
         assert np.array_equal(finite, np.isfinite(fld.values))
         assert np.all(np.abs(fld.values - values)[finite] <= n_outer * scheme.newton_tol)
 
+    def test_default_floor_keeps_a_degenerate_start_from_halving(self):
+        # From u0 = 0 on m = 2, a floor of 0 takes 175 iterations and 5 halvings;
+        # the default 1e-8 takes 39 and none (SolverScheme's docstring says why).
+        fld = solve_one(pme_problem(65, m=2.0, dt=0.5))
+        assert fld.meta["step_halvings"] == 0
+        assert fld.meta["newton_iterations"] <= 39
+
     @pytest.mark.parametrize("m", [2.0, 3.0])
     def test_zero_slope_rows_step_exactly(self, m):
         # From u0 = 0 under a floor of 0, G'(0) = 0 makes every free column
@@ -1579,9 +1586,16 @@ threshold = 0.05
 """
 
 
-# SWEEP_CFG as any kind that steps: 81 nodes resolve the finest family level.
-STEPPING_CFG = SWEEP_CFG.replace("nodes = 41", "nodes = 81").replace(
-    "kind = dichotomy-sweep", "kind = dichotomy-sweep\neta_list = 0.1, 0.05, 0.025")
+# SWEEP_CFG's [experiment] keys, as each other kind that steps takes them.
+_LEVELS = "eps_list = 0.2, 0.1, 0.05, 0.025"
+_STEPPING = {"solve": "", "family": f"{_LEVELS}\neta_list = 0.1, 0.05, 0.025\n",
+             "attainment": f"{_LEVELS}\ntau = 0.05\nthreshold = 0.05\n"}
+
+
+def stepping_cfg(kind: str) -> str:
+    """SWEEP_CFG as ``kind``, on 81 nodes, which resolve the finest family level."""
+    head, body = SWEEP_CFG.replace("nodes = 41", "nodes = 81").split("kind = dichotomy-sweep\n")
+    return f"{head}kind = {kind}\n{_STEPPING.get(kind, body)}"
 
 
 class TestOneSolvePerSweep:
@@ -1611,14 +1625,14 @@ class TestOneSolvePerSweep:
 
     def test_family_solves_all_members_at_once(self, tmp_path, monkeypatch):
         sizes = self.count_members(monkeypatch)
-        doc = STEPPING_CFG.replace("kind = dichotomy-sweep", "kind = family")
+        doc = stepping_cfg("family")
         assert run_experiment(parse_config(doc), tmp_path) in (0, 1)
         assert sizes == [6]
 
     @pytest.mark.parametrize("kind, n_members", [("dichotomy-sweep", 16), ("attainment", 4),
                                                  ("family", 6), ("solve", 1)])
     def test_report_lists_member_solver_totals(self, tmp_path, kind, n_members):
-        doc = STEPPING_CFG.replace("kind = dichotomy-sweep", f"kind = {kind}")
+        doc = stepping_cfg(kind)
         assert run_experiment(parse_config(doc), tmp_path) in (0, 1)
         members = json.loads((tmp_path / "report.json").read_text())["payload"]["members"]
         assert len(members) == n_members
@@ -1634,15 +1648,16 @@ class TestOneSolvePerSweep:
             kind, kind.split("-")[0])
         assert "members" not in json.loads((tmp_path / f"{artifact}.json").read_text())
 
-    def test_failed_sweep_names_the_member_in_its_report(self, tmp_path):
+    def test_failed_sweep_names_the_member_in_its_report(self, tmp_path, capsys):
         # A config cannot set a non-finite value, so break the parsed one.
         cfg = parse_config(SWEEP_CFG)
         cfg.sections["initial"]["value"] = math.nan
         assert run_experiment(cfg, tmp_path) == 3
         error = json.loads((tmp_path / "report.json").read_text())["error"]
         assert error["type"] == "SolveError"
-        assert error["message"].startswith(
-            "member 0 (eps = 0.2, eta = 0) at t = 0: initial state is not finite")
+        why = "member 0 (eps = 0.2, eta = 0) at t = 0: initial state is not finite"
+        assert error["message"].startswith(why)
+        assert capsys.readouterr().err.startswith(f"numerical error: {why}")
 
 
 def counted(phi: BoundaryData, calls: list) -> BoundaryData:
