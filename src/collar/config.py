@@ -5,11 +5,11 @@ is strict: unknown sections or keys, type mismatches, and out-of-range
 values fail with the offending line, because a silently misconfigured
 numerical experiment is worse than a loud one.  In every section, a key
 that only other kinds than the section's take is rejected too, and only a
-key that applies gets its default, so no parsed section holds a key its
-kind ignores.  The third field of each schema entry states the key's
-admissible values, a bound or a string's choices (a section's kinds among
-them), checked as its line is read; only the checks that relate two keys
-wait until every default is filled in.
+key that applies gets its default, so no parsed section holds a key its kind
+ignores (the kind of ``[numerics]`` is the experiment kind).  The third field
+of each schema entry states the key's admissible values, a bound or a string's
+choices (a section's kinds among them), checked as its line is read; only the
+checks that relate two keys wait until every default is filled in.
 
 Parsing also loads what the experiment kind runs, and nothing more: this
 module imports only ``errors``, ``geometry`` and ``models``, and
@@ -61,6 +61,11 @@ _KINDS: dict[str, dict[str, tuple[str, ...]]] = {
         "hypothesis-report": (),
     },
 }
+# The [numerics] keys each experiment kind reads.  ``duality`` and
+# ``hypothesis-report`` read none, but take ``dt`` so a config can switch kind.
+_STEPS = ("dt*", "newton_tol", "max_iterations", "jacobian_floor", "store_stride")
+_NUMERICS = dict.fromkeys(("solve", "family", "attainment", "dichotomy-sweep"), _STEPS) | {
+    "barrier-certify": ("dt*",), "duality": ("dt",), "hypothesis-report": ("dt",)}
 
 # Each key maps to its type tag (f float, i int, s string, l nonempty list of
 # floats, b bool), its default and its admissible values.  The default is
@@ -93,7 +98,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "amplitude": ("f", 1.0, None), "mode": ("i", 1, None), "offset": ("f", 0.0, None),
     },
     "numerics": {
-        "nodes": ("i", ..., f">= {MIN_NODES}"), "dt": ("f", ..., "> 0"),
+        "nodes": ("i", ..., f">= {MIN_NODES}"), "dt": ("f", None, "> 0"),
         "t_final": ("f", 1.0, "> 0"), "newton_tol": ("f", 1e-10, "> 0"),
         "max_iterations": ("i", 30, ">= 1"), "jacobian_floor": ("f", 1e-8, ">= 0"),
         "store_stride": ("i", 1, ">= 1"),
@@ -212,18 +217,21 @@ def parse_config(text: str) -> ExperimentConfig:
         sections[current][key] = _convert(key, raw, _SCHEMA[current][key], lineno)
         lines[current, key] = lineno
 
-    for sec, keys in _SCHEMA.items():
+    for sec in _SCHEMA:  # the sections, and the kinds that decide which keys apply
         if sec not in sections:
             raise ConfigParseError(f"missing section [{sec}]")
+        if sec in _KINDS and "kind" not in sections[sec]:
+            raise ConfigParseError(f"missing key 'kind' in [{sec}]")
+    for sec, keys in _SCHEMA.items():
         values = sections[sec]
-        kinds = _KINDS.get(sec, {})
-        # ``kind`` comes first in its section, so a missing kind fails before these are read.
-        own = {key.rstrip("*"): key.endswith("*") for key in kinds.get(values.get("kind"), ())}
+        owner, kinds = ("experiment", _NUMERICS) if sec == "numerics" else (sec, _KINDS[sec])
+        kind = sections[owner]["kind"]
+        own = {key.rstrip("*"): key.endswith("*") for key in kinds[kind]}
         listed = {key.rstrip("*") for taken in kinds.values() for key in taken}
         for key, (_, default, _) in keys.items():
             if key in listed and key not in own:
                 if key in values:
-                    msg = f"key {key!r} does not apply to {sec} kind {values['kind']!r}"
+                    msg = f"key {key!r} does not apply to {owner} kind {kind!r}"
                     raise ConfigParseError(msg, lines[sec, key])
             elif key in values:
                 continue

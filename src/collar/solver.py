@@ -21,11 +21,14 @@ whose coupling bands are zero, so every LAPACK call returns each block's own
 solution and every member's trajectory is bit-identical to solving it alone.
 One solve keeps all members' window states in one concatenated array, and the
 extrapolation is elementwise, so each row depends on its own history only.
-Convergence, line search, failure and step halving are per member, and each
-member keeps its rows and counters in one record.  One solve builds one
-block system for all its members and every sub-step level steps on it: a
-member that does not step at a level sits out with a zero right-hand side, so
-its block solves to zero, as a converged member's does.
+Convergence, line search, failure and step halving are per member; each
+member keeps its rows and halving state in one record, and its Newton totals
+sit in lists that reach its field at the end.  One solve builds one block
+system for all its members and every sub-step level steps on it: a member
+that does not step at a level sits out with a zero right-hand side, so its
+block solves to zero, as a converged member's does.  While no member is
+halved, an outer step is one Newton call whose state is the next state, with
+no member mask built; a member that fails retries from its old rows.
 
 Every step matrix has one layout: an imposed row is an identity row and its
 column is moved to the right-hand side.  So the matrix stays symmetric, each
@@ -34,24 +37,29 @@ node never reaches a solve.  Imposed rows end their blocks (a ball's block
 starts at its free centre), so each couples to one row only: its inner
 neighbour, which ``collar_decomposition`` names.
 
-Nothing that is fixed for a whole step is computed inside the Newton call.
-The lifted traces are evaluated once per block of outer steps, at all their
-end times at once, and once per halved step and level, at all that level's
-sub-step ends; each distinct ``BoundaryData`` is called once per evaluation.
-Every Newton matrix is symmetric positive definite once its rows are scaled
-by ``W = diag(V rho / dt)`` and its columns by the inverse Jacobian diagonal
-(see ``_StepSize``).  What depends only on the step size is kept per ``dt``:
-``dt / rho``, ``W`` and, for a linear flux, the ``L D L^T`` factors (LAPACK
-``pttrf``) of its scaled step matrix ``W A`` at its exact slope, or else the
-stencil scaled by volume.  For a linear flux the residual is ``A v - b``, with
-``b`` the old state, the traces in the imposed rows and their couplings
-subtracted beside them, so a step is one solve of ``W A u = W b``
-(``pttrs``) and one residual that checks it; only a member that rounding
-leaves above the tolerance goes on by chord Newton on the same factors.
-Every other flux rebuilds only the diagonal each iteration and solves with
-one ``ptsv``.  The direct solve and Newton from a start agree to within the
-tolerance of each step, not bit for bit.  A non-finite Jacobian, residual or
-Newton update fails its member instead of freezing the state.
+Nothing that is fixed for a whole step is computed inside the Newton
+iteration.  The lifted traces are evaluated once per block of outer steps, at
+all their end times at once, and once per halved step and level, at all that
+level's sub-step ends; each distinct ``BoundaryData`` is called once per
+evaluation.  A Newton call builds ``base``, the old state with the step's
+traces in its imposed rows, once, and its residual at ``v`` is ``(v - base) -
+rscale L G(v)``, with ``rscale = dt / rho`` but 0 at an imposed row, so an
+imposed row reads ``v - trace``.  Every Newton matrix is symmetric positive
+definite once its rows are scaled by ``W = diag(V rho / dt)`` and its columns
+by the inverse Jacobian diagonal (see ``_StepSize``), so its right-hand side
+is ``-W`` times the residual.  What depends only on the step size is kept per
+``dt``: ``rscale``, ``W``, ``-W`` and, for a linear flux, the ``L D L^T``
+factors (LAPACK ``pttrf``) of its scaled step matrix ``W A`` at its exact
+slope, or else the stencil scaled by volume.  For a linear flux the residual
+is ``A v - b``, with ``b`` the ``base`` less the traces' couplings beside
+them, so a step is one solve of ``W A u = W b`` (``pttrs``) and one residual
+that checks it; only a member that rounding leaves above the tolerance goes
+on by chord Newton on the same factors.  Every other flux rebuilds only the
+diagonal each iteration and solves with one ``ptsv``.  The direct solve and
+Newton from a start agree to within the tolerance of each step, not bit for
+bit.  A non-finite Jacobian, residual or Newton update fails its member
+instead of freezing the state; the error of a member that stalls gives the
+rounding floor of its residual.
 
 The LAPACK routines come from ``collar.tridiagonal``, which maps scipy's
 compiled wrapper when this module is imported.  ``parse_config`` imports this
@@ -63,6 +71,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
@@ -243,9 +252,10 @@ def _all_finite(values: np.ndarray) -> bool:
 
 
 class _StepSize:
-    """What one step size fixes: ``scale = dt / rho``, row weights ``w = V rho / dt``
-    (1 at an imposed row) and the stencil scaled by volume, ``-K``, or for a
-    linear flux the ``L D L^T`` factors of its step matrix.
+    """What one step size fixes: ``scale = dt / rho`` and the residual's ``rscale``,
+    0 at an imposed row; row weights ``w = V rho / dt``, 1 at an imposed row, and
+    ``negw = -w``, the scaled Newton right-hand side per unit residual; the
+    stencil scaled by volume, ``-K``, or the factors of a linear step matrix.
 
     With ``L = V^-1 K`` and ``K`` symmetric, the Newton matrix ``I - diag(scale)
     L diag(gp)`` scaled by ``w`` in its free rows and by ``1 / gp`` in its
@@ -262,7 +272,7 @@ class _StepSize:
     coupling times trace from its right-hand side at the ``inner`` rows.
     """
 
-    __slots__ = ("scale", "w", "kdi", "e", "gp_zero", "ldl", "columns")
+    __slots__ = ("scale", "rscale", "w", "negw", "kdi", "e", "gp_zero", "ldl", "columns")
 
     def __init__(self, batch: "_Batch", dt: float):
         op = batch.op
@@ -270,6 +280,9 @@ class _StepSize:
         self.w = w = op.volumes * batch.rho / dt
         dir_rows, inner = batch.dir, batch.inner
         w[dir_rows] = 1.0
+        self.negw = -w
+        self.rscale = rscale = scale.copy()
+        rscale[dir_rows] = 0.0
         kdi, e = -op.volumes * op.di, -op.volumes * op.up
         kdi[dir_rows] = 0.0
         e[dir_rows] = e[dir_rows - 1] = 0.0  # e[-1] lies outside the matrix
@@ -346,39 +359,38 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
             stepping: list):
     """One implicit Euler step from ``state`` of each batch member ``k`` with ``stepping[k]``.
 
-    ``bc`` is the row of ``batch.traces`` at the step's end, which the caller
-    evaluates; what the step size ``dt`` fixes comes from ``batch.step``.
-    A nonlinear batch starts Newton at ``start``, which it overwrites, and
-    solves its scaled Newton matrix (see ``_StepSize``) with one ``ptsv`` each
-    iteration.  A linear batch never reads ``start``: its first iteration is
-    one solve with the step's factors, at the exact slope, and a member that
-    rounding leaves above the tolerance goes on by chord Newton on the same
-    factors.  Returns
-    ``(state, iterations, residuals, errors)``: per member, the Newton
-    iterations and the final scaled residual, and ``errors[k]``, the StepError
-    member ``k`` would raise stepping alone, for each stepping member that
-    failed.  Members iterate in lockstep, each with its own convergence test
-    and line search.  A member that does not step starts out of the
-    iteration; any other leaves it once it converges or fails.  Out of it, a
-    member's right-hand side is zero, so its block solves to zero; a
-    non-finite Jacobian entry at a free row fails its member, and every row
-    out of the iteration takes a unit Jacobian before the solve.  Only
-    stepping members' rows of the returned state are a step.
+    ``bc`` is the row of ``batch.traces`` at the step's end; what the step
+    size ``dt`` fixes comes from ``batch.step``.  A nonlinear batch starts
+    Newton at ``start``, which it overwrites, and solves its scaled Newton
+    matrix (see ``_StepSize``) with one ``ptsv`` each iteration.  A linear
+    batch never reads ``start``: its first iteration is one solve with the
+    step's factors, and a member that rounding leaves above the tolerance goes
+    on by chord Newton on the same factors.  Returns ``(state, iterations,
+    residuals, errors)``: per member, the Newton iterations and the final
+    scaled residual, and ``errors[k]``, the StepError member ``k`` would raise
+    stepping alone, for each stepping member that failed.  Members iterate in
+    lockstep, each with its own convergence test and line search.  A member
+    that does not step starts out of the iteration; any other leaves it once it
+    converges or fails.  Out of it, a member's right-hand side is zero, so its
+    block solves to zero; a non-finite Jacobian entry at a free row fails its
+    member, and every row out of the iteration takes a unit Jacobian before the
+    solve.  Only stepping members' rows of the returned state are a step.
     """
-    op, dir_rows, starts, tol = batch.op, batch.dir, batch.starts, scheme.newton_tol
+    op, dir_rows, starts, tol = batch.op, batch.dir, batch.starts, float(scheme.newton_tol)
     size = batch.step(dt)
-    scale = size.scale
+    rscale = size.rscale
+    base = state.copy()
+    base[dir_rows] = bc  # an imposed row's residual is ``v - bc``: rscale is 0 there
 
     def residual(v):
         gv = np.asarray(batch.flux.g(v))
-        res = (v - state) - scale * op.apply(gv)
-        res[dir_rows] = v[dir_rows] - bc
+        res = (v - base) - rscale * op.apply(gv)
         norms = np.maximum.reduceat(np.abs(res), starts).tolist()
         if not all(map(math.isfinite, norms)):
-            # A zero coupling times a non-finite flux value is NaN in the next
-            # block: keep each non-finite value to its own member's rows.
+            # A zero coupling or scale times a non-finite flux value is NaN in
+            # another row: keep each non-finite value to its own member's rows.
             bad = ~np.isfinite(gv)
-            res = (v - state) - scale * op.apply(np.where(bad, 0.0, gv))
+            res = (v - base) - rscale * op.apply(np.where(bad, 0.0, gv))
             res[dir_rows] = v[dir_rows] - bc
             res[bad] = np.nan
             norms = np.maximum.reduceat(np.abs(res), starts).tolist()
@@ -398,8 +410,7 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
         # the imposed rows, so one solve of ``W A u = W b`` settles the step.  A
         # member that does not step, or whose ``b`` is not finite, takes a zero
         # right-hand side: its block solves to zero and leaks nothing.
-        b = state.copy()
-        b[dir_rows] = bc
+        b = base.copy()
         b[batch.inner] -= size.columns * bc
         direct = stepping
         if not _all_finite(b):
@@ -419,11 +430,13 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
     for _ in range(scheme.max_iterations):
         if not any(live):
             break
-        rhs = -res
+        b = size.negw * res  # the right-hand side ``-res``, scaled by ``w``
+        out = None
         if not all(live):
-            rhs[batch.rows(np.logical_not(live))] = 0.0
+            out = batch.rows(np.logical_not(live))
+            b[out] = 0.0
         if batch.linear:
-            delta = solve_spd(size.ldl, size.w * rhs)
+            delta = solve_spd(size.ldl, b)
         else:
             gp = np.maximum(np.asarray(batch.flux.dg(u), dtype=float), scheme.jacobian_floor)
             gp[dir_rows] = 1.0  # so an imposed row's diagonal is 1 / 1 + 0, whatever dg is
@@ -432,8 +445,8 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
                 # block: fail its member and solve every row out at slope 1.
                 fail_non_finite(gp)
                 out = batch.rows(np.logical_not(live))
-                gp[out], rhs[out] = 1.0, 0.0
-            b, e = size.w * rhs, size.e
+                gp[out], b[out] = 1.0, 0.0
+            e = size.e
             zero = ()
             if scheme.jacobian_floor <= size.gp_zero:  # only a floor near 0 lets gp vanish
                 zero = np.flatnonzero(gp <= _ZERO_SLOPE * size.w)
@@ -447,7 +460,9 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
             z = solve_spd_once(size.w / gp + size.kdi, e, b)
             delta = z / gp
             if len(zero):
-                delta[zero] = rhs[zero] + scale[zero] * op.apply(z)[zero]
+                # The right-hand side ``-res``, 0 out of the iteration as ``b`` is.
+                rhs = -res[zero] if out is None else np.where(out[zero], 0.0, -res[zero])
+                delta[zero] = rhs + size.scale[zero] * op.apply(z)[zero]
         if not _all_finite(delta):
             fail_non_finite(delta)
         if not any(live):
@@ -477,20 +492,32 @@ def _newton(batch: _Batch, state, start, scheme: SolverScheme, bc: np.ndarray, d
             damped_res, damped_norms = residual(u)
             res = np.where(rows, damped_res, res)
             norms = [dn if s else r for s, dn, r in zip(searching, damped_norms, norms)]
-        for k, was_live in enumerate(live):
-            if was_live:
-                iters[k] += 1
-                live[k] = norms[k] > tol
+        iters = list(map(add, iters, live))
+        live = [was_live and r > tol for was_live, r in zip(live, norms)]
 
+    if all(map(tol.__ge__, norms)):  # a NaN compares False; tol is a float, not an int
+        return u, iters, norms, errors
     for k, r in enumerate(norms):
-        if not stepping[k] or k in errors or r <= tol:  # a NaN residual compares False
+        if not stepping[k] or k in errors or r <= tol:
             continue
         if not math.isfinite(r):
             message = f"scaled residual is not finite after {iters[k]} iterations"
         else:
-            message = f"Newton stalled at scaled residual {r:.3e} after {iters[k]} iterations"
+            message = (f"Newton stalled at scaled residual {r:.3e} after {iters[k]} iterations; "
+                       f"newton_tol is {tol:.3e} and the rounding floor of the residual "
+                       f"reaches {_rounding_floor(batch, u, base, rscale)[k]:.3e}")
         errors[k] = StepError(message, residual=r)
     return u, iters, norms, errors
+
+
+def _rounding_floor(batch: _Batch, v, base, rscale) -> list:
+    """Per member, the most that rounding alone can leave in a row's residual at ``v``:
+    ``eps (|v| + |base| + rscale sum_j |L_ij| |G(v_j)|)`` (Oettli and Prager)."""
+    op = batch.op
+    sums = dataclasses.replace(op, lo=abs(op.lo), di=abs(op.di), up=abs(op.up)).apply(
+        abs(np.asarray(batch.flux.g(v), dtype=float)))
+    floor = np.finfo(float).eps * (abs(v) + abs(base) + rscale * sums)
+    return np.maximum.reduceat(floor, batch.starts).tolist()
 
 
 def step_implicit(
@@ -542,17 +569,17 @@ class _Member:
         self.values = np.full((problem.grid.n, n_stored), np.nan)
         self.window = self.values[lay.m0 : lay.m1 + 1]  # a view: rows of the window
         self.window[:, 0] = state
-        self.depth = self.clean = self.halvings = self.iterations = 0
-        self.worst_residual = 0.0
+        self.depth = self.clean = self.halvings = 0
 
     def label(self, t: float) -> str:
         p = self.problem
         return f"member {self.index} (eps = {p.eps:.6g}, eta = {p.eta:.6g}) at t = {t:.6g}"
 
     def field(self, times: np.ndarray, store_stride: int, trace_lo: np.ndarray,
-              trace_hi: np.ndarray) -> SpaceTimeField:
+              trace_hi: np.ndarray, iterations: int, worst: float) -> SpaceTimeField:
         """The member's field; ``trace_lo`` and ``trace_hi`` are the least and largest
-        lifted trace the solve imposed, per entry of a row of traces.
+        lifted trace the solve imposed, per entry of a row of traces, and
+        ``iterations`` and ``worst`` its Newton total and largest accepted residual.
 
         The discrete maximum principle holds when every stored state lies
         between the extremes of the initial window and of those traces.
@@ -567,8 +594,8 @@ class _Member:
             "eta": p.eta,
             "dt": p.dt,
             "bound_K": p.bound_K,
-            "newton_iterations": self.iterations,
-            "max_scaled_residual": self.worst_residual,
+            "newton_iterations": iterations,
+            "max_scaled_residual": worst,
             "step_halvings": self.halvings,
             "max_principle_ok": max_ok,
             "store_stride": store_stride,
@@ -616,24 +643,21 @@ def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTim
     # The least and largest lifted trace imposed at each entry of a row of traces.
     trace_lo = np.full(int(batch.bc_sizes.sum()), np.inf)
     trace_hi = -trace_lo
+    everyone, iterations, worst = [True] * len(members), [0] * len(members), [0.0] * len(members)
 
     def impose(bc, rows):
         """Widens the imposed extremes by the entries ``rows`` of the trace rows ``bc``."""
         np.fmin(trace_lo, np.min(bc, axis=0, initial=np.inf, where=rows), out=trace_lo)
         np.fmax(trace_hi, np.max(bc, axis=0, initial=-np.inf, where=rows), out=trace_hi)
 
-    def substeps(stepping, ends, bc, guess, new):
-        """Steps the members marked in ``stepping`` over the sub-steps between the ``ends``.
-
-        ``bc`` holds the traces at the sub-step ends, one row each.  A single
-        step starts Newton at ``guess``, sub-steps each at the current state;
-        a linear batch needs no start.
-        A member sits out from the sub-step it fails in.  Writes the stepped
-        members' rows of ``new``; returns the failures.
-        """
+    def substeps(v, stepping, ends, bc, guess):
+        """Steps the members marked in ``stepping`` from ``v`` over the sub-steps between
+        the ``ends``, with the traces ``bc`` there, one row each.  A single step starts
+        Newton at ``guess`` (a linear batch needs none), sub-steps each at the current
+        state.  A member sits out from the sub-step it fails in.  Returns the state,
+        the mask of the members it holds a step of, and the failures."""
         nsub = len(ends) - 1
         failed = []
-        v = state
         for j in range(nsub):
             start = None if batch.linear else guess if nsub == 1 else v.copy()
             v, iters, res, errors = _newton(batch, v, start, scheme, bc[j], ends[j + 1] - ends[j],
@@ -641,14 +665,15 @@ def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTim
             if errors:
                 failed.extend((members[k], err) for k, err in errors.items())
                 stepping = [s and k not in errors for k, s in enumerate(stepping)]
-            for m, s, it, r in zip(members, stepping, iters, res):
-                if s:
-                    m.iterations += it
-                    m.worst_residual = max(m.worst_residual, r)
-            if not any(stepping):
-                break
-        np.copyto(new, v, where=all(stepping) or batch.rows(stepping))  # True: no mask to build
-        return failed
+            if stepping is everyone:  # no member is halved, and none failed
+                iterations[:] = map(add, iterations, iters)
+                worst[:] = [r if r > w else w for w, r in zip(worst, res)]  # max(w, r), faster
+            else:
+                iterations[:] = [n + i if s else n for n, i, s in zip(iterations, iters, stepping)]
+                worst[:] = [r if s and r > w else w for w, r, s in zip(worst, res, stepping)]
+                if not any(stepping):
+                    break
+        return v, stepping, failed
 
     t = 0.0
     col = 0
@@ -666,11 +691,11 @@ def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTim
             outer_ends, t_nexts = outer_ends.tolist(), lattice[1:].tolist()
         t_next = t_nexts[k]
         guess = None if batch.linear else _extrapolate(state, history)
-        new = np.empty_like(state)
-        # Levels ascend: a member that fails at one level retries at the next.
+        new = None
+        # Levels ascend: a member that fails at one level retries at the next, from ``state``.
         level = 0
         while level <= deepest:
-            stepping = [m.depth == level for m in members]
+            stepping = [m.depth == level for m in members] if deepest else everyone
             if any(stepping):
                 if level == 0:
                     ends, bc = outer_ends[k], table[k : k + 1]
@@ -678,7 +703,13 @@ def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTim
                     ends = _substep_ends(t, t_next, 2**level).tolist()
                     bc = batch.traces(ends[1:])
                     impose(bc, np.repeat(stepping, batch.bc_sizes))
-                for m, err in substeps(stepping, ends, bc, guess, new):
+                v, stepped, failed = substeps(state, stepping, ends, bc, guess)
+                if new is None and all(stepping):
+                    new = v  # the rows of a member that failed are stepped again below
+                else:
+                    new = np.empty_like(state) if new is None else new
+                    np.copyto(new, v, where=all(stepped) or batch.rows(stepped))
+                for m, err in failed:
                     m.depth += 1
                     m.clean = 0
                     m.halvings += 1
@@ -706,7 +737,8 @@ def _advance(problems, scheme: SolverScheme, store_stride: int) -> list[SpaceTim
             for m in members:
                 m.window[:, col] = state[m.rows]
 
-    return [m.field(times, store_stride, trace_lo, trace_hi) for m in members]
+    return [m.field(times, store_stride, trace_lo, trace_hi, n, r)
+            for m, n, r in zip(members, iterations, worst)]
 
 
 def solve_members(

@@ -13,6 +13,7 @@ from collar.cli import main as cli_main
 from collar.config import (
     CASES,
     _KINDS,
+    _NUMERICS,
     _SCHEMA,
     build_boundary,
     build_density,
@@ -218,6 +219,16 @@ CONFIG_MISTAKES = {
         "t0 = 0.5", "t0 = 0.5\nthreshold = 7")),
     "barrier-case-under-solve": ("solve", _heat("kind = solve\nbarrier_case = miller-timed")),
     "eta-under-duality": ("duality", _heat("kind = duality\neps = 0.125\neta = 0.05")),
+    # [numerics] keys read only by the kinds that step.
+    "newton-tol-under-barrier-certify": ("barrier-certify", BARRIER_CERTIFY.replace(
+        "t_final = 1.0", "t_final = 1.0\nnewton_tol = 1e-12")),
+    "store-stride-under-barrier-certify": ("barrier-certify", BARRIER_CERTIFY.replace(
+        "t_final = 1.0", "t_final = 1.0\nstore_stride = 2")),
+    "max-iterations-under-duality": ("duality", _heat("kind = duality\neps = 0.125").replace(
+        "t_final = 0.05", "t_final = 0.05\nmax_iterations = 5")),
+    "jacobian-floor-under-hypothesis-report": ("hypothesis-report", MINIMAL_HEAT.replace(
+        "t_final = 0.05", "t_final = 0.05\njacobian_floor = 0").replace(
+        "kind = solve", "kind = hypothesis-report")),
     # The table covers [-K, K], but the barrier's own G-values leave it: this exited 3.
     "barrier-past-flux-table": ("barrier-certify", BARRIER_CERTIFY.replace(
         "kind = linear", "kind = table\nfile = {flux}")),
@@ -304,14 +315,24 @@ VALID = {"a": "0.0", "r_out": "2.0", "dim": "2", "m": "2.0", "eta": "0.05", "tau
          "assert_convergence": "false", "scale_nodes_with_eps": "false"}
 
 
+# The keys each experiment kind requires, at values MINIMAL_HEAT's other sections admit.
+VALID_EXPERIMENT = {"family": f"{_LEVELS}\neta_list = 0.1, 0.05, 0.025",
+                    "attainment": _LEVELS, "dichotomy-sweep": f"{_LEVELS}\nalpha_list = 1.0"}
+
+
+def kind_table(sec: str) -> dict:
+    """The keys each kind lists for [sec]; the kind of [numerics] is the experiment kind."""
+    return _NUMERICS if sec == "numerics" else _KINDS[sec]
+
+
 def own_keys(sec: str, kind: str) -> set:
     """The keys ``kind`` of [sec] lists, without their required-key marker."""
-    return {key.rstrip("*") for key in _KINDS[sec][kind]}
+    return {key.rstrip("*") for key in kind_table(sec)[kind]}
 
 
 def takes(sec: str, kind: str) -> set:
     """The keys of [sec] that apply under ``kind``: its own and those no kind lists."""
-    listed = set().union(*(own_keys(sec, k) for k in _KINDS[sec]))
+    listed = set().union(*(own_keys(sec, k) for k in kind_table(sec)))
     return set(_SCHEMA[sec]) - listed | own_keys(sec, kind)
 
 
@@ -343,6 +364,16 @@ class TestParsing:
         exp = parse_config(with_setting("experiment", "threshold", "0.1")).sections["experiment"]
         assert exp["kind"] == "attainment"
         assert exp["tau"] == pytest.approx(0.005)  # t_final / 10
+
+    @pytest.mark.parametrize("kind", list(_KINDS["experiment"]))
+    def test_dt_is_required_by_the_kinds_that_read_it(self, kind):
+        doc = MINIMAL_HEAT.replace("dt = 0.001\n", "").replace(
+            "kind = solve", f"kind = {kind}\n{VALID_EXPERIMENT.get(kind, '')}")
+        if "dt*" in _NUMERICS[kind]:
+            with pytest.raises(ConfigParseError, match=r"missing key 'dt' in \[numerics\]"):
+                parse_config(doc)
+        else:
+            assert parse_config(doc).sections["numerics"] == {"nodes": 65, "t_final": 0.05}
 
     def test_unknown_key_reports_line(self):
         bad = MINIMAL_HEAT.replace("value = 0.0", "value = 0.0\nwavelength = 3")
@@ -497,19 +528,22 @@ class TestRunExperiment:
         assert (tmp_path / "trajectory.csv").exists()
 
     def test_report_embeds_every_default(self, tmp_path):
-        # Every default of every key that applies, and no key that does not.
+        # Every default of every key that applies, and no key that does not;
+        # the [numerics] keys that apply are the experiment kind's.
+        configs = {}
         for doc in (MINIMAL_HEAT, BARRIER_CERTIFY.replace("t0 = 0.5\n", "")):
-            out = tmp_path / parse_config(doc).kind
-            assert run_experiment(parse_config(doc), out) == 0
-            config = json.loads((out / "report.json").read_text())["config"]
+            kind = parse_config(doc).kind
+            assert run_experiment(parse_config(doc), tmp_path / kind) == 0
+            config = configs[kind] = json.loads((tmp_path / kind / "report.json").read_text())[
+                "config"]
             written = set(re.findall(r"^(\w+) =", doc, flags=re.M))
             for sec, keys in _SCHEMA.items():
-                kind = config[sec].get("kind")
-                applies = takes(sec, kind) if kind else set(keys)
+                applies = takes(sec, config["experiment" if sec == "numerics" else sec]["kind"])
                 assert set(config[sec]) == {key for key in applies
                                             if keys[key][1] is not None or key in written}, sec
-        assert config["numerics"]["newton_tol"] == 1e-10
-        assert config["experiment"]["t0"] == pytest.approx(0.5)  # t_final / 2
+        assert configs["solve"]["numerics"]["newton_tol"] == 1e-10
+        assert "newton_tol" not in configs["barrier-certify"]["numerics"]
+        assert configs["barrier-certify"]["experiment"]["t0"] == pytest.approx(0.5)  # t_final / 2
 
     def test_identical_configs_write_identical_csv(self, tmp_path):
         cfg = parse_config(MINIMAL_HEAT)

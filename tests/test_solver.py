@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,9 @@ class TestStepImplicit:
         u = p.initial_window()
         with pytest.raises(StepError):
             step_implicit(u, p, SolverScheme(max_iterations=2), t_new=5.0, dt=5.0)
+        # An integer tolerance compares as its float: the residual of about 48 fails.
+        with pytest.raises(StepError, match="Newton stalled"):
+            step_implicit(u, p, SolverScheme(max_iterations=2, newton_tol=1), t_new=5.0, dt=5.0)
 
 
 class TestSolve:
@@ -446,6 +450,23 @@ class TestPrefactoredLinearPath:
         fld = solve_one(p)
         assert fld.meta["newton_iterations"] == fld.times.size - 1
         assert fld.meta["max_scaled_residual"] <= 1e-12
+
+    def test_a_stall_at_the_rounding_floor_names_the_floor(self, monkeypatch):
+        # From dt / h^2 of about 6e5 up, rounding alone keeps the scaled residual
+        # above newton_tol = 1e-10, so the step halves until the solve fails;
+        # the error names the floor rounding sets under the residual.
+        p = dataclasses.replace(heat_problem(nodes=801, eps=0.125, dt=1000, horizon=1000),
+                                phi=BoundaryData.constant(0.4, horizon=1000))
+        with pytest.raises(SolveError, match=r"after 11 halvings.*Newton stalled") as err:
+            solve_one(p)
+        res, tol, floor = map(float, re.search(
+            r"scaled residual (\S+) after \d+ iterations; newton_tol is (\S+) and the rounding "
+            r"floor of the residual reaches (\S+)$", str(err.value)).groups())
+        assert tol == 1e-10 < res <= floor
+        # An accepted step computes no floor.
+        monkeypatch.setattr(solver, "_rounding_floor", None)
+        assert solve_one(heat_problem(nodes=801, eps=0.125, horizon=0.01)).meta[
+            "max_scaled_residual"] <= 1e-10
 
     def test_imposed_rows_hold_the_traces_bit_for_bit(self, monkeypatch):
         # At dt / h^2 > 1 a factorisation that kept the imposed columns would
