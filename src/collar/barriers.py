@@ -8,11 +8,12 @@ discrete residual of each barrier; a failure there is a verdict.
 
 Two spatial profiles are available.  The distance potential ``V`` is the
 double integral of the density majorant, valid when the weighted collar
-integral is finite and the density has a positive infimum; without a
-closed form it is a table whose rows are computed block by block on first
-read, so a barrier pays only for the distances it evaluates.  The exterior
-bump ``h`` (the classical Miller construction) needs only a bounded density
-and an exterior sphere, which interval and radial geometry provide exactly.
+integral is finite and the density has a positive infimum.  A power-law
+majorant gives it in closed form; a tabulated majorant gives a table whose
+rows are integrated block by block on first read, so a barrier pays only for
+the distances it evaluates.  The exterior bump ``h`` (the classical Miller
+construction) needs only a bounded density and an exterior sphere, which
+interval and radial geometry provide exactly; its amplitude is closed form.
 
 A barrier combines one profile with an anchor value of the boundary data, a
 gap ``sigma``, and quadratic localization penalties; the constants are the
@@ -37,10 +38,6 @@ from .models import (
     InitialData,
     Nonlinearity,
     PowerMajorant,
-    TabulatedMajorant,
-    _GAUSS_W,
-    _GAUSS_X,
-    _dyadic_pieces,
     global_bound,
     h4_integral,
 )
@@ -55,10 +52,19 @@ _TIME_SAMPLES = 96
 #: Samples of the data per trial radius in the localization bisection.
 _RADIUS_SAMPLES = 2048
 
-#: Exterior bump: amplitude margin over the smallest admissible one, and the
-#: reach of its validity region in exterior-sphere radii.
+#: Exterior bump: amplitude margin over the smallest admissible one.
 _MILLER_SAFETY = 1.05
-_MILLER_REGION_FACTOR = 2.0
+
+#: 16-point Gauss-Legendre rule on [-1, 1], bit for bit ``leggauss(16)``, which
+#: returns symmetric nodes and weights; written out so numpy.polynomial is not imported.
+_GAUSS_HALF_X = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                 0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                 0.9445750230732326, 0.9894009349916499)
+_GAUSS_HALF_W = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                 0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                 0.062253523938647456, 0.027152459411754176)
+_GAUSS_X = np.concatenate((-np.array(_GAUSS_HALF_X[::-1]), _GAUSS_HALF_X))
+_GAUSS_W = np.concatenate((_GAUSS_HALF_W[::-1], _GAUSS_HALF_W))
 
 
 def _composite_integral(f, a, b: float, pieces: int = 48) -> np.ndarray:
@@ -72,6 +78,26 @@ def _composite_integral(f, a, b: float, pieces: int = 48) -> np.ndarray:
     x = mid[..., None] + half[..., None] * _GAUSS_X
     out[inside] = np.sum(half[..., None] * _GAUSS_W * np.asarray(f(x)), axis=(1, 2))
     return out
+
+
+def _dyadic_pieces(f, upper, n_pieces: int = 60):
+    """Integrals of ``eta * f(eta)`` over [u 2^-k-1, u 2^-k], k = 0.., per upper limit u.
+
+    Returns ``(pieces, counts)`` with one row per entry of ``upper``.  Row r
+    uses ``pieces[r, :counts[r]]``: it stops at its first piece below 1e-300,
+    which is included, and is zero past it.
+    """
+    upper = np.asarray(upper, dtype=float).reshape(-1)
+    hi = upper[:, None] * np.ldexp(1.0, -np.arange(n_pieces))
+    lo = 0.5 * hi
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = mid[..., None] + half[..., None] * _GAUSS_X
+    pieces = half * ((x * f(x)) @ _GAUSS_W)
+    below = pieces < 1e-300
+    counts = np.where(below.any(axis=1), np.argmax(below, axis=1) + 1, n_pieces)
+    used = np.arange(n_pieces) < counts[:, None]
+    return np.where(used, pieces, 0.0), counts
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +115,9 @@ class BoundaryPotential:
     and V is constant beyond the cap.  ``margin >= 1`` absorbs the radial
     first-order term of the Laplacian.
 
-    A power-law majorant has a closed form.  Any other majorant is tabulated
-    on a log grid of distances, whose rows are computed ``_TABLE_BLOCK`` at a
-    time on first read: ``at_distance`` fills the blocks holding the rows
+    A power-law majorant has a closed form.  A tabulated majorant gives a
+    table on a log grid of distances, whose rows are computed ``_TABLE_BLOCK``
+    at a time on first read: ``at_distance`` fills the blocks holding the rows
     its interpolation reads, and then interpolates.
     """
 
@@ -151,11 +177,10 @@ class BoundaryPotential:
 def build_boundary_potential(majorant, eps_hat: float, curvature_margin: float = 2.0) -> BoundaryPotential:
     """Construct the distance potential from a majorant of the density.
 
-    Raises RegimeError when the weighted collar integral diverges, in which
-    case no bounded potential with the required curvature exists.  A
-    ``TabulatedMajorant`` is positive and finite everywhere, so its table
-    rows are left to be computed on first read; any other callable has every
-    row computed here, so one that is not positive and finite fails here.
+    Raises RegimeError when the weighted collar integral of a power law
+    diverges, in which case no bounded potential with the required curvature
+    exists.  A ``TabulatedMajorant`` is positive and finite everywhere, so its
+    table rows are left to be computed on first read.
     """
     verdict = h4_integral(majorant, eps_hat)
     if not verdict.finite:
@@ -166,10 +191,7 @@ def build_boundary_potential(majorant, eps_hat: float, curvature_margin: float =
         return BoundaryPotential(eps_hat, curvature_margin, True, majorant)
     ds = np.concatenate(([0.0], np.geomspace(eps_hat * 1e-9, eps_hat, 1025)))
     blocks = np.zeros(len(range(1, ds.size, _TABLE_BLOCK)), dtype=bool)
-    pot = BoundaryPotential(eps_hat, curvature_margin, False, majorant, ds, np.zeros_like(ds), blocks)
-    if not isinstance(majorant, TabulatedMajorant):
-        pot.at_distance(ds)
-    return pot
+    return BoundaryPotential(eps_hat, curvature_margin, False, majorant, ds, np.zeros_like(ds), blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +229,8 @@ def build_miller_barrier(domain: Domain, x0: float, radius: float) -> MillerBarr
     """Exterior bump at the boundary point ``x0`` with exterior sphere radius R.
 
     The amplitude is raised until the Laplacian is below -1 over distances up
-    to ``_MILLER_REGION_FACTOR * R`` from the exterior center.  ``radius`` is
-    the collar cap; each check names the config keys that fix it.
+    to 2R from the exterior center.  ``radius`` is the collar cap; each check
+    names the config keys that fix it.
     """
     at_lo = abs(x0 - domain.lo) < abs(x0 - domain.hi)
     if domain.kind == ANNULUS and at_lo and radius > domain.lo + 1e-9 * domain.width:
@@ -217,11 +239,11 @@ def build_miller_barrier(domain: Domain, x0: float, radius: float) -> MillerBarr
             f"and the collar cap is {radius}; set collar_cap <= r_in or anchor = right"
         )
     n = domain.dim
-    a = n / radius**2
-
-    s = np.linspace(radius, _MILLER_REGION_FACTOR * radius, 4097)
-    bracket = (4.0 * a * a * s * s - 2.0 * a * n) * np.exp(-a * s * s)
-    gmin = float(np.min(bracket))
+    # The Laplacian is -amplitude (4 a^2 s^2 - 2 a n) e^(-a s^2) at distance s,
+    # with a = n / R^2.  That bracket's only critical point for s > 0, at
+    # a s^2 = 1 + n/2, is a maximum, so on [R, 2R] it is least at an end: at
+    # s = 2R, where it is 14 n^2 / R^2 e^(-4n), 7 e^(-3n) times its value at R.
+    gmin = 14.0 * n * n / radius**2 * math.exp(-4.0 * n)
     if not gmin >= np.finfo(float).tiny:  # positive, but e^(-4N) underflows
         raise ConfigError(
             f"the exterior bump underflows in dim = {n}; lower dim or take a potential case"

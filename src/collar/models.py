@@ -4,9 +4,10 @@ Each model kind has one classmethod constructor, which checks its input and
 closes over the kind's evaluators.  Models are immutable after construction
 and their evaluators pure, so they can be shared freely between concurrent
 solves.  Hypotheses h1-h3 are decided on the grid nodes the scheme uses and on
-the range of the data, from what the constructors guarantee; the collar
-integral h4 in closed form (power-law densities) or by quadrature.  Every
-verdict records which method produced it.
+the range of the data, from what the constructors guarantee.  The collar
+integral h4 and the dominance of the density's majorant are exact for the two
+majorant kinds the constructors build, a power law and a piecewise-linear
+table.  Every verdict records which method produced it.
 """
 
 from __future__ import annotations
@@ -17,20 +18,6 @@ import numpy as np
 
 from .errors import ModelError, RangeError
 from .geometry import Domain, Grid
-
-#: 16-point Gauss-Legendre rule on [-1, 1], bit for bit ``leggauss(16)``, which
-#: returns symmetric nodes and weights; written out so numpy.polynomial is not imported.
-_GAUSS_HALF_X = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
-                 0.6178762444026438, 0.755404408355003, 0.8656312023878318,
-                 0.9445750230732326, 0.9894009349916499)
-_GAUSS_HALF_W = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
-                 0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
-                 0.062253523938647456, 0.027152459411754176)
-_GAUSS_X = np.concatenate((-np.array(_GAUSS_HALF_X[::-1]), _GAUSS_HALF_X))
-_GAUSS_W = np.concatenate((_GAUSS_HALF_W[::-1], _GAUSS_HALF_W))
-
-#: Pieces with ratio above this are treated as failing to decay geometrically.
-_DECAY_CUTOFF = 0.999
 
 #: Time samples per boundary point for the extremes of a boundary trace.
 _TRACE_SAMPLES = 512
@@ -51,10 +38,6 @@ class PowerMajorant:
     coef: float
     alpha: float
 
-    def __call__(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        return self.coef * eta ** (-self.alpha)
-
 
 @dataclass(frozen=True)
 class TabulatedMajorant:
@@ -64,8 +47,8 @@ class TabulatedMajorant:
     values: np.ndarray
 
     def __post_init__(self):
-        # Then the majorant is positive and finite at every distance, which
-        # lets the potential table skip rows no barrier reads.
+        # Then the majorant is positive and finite at every distance, so its
+        # collar integral is finite and every potential table row is defined.
         k, v = np.asarray(self.knots, dtype=float), np.asarray(self.values, dtype=float)
         if k.ndim != 1 or not k.size or not np.all(np.isfinite(k)) or not np.all(np.diff(k) > 0):
             raise ModelError("majorant knots must be finite and strictly increasing, in one row")
@@ -88,38 +71,14 @@ class H4Result:
     detail: str = ""
 
 
-def _dyadic_pieces(f, upper, n_pieces: int = 60):
-    """Integrals of ``eta * f(eta)`` over [u 2^-k-1, u 2^-k], k = 0.., per upper limit u.
-
-    Returns ``(pieces, counts)`` with one row per entry of ``upper``.  Row r
-    uses ``pieces[r, :counts[r]]``: it stops at its first piece below 1e-300,
-    which is included, and is zero past it.  Only the used pieces must see a
-    positive, finite majorant.
-    """
-    upper = np.asarray(upper, dtype=float).reshape(-1)
-    hi = upper[:, None] * np.ldexp(1.0, -np.arange(n_pieces))
-    lo = 0.5 * hi
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[..., None] + half[..., None] * _GAUSS_X
-    fx = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
-    pieces = half * ((x * fx) @ _GAUSS_W)
-    below = pieces < 1e-300
-    counts = np.where(below.any(axis=1), np.argmax(below, axis=1) + 1, n_pieces)
-    used = np.arange(n_pieces) < counts[:, None]
-    bad = np.any(~np.isfinite(fx) | (fx <= 0.0), axis=2)
-    if np.any(bad & used):
-        raise ModelError("majorant must be positive and finite on (0, cap]")
-    return np.where(used, pieces, 0.0), counts
-
-
 def h4_integral(majorant, eps_hat: float) -> H4Result:
-    """Classify the collar integral of ``eta * majorant(eta)`` on (0, eps_hat].
+    """Classify the collar integral of ``eta * majorant(eta)`` on (0, eps_hat], exactly.
 
-    Power-law majorants use the closed form: finite with value
-    ``coef * eps_hat**(2-alpha) / (2-alpha)`` exactly when ``alpha < 2``.
-    Other majorants are integrated over dyadic subintervals; divergence is
-    declared when the pieces fail to decay geometrically.
+    A power law's integral is finite, with value
+    ``coef * eps_hat**(2-alpha) / (2-alpha)``, exactly when ``alpha < 2``.  A
+    tabulated majorant is linear between its knots and flat past them, so
+    ``eta * majorant`` is quadratic on each piece of (0, eps_hat] between
+    knots, Simpson's rule per piece is exact, and the integral is finite.
     """
     if eps_hat <= 0.0:
         raise ModelError(f"collar cap must be positive, got {eps_hat}")
@@ -129,21 +88,14 @@ def h4_integral(majorant, eps_hat: float) -> H4Result:
             return H4Result(False, None, "closed-form", f"exponent {a} >= 2")
         value = majorant.coef * eps_hat ** (2.0 - a) / (2.0 - a)
         return H4Result(True, value, "closed-form")
-    if not callable(majorant):
-        raise ModelError("majorant must be a PowerMajorant or a callable of distance")
-
-    rows, counts = _dyadic_pieces(majorant, eps_hat)
-    pieces = rows[0, : counts[0]]
-    if pieces.size < 8:
-        return H4Result(True, float(pieces.sum()), "quadrature", "pieces vanished early")
-    ratios = pieces[1:] / pieces[:-1]
-    tail_ratio = float(np.max(ratios[-8:]))
-    if tail_ratio >= _DECAY_CUTOFF:
-        return H4Result(
-            False, None, "quadrature", f"piece ratio {tail_ratio:.6f} >= {_DECAY_CUTOFF}"
-        )
-    value = float(pieces.sum() + pieces[-1] * tail_ratio / (1.0 - tail_ratio))
-    return H4Result(True, value, "quadrature")
+    if not isinstance(majorant, TabulatedMajorant):
+        raise ModelError("majorant must be a PowerMajorant or a TabulatedMajorant")
+    k = np.asarray(majorant.knots, dtype=float)
+    x = np.concatenate(([0.0], k[(k > 0.0) & (k < eps_hat)], [eps_hat]))
+    mid = 0.5 * (x[:-1] + x[1:])
+    ends = x * majorant(x)
+    value = np.sum(np.diff(x) * (ends[:-1] + 4.0 * mid * majorant(mid) + ends[1:])) / 6.0
+    return H4Result(True, float(value), "piecewise-linear")
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +109,23 @@ class DensityModel:
     Built by ``constant`` (value c), ``power_law`` (coef * d(x)**(-alpha)) or
     ``from_table`` (piecewise linear in the reduced coordinate), each of which
     checks its input and closes over its evaluator, like ``Nonlinearity``.
+    ``majorant_dominates`` is whether ``rho(x) <= majorant(d(x))`` on the
+    collar, decided exactly by the constructor.
     """
 
-    def __init__(self, domain, rho, majorant, is_bounded):
+    def __init__(self, domain, rho, majorant, is_bounded, majorant_dominates):
         self.domain = domain
         self._rho = rho
         self.majorant = majorant
         self.is_bounded = is_bounded
+        self.majorant_dominates = majorant_dominates
 
     @classmethod
     def constant(cls, c: float, domain: Domain) -> "DensityModel":
         c = float(c)
         if c <= 0.0:
             raise ModelError("constant density must be positive")
-        return cls(domain, lambda x: np.full(x.shape, c), PowerMajorant(c, 0.0), True)
+        return cls(domain, lambda x: np.full(x.shape, c), PowerMajorant(c, 0.0), True, True)
 
     @classmethod
     def power_law(cls, alpha: float, domain: Domain, coef: float = 1.0) -> "DensityModel":
@@ -178,7 +133,7 @@ class DensityModel:
         if coef <= 0.0:
             raise ModelError("power-law density needs a positive coefficient")
         return cls(domain, lambda x: coef * np.maximum(domain.distance(x), 1e-300) ** (-alpha),
-                   PowerMajorant(coef, alpha), alpha <= 0.0)
+                   PowerMajorant(coef, alpha), alpha <= 0.0, True)
 
     @classmethod
     def from_table(cls, coords, values, domain: Domain) -> "DensityModel":
@@ -194,10 +149,19 @@ class DensityModel:
         if np.any(v <= 0.0) or np.any(~np.isfinite(v)):
             raise ModelError("density table values must be positive and finite")
         # The majorant: the worst tabulated value at each boundary distance.
-        etas = np.linspace(0.0, domain.collar_cap, 513)
-        near = domain.into(np.array(domain.boundary_points())[:, None], etas)
-        majorant = TabulatedMajorant(knots=etas, values=np.max(np.interp(near, k, v), axis=0))
-        return cls(domain, lambda x: np.interp(x, k, v), majorant, True)
+        cap = domain.collar_cap
+        etas = np.linspace(0.0, cap, 513)
+        bounds = np.array(domain.boundary_points())[:, None]
+        majorant = TabulatedMajorant(
+            knots=etas, values=np.max(np.interp(domain.into(bounds, etas), k, v), axis=0))
+        # Inward from each boundary point, rho and the majorant are linear between
+        # the majorant's knots and the table knots' distances, so comparing at
+        # those points decides dominance on the collar exactly.
+        at = np.sort(np.concatenate((etas, np.abs(k - bounds).ravel())))
+        at = at[at <= cap]
+        rho_at = np.interp(domain.into(bounds, at), k, v)
+        dominates = not np.any(rho_at - majorant(at) > 1e-9 * np.maximum(1.0, rho_at))
+        return cls(domain, lambda x: np.interp(x, k, v), majorant, True, dominates)
 
     def rho(self, x):
         out = self._rho(np.asarray(x, dtype=float))
@@ -456,8 +420,9 @@ def check_hypotheses(rho: DensityModel, flux: Nonlinearity, phi: BoundaryData,
     range (u0 on the nodes, the trace extremes) lies in ``flux.g_inv(flux.g_range)``,
     where the constructor makes G strictly increasing; a lift or barrier reading
     G past it is a ConfigError where built.  h5 is the constructor's ``alpha0``.
-    Majorant dominance, compatibility and positivity are checked on samples
-    near the boundary.  The evidence dict records each method and what it read.
+    h4 and majorant dominance are exact, from ``h4_integral`` and the density
+    constructor.  Compatibility and positivity are checked on samples near the
+    boundary.  The evidence dict records each method and what it read.
     """
     dom = grid.domain
     phi_lo, phi_hi = phi.extremes(dom)
@@ -482,15 +447,8 @@ def check_hypotheses(rho: DensityModel, flux: Nonlinearity, phi: BoundaryData,
     evidence["h2"] = {"method": "constructor", "g_at_zero": g_zero, "data_range": data,
                       "increasing_on": [u if np.isfinite(u) else None for u in u_range]}
 
-    # Near-boundary samples: one row per boundary point.
-    bounds = np.array(dom.boundary_points())[:, None]
     h4 = h4_integral(rho.majorant, dom.collar_cap)
-    etas = dom.collar_cap * 2.0 ** (-np.arange(1, 21, dtype=float))
-    pts = dom.into(bounds, etas)
-    rho_near = rho.rho(pts)
-    gap = rho_near - np.asarray(rho.majorant(dom.distance(pts)))
-    dominated = not np.any(gap > 1e-9 * np.maximum(1.0, np.abs(rho_near)))
-    evidence["h4"] = {"method": h4.method, "dominates_samples": int(etas.size)}
+    evidence["h4"] = {"method": h4.method, "dominates": "constructor"}
     if not h4.finite:
         notes.append(
             "collar integral divergent: uniqueness-without-boundary-conditions regime"
@@ -499,7 +457,9 @@ def check_hypotheses(rho: DensityModel, flux: Nonlinearity, phi: BoundaryData,
     h5 = flux.alpha0 > 0.0
     evidence["h5"] = {"method": "constructor", "alpha0": flux.alpha0}
 
-    # Compatibility of the initial trace with the boundary data at t = 0.
+    # Compatibility of the initial trace with the boundary data at t = 0, on
+    # samples near the boundary: one row per boundary point.
+    bounds = np.array(dom.boundary_points())[:, None]
     probes = dom.collar_cap * 2.0 ** (-np.arange(4, 15, dtype=float))
     u0_near = np.asarray(initial.u0(dom.into(bounds, probes)))
     gaps = np.max(np.abs(u0_near[:, -2:] - phi.phi(bounds, 0.0)), axis=1)
@@ -525,7 +485,7 @@ def check_hypotheses(rho: DensityModel, flux: Nonlinearity, phi: BoundaryData,
         h2_flux_monotone=h2,
         h3_initial_bounded=h3,
         h4=h4,
-        h4_majorant_dominates=dominated,
+        h4_majorant_dominates=rho.majorant_dominates,
         h5_nondegenerate=h5,
         compat_initial_boundary=compat_e301,
         compat_at_time_zero=compat,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from collar.barriers import (
     BarrierConstants,
@@ -51,10 +52,7 @@ def _loop_dyadic(f, upper, n_pieces=60):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         x = mid + half * _GX
-        fx = np.asarray(f(x), dtype=float)
-        if np.any(~np.isfinite(fx)) or np.any(fx <= 0.0):
-            raise ModelError("majorant must be positive and finite on (0, cap]")
-        pieces.append(half * float(np.dot(_GW, x * fx)))
+        pieces.append(half * float(np.dot(_GW, x * np.asarray(f(x), dtype=float))))
         hi = lo
         if pieces[-1] < 1e-300:
             break
@@ -71,14 +69,6 @@ def _loop_value(f, d, eps_hat, margin):
         r = min(float(pieces[-1] / pieces[-2]), 0.999)
         tail = pieces[-1] * r / (1.0 - r)
     return margin * (d * w + float(pieces.sum()) + tail)
-
-
-def _loop_h4_value(f, eps_hat):
-    pieces = _loop_dyadic(f, eps_hat)
-    if pieces.size < 8:
-        return float(pieces.sum())
-    r = float(np.max(pieces[1:][-8:] / pieces[:-1][-8:]))
-    return float(pieces.sum() + pieces[-1] * r / (1.0 - r))
 
 
 def _assert_table_matches_loop(majorant, eps_hat, margin=2.0, stride=1):
@@ -143,8 +133,10 @@ class TestBoundaryPotential:
         assert np.all(pot.at_distance(ds) > 0.0)
 
     def test_numeric_table_matches_closed_form(self):
-        pot_num = build_boundary_potential(lambda e: e**-1.2, 0.5, curvature_margin=1.0)
-        pot_cf = build_boundary_potential(PowerMajorant(1.0, 1.2), 0.5, curvature_margin=1.0)
+        # A constant majorant, tabulated, against the closed form of the same constant.
+        table = TabulatedMajorant(knots=np.array([0.0, 0.5]), values=np.array([1.0, 1.0]))
+        pot_num = build_boundary_potential(table, 0.5, curvature_margin=1.0)
+        pot_cf = build_boundary_potential(PowerMajorant(1.0, 0.0), 0.5, curvature_margin=1.0)
         ds = np.linspace(1e-4, 0.5, 61)
         rel = np.abs(pot_num.at_distance(ds) - pot_cf.at_distance(ds)) / pot_cf.at_distance(ds)
         # Table interpolation limits the numeric path, not the quadrature.
@@ -153,11 +145,14 @@ class TestBoundaryPotential:
     def test_table_matches_loop_on_certify_density(self):
         _assert_table_matches_loop(_certify_table_density().majorant, 0.6)
 
-    # At alpha = 1.9 the dyadic pieces decay slowly, so the geometric tail
-    # carries a visible share of J(d).
+    # A power law tabulated on log-spaced knots down to 1e-30, below every
+    # table row's 60 dyadic pieces.  At alpha = 1.9 those pieces decay slowly,
+    # so the geometric tail carries a visible share of J(d).
     @pytest.mark.parametrize("alpha", [1.2, 1.9])
     def test_table_matches_loop_on_power_callable(self, alpha):
-        _assert_table_matches_loop(lambda e: e**-alpha, 0.5, margin=1.0, stride=7)
+        knots = np.geomspace(1e-30, 0.5, 400)
+        power = TabulatedMajorant(knots=knots, values=knots**-alpha)
+        _assert_table_matches_loop(power, 0.5, margin=1.0, stride=7)
 
     @given(piecewise_linear_majorants(), st.floats(0.05, 1.0))
     @settings(max_examples=15, deadline=None)
@@ -180,29 +175,35 @@ class TestBoundaryPotential:
             assert np.array_equal(lazy.at_distance(part), full.at_distance(part))
 
     def test_underflowing_pieces_stop_early(self):
-        # Pieces drop below 1e-300 after a few halvings; past that point the
-        # majorant is zero, which must not count against it.
-        f = lambda e: np.where(e > 1e-25, 1e-280 * e**2, 0.0)  # noqa: E731
-        _assert_table_matches_loop(f, 0.6, stride=7)
-        verdict = h4_integral(f, 0.6)
+        # Pieces drop below 1e-300 after about 15 halvings from the cap, and
+        # after fewer from a smaller distance, so rows stop at different counts.
+        tiny = TabulatedMajorant(knots=np.array([0.0, 1.0]), values=np.array([1e-290, 1e-290]))
+        _assert_table_matches_loop(tiny, 0.6, stride=7)
+        verdict = h4_integral(tiny, 0.6)
         assert verdict.finite
-        assert verdict.value == pytest.approx(_loop_h4_value(f, 0.6), rel=1e-13)
-        first = lambda e: np.full(np.shape(e), 1e-299)  # noqa: E731
-        verdict = h4_integral(first, 0.6)
-        assert verdict.detail == "pieces vanished early"
-        assert verdict.value == pytest.approx(_loop_h4_value(first, 0.6), rel=1e-13)
+        assert verdict.value == pytest.approx(0.18e-290, rel=1e-14, abs=0.0)
 
     def test_non_positive_majorant_in_used_range_rejected(self):
-        # Zero only below 1e-20: the integral check on [0, cap] never looks
-        # there, but the table's smallest distances do.
-        f = lambda e: np.where(e > 1e-20, 1.0, 0.0)  # noqa: E731
-        assert h4_integral(f, 0.6).finite
-        with pytest.raises(ModelError):
-            _loop_dyadic(f, 0.6e-9)
-        with pytest.raises(ModelError):
-            build_boundary_potential(f, 0.6)
-        with pytest.raises(ModelError):
-            h4_integral(lambda e: np.where(e > 1e-3, 1.0, -1.0), 0.6)
+        # A tabulated majorant is positive at every distance, so no table row
+        # can see it fail; any other callable is rejected before a row is built.
+        with pytest.raises(ModelError, match="positive and finite"):
+            TabulatedMajorant(knots=np.array([1e-20, 0.6]), values=np.array([0.0, 1.0]))
+        with pytest.raises(ModelError, match="PowerMajorant or a TabulatedMajorant"):
+            build_boundary_potential(lambda e: np.where(e > 1e-20, 1.0, 0.0), 0.6)
+
+    # eta * majorant is quadratic between knots, so adaptive quadrature with
+    # the knots as breakpoints is exact up to rounding.
+    @pytest.mark.parametrize("reach", ["below", "past"])
+    @given(piecewise_linear_majorants(), st.floats(0.05, 0.95), st.floats(1.05, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_collar_integral_is_exact_on_piecewise_linear(self, reach, majorant, inside, past):
+        eps_hat = majorant.knots[-1] * (inside if reach == "below" else past)
+        knots = majorant.knots[(majorant.knots > 0.0) & (majorant.knots < eps_hat)]
+        exact, _ = quad(lambda e: e * majorant(e), 0.0, eps_hat, points=knots if knots.size else None,
+                        epsabs=0.0, epsrel=1e-13, limit=200)
+        verdict = h4_integral(majorant, eps_hat)
+        assert verdict.finite and verdict.method == "piecewise-linear"
+        assert verdict.value == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize(
         "domain",
@@ -246,6 +247,15 @@ class TestMillerBarrier:
         # Amplitude is raised until the whole region, out to 2R, meets -1.
         s = np.linspace(mb.radius, 2.0 * mb.radius, 1001)
         assert np.max(_bump_laplacian(mb, 2, s)) <= -1.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 15, 39])
+    def test_amplitude_meets_minus_one_at_the_least_sampled_laplacian(self, dim):
+        # The closed-form amplitude puts the Laplacian's maximum on [R, 2R],
+        # sampled here at 4097 points, at exactly -1.05.
+        dom = Domain.interval(0.0, 2.0) if dim == 1 else Domain.ball(2.0, dim=dim)
+        mb = build_miller_barrier(dom, 2.0, radius=0.5)
+        s = np.linspace(0.5, 1.0, 4097)
+        assert np.max(_bump_laplacian(mb, dim, s)) == pytest.approx(-1.05, rel=1e-13)
 
     def test_vanishes_at_anchor_positive_inside(self):
         dom = Domain.interval(0.0, 1.0)

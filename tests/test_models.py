@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from collar import models
+from collar import barriers
 from collar.errors import ModelError, RangeError
 from collar.geometry import Domain, build_grid
 from collar.models import (
@@ -56,8 +56,8 @@ def dyadic_quadrature_oracle(alpha: float, eps_hat: float, levels: int = 200):
 
 def test_gauss_table_is_leggauss_16_bit_for_bit():
     x, w = np.polynomial.legendre.leggauss(16)
-    assert np.array_equal(models._GAUSS_X, x)
-    assert np.array_equal(models._GAUSS_W, w)
+    assert np.array_equal(barriers._GAUSS_X, x)
+    assert np.array_equal(barriers._GAUSS_W, w)
 
 
 class TestIntegralDichotomy:
@@ -86,21 +86,16 @@ class TestIntegralDichotomy:
         if res.finite:
             assert res.value == pytest.approx(1.0 / (2.0 - alpha), rel=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
-    def test_numeric_path_agrees_with_closed_form(self, alpha):
-        numeric = h4_integral(lambda e: e ** (-alpha), 0.7)
-        closed = h4_integral(PowerMajorant(1.0, alpha), 0.7)
-        assert numeric.finite == closed.finite
-        if closed.finite:
-            assert numeric.value == pytest.approx(closed.value, rel=1e-8)
-
     def test_scaled_majorant(self):
         res = h4_integral(PowerMajorant(3.0, 1.0), 0.5)
         assert res.value == pytest.approx(3.0 * 0.5, rel=1e-12)
 
     def test_nonpositive_majorant_rejected(self):
-        with pytest.raises(ModelError):
+        # Only the two majorant kinds are integrated, and a table is positive.
+        with pytest.raises(ModelError, match="PowerMajorant or a TabulatedMajorant"):
             h4_integral(lambda e: e - 1.0, 1.0)
+        with pytest.raises(ModelError, match="positive and finite"):
+            TabulatedMajorant(knots=np.array([0.0, 1.0]), values=np.array([-1.0, 0.0]))
 
 
 class TestDensityModel:
@@ -109,6 +104,7 @@ class TestDensityModel:
         assert not DensityModel.power_law(1.0, dom).is_bounded
         assert DensityModel.power_law(-1.0, dom).is_bounded
         assert DensityModel.power_law(0.0, dom).is_bounded
+        assert DensityModel.power_law(1.5, dom).majorant_dominates  # it is its own majorant
 
     def test_power_law_values(self):
         dom = Domain.interval(0.0, 1.0)
@@ -134,6 +130,36 @@ class TestDensityModel:
         majorant = DensityModel.from_table(xs, vals, dom).majorant
         assert np.array_equal(majorant.knots, np.linspace(0.0, dom.collar_cap, 513))
         assert np.array_equal(majorant.values, table_majorant_oracle(xs, vals, dom))
+
+    def test_spike_between_majorant_knots_is_not_dominated(self):
+        # The spike peaks midway between two of the majorant's 513 knots, where
+        # the majorant reads the density's base value 1.  Dyadic samples of the
+        # collar miss it too.
+        dom = Domain.interval(0.0, 1.0, collar_cap=0.4)
+        peak = 0.1 + 0.4 / 1024
+        rho = DensityModel.from_table([0.0, peak - 1e-5, peak, peak + 1e-5, 1.0],
+                                      [1.0, 1.0, 3.0, 1.0, 1.0], dom)
+        assert rho.rho(peak) - rho.majorant(peak) == pytest.approx(2.0)
+        assert not rho.majorant_dominates
+        report = check_hypotheses(rho, Nonlinearity.linear(1.0), BoundaryData.constant(0.0),
+                                  InitialData.constant(0.0), build_grid(dom, 33))
+        assert report.h4_majorant_dominates is False
+
+    # Table knots sit on multiples of 1/4096 from the inner boundary and values
+    # on multiples of 1/8, so every majorant knot and every table knot's
+    # distance from a boundary point is one of 8193 dense distances, exactly.
+    @given(st.sampled_from([Domain.interval(0.0, 1.0), Domain.annulus(1.0, 2.0, dim=2)]),
+           st.lists(st.integers(1, 4095), min_size=1, max_size=12, unique=True), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_dominance_is_the_dense_sample_verdict(self, dom, steps, data):
+        coords = dom.lo + np.array([0, *sorted(steps), 4096]) / 4096
+        eighths = data.draw(st.lists(st.integers(1, 64), min_size=coords.size,
+                                     max_size=coords.size))
+        rho = DensityModel.from_table(coords, np.array(eighths) / 8.0, dom)
+        etas = np.linspace(0.0, dom.collar_cap, 8193)
+        near = np.asarray(rho.rho(dom.into(np.array(dom.boundary_points())[:, None], etas)))
+        gap = near - rho.majorant(etas)
+        assert rho.majorant_dominates == (not np.any(gap > 1e-9 * near))
 
     def test_table_requires_increasing_coordinates(self):
         dom = Domain.interval(0.0, 1.0)

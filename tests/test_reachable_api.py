@@ -1,5 +1,5 @@
 """Every function the package defines is one a command-line run calls, and
-every ``[experiment]`` key a kind takes is one its run reads.
+every ``[experiment]`` and ``[numerics]`` key a kind takes is one its run reads.
 
 A fresh interpreter installs a profile hook before it imports ``collar.cli``,
 then runs ``cli.main`` under ``validate`` and under the run on small configs
@@ -10,9 +10,12 @@ reason; the match is exact, so an entry goes stale as soon as a run reaches
 it or it is deleted.  A function no package code names is never called, so
 this catches everything a walk over the names in the source would.
 
-The same calls record each ``[experiment]`` key read after parsing.  For each
-kind, the keys read must equal the keys ``config._KINDS`` lists for it, plus
-``eps``, which every kind reads to build its grid.
+The same calls record each ``[experiment]`` and ``[numerics]`` key read after
+parsing, under the experiment kind.  For each kind, the ``[experiment]`` keys
+read must equal the keys ``config._KINDS`` lists for it, plus ``eps``, which
+every kind reads to build its grid; the ``[numerics]`` keys read must equal
+the keys ``config._NUMERICS`` lists for it, plus ``nodes`` and ``t_final``,
+which every kind reads to build its grid and data.
 """
 
 import json
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collar.config import _KINDS
+from collar.config import _KINDS, _NUMERICS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -130,19 +133,24 @@ def hook(frame, event, arg):
         reached.add(frame.f_code)
 
 
-class Recorded(dict):  # an [experiment] section that records each key read from it
+class Recorded(dict):  # a section that records each key read from it, per experiment kind
+    def __init__(self, values, section, kind):
+        super().__init__(values)
+        self.keys_read = reads.setdefault(section, {}).setdefault(kind, set())
+
     def __getitem__(self, key):
         self.get(key)
         return dict.__getitem__(self, key)
 
     def get(self, key, default=None):  # an optional key that is absent is read too
-        reads.setdefault(dict.__getitem__(self, "kind"), set()).add(key)
+        self.keys_read.add(key)
         return dict.get(self, key, default)
 
 
 def parse_recorded(path):
     cfg = parse(path)
-    cfg.sections["experiment"] = Recorded(cfg.sections["experiment"])
+    for section in ("experiment", "numerics"):
+        cfg.sections[section] = Recorded(cfg.sections[section], section, cfg.kind)
     return cfg
 
 
@@ -168,7 +176,7 @@ while stack:
                 stem = os.path.splitext(os.path.basename(const.co_filename))[0]
                 never.append(f"{stem}.{const.co_qualname}")
 stems = [os.path.splitext(os.path.basename(c.co_filename))[0] for c in modules]
-reads = {kind: sorted(keys) for kind, keys in reads.items()}
+reads = {sec: {kind: sorted(keys) for kind, keys in kinds.items()} for sec, kinds in reads.items()}
 print(json.dumps({"codes": codes, "modules": sorted(stems), "never": sorted(never),
                   "reads": reads}))
 """
@@ -209,4 +217,17 @@ def test_every_function_is_reached_by_a_cli_run(result):
 @pytest.mark.parametrize("kind", list(_KINDS["experiment"]))
 def test_every_experiment_key_a_kind_takes_is_read(result, kind):
     listed = {key.rstrip("*") for key in _KINDS["experiment"][kind]}
-    assert set(result["reads"][kind]) == listed | {"eps", "kind"}
+    assert set(result["reads"]["experiment"][kind]) == listed | {"eps", "kind"}
+
+
+# Kinds that take ``dt`` only so that a config can change kind by one line.
+_DT_UNREAD = {"duality", "hypothesis-report"}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="needs code objects' co_qualname")
+@pytest.mark.parametrize("kind", list(_NUMERICS))
+def test_every_numerics_key_a_kind_takes_is_read(result, kind):
+    listed = {key.rstrip("*") for key in _NUMERICS[kind]}
+    if kind in _DT_UNREAD:
+        listed.discard("dt")
+    assert set(result["reads"]["numerics"][kind]) == listed | {"nodes", "t_final"}

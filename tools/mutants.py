@@ -46,7 +46,10 @@ class Mutant:
 
 
 _SOLVER = "src/collar/solver.py"
+_MODELS = "src/collar/models.py"
 _T = "tests/test_solver.py::"
+_B = "tests/test_barriers.py::"
+_M = "tests/test_models.py::"
 
 MUTANTS = [
     # The lean Newton step: imposed rows folded into the residual, the scaled
@@ -99,6 +102,33 @@ MUTANTS = [
            "self.rho.rho(grid.nodes[m0 + free_local + 1])",
            (f"{_T}TestProperties::test_flux_balance_within_newton_budget",),
            "each free row weighs its mass by the next node's density"),
+    Mutant("imposed-row-weight-not-one", _SOLVER,
+           "        w[dir_rows] = 1.0\n", "",
+           (f"{_T}TestLinearStepProperties::test_direct_step_is_the_slope_solve",),
+           "an imposed row of the linear step matrix is scaled by its cell's weight"),
+    Mutant("linear-stencil-times-1.0001", _SOLVER,
+           "factor_spd(w + slope * kdi, slope * e)",
+           "factor_spd(w + 1.0001 * slope * kdi, slope * e)",
+           (f"{_T}TestPrefactoredLinearPath::test_matches_generic_path_within_newton_tolerance",),
+           "the factored linear step matrix no longer matches its residual, so a step "
+           "takes more than its one solve"),
+    # Exact majorant hypotheses and the closed-form Miller amplitude.
+    Mutant("simpson-weight-2", _MODELS,
+           "4.0 * mid * majorant(mid)", "2.0 * mid * majorant(mid)",
+           (f"{_B}TestBoundaryPotential::test_underflowing_pieces_stop_early",
+            f"{_B}TestBoundaryPotential::test_collar_integral_is_exact_on_piecewise_linear"),
+           "the tabulated collar integral is no longer exact on a quadratic piece"),
+    Mutant("dominance-without-table-knots", _MODELS,
+           "at = np.sort(np.concatenate((etas, np.abs(k - bounds).ravel())))",
+           "at = etas",
+           (f"{_M}TestDensityModel::test_spike_between_majorant_knots_is_not_dominated",
+            f"{_M}TestDensityModel::test_dominance_is_the_dense_sample_verdict"),
+           "dominance is checked at the majorant's knots only, so a density kink between them escapes"),
+    Mutant("miller-bracket-e-minus-n", "src/collar/barriers.py",
+           "math.exp(-4.0 * n)", "math.exp(-n)",
+           (f"{_B}TestMillerBarrier::test_bump_laplacian_worked_value",
+            f"{_B}TestMillerBarrier::test_amplitude_meets_minus_one_at_the_least_sampled_laplacian"),
+           "the bump's amplitude is taken at s = R's exponent, too small to reach -1 at 2R"),
 ]
 
 
