@@ -10,10 +10,11 @@ Two spatial profiles are available.  The distance potential ``V`` is the
 double integral of the density majorant, valid when the weighted collar
 integral is finite and the density has a positive infimum.  A power-law
 majorant gives it in closed form; a tabulated majorant gives a table whose
-rows are integrated block by block on first read, so a barrier pays only for
-the distances it evaluates.  The exterior bump ``h`` (the classical Miller
-construction) needs only a bounded density and an exterior sphere, which
-interval and radial geometry provide exactly; its amplitude is closed form.
+rows are integrated on first read, only those a barrier's distances read,
+with the dyadic pieces on the majorant's first linear stretch in closed form.
+The exterior bump ``h`` (the classical Miller construction) needs only a
+bounded density and an exterior sphere, which interval and radial geometry
+provide exactly; its amplitude is closed form.
 
 A barrier combines one profile with an anchor value of the boundary data, a
 gap ``sigma``, and quadratic localization penalties; the constants are the
@@ -43,7 +44,7 @@ from .models import (
 )
 from .operators import assemble_diffusion
 
-#: Rows of the potential table integrated per batch, on first read; bounds the temporaries.
+#: Most potential-table rows integrated in one batch, on first read; bounds the temporaries.
 _TABLE_BLOCK = 16
 
 #: Most sample times at which a timed barrier's residual is checked.
@@ -72,7 +73,8 @@ def _composite_integral(f, a, b: float, pieces: int = 48) -> np.ndarray:
     a = np.asarray(a, dtype=float).reshape(-1)
     out = np.zeros(a.shape)
     inside = a < b
-    edges = np.geomspace(a[inside], b, pieces + 1, axis=-1)
+    edges = a[inside, None] * (b / a[inside, None]) ** (np.arange(pieces + 1) / pieces)
+    edges[:, -1] = b
     mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
     x = mid[..., None] + half[..., None] * _GAUSS_X
@@ -80,20 +82,25 @@ def _composite_integral(f, a, b: float, pieces: int = 48) -> np.ndarray:
     return out
 
 
-def _dyadic_pieces(f, upper, n_pieces: int = 60):
-    """Integrals of ``eta * f(eta)`` over [u 2^-k-1, u 2^-k], k = 0.., per upper limit u.
+def _dyadic_pieces(majorant, upper, n_pieces: int = 60):
+    """Integrals of ``eta * majorant(eta)`` over [u 2^-k-1, u 2^-k], k = 0.., per upper limit u.
 
     Returns ``(pieces, counts)`` with one row per entry of ``upper``.  Row r
     uses ``pieces[r, :counts[r]]``: it stops at its first piece below 1e-300,
-    which is included, and is zero past it.
+    which is included, and is zero past it.  On the majorant's first stretch,
+    [0, knots[1]] or the flat [0, knots[0]] below a positive first knot, it is
+    ``c + s eta``, so a piece [hi/2, hi] there is ``c 3/8 hi^2 + s 7/24 hi^3``;
+    16-point Gauss-Legendre, exact up to rounding on a quadratic, gives the rest.
     """
+    k, v = majorant.knots, majorant.values
+    # A knot below 0, or one knot at 0, leaves no stretch to take in closed form.
+    end, s = (max(k[0], 0.0), 0.0) if k[0] != 0.0 or k.size == 1 else (k[1], (v[1] - v[0]) / k[1])
     upper = np.asarray(upper, dtype=float).reshape(-1)
     hi = upper[:, None] * np.ldexp(1.0, -np.arange(n_pieces))
-    lo = 0.5 * hi
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[..., None] + half[..., None] * _GAUSS_X
-    pieces = half * ((x * f(x)) @ _GAUSS_W)
+    pieces = hi * hi * (0.375 * v[0] + (7.0 / 24.0) * s * hi)
+    gauss = hi > end
+    x = 0.75 * hi[gauss][:, None] + 0.25 * hi[gauss][:, None] * _GAUSS_X
+    pieces[gauss] = 0.25 * hi[gauss] * np.sum(x * majorant(x) * _GAUSS_W, axis=-1)
     below = pieces < 1e-300
     counts = np.where(below.any(axis=1), np.argmax(below, axis=1) + 1, n_pieces)
     used = np.arange(n_pieces) < counts[:, None]
@@ -116,9 +123,10 @@ class BoundaryPotential:
     first-order term of the Laplacian.
 
     A power-law majorant has a closed form.  A tabulated majorant gives a
-    table on a log grid of distances, whose rows are computed ``_TABLE_BLOCK``
-    at a time on first read: ``at_distance`` fills the blocks holding the rows
-    its interpolation reads, and then interpolates.
+    table on a log grid of distances, whose rows are computed on first read:
+    ``at_distance`` fills the rows its interpolation reads that ``_filled``
+    does not mark yet, ``_TABLE_BLOCK`` at a time, and then interpolates.
+    A row's value does not depend on which rows share its batch.
     """
 
     eps_hat: float
@@ -135,21 +143,21 @@ class BoundaryPotential:
         if self.closed_form:
             out = self.margin * self._closed_value(capped)
         else:
-            # np.interp reads row j, and row j + 1 only off knot j; row 0 is 0.
+            # np.interp reads row j, and row j + 1 only off knot j.
             j = np.searchsorted(self._table_d, capped, side="right") - 1
-            self._fill_rows(np.concatenate((j[j > 0], j[capped > self._table_d[j]] + 1)))
+            self._fill_rows(np.concatenate((np.ravel(j), j[capped > self._table_d[j]] + 1)))
             out = np.interp(capped, self._table_d, self._table_v)
         return float(out) if out.ndim == 0 else out
 
     def _fill_rows(self, table_rows):
-        # Rows 1 and up only: row 0 heads no block, and block b starts at row 1 + 16 b.
         want = np.zeros_like(self._filled)
-        want[(table_rows - 1) // _TABLE_BLOCK] = True
-        for block in np.flatnonzero(want & ~self._filled):
+        want[table_rows] = True  # np.unique would import numpy.ma
+        todo = np.flatnonzero(want & ~self._filled)
+        for start in range(0, todo.size, _TABLE_BLOCK):
             # W by composite Gauss panels on [d, cap], J by dyadic pieces below
             # d with the same geometric-tail estimate the integral dichotomy uses.
-            start = 1 + block * _TABLE_BLOCK
-            d = self._table_d[start : start + _TABLE_BLOCK]
+            batch = todo[start : start + _TABLE_BLOCK]
+            d = self._table_d[batch]
             w = _composite_integral(self._majorant, d, self.eps_hat)
             pieces, counts = _dyadic_pieces(self._majorant, d)
             rows = np.arange(d.size)
@@ -159,8 +167,13 @@ class BoundaryPotential:
                               out=np.zeros_like(last), where=two)
             r = np.minimum(ratio, 0.999)
             tail = np.where(two, last * r / (1.0 - r), 0.0)
-            self._table_v[start : start + d.size] = self.margin * (d * w + pieces.sum(axis=1) + tail)
-            self._filled[block] = True
+            self._table_v[batch] = self.margin * (d * w + pieces.sum(axis=1) + tail)
+            self._filled[batch] = True
+
+    def table_fill(self) -> dict | None:
+        """Rows of the table computed so far, of the 1025 past row 0; None for a closed form."""
+        return None if self.closed_form else {"rows_filled": int(self._filled[1:].sum()),
+                                              "rows": self._filled.size - 1}
 
     def _closed_value(self, d):
         coef, alpha = self._majorant.coef, self._majorant.alpha
@@ -190,8 +203,8 @@ def build_boundary_potential(majorant, eps_hat: float, curvature_margin: float =
     if isinstance(majorant, PowerMajorant):
         return BoundaryPotential(eps_hat, curvature_margin, True, majorant)
     ds = np.concatenate(([0.0], np.geomspace(eps_hat * 1e-9, eps_hat, 1025)))
-    blocks = np.zeros(len(range(1, ds.size, _TABLE_BLOCK)), dtype=bool)
-    return BoundaryPotential(eps_hat, curvature_margin, False, majorant, ds, np.zeros_like(ds), blocks)
+    filled = np.arange(ds.size) == 0  # V(0) = 0
+    return BoundaryPotential(eps_hat, curvature_margin, False, majorant, ds, np.zeros_like(ds), filled)
 
 
 # ---------------------------------------------------------------------------

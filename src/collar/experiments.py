@@ -240,7 +240,9 @@ def _run_barrier_certify(cfg, m, out: Path):
         )
     payload = {"case": exp["barrier_case"], "certificates": certificates}
     _write_json(out / "barrier_certificates.json", payload)
-    return all_pass, {"certificates": certificates}
+    profile = m["barriers"][0].potential  # the sides share it
+    table = profile.table_fill() if isinstance(profile, barriers.BoundaryPotential) else None
+    return all_pass, {"certificates": certificates, "potential_table": table}
 
 
 def _run_duality(cfg, m, out: Path):

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from collar.barriers import (
     BarrierConstants,
+    _dyadic_pieces,
     build_barriers,
     build_boundary_potential,
     build_miller_barrier,
@@ -89,12 +90,16 @@ def _certify_table_density():
 
 @st.composite
 def piecewise_linear_majorants(draw):
+    # The first knot is 0, as ``DensityModel.from_table`` builds it, or a
+    # positive share of the span, below which the majorant is flat.
     n = draw(st.integers(2, 10))
     gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n - 1, max_size=n - 1))
     values = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    first = draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.5)))
     knots = np.concatenate(([0.0], np.cumsum(gaps)))
     span = draw(st.floats(0.1, 2.0))
-    return TabulatedMajorant(knots=span * knots / knots[-1], values=np.array(values))
+    knots = span * (first + (1.0 - first) * knots / knots[-1])
+    return TabulatedMajorant(knots=knots, values=np.array(values))
 
 
 class TestBoundaryPotential:
@@ -154,6 +159,11 @@ class TestBoundaryPotential:
         power = TabulatedMajorant(knots=knots, values=knots**-alpha)
         _assert_table_matches_loop(power, 0.5, margin=1.0, stride=7)
 
+    def test_table_matches_loop_below_a_positive_first_knot(self):
+        # Flat at 3 below the first knot, then down to 1 and up to 2.
+        flat = TabulatedMajorant(knots=np.array([0.05, 0.2, 0.7]), values=np.array([3.0, 1.0, 2.0]))
+        _assert_table_matches_loop(flat, 0.6, stride=7)
+
     @given(piecewise_linear_majorants(), st.floats(0.05, 1.0))
     @settings(max_examples=15, deadline=None)
     def test_table_matches_loop_on_piecewise_linear(self, majorant, eps_hat):
@@ -173,6 +183,18 @@ class TestBoundaryPotential:
         lazy = build_boundary_potential(majorant, eps_hat)
         for part in np.split(queries, cuts):
             assert np.array_equal(lazy.at_distance(part), full.at_distance(part))
+
+    # Pieces below the majorant's first stretch end are closed form, the rest
+    # Gauss-Legendre; the per-point loop takes every piece by Gauss-Legendre.
+    @given(piecewise_linear_majorants(), st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_pieces_match_gauss(self, majorant, shares):
+        upper = majorant.knots[-1] * np.array(shares)
+        pieces, counts = _dyadic_pieces(majorant, upper)
+        for row, u in enumerate(upper):
+            expected = _loop_dyadic(majorant, u)
+            assert counts[row] == expected.size
+            np.testing.assert_allclose(pieces[row, : counts[row]], expected, rtol=1e-14, atol=0.0)
 
     def test_underflowing_pieces_stop_early(self):
         # Pieces drop below 1e-300 after about 15 halvings from the cap, and
@@ -582,7 +604,7 @@ class TestResidualMatchesLoop:
             _assert_residual_matches_loop(b, grid, rho)
 
 
-def test_certify_fills_only_the_table_blocks_it_reads():
+def test_certify_fills_only_the_table_rows_it_reads():
     # The certify-table workload's problem.  Its barriers read the potential
     # at d = 0, at node distances h = 0.0025 and up, and at the localization
     # radius; 754 of the table's 1025 rows lie below h.
@@ -592,11 +614,19 @@ def test_certify_fills_only_the_table_blocks_it_reads():
                            Nonlinearity.linear(1.0), BoundaryData.sine(1.0, 0.035, 0.5),
                            InitialData.constant(1.0), **WORKED)
     pot = built[0].potential
-    assert built[1].potential is pot and pot._filled.size == 65
-    assert pot._filled.sum() <= 2  # what `collar validate` builds: the edge value at delta
+    assert built[1].potential is pot and pot._filled.size == 1026
+    assert pot._filled[1:].sum() <= 2  # what `collar validate` builds: the edge value at delta
     for b in built:
         assert verify_barrier_residual(b, grid, rho, WORKED["dt"]).verdict
-    assert pot._filled.sum() <= 16
+    # The check reads the region's nodes and two either side; np.interp reads
+    # row j at a distance in [d_j, d_j+1), and row j + 1 when it is past d_j.
+    idx = np.flatnonzero(built[0].region_node_mask(grid))
+    d = np.minimum(np.r_[grid.distances[max(idx[0] - 2, 0) : idx[-1] + 3], built[0].delta], 0.6)
+    j = np.searchsorted(pot._table_d, d, side="right") - 1
+    read = np.union1d(j, j[d > pot._table_d[j]] + 1)
+    assert read.size == 154 and read[0] == 0  # row 0, V(0) = 0, is never computed
+    assert np.array_equal(np.flatnonzero(pot._filled), read)
+    assert pot.table_fill() == {"rows_filled": 153, "rows": 1025}
 
 
 def test_residual_reads_only_the_region_slab():

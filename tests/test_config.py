@@ -940,6 +940,26 @@ class TestMoreRunners:
         lower = certs["certificates"][0]["constants"]
         assert lower["beta"] == pytest.approx(8.8 * 1.05, rel=1e-9)
         assert lower["M"] == pytest.approx(26.4 * 1.05, rel=1e-9)
+        # A constant density's power-law majorant gives V in closed form, with no table.
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["payload"]["potential_table"] is None
+
+    def test_barrier_certify_reports_the_potential_rows_it_filled(self, tmp_path):
+        # The certify-table workload's problem, as in test_barriers.py's
+        # test_certify_fills_only_the_table_rows_it_reads, through the run.
+        xs = np.linspace(0.0, 2.0, 81)
+        rho = 1.0 + 0.2 * np.sin(0.5 * np.pi * xs) + 0.05 * np.cos(np.pi * xs)
+        np.savetxt(tmp_path / "density.txt", np.column_stack([xs, rho]), fmt="%.17g")
+        doc = (BARRIER_CERTIFY
+               .replace("kind = constant\nc = 1.0", f"kind = table\nfile = {tmp_path / 'density.txt'}")
+               .replace("kind = constant\nvalue = 1.0\n\n[initial]",
+                        "kind = sine\noffset = 1.0\namplitude = 0.035\nfrequency = 0.5\n\n[initial]")
+               .replace("nodes = 201", "nodes = 801"))
+        assert run_experiment(parse_config(doc), tmp_path / "out") == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["payload"]["potential_table"] == {"rows_filled": 153, "rows": 1025}
+        certs = json.loads((tmp_path / "out" / "barrier_certificates.json").read_text())
+        assert "potential_table" not in certs
 
     def test_miller_certify_experiment(self, tmp_path):
         doc = """
@@ -977,3 +997,5 @@ sigma = 0.1
 """
         cfg = parse_config(doc)
         assert run_experiment(cfg, tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["payload"]["potential_table"] is None

@@ -47,6 +47,7 @@ class Mutant:
 
 _SOLVER = "src/collar/solver.py"
 _MODELS = "src/collar/models.py"
+_BARRIERS = "src/collar/barriers.py"
 _T = "tests/test_solver.py::"
 _B = "tests/test_barriers.py::"
 _M = "tests/test_models.py::"
@@ -124,7 +125,32 @@ MUTANTS = [
            (f"{_M}TestDensityModel::test_spike_between_majorant_knots_is_not_dominated",
             f"{_M}TestDensityModel::test_dominance_is_the_dense_sample_verdict"),
            "dominance is checked at the majorant's knots only, so a density kink between them escapes"),
-    Mutant("miller-bracket-e-minus-n", "src/collar/barriers.py",
+    # The potential table: rows filled as read, closed-form dyadic pieces.  A
+    # deterministic test comes first, so that pytest -x stops before hypothesis shrinks.
+    Mutant("closed-form-cubic-coefficient-third", _BARRIERS,
+           "(7.0 / 24.0) * s * hi", "(1.0 / 3.0) * s * hi",
+           (f"{_B}TestBoundaryPotential::test_table_matches_loop_on_certify_density",
+            f"{_B}TestBoundaryPotential::test_closed_form_pieces_match_gauss"),
+           "a closed-form piece integrates s eta^2 over [0, hi], not over [hi/2, hi]"),
+    Mutant("closed-form-past-the-first-stretch", _BARRIERS,
+           "gauss = hi > end", "gauss = hi > 2 * end",
+           (f"{_B}TestBoundaryPotential::test_table_matches_loop_below_a_positive_first_knot",
+            f"{_B}TestBoundaryPotential::test_closed_form_pieces_match_gauss",
+            f"{_B}TestBoundaryPotential::test_table_matches_loop_on_piecewise_linear"),
+           "the piece straddling the stretch's end is taken as if the majorant were linear on it"),
+    Mutant("flat-start-takes-the-next-slope", _BARRIERS,
+           "if k[0] != 0.0 or k.size == 1 else", "if k.size == 1 else",
+           (f"{_B}TestBoundaryPotential::test_table_matches_loop_below_a_positive_first_knot",
+            f"{_B}TestBoundaryPotential::test_closed_form_pieces_match_gauss",
+            f"{_B}TestBoundaryPotential::test_table_matches_loop_on_piecewise_linear"),
+           "below a positive first knot the majorant is taken as the line through its first "
+           "two values, not as flat"),
+    Mutant("row-past-the-knot-not-filled", _BARRIERS,
+           "np.concatenate((np.ravel(j), j[capped > self._table_d[j]] + 1))", "np.ravel(j)",
+           (f"{_B}test_certify_fills_only_the_table_rows_it_reads",
+            f"{_B}TestBoundaryPotential::test_rows_filled_on_read_match_the_full_table"),
+           "a query between two rows interpolates towards a row that was never computed"),
+    Mutant("miller-bracket-e-minus-n", _BARRIERS,
            "math.exp(-4.0 * n)", "math.exp(-n)",
            (f"{_B}TestMillerBarrier::test_bump_laplacian_worked_value",
             f"{_B}TestMillerBarrier::test_amplitude_meets_minus_one_at_the_least_sampled_laplacian"),
